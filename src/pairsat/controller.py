@@ -16,6 +16,7 @@ with it the detection efficiency, stays constant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,21 +80,29 @@ def thermal_gate(housing_temp_c: float) -> Gate:
 
 
 class LaserMonitor:
-    """Sliding window of pump-power samples for the stability check."""
+    """Sliding window of pump-power samples for the stability check.
+
+    Beside the time-ordered samples it keeps the same window's powers in
+    ascending order, so the median and both extremes are read off by index.
+    """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
                  threshold: float = STABILITY_THRESHOLD):
         self.window_s = window_s
         self.threshold = threshold
         self.samples: deque[tuple[float, float]] = deque()
+        self.sorted_powers: list[float] = []
 
     def add_sample(self, t_s: float, power_mw: float) -> None:
         self.samples.append((t_s, power_mw))
+        insort(self.sorted_powers, power_mw)
         while self.samples and self.samples[0][0] < t_s - self.window_s:
-            self.samples.popleft()
+            _, old = self.samples.popleft()
+            del self.sorted_powers[bisect_left(self.sorted_powers, old)]
 
     def clear(self) -> None:
         self.samples.clear()
+        self.sorted_powers.clear()
 
     def ready(self) -> bool:
         if len(self.samples) < 2:
@@ -102,14 +111,22 @@ class LaserMonitor:
 
 
 def laser_stable(monitor: LaserMonitor) -> bool | None:
-    """True/False once the window is full; None while samples are missing."""
+    """True/False once the window is full; None while samples are missing.
+
+    Stable means no power deviates from the window median by more than
+    `threshold` times the median. The largest deviation is at one end of
+    the sorted window, because rounded subtraction is monotone; an even
+    window's median is the mean of its two middle powers, as np.median
+    computes it.
+    """
     if not monitor.ready():
         return None
-    powers = [p for _, p in monitor.samples]
-    med = float(np.median(powers))
+    powers = monitor.sorted_powers
+    mid = len(powers) // 2
+    med = powers[mid] if len(powers) % 2 else (powers[mid - 1] + powers[mid]) / 2
     if med <= 0:
         return False
-    return max(abs(p - med) for p in powers) / med <= monitor.threshold
+    return max(powers[-1] - med, med - powers[0]) / med <= monitor.threshold
 
 
 def apd_bias_step(
@@ -334,6 +351,10 @@ class FlightController:
         self.dwell_remaining_ms = 0
         self.pending_command = False
         self.voltages = scan_voltages(self.config, self.calibration)
+        self.idler_voltages = {
+            pair: idler_voltage_mv(pair, self.config, self.calibration)
+            for pair in PAIR_CHANNELS
+        }
         self.monitor = LaserMonitor()
         self.laser_on = False
         self.heater_watts = 0.0
@@ -378,7 +399,7 @@ class FlightController:
         cmd.scan_id = self.scan_id
         cmd.step = self.step_index
         cmd.lc_signal_mv = self.voltages[self.step_index]
-        cmd.lc_idler_mv = idler_voltage_mv(self.pair, self.config, self.calibration)
+        cmd.lc_idler_mv = self.idler_voltages[self.pair]
         self.pending_command = False
         self.dwell_remaining_ms = round(self.config.dwell_s * 1000)
 

@@ -431,12 +431,17 @@ class SimulationEngine:
         self.rng = np.random.default_rng(self.seed)
         self.calibration = default_calibration()
         self.ctrl = FlightController(calibration=self.calibration)
+        self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
+        self._check_run_length()
         self.thermal_params = ThermalParams()
         self.thermal = ThermalState(housing_temp_c=scenario.initial_housing_c)
         self.ledger = PowerLedger()
         self.flash = FlashImage()
         self.lc_signal = LcState()
         self.lc_idler = LcState()
+        # analyzer angle of the signal LC's commanded voltage; set with every
+        # signal command, and counting only ever follows one
+        self.signal_angle: float | None = None
         self.package_temp = scenario.initial_package_c
         self.window_s = physics.COINCIDENCE_WINDOW_S
         self._benches = [
@@ -449,6 +454,31 @@ class SimulationEngine:
             for p in (controller.PAIR_1_4, controller.PAIR_2_3)
         ]
 
+    def _check_run_length(self) -> None:
+        """Reject a run whose records would overflow a fixed-width field.
+
+        Checked before the first tick, so an overlong run fails at once
+        rather than at record validation hours into the simulation.
+        """
+        duration_s = self.scenario.duration_s
+        last_ms = (self.n_ticks - 1) * TICK_MS // RECORD_PERIOD_MS * RECORD_PERIOD_MS
+        max_ms = TelemetryRecord._RANGES["time_ms"][1]
+        if last_ms > max_ms:
+            raise ValueError(
+                f"duration {duration_s} s: last record time_ms {last_ms} "
+                f"exceeds the u32 field ({max_ms})"
+            )
+        # a scan id is held for at least a full scan (commit) or, once
+        # burned by an abort, a fault hold before the next scan starts
+        cfg = self.ctrl.config
+        min_scan_s = min(cfg.n_steps * (cfg.settle_s + cfg.dwell_s), controller.FAULT_HOLD_S)
+        max_id = TelemetryRecord._RANGES["scan_id"][1]
+        if duration_s > max_id * min_scan_s:
+            raise ValueError(
+                f"duration {duration_s} s could use more scan ids than the "
+                f"u16 scan_id field holds ({max_id} at >= {min_scan_s} s each)"
+            )
+
     def _laser_power(self, t_s: float, laser_on: bool) -> float:
         if not laser_on:
             return 0.0
@@ -459,7 +489,6 @@ class SimulationEngine:
         return power
 
     def _counting_rates(self, pair: int) -> tuple[float, float, float]:
-        angle = angle_from_voltage(self.calibration, self.lc_signal.commanded_voltage)
         ch1, ch2 = controller.PAIR_CHANNELS[pair]
         loops = self.ctrl.bias_loops
         temp = self.thermal.housing_temp_c
@@ -468,7 +497,7 @@ class SimulationEngine:
             physics.efficiency_factor(loops[ch1].params, loops[ch1].bias, temp),
             physics.efficiency_factor(loops[ch2].params, loops[ch2].bias, temp),
         )
-        return controller.bench_rates(bench, angle)
+        return controller.bench_rates(bench, self.signal_angle)
 
     def _flush_bucket(self, bucket: _RecordBucket, cmd: Commands) -> None:
         ctx = bucket.count_ctx or bucket.commit_ctx
@@ -508,7 +537,7 @@ class SimulationEngine:
 
     def run(self) -> tuple[FlashImage, RunSummary]:
         scen = self.scenario
-        n_ticks = int(round(scen.duration_s * 1000)) // TICK_MS
+        n_ticks = self.n_ticks
         tick_times = np.arange(n_ticks) * (TICK_MS / 1000.0)
         env_temp = np.interp(tick_times, scen.profile.t_s, scen.profile.temp_c)
         env_alt = np.interp(tick_times, scen.profile.t_s, scen.profile.altitude_m)
@@ -555,6 +584,9 @@ class SimulationEngine:
 
             if cmd.lc_signal_mv is not None:
                 self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv / 1000.0)
+                self.signal_angle = angle_from_voltage(
+                    self.calibration, self.lc_signal.commanded_voltage
+                )
             if cmd.lc_idler_mv is not None:
                 self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv / 1000.0)
             if cmd.lc_signal_mv is not None and cmd.scan_id:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsat import controller
 from pairsat.controller import (
@@ -67,6 +69,62 @@ def test_laser_monitor_flags_dip():
         p = 9.0 * (1.0 + 0.02 * math.sin(i))  # within 5 percent band
         mild.add_sample(i * 50 / 1000.0, p)
     assert laser_stable(mild) is True
+
+
+def _reference_deviation(monitor):
+    """Largest deviation from the window median relative to the median, or
+    None when the median is not positive: the stability check as a plain
+    median and maximum deviation."""
+    powers = [p for _, p in monitor.samples]
+    med = float(np.median(powers))
+    if med <= 0:
+        return None
+    return max(abs(p - med) for p in powers) / med
+
+
+# a few exact values repeat often (equal powers, the 5 % band edges, a 20 %
+# dip, a dead laser); the rest are arbitrary finite powers
+_powers = st.one_of(
+    st.sampled_from([9.0, 9.0 * 0.95, 9.0 * 1.05, 9.0 * 0.8, 0.0]),
+    st.floats(8.0, 10.0),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # times on a 25 ms grid, so a sample often lies exactly one window before
+    # the newest one and the window counts as full (the flight loop's 50 ms
+    # ticks do the same); the jittered spacing gives odd and even lengths
+    window_s=st.integers(2, 40).map(lambda k: k * 25 / 1000.0),
+    threshold=st.one_of(st.just(0.05), st.floats(0.0, 0.5)),
+    # (milliseconds since the previous sample, power)
+    samples=st.lists(
+        st.tuples(st.sampled_from([25, 50, 75, 100]), _powers), min_size=20, max_size=120
+    ),
+    clear_before=st.sets(st.integers(0, 119), max_size=3),
+)
+def test_laser_stable_matches_median_reference(window_s, threshold, samples, clear_before):
+    mon = LaserMonitor(window_s=window_s, threshold=threshold)
+    t_ms = 0
+    for i, (dt_ms, power) in enumerate(samples):
+        if i in clear_before:
+            mon.clear()
+        t_ms += dt_ms
+        mon.add_sample(t_ms / 1000.0, power)
+        assert mon.sorted_powers == sorted(p for _, p in mon.samples)
+        if not mon.ready():
+            assert laser_stable(mon) is None
+            continue
+        deviation = _reference_deviation(mon)
+        thresholds = [threshold]
+        if deviation is not None:
+            # the reference's own deviation, and the float just below it,
+            # put the threshold exactly on the boundary from both sides
+            thresholds += [deviation, math.nextafter(deviation, -math.inf)]
+        for mon.threshold in thresholds:
+            expected = deviation is not None and deviation <= mon.threshold
+            assert laser_stable(mon) is expected
 
 
 def test_bias_step_holds_at_setpoint():

@@ -14,6 +14,7 @@ from pairsat.scenarios import (
     SEA_LEVEL_PRESSURE_MBAR,
     EnvironmentProfile,
     PackageNode,
+    SimulationEngine,
     balloon_flight_times,
     balloon_profile,
     lab_profile,
@@ -197,6 +198,26 @@ def test_make_scenario_variants(tmp_path):
         make_scenario("orbit")
     with pytest.raises(ValueError):
         make_scenario("custom")
+
+
+# a scan id lasts at least one 36 x 0.75 s scan, so 65 535 ids need 1 769 445 s
+SCAN_ID_LIMIT_S = 65535 * 27.0
+
+
+def test_engine_accepts_run_at_scan_id_limit():
+    SimulationEngine(make_scenario("lab", duration_s=SCAN_ID_LIMIT_S))
+
+
+def test_engine_rejects_run_past_scan_id_limit():
+    # raised by the constructor, before a single tick is simulated
+    with pytest.raises(ValueError, match="scan_id"):
+        SimulationEngine(make_scenario("lab", duration_s=SCAN_ID_LIMIT_S + 1.0))
+
+
+def test_engine_rejects_run_past_time_ms_limit():
+    # 2**32 - 1 ms is 4 294 967.295 s; the last 8 Hz record here is 4 294 967 875 ms
+    with pytest.raises(ValueError, match="time_ms"):
+        SimulationEngine(make_scenario("lab", duration_s=4_294_968.0))
 
 
 @pytest.fixture(scope="module")

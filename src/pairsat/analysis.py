@@ -17,13 +17,19 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import telemetry
+from . import physics, telemetry
 from .lc_optics import LcCalibration, angle_from_voltage
+# Imported after lc_optics so that the package loads its modules in the
+# order it did before analysis needed ScanConfig (set-up time; CHANGES.md).
+from .controller import ScanConfig
 
+_FLIGHT_SCAN = ScanConfig()
+
+HEALTH_CSV = "flash_health.csv"
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-8
 
@@ -256,83 +262,101 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
     return _result_from(np.array(best_p), angles, rates, True)
 
 
+def _committed_ids(table: np.ndarray) -> np.ndarray:
+    """Nonzero scan ids that carry a commit marker, ascending."""
+    ids = table["scan_id"][(table["flags"] & telemetry.FLAG_SCAN_COMMIT) != 0]
+    return np.unique(ids[ids != 0])
+
+
+def _last_pairs(table: np.ndarray) -> dict[int, int]:
+    """scan_id -> pair_sel of the scan's last counting record."""
+    counting = table[(table["flags"] & telemetry.FLAG_COUNTING) != 0][::-1]
+    ids, last = np.unique(counting["scan_id"], return_index=True)
+    return dict(zip(ids.tolist(), counting["pair_sel"][last].tolist()))
+
+
 def scan_data_from_records(
-    records: list[telemetry.TelemetryRecord],
+    records: np.ndarray | list[telemetry.TelemetryRecord],
     calibration: LcCalibration,
-    dwell_s: float = 0.45,
+    dwell_s: float = _FLIGHT_SCAN.dwell_s,
 ) -> dict[int, ScanData]:
     """Group flash records into per-scan step data.
 
-    Only scans carrying a commit marker are returned; records of aborted
-    scans stay in the flash but are dropped here. Counts for a step are the
-    sum over its record periods (settle periods contribute zero), and the
-    analyzer angle is recomputed from the stored drive voltage through the
-    same calibration the flight code used.
+    `records` is a `telemetry.RECORD_DTYPE` table, as the `rows` of
+    `telemetry.read_records(flash, as_table=True)`, or a list of records.
+    Only complete scans are returned: a scan with a commit marker whose
+    counting records cover exactly the steps 0..n_steps-1 of the flight
+    `ScanConfig`. Records of aborted scans stay in the flash but are
+    dropped here, and so are partial scans, such as a committed scan whose
+    first steps the ring wrap overwrote. Counts for a step are the sum over
+    its record periods (settle periods contribute zero), and the analyzer
+    angle is recomputed from the drive voltage of the step's last record,
+    in the order given, through the same calibration the flight code used.
     """
-    committed = {
-        r.scan_id for r in records
-        if r.flags & telemetry.FLAG_SCAN_COMMIT and r.scan_id != 0
+    table = records if isinstance(records, np.ndarray) else telemetry.table_from_records(records)
+    rows = table[np.isin(table["scan_id"], _committed_ids(table))
+                 & ((table["flags"] & telemetry.FLAG_COUNTING) != 0)]
+    if len(rows) == 0:
+        return {}
+    rows = rows[np.lexsort((rows["step"], rows["scan_id"]))]  # stable: order kept per step
+    scan_id, step = rows["scan_id"], rows["step"]
+    starts = np.flatnonzero(np.r_[True, (scan_id[1:] != scan_id[:-1]) | (step[1:] != step[:-1])])
+    last = np.r_[starts[1:], len(rows)] - 1
+
+    # Per (scan, step) group; a scan is complete when its groups are n_steps
+    # distinct steps running from 0 to n_steps - 1.
+    n = _FLIGHT_SCAN.n_steps
+    group_scan, group_step = scan_id[starts], step[starts]
+    scan_starts = np.flatnonzero(np.r_[True, group_scan[1:] != group_scan[:-1]])
+    n_groups = np.diff(np.r_[scan_starts, len(starts)])
+    complete = ((n_groups == n) & (group_step[scan_starts] == 0)
+                & (group_step[scan_starts + n_groups - 1] == n - 1))
+    keep = np.repeat(complete, n_groups)
+
+    def per_step(values: np.ndarray) -> np.ndarray:
+        return values[keep].reshape(-1, n)
+
+    def summed(name: str) -> np.ndarray:
+        return per_step(np.add.reduceat(rows[name].astype(np.int64), starts))
+
+    angles = angle_from_voltage(calibration, per_step(rows["lc_signal_mv"][last]) / 1000.0)
+    return {
+        sid: ScanData(angles_rad=a, dwell_s=dwell_s, singles_1=s1, singles_2=s2, coinc_raw=c)
+        for sid, a, s1, s2, c in zip(
+            group_scan[scan_starts][complete].tolist(), angles,
+            summed("singles_1"), summed("singles_2"), summed("coinc_raw"),
+        )
     }
-    steps: dict[int, dict[int, dict[str, int]]] = {}
-    volts: dict[int, dict[int, int]] = {}
-    for r in records:
-        if r.scan_id not in committed or not r.flags & telemetry.FLAG_COUNTING:
-            continue
-        acc = steps.setdefault(r.scan_id, {}).setdefault(
-            r.step, {"s1": 0, "s2": 0, "c": 0}
-        )
-        acc["s1"] += r.singles_1
-        acc["s2"] += r.singles_2
-        acc["c"] += r.coinc_raw
-        volts.setdefault(r.scan_id, {})[r.step] = r.lc_signal_mv
-    out: dict[int, ScanData] = {}
-    for scan_id, per_step in sorted(steps.items()):
-        order = sorted(per_step)
-        angles = np.array([
-            angle_from_voltage(calibration, volts[scan_id][k] / 1000.0) for k in order
-        ])
-        out[scan_id] = ScanData(
-            angles_rad=angles,
-            dwell_s=dwell_s,
-            singles_1=np.array([per_step[k]["s1"] for k in order]),
-            singles_2=np.array([per_step[k]["s2"] for k in order]),
-            coinc_raw=np.array([per_step[k]["c"] for k in order]),
-        )
-    return out
 
 
 def analyze_flash(
     flash_path: str,
     out_dir: str,
     calibration: LcCalibration | None = None,
-    dwell_s: float = 0.45,
-    window_s: float = 9e-9,
+    dwell_s: float = _FLIGHT_SCAN.dwell_s,
+    window_s: float = physics.COINCIDENCE_WINDOW_S,
 ) -> list[dict]:
     """Run the full pipeline on a flash image file.
 
-    Writes one CSV per scan (angle, raw rate, corrected rate, fit curve)
-    and a summary CSV (scan_id, visibility, phase, residual); returns the
-    summary rows.
+    Writes one CSV per scan (angle, raw rate, corrected rate, fit curve),
+    a summary CSV (scan_id, visibility, phase, residual) and a flash-health
+    CSV (slot counts of the read, and the committed scans dropped as
+    partial); returns the summary rows.
     """
     from .lc_optics import default_calibration
 
     cal = calibration or default_calibration()
-    flash = telemetry.load_image(flash_path)
-    records = telemetry.read_records(flash)
-    scans = scan_data_from_records(records, cal, dwell_s)
-    pair_of = {
-        r.scan_id: r.pair_sel for r in records
-        if r.scan_id in scans and r.flags & telemetry.FLAG_COUNTING
-    }
+    read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
+    table = read.rows
+    scans = scan_data_from_records(table, cal, dwell_s)
+    partial = len(_committed_ids(table)) - len(scans)
+    pair_of = _last_pairs(table)
     os.makedirs(out_dir, exist_ok=True)
 
     summary_rows = []
     for scan_id, scan in scans.items():
         corrected = correct_accidentals(scan, window_s)
-        try:
-            fit = fit_sinusoid(scan.angles_rad, corrected)
-        except ValueError:
-            continue  # too few surviving steps to fit
+        fit = fit_sinusoid(scan.angles_rad, corrected)
         curve = _model(scan.angles_rad, np.array([
             fit.amplitude, fit.raw_v, fit.phase_rad, fit.baseline
         ]))
@@ -362,4 +386,9 @@ def analyze_flash(
                 f"{row['phase_rad']:.6f}", f"{row['rms_residual']:.3f}",
                 int(row["converged"]),
             ])
+    counts = {**asdict(read.health), "partial_scans_dropped": partial}
+    with open(os.path.join(out_dir, HEALTH_CSV), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(counts)
+        w.writerow(counts.values())
     return summary_rows

@@ -12,10 +12,12 @@ arguments or malformed input files.
 from __future__ import annotations
 
 import argparse
+import csv
+import os
 import sys
 
 from . import analysis, scenarios, telemetry, thermal_power
-from .controller import IDLE_MODULES, OPERATING_MODULES
+from .controller import IDLE_MODULES, OPERATING_MODULES, ScanConfig
 from .thermal_power import BudgetError, PowerLedger
 
 
@@ -49,6 +51,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     rows = analysis.analyze_flash(args.flash, args.out, dwell_s=args.dwell)
     print(f"{len(rows)} scans analyzed -> {args.out}")
+    with open(os.path.join(args.out, analysis.HEALTH_CSV), newline="") as fh:
+        health = next(csv.DictReader(fh))
+    print("flash health: " + ", ".join(f"{k} {v}" for k, v in health.items()))
     for row in rows:
         print(
             f"scan {row['scan_id']} pair {row['pair']}: "
@@ -110,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="process a flash image into CSVs")
     ana.add_argument("--flash", required=True, help="flash image file")
     ana.add_argument("--out", required=True, help="output directory")
-    ana.add_argument("--dwell", type=float, default=0.45, help="dwell per step in seconds")
+    ana.add_argument("--dwell", type=float, default=ScanConfig().dwell_s,
+                     help="dwell per step in seconds")
     ana.set_defaults(func=_cmd_analyze)
 
     pwr = sub.add_parser("powerbudget", help="print the power ledger")

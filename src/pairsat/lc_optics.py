@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -60,7 +61,17 @@ def default_calibration() -> LcCalibration:
     return LcCalibration(list(zip(volts, angles)))
 
 
-def angle_from_voltage(cal: LcCalibration, v: float) -> float:
+def angle_from_voltage(cal: LcCalibration, v: float | np.ndarray) -> float | np.ndarray:
+    """Analyzer angle for drive voltage `v`, clipped to [0, 2π].
+
+    An array of voltages gives the array of angles from one lookup, equal
+    element for element to the scalar lookups.
+    """
+    if isinstance(v, np.ndarray):
+        outside = ~((cal.v_min <= v) & (v <= cal.v_max))
+        if outside.any():
+            raise ValueError(f"voltage {v[outside][0]} outside [{cal.v_min}, {cal.v_max}]")
+        return np.clip(cal._interp(v), 0.0, TWO_PI)
     if not cal.v_min <= v <= cal.v_max:
         raise ValueError(f"voltage {v} outside [{cal.v_min}, {cal.v_max}]")
     return float(min(TWO_PI, max(0.0, cal._interp(v))))

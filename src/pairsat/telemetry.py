@@ -22,13 +22,26 @@ Record layout (little-endian, 32 bytes total):
 Records are written identically to two 1 MiB flash sectors; each sector is
 a ring of 32768 record slots and wraps silently (the wrap is visible only
 as a flag bit on later records). Erased flash reads 0xFF, which can never
-carry a valid CRC, so blank slots are self-identifying.
+carry a valid CRC (the CRC of 31 0xFF bytes is 0xFC), so blank slots are
+self-identifying.
+
+The ground side reads the whole ring at once (`read_records`): each sector
+is viewed as a (32768, 32) byte array, the CRC-8 runs as 31 table lookups
+over a whole column of slots, and every slot takes its sector-A row when
+that passes, else its sector-B row. Slots that pass in neither sector are
+dropped. The surviving rows are viewed as `RECORD_DTYPE`, a structured
+dtype with the same layout as the record, and put in time order. Ground
+analysis keeps them as that array (`as_table=True` gives a `RecordTable`,
+which also counts the slots by outcome in `FlashHealth`); otherwise they
+become a list of `TelemetryRecord`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 SECTOR_BYTES = 1_048_576
 RECORD_BYTES = 32
@@ -62,6 +75,7 @@ def _crc8_table() -> list[int]:
 
 
 _CRC8_TABLE = _crc8_table()
+_CRC8_LUT = np.array(_CRC8_TABLE, dtype=np.uint8)
 
 
 def crc8(data: bytes) -> int:
@@ -177,26 +191,90 @@ def sectors_identical(flash: FlashImage) -> bool:
     return flash.sector_a == flash.sector_b
 
 
-def read_records(flash: FlashImage) -> list[TelemetryRecord]:
+# The record layout as a numpy dtype: one field per struct code, CRC last.
+RECORD_DTYPE = np.dtype([
+    (name, "<" + code)
+    for name, code in zip([f.name for f in fields(TelemetryRecord)] + ["crc8"],
+                          _RECORD_STRUCT.format.lstrip("<"), strict=True)
+])
+assert RECORD_DTYPE.itemsize == RECORD_BYTES
+
+
+@dataclass(frozen=True)
+class FlashHealth:
+    """How the slots of one flash read fared, one count per slot."""
+
+    valid_a: int  # sector-A copy passes its CRC
+    repaired_from_b: int  # sector A fails, sector B passes
+    doubly_corrupt: int  # neither passes, and not both erased
+    blank: int  # both sectors erased (all 0xFF)
+
+
+def _slots(sector: bytes | bytearray) -> np.ndarray:
+    return np.frombuffer(sector, dtype=np.uint8).reshape(SECTOR_CAPACITY, RECORD_BYTES)
+
+
+def _crc_ok(rows: np.ndarray) -> np.ndarray:
+    """Per row: does the last byte hold the CRC-8 of the first 31?"""
+    crc = np.zeros(len(rows), dtype=np.uint8)
+    for j in range(RECORD_BYTES - 1):
+        crc = _CRC8_LUT[crc ^ rows[:, j]]
+    return crc == rows[:, -1]
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """The records of one flash read as one array, and how its slots fared."""
+
+    rows: np.ndarray  # RECORD_DTYPE, in time order
+    health: FlashHealth
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def table_from_records(records: list[TelemetryRecord]) -> np.ndarray:
+    """The `RECORD_DTYPE` array of a record list, in list order (CRC byte 0)."""
+    names = RECORD_DTYPE.names[:-1]
+    return np.array(
+        [tuple(getattr(r, name) for name in names) + (0,) for r in records],
+        dtype=RECORD_DTYPE,
+    )
+
+
+def read_records(
+    flash: FlashImage, *, as_table: bool = False
+) -> list[TelemetryRecord] | RecordTable:
     """Recover all valid records, using sector_b to repair bad sector_a slots.
 
-    Slots that decode in neither sector (blank or doubly corrupt) are
-    skipped. Records come back in time order regardless of ring position.
+    A slot takes its sector-A record if that passes the CRC, else its
+    sector-B record; slots that decode in neither sector (blank or doubly
+    corrupt) are skipped. Records come back in time order regardless of
+    ring position, ties in `time_ms` in slot order. With `as_table`, the
+    result is the `RecordTable` the record list would be built from.
     """
-    out: list[TelemetryRecord] = []
-    for slot in range(SECTOR_CAPACITY):
-        off = slot * RECORD_BYTES
-        for sector in (flash.sector_a, flash.sector_b):
-            raw = bytes(sector[off : off + RECORD_BYTES])
-            if raw == b"\xff" * RECORD_BYTES:
-                continue
-            try:
-                out.append(decode(raw))
-                break
-            except CorruptRecordError:
-                continue
-    out.sort(key=lambda r: r.time_ms)
-    return out
+    a = _slots(flash.sector_a)
+    b = _slots(flash.sector_b)
+    ok_a = _crc_ok(a)
+    failed_a = np.flatnonzero(~ok_a)
+    ok_b = _crc_ok(b[failed_a])
+    repaired = failed_a[ok_b]
+    lost = failed_a[~ok_b]
+    blank = int(((a[lost] == 0xFF).all(axis=1) & (b[lost] == 0xFF).all(axis=1)).sum())
+    keep = ok_a.copy()
+    keep[repaired] = True
+    rows = np.where(ok_a[:, None], a, b)[keep]
+    table = rows.view(RECORD_DTYPE).reshape(-1)
+    table = table[np.argsort(table["time_ms"], kind="stable")]
+    if not as_table:
+        return [TelemetryRecord(*row[:-1]) for row in table.tolist()]
+    health = FlashHealth(
+        valid_a=int(ok_a.sum()),
+        repaired_from_b=len(repaired),
+        doubly_corrupt=len(lost) - blank,
+        blank=blank,
+    )
+    return RecordTable(table, health)
 
 
 def save_image(flash: FlashImage, path: str) -> None:

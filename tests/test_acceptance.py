@@ -5,6 +5,7 @@ test outcome itself is the pass/fail line. The expensive scenario runs are
 shared through module fixtures, so the whole gate stays under a minute.
 """
 
+import csv
 import hashlib
 import math
 
@@ -247,3 +248,21 @@ def test_golden_flash_digests(lab_pair, leo_run, balloon_run):
     assert _flash_digest(lab_pair[0][0]) == "a4889941ee660642"  # lab 480 s, seed 1
     assert _flash_digest(leo_run[0]) == "43d159792e2069e1"  # leo 4500 s, seed 3
     assert _flash_digest(balloon_run[0]) == "feb0b6a3a324b0e4"  # balloon, seed 11
+
+
+def test_wrap_cut_scan_is_dropped_as_partial(balloon_run, tmp_path):
+    """The balloon ring wraps; the oldest committed scan left in it, 159,
+    keeps its commit marker but only 11 of its 36 steps."""
+    flash, _ = balloon_run
+    records = telemetry.read_records(flash)
+    steps = {r.step for r in records if r.scan_id == 159 and r.flags & telemetry.FLAG_COUNTING}
+    assert any(r.scan_id == 159 and r.flags & telemetry.FLAG_SCAN_COMMIT for r in records)
+    assert len(steps) == 11
+    path = tmp_path / "flash.bin"
+    telemetry.save_image(flash, str(path))
+    rows = analysis.analyze_flash(str(path), str(tmp_path / "out"))
+    assert 159 not in {row["scan_id"] for row in rows}
+    with open(tmp_path / "out" / analysis.HEALTH_CSV, newline="") as fh:
+        health = next(csv.DictReader(fh))
+    assert health["partial_scans_dropped"] == "1"
+    assert health["valid_a"] == str(telemetry.SECTOR_CAPACITY)

@@ -1,9 +1,13 @@
 """Accidental correction, sinusoid fitting, and the flash pipeline."""
 
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsat import analysis, telemetry
 from pairsat.analysis import (
@@ -14,7 +18,7 @@ from pairsat.analysis import (
     scan_data_from_records,
     visibility,
 )
-from pairsat.lc_optics import default_calibration, voltage_for_angle
+from pairsat.lc_optics import angle_from_voltage, default_calibration, voltage_for_angle
 
 
 def model(theta, amp, v, phi, base):
@@ -225,3 +229,137 @@ def test_analyze_flash_pipeline(tmp_path):
     lines = (tmp_path / "out" / "scan_00002.csv").read_text().strip().splitlines()
     assert lines[0] == "angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz"
     assert len(lines) == 37
+
+
+def test_scan_grouping_drops_partial_scans(tmp_path):
+    angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
+    counts = [(360000, 330000, 2000)] * 36
+    whole = make_flight_records(1, 0, angles, counts)
+    # the ring wrap overwrites the oldest slots: scan 2 keeps its commit
+    # marker and its last 11 steps
+    cut = make_flight_records(2, 1, angles, counts)[25:]
+    # a scan that skipped a step in the middle is partial as well
+    gap = [r for r in make_flight_records(3, 0, angles, counts) if r.step != 17
+           or r.flags & telemetry.FLAG_SCAN_COMMIT]
+    # a partial scan's drive voltage is never looked up, so one outside the
+    # calibration (a u16 field holds up to 65535 mV) cannot stop the analysis
+    bad = [replace(r, lc_signal_mv=9000) if r.step == 30 else r
+           for r in make_flight_records(4, 1, angles, counts)[25:]]
+    scans = scan_data_from_records(whole + cut + gap + bad, default_calibration())
+    assert list(scans) == [1]
+
+    flash = telemetry.FlashImage()
+    telemetry.write_redundant(flash, cut + whole + gap + bad)
+    path = tmp_path / "flash.bin"
+    telemetry.save_image(flash, str(path))
+    rows = analysis.analyze_flash(str(path), str(tmp_path / "out"))
+    assert [r["scan_id"] for r in rows] == [1]
+    with open(tmp_path / "out" / analysis.HEALTH_CSV, newline="") as fh:
+        health = list(csv.DictReader(fh))
+    written = len(whole) + len(cut) + len(gap) + len(bad)
+    assert health == [{
+        "valid_a": str(written), "repaired_from_b": "0", "doubly_corrupt": "0",
+        "blank": str(telemetry.SECTOR_CAPACITY - written), "partial_scans_dropped": "3",
+    }]
+
+
+def dict_grouping(records, calibration, dwell_s=0.45, n_steps=36):
+    """Per-record grouping, kept as the reference for the table grouping:
+    the scans it returns, and each scan's pair."""
+    committed = {
+        r.scan_id for r in records
+        if r.flags & telemetry.FLAG_SCAN_COMMIT and r.scan_id != 0
+    }
+    steps = {}
+    volts = {}
+    pairs = {}
+    for r in records:
+        if r.flags & telemetry.FLAG_COUNTING:
+            pairs[r.scan_id] = r.pair_sel
+        if r.scan_id not in committed or not r.flags & telemetry.FLAG_COUNTING:
+            continue
+        acc = steps.setdefault(r.scan_id, {}).setdefault(r.step, {"s1": 0, "s2": 0, "c": 0})
+        acc["s1"] += r.singles_1
+        acc["s2"] += r.singles_2
+        acc["c"] += r.coinc_raw
+        volts.setdefault(r.scan_id, {})[r.step] = r.lc_signal_mv
+    out = {}
+    for scan_id, per_step in sorted(steps.items()):
+        order = sorted(per_step)
+        if order != list(range(n_steps)):
+            continue
+        out[scan_id] = ScanData(
+            angles_rad=np.array([
+                angle_from_voltage(calibration, volts[scan_id][k] / 1000.0) for k in order
+            ]),
+            dwell_s=dwell_s,
+            singles_1=np.array([per_step[k]["s1"] for k in order]),
+            singles_2=np.array([per_step[k]["s2"] for k in order]),
+            coinc_raw=np.array([per_step[k]["c"] for k in order]),
+        )
+    return out, pairs
+
+
+COUNTS = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
+
+
+@st.composite
+def scan_records(draw):
+    """Records of a few scans in flight layout, with their variations:
+    steps split over several periods, settle periods, missing or extra
+    steps, uncommitted (aborted) scans, reused scan ids, pair changes,
+    idle records, and an order that need not be time order."""
+    records = []
+    t = 0
+    for _ in range(draw(st.integers(0, 4))):
+        scan_id = draw(st.integers(0, 5))
+        shape = draw(st.sampled_from(["whole", "whole", "whole", "missing", "extra", "swap"]))
+        missing = draw(st.sets(st.integers(0, 35), min_size=1, max_size=3)) \
+            if shape in ("missing", "swap") else set()
+        # a swap replaces the missing steps with as many out of range
+        extra = list(range(36, 36 + max(len(missing), 1))) if shape in ("extra", "swap") else []
+        for step in [k for k in range(36) if k not in missing] + extra:
+            if draw(st.booleans()):
+                records.append(telemetry.TelemetryRecord(
+                    time_ms=t, scan_id=scan_id, step=step, singles_1=draw(st.integers(0, 999)),
+                ))
+                t += 125
+            for _ in range(draw(st.integers(1, 2))):
+                s1, s2, c = draw(COUNTS)
+                records.append(telemetry.TelemetryRecord(
+                    time_ms=t, scan_id=scan_id, step=step, pair_sel=draw(st.integers(0, 1)),
+                    lc_signal_mv=draw(st.integers(0, 8000)), singles_1=s1, singles_2=s2,
+                    coinc_raw=c, flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
+                ))
+                t += 125
+        if draw(st.sampled_from([True, True, False])):
+            records.append(telemetry.TelemetryRecord(
+                time_ms=t, scan_id=scan_id, step=35,
+                flags=telemetry.FLAG_PRESENT | telemetry.FLAG_SCAN_COMMIT,
+            ))
+            t += 125
+        for _ in range(draw(st.integers(0, 2))):
+            records.append(telemetry.TelemetryRecord(
+                time_ms=t, flags=draw(st.integers(0, 255)) & ~telemetry.FLAG_SCAN_COMMIT,
+            ))
+            t += 125
+    return draw(st.permutations(records)) if draw(st.booleans()) else records
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_records())
+def test_table_grouping_matches_dict_reference(records):
+    cal = default_calibration()
+    expected, pairs = dict_grouping(records, cal)
+    table = telemetry.table_from_records(records)
+    for got in (scan_data_from_records(records, cal), scan_data_from_records(table, cal)):
+        assert list(got) == list(expected)
+        for scan_id, scan in got.items():
+            ref = expected[scan_id]
+            assert scan.angles_rad.tobytes() == ref.angles_rad.tobytes()
+            assert scan.dwell_s == ref.dwell_s
+            for name in ("singles_1", "singles_2", "coinc_raw"):
+                assert getattr(scan, name).dtype == getattr(ref, name).dtype
+                assert np.array_equal(getattr(scan, name), getattr(ref, name))
+    assert analysis._last_pairs(table) == pairs
+

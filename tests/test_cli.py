@@ -54,6 +54,9 @@ def test_analyze_round_trip(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "4 scans analyzed" in text
+    written = 120 * 8
+    assert (f"flash health: valid_a {written}, repaired_from_b 0, doubly_corrupt 0, "
+            f"blank {telemetry.SECTOR_CAPACITY - written}, partial_scans_dropped 0") in text
 
     with open(os.path.join(out_dir, "summary.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))

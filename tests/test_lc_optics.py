@@ -156,3 +156,15 @@ def test_calibration_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_calibration_csv(str(empty))
+
+
+def test_vector_lookup_is_bit_identical_on_every_millivolt():
+    # flash stores the drive in whole millivolts: check every value in range
+    cal = default_calibration()
+    volts = np.arange(round(cal.v_min * 1000), round(cal.v_max * 1000) + 1) / 1000.0
+    vector = angle_from_voltage(cal, volts)
+    scalar = np.array([angle_from_voltage(cal, v) for v in volts])
+    assert np.array_equal(vector.view(np.uint64), scalar.view(np.uint64))
+    for bad in (cal.v_min - 0.001, cal.v_max + 0.001, float("nan")):
+        with pytest.raises(ValueError):
+            angle_from_voltage(cal, np.array([4.0, bad]))

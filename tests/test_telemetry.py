@@ -1,7 +1,11 @@
 """Record codec, CRC, redundant flash, and link arithmetic."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsat import telemetry
 from pairsat.telemetry import (
@@ -23,8 +27,11 @@ from pairsat.telemetry import (
     save_image,
     sectors_identical,
     session_volume,
+    table_from_records,
     write_redundant,
 )
+
+BLANK = b"\xff" * RECORD_BYTES
 
 
 def make_record(i=0, **overrides):
@@ -216,3 +223,126 @@ def test_downlink_time():
 def test_commit_flag_round_trips():
     r = make_record(flags=FLAG_PRESENT | FLAG_SCAN_COMMIT)
     assert decode(encode(r)).flags & FLAG_SCAN_COMMIT
+
+
+def per_slot_read(flash):
+    """Reference reader: decode each slot on its own, A first, then B."""
+    records = []
+    counts = dict(valid_a=0, repaired_from_b=0, doubly_corrupt=0, blank=0)
+    a, b = bytes(flash.sector_a), bytes(flash.sector_b)
+    for off in range(0, SECTOR_BYTES, RECORD_BYTES):
+        raws = (a[off : off + RECORD_BYTES], b[off : off + RECORD_BYTES])
+        if raws == (BLANK, BLANK):
+            counts["blank"] += 1
+            continue
+        for raw, outcome in zip(raws, ("valid_a", "repaired_from_b")):
+            try:
+                records.append(decode(raw))
+            except CorruptRecordError:
+                continue
+            counts[outcome] += 1
+            break
+        else:
+            counts["doubly_corrupt"] += 1
+    records.sort(key=lambda r: r.time_ms)
+    return records, counts
+
+
+def field_values(lo, hi):
+    return st.sampled_from([lo, lo + 1, hi - 1, hi]) | st.integers(lo, hi)
+
+
+RECORD_FIELDS = {
+    name: field_values(lo, hi)
+    for name, (lo, hi) in TelemetryRecord._RANGES.items() if name != "time_ms"
+}
+
+
+@st.composite
+def damaged_ring(draw):
+    """A flash image with records written from a drawn cursor (past the
+    sector end for some draws) and damaged slots, plus the records written
+    with their slots and the damage done to each damaged slot."""
+    n = draw(st.integers(1, 30))
+    times = np.cumsum(draw(st.lists(st.integers(0, 300), min_size=n, max_size=n)))
+    records = [
+        TelemetryRecord(time_ms=int(t), **draw(st.fixed_dictionaries(RECORD_FIELDS)))
+        for t in times
+    ]
+    flash = FlashImage()
+    flash.cursor = draw(st.sampled_from([0, SECTOR_CAPACITY - n // 2, 2 * SECTOR_CAPACITY - 1]))
+    first = flash.cursor
+    write_redundant(flash, records)
+    slots = [(first + i) % SECTOR_CAPACITY for i in range(n)]
+    used = sorted(slots)
+    harm = st.sampled_from([None, "flip", "erase"])
+    damage = draw(st.lists(
+        st.tuples(st.sampled_from(used), harm, harm, st.integers(0, 8 * RECORD_BYTES - 1)),
+        max_size=n, unique_by=lambda d: d[0],
+    ))
+    for slot, *harms, bit in damage:
+        off = slot * RECORD_BYTES
+        for sector, what in zip((flash.sector_a, flash.sector_b), harms):
+            if what == "flip":
+                sector[off + bit // 8] ^= 1 << (bit % 8)
+            elif what == "erase":
+                sector[off : off + RECORD_BYTES] = BLANK
+    return flash, list(zip(slots, records)), {slot: (a, b) for slot, a, b, _ in damage}
+
+
+@settings(max_examples=40, deadline=None)
+@given(damaged_ring())
+def test_columnar_read_matches_per_slot_reference(ring):
+    flash, written, damage = ring
+    expected, counts = per_slot_read(flash)
+    read = read_records(flash, as_table=True)
+    table, health = read.rows, read.health
+    assert len(read) == len(expected)
+    assert read_records(flash) == expected
+    assert [TelemetryRecord(*row[:-1]) for row in table.tolist()] == expected
+    assert asdict(health) == counts
+    # Only damage to both copies loses a record. Across the wrap the newest
+    # records sit in the lowest slots, and the read still returns the
+    # survivors in time order, ties in slot order.
+    survivors = sorted(
+        ((slot, r) for slot, r in written if None in damage.get(slot, (None, None))),
+        key=lambda sr: (sr[1].time_ms, sr[0]),
+    )
+    assert expected == [r for _, r in survivors]
+    harms = list(damage.values())
+    lost = sum(a is not None and b is not None for a, b in harms)
+    blank = harms.count(("erase", "erase"))
+    assert counts == dict(
+        valid_a=len(written) - sum(a is not None for a, _ in harms),
+        repaired_from_b=sum(a is not None and b is None for a, b in harms),
+        doubly_corrupt=lost - blank,
+        blank=SECTOR_CAPACITY - len(written) + blank,
+    )
+
+
+RECORDS_AT_EDGES = st.lists(
+    st.builds(TelemetryRecord, **RECORD_FIELDS, time_ms=field_values(0, 2**32 - 1)),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RECORDS_AT_EDGES, st.sampled_from(sorted(TelemetryRecord._RANGES)))
+def test_round_trip_at_field_range_edges(records, outside):
+    for r in records:
+        assert decode(encode(r)) == r
+    flash = FlashImage()
+    write_redundant(flash, records)
+    in_time_order = sorted(records, key=lambda r: r.time_ms)
+    read = read_records(flash, as_table=True)
+    table, health = read.rows, read.health
+    assert table["crc8"].tolist() == [encode(r)[-1] for r in in_time_order]
+    assert [row[:-1] for row in table.tolist()] == \
+        [row[:-1] for row in table_from_records(in_time_order).tolist()]
+    assert read_records(flash) == in_time_order
+    assert (health.valid_a, health.blank) == (len(records), SECTOR_CAPACITY - len(records))
+    r = records[0]
+    lo, hi = TelemetryRecord._RANGES[outside]
+    for bad in (lo - 1, hi + 1):
+        with pytest.raises(ValueError):
+            encode(TelemetryRecord(**{**asdict(r), outside: bad}))

@@ -84,6 +84,14 @@ class LaserMonitor:
 
     Beside the time-ordered samples it keeps the same window's powers in
     ascending order, so the median and both extremes are read off by index.
+    The window is full when its oldest sample lies one window before the
+    newest, or when the sample it dropped last since the last `clear` lies
+    more than one window before the newest, both to 1e-9. The second test
+    serves jittered sample times, where the oldest kept sample rarely lies
+    exactly one window back. Rounding of `t_s - window_s` can drop a sample
+    exactly one window back; the 1e-9 keeps such a drop from counting, so
+    on an exact tick grid the window is full on the same ticks as by the
+    span test alone.
     """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
@@ -92,22 +100,28 @@ class LaserMonitor:
         self.threshold = threshold
         self.samples: deque[tuple[float, float]] = deque()
         self.sorted_powers: list[float] = []
+        self.last_dropped_s: float | None = None
 
     def add_sample(self, t_s: float, power_mw: float) -> None:
         self.samples.append((t_s, power_mw))
         insort(self.sorted_powers, power_mw)
         while self.samples and self.samples[0][0] < t_s - self.window_s:
-            _, old = self.samples.popleft()
+            self.last_dropped_s, old = self.samples.popleft()
             del self.sorted_powers[bisect_left(self.sorted_powers, old)]
 
     def clear(self) -> None:
         self.samples.clear()
         self.sorted_powers.clear()
+        self.last_dropped_s = None
 
     def ready(self) -> bool:
         if len(self.samples) < 2:
             return False
-        return self.samples[-1][0] - self.samples[0][0] >= self.window_s - 1e-9
+        newest = self.samples[-1][0]
+        dropped = self.last_dropped_s
+        if dropped is not None and newest - dropped > self.window_s + 1e-9:
+            return True
+        return newest - self.samples[0][0] >= self.window_s - 1e-9
 
 
 def laser_stable(monitor: LaserMonitor) -> bool | None:
@@ -364,6 +378,23 @@ class FlightController:
 
     def active_channels(self) -> tuple[int, int]:
         return PAIR_CHANNELS[self.pair]
+
+    def held_gate(self) -> Gate | None:
+        """The gate decision that holds the controller idle, or None.
+
+        In HEATING or WAIT_COOL with the laser off, a tick whose sensed
+        housing temperature gets this decision from `thermal_gate` keeps
+        the mode and changes nothing but the heater command, and every
+        such tick after the first returns equal commands and changes
+        nothing at all.
+        """
+        if self.laser_on:
+            return None
+        if self.mode is Mode.HEATING:
+            return Gate.HEAT
+        if self.mode is Mode.WAIT_COOL:
+            return Gate.WAIT_COOL
+        return None
 
     def _turn_laser_on(self, sensors: Sensors) -> None:
         self.laser_on = True

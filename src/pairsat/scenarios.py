@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import Commands, FlightController, Mode, ScanConfig, Sensors
+from .controller import Commands, FlightController, Mode, ScanConfig, Sensors, thermal_gate
 from .lc_optics import LcCalibration, LcState, angle_from_voltage, command_voltage, \
     default_calibration, step_settle
 from .physics import SourceParams
@@ -28,6 +28,9 @@ from .thermal_power import PowerLedger, ThermalParams, ThermalState
 TICK_MS = controller.TICK_MS
 TICK_S = controller.TICK_S
 RECORD_PERIOD_MS = 125  # 8 Hz telemetry
+# records held before one batched flash write: 512 s of telemetry, about
+# 1.5 MB of row tuples
+PENDING_RECORDS = 4096
 
 SEA_LEVEL_PRESSURE_MBAR = 1013.25
 ATMOSPHERE_SCALE_HEIGHT_M = 7000.0
@@ -134,6 +137,11 @@ class PackageNode:
     heat_capacity_j_per_c: float = 1500.0
     conductance_w_per_c: float = 0.4
     payload_watts: float = 1.3
+
+    def step(self, temp_c: float, air_temp_c: float, dt: float) -> float:
+        """The package temperature after one explicit Euler step of `dt`."""
+        flow = self.payload_watts + self.conductance_w_per_c * (air_temp_c - temp_c)
+        return temp_c + dt * flow / self.heat_capacity_j_per_c
 
 
 BALLOON_GROUND_S = 900.0  # pre-release activation period
@@ -507,33 +515,119 @@ class SimulationEngine:
                    round(self.lc_idler.commanded_voltage * 1000))
         scan_id, step, pair, sig_mv, idl_mv = ctx
         flags = bucket.flags | telemetry.FLAG_PRESENT
-        if self.flash.cursor >= telemetry.SECTOR_CAPACITY:
+        if self.records_written >= telemetry.SECTOR_CAPACITY:
             flags |= telemetry.FLAG_WRAPPED
         ch1, ch2 = controller.PAIR_CHANNELS[pair]
-        record = TelemetryRecord(
-            time_ms=bucket.period * RECORD_PERIOD_MS,
-            scan_id=scan_id,
-            step=step,
-            pair_sel=pair,
-            lc_signal_mv=sig_mv,
-            lc_idler_mv=idl_mv,
-            singles_1=bucket.s1,
-            singles_2=bucket.s2,
-            coinc_raw=min(bucket.coinc, 2**16 - 1),
-            temp_centi_c=int(round(
-                max(-327.68, min(327.67, self.thermal.housing_temp_c)) * 100
-            )),
-            laser_power_10uw=round(self._last_laser_mw * 100),
-            bias_1_decivolt=round(self.ctrl.bias_loops[ch1].bias * 10),
-            bias_2_decivolt=round(self.ctrl.bias_loops[ch2].bias * 10),
-            flags=flags,
-        )
-        telemetry.write_redundant(self.flash, [record])
+        # the TelemetryRecord fields, in order
+        self._pending.append((
+            bucket.period * RECORD_PERIOD_MS,
+            scan_id,
+            step,
+            pair,
+            sig_mv,
+            idl_mv,
+            bucket.s1,
+            bucket.s2,
+            min(bucket.coinc, 2**16 - 1),
+            int(round(max(-327.68, min(327.67, self.thermal.housing_temp_c)) * 100)),
+            round(self._last_laser_mw * 100),
+            round(self.ctrl.bias_loops[ch1].bias * 10),
+            round(self.ctrl.bias_loops[ch2].bias * 10),
+            flags,
+        ))
         self.records_written += 1
+        if len(self._pending) == PENDING_RECORDS:
+            self._write_pending()
+
+    def _write_pending(self) -> None:
+        if self._pending:
+            telemetry.write_redundant(self.flash, telemetry.table_from_rows(self._pending))
+            self._pending.clear()
+
+    def _tick_flags(self, cmd: Commands) -> int:
+        """The record flags that one tick's commands set."""
+        flags = 0
+        if cmd.laser_on:
+            flags |= telemetry.FLAG_LASER_ON
+        if cmd.heater_watts > 0:
+            flags |= telemetry.FLAG_HEATER_ON
+        if cmd.mode is Mode.FAULT_HOLD:
+            flags |= telemetry.FLAG_FAULT_HOLD
+        if any(self.ctrl.bias_loops[ch].railed for ch in self.ctrl.active_channels()):
+            flags |= telemetry.FLAG_BIAS_RAILED
+        return flags
 
     def _new_scan_meta(self, t_ms: int, pair: int) -> dict:
         return {"start_ms": t_ms, "pair": pair, "settle": set(),
                 "command_ms": {}, "counted": set()}
+
+    def _idle_stretch(
+        self, k: int, bucket: _RecordBucket, env_temp: np.ndarray
+    ) -> tuple[int, _RecordBucket]:
+        """Advance from tick k while the thermal gate holds the controller idle.
+
+        Entered at the top of tick k, after its record flush, when the
+        housing temperature gets the gate `held_gate` names and both LCs
+        are settled. Tick k runs the controller as usual. Each later tick
+        whose start-of-tick temperature keeps that gate would return equal
+        commands, draw no random numbers and step no LC or bias loop, so
+        it advances only the housing node (`housing_step`, as
+        `step_thermal` does), the package node, the temperature extremes
+        and the 125 ms records. Returns the first tick not advanced and the
+        open record bucket, with the controller and the engine as the
+        per-tick path leaves them.
+        """
+        ctrl, thermal, params = self.ctrl, self.thermal, self.thermal_params
+        gate = ctrl.held_gate()
+        cmd = ctrl.tick(Sensors(
+            time_ms=k * TICK_MS,
+            housing_temp_c=thermal.housing_temp_c,
+            laser_power_mw=0.0,  # held idle, the laser is off
+            lc_signal_settled=True,
+            lc_idler_settled=True,
+        ))
+        self._idle_cmd = cmd
+        self._last_laser_mw = 0.0
+        flags = self._tick_flags(cmd)
+        self._max_power = max(self._max_power, thermal_power.total_power(
+            self.ledger, cmd.active_modules, cmd.heater_watts, cmd.heater_mode
+        ))
+        heater = thermal.heater_watts = cmd.heater_watts
+        dissipation = thermal_power.internal_dissipation(params, cmd.active_modules)
+        housing_step = thermal_power.housing_step
+        pkg_temp = self.package_temp
+        package = self.scenario.package if pkg_temp is not None else None
+        h_min, h_max = self._housing_min, self._housing_max
+        p_min, p_max = self._package_min, self._package_max
+        n_ticks = self.n_ticks
+        while True:
+            bucket.flags |= flags
+            air_temp = float(env_temp[k])
+            temp = thermal.housing_temp_c = housing_step(
+                params, thermal.housing_temp_c, heater, dissipation,
+                air_temp if pkg_temp is None else pkg_temp, TICK_S,
+            )
+            if temp < h_min:
+                h_min = temp
+            if temp > h_max:
+                h_max = temp
+            if package is not None:
+                pkg_temp = package.step(pkg_temp, air_temp, TICK_S)
+                if pkg_temp < p_min:
+                    p_min = pkg_temp
+                if pkg_temp > p_max:
+                    p_max = pkg_temp
+            k += 1
+            if k == n_ticks or thermal_gate(temp) is not gate:
+                break
+            period = k * TICK_MS // RECORD_PERIOD_MS
+            if period != bucket.period:
+                self._flush_bucket(bucket, cmd)
+                bucket = _RecordBucket(period)
+        self.package_temp = pkg_temp
+        self._housing_min, self._housing_max = h_min, h_max
+        self._package_min, self._package_max = p_min, p_max
+        return k, bucket
 
     def run(self) -> tuple[FlashImage, RunSummary]:
         scen = self.scenario
@@ -547,15 +641,17 @@ class SimulationEngine:
         scans: list[ScanSummary] = []
         aborted = 0
         self.records_written = 0
+        self._pending: list[tuple[int, ...]] = []
         self._last_laser_mw = 0.0
         self._idle_cmd = Commands(mode=Mode.INIT)
-        max_power = 0.0
-        housing_min = housing_max = self.thermal.housing_temp_c
-        pkg_min = pkg_max = self.package_temp
+        self._max_power = 0.0
+        self._housing_min = self._housing_max = self.thermal.housing_temp_c
+        self._package_min = self._package_max = self.package_temp
         mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
         bucket = _RecordBucket(0)
 
-        for k in range(n_ticks):
+        k = 0
+        while k < n_ticks:
             t_ms = k * TICK_MS
             t_s = tick_times[k]
 
@@ -563,6 +659,12 @@ class SimulationEngine:
             if period != bucket.period:
                 self._flush_bucket(bucket, self._idle_cmd)
                 bucket = _RecordBucket(period)
+
+            gate = self.ctrl.held_gate()
+            if (gate is not None and self.lc_signal.settled and self.lc_idler.settled
+                    and thermal_gate(self.thermal.housing_temp_c) is gate):
+                k, bucket = self._idle_stretch(k, bucket, env_temp)
+                continue
 
             air_temp = float(env_temp[k])
             housing_ext = self.package_temp if self.package_temp is not None else air_temp
@@ -631,14 +733,7 @@ class SimulationEngine:
                 step_acc = {sk: v for sk, v in step_acc.items() if sk[0] != cmd.scan_id}
                 scan_meta.pop(cmd.scan_id, None)
 
-            if cmd.laser_on:
-                bucket.flags |= telemetry.FLAG_LASER_ON
-            if cmd.heater_watts > 0:
-                bucket.flags |= telemetry.FLAG_HEATER_ON
-            if cmd.mode is Mode.FAULT_HOLD:
-                bucket.flags |= telemetry.FLAG_FAULT_HOLD
-            if any(self.ctrl.bias_loops[ch].railed for ch in self.ctrl.active_channels()):
-                bucket.flags |= telemetry.FLAG_BIAS_RAILED
+            bucket.flags |= self._tick_flags(cmd)
 
             if not self.lc_signal.settled:
                 self.lc_signal = step_settle(self.lc_signal, TICK_S)
@@ -653,20 +748,18 @@ class SimulationEngine:
             total = thermal_power.total_power(
                 self.ledger, cmd.active_modules, cmd.heater_watts, cmd.heater_mode
             )
-            max_power = max(max_power, total)
-            housing_min = min(housing_min, self.thermal.housing_temp_c)
-            housing_max = max(housing_max, self.thermal.housing_temp_c)
+            self._max_power = max(self._max_power, total)
+            self._housing_min = min(self._housing_min, self.thermal.housing_temp_c)
+            self._housing_max = max(self._housing_max, self.thermal.housing_temp_c)
 
             if self.package_temp is not None and scen.package is not None:
-                pkg = scen.package
-                flow = pkg.payload_watts + pkg.conductance_w_per_c * (
-                    air_temp - self.package_temp
-                )
-                self.package_temp += TICK_S * flow / pkg.heat_capacity_j_per_c
-                pkg_min = min(pkg_min, self.package_temp)
-                pkg_max = max(pkg_max, self.package_temp)
+                self.package_temp = scen.package.step(self.package_temp, air_temp, TICK_S)
+                self._package_min = min(self._package_min, self.package_temp)
+                self._package_max = max(self._package_max, self.package_temp)
+            k += 1
 
         self._flush_bucket(bucket, self._idle_cmd)
+        self._write_pending()
 
         summary = RunSummary(
             scenario=scen.name,
@@ -675,11 +768,11 @@ class SimulationEngine:
             scans=scans,
             aborted_scans=aborted,
             records_written=self.records_written,
-            max_total_power_w=max_power,
-            housing_temp_min_c=housing_min,
-            housing_temp_max_c=housing_max,
-            package_temp_min_c=pkg_min,
-            package_temp_max_c=pkg_max,
+            max_total_power_w=self._max_power,
+            housing_temp_min_c=self._housing_min,
+            housing_temp_max_c=self._housing_max,
+            package_temp_min_c=self._package_min,
+            package_temp_max_c=self._package_max,
             mode_history=mode_history,
             laser_activations=list(self.ctrl.laser_activations),
         )

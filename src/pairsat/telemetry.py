@@ -25,6 +25,12 @@ as a flag bit on later records). Erased flash reads 0xFF, which can never
 carry a valid CRC (the CRC of 31 0xFF bytes is 0xFC), so blank slots are
 self-identifying.
 
+Records are written in batches (`write_redundant`): the batch becomes a
+`RECORD_DTYPE` table, checked field by field against the record's ranges,
+its CRC column is computed with the same column-wise CRC-8 as the read
+below, and its rows are copied into consecutive ring slots of both
+sectors.
+
 The ground side reads the whole ring at once (`read_records`): each sector
 is viewed as a (32768, 32) byte array, the CRC-8 runs as 31 table lookups
 over a whole column of slots, and every slot takes its sector-A row when
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -176,21 +183,6 @@ class FlashImage:
         return min(self.cursor, SECTOR_CAPACITY) * RECORD_BYTES
 
 
-def write_redundant(flash: FlashImage, records: list[TelemetryRecord]) -> FlashImage:
-    """Append records to both sectors identically, wrapping when full."""
-    for record in records:
-        blob = encode(record)
-        off = (flash.cursor % SECTOR_CAPACITY) * RECORD_BYTES
-        flash.sector_a[off : off + RECORD_BYTES] = blob
-        flash.sector_b[off : off + RECORD_BYTES] = blob
-        flash.cursor += 1
-    return flash
-
-
-def sectors_identical(flash: FlashImage) -> bool:
-    return flash.sector_a == flash.sector_b
-
-
 # The record layout as a numpy dtype: one field per struct code, CRC last.
 RECORD_DTYPE = np.dtype([
     (name, "<" + code)
@@ -198,6 +190,15 @@ RECORD_DTYPE = np.dtype([
                           _RECORD_STRUCT.format.lstrip("<"), strict=True)
 ])
 assert RECORD_DTYPE.itemsize == RECORD_BYTES
+_FIELD_NAMES = RECORD_DTYPE.names[:-1]
+# Each column's integer type holds exactly its field's range, so a
+# RECORD_DTYPE table cannot carry an out-of-range value: the ranges are
+# checked where rows become a table.
+assert all(
+    (np.iinfo(RECORD_DTYPE[name]).min, np.iinfo(RECORD_DTYPE[name]).max)
+    == TelemetryRecord._RANGES[name]
+    for name in _FIELD_NAMES
+)
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,17 @@ def _slots(sector: bytes | bytearray) -> np.ndarray:
     return np.frombuffer(sector, dtype=np.uint8).reshape(SECTOR_CAPACITY, RECORD_BYTES)
 
 
-def _crc_ok(rows: np.ndarray) -> np.ndarray:
-    """Per row: does the last byte hold the CRC-8 of the first 31?"""
+def _crc8_rows(rows: np.ndarray) -> np.ndarray:
+    """Per 32-byte row, the CRC-8 of its first 31 bytes, a column at a time."""
     crc = np.zeros(len(rows), dtype=np.uint8)
     for j in range(RECORD_BYTES - 1):
         crc = _CRC8_LUT[crc ^ rows[:, j]]
-    return crc == rows[:, -1]
+    return crc
+
+
+def _crc_ok(rows: np.ndarray) -> np.ndarray:
+    """Per row: does the last byte hold the CRC-8 of the first 31?"""
+    return _crc8_rows(rows) == rows[:, -1]
 
 
 @dataclass(frozen=True)
@@ -233,13 +239,64 @@ class RecordTable:
         return len(self.rows)
 
 
+def table_from_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
+    """The `RECORD_DTYPE` array of rows that each hold the 14 record fields
+    in `TelemetryRecord` order, in row order (CRC byte 0).
+
+    Raises ValueError for a value outside its field's range in
+    `TelemetryRecord._RANGES`, naming the field, or for a non-integer value.
+    """
+    table = np.zeros(len(rows), dtype=RECORD_DTYPE)
+    if not rows:
+        return table
+    wide = np.array(rows)
+    if wide.dtype.kind != "i" or wide.shape != (len(rows), len(_FIELD_NAMES)):
+        raise ValueError(
+            f"records need {len(_FIELD_NAMES)} integer fields within their ranges, "
+            f"got {wide.dtype} rows of shape {wide.shape[1:]}"
+        )
+    for j, name in enumerate(_FIELD_NAMES):
+        column = wide[:, j]
+        lo, hi = TelemetryRecord._RANGES[name]
+        bad = (column < lo) | (column > hi)
+        if bad.any():
+            raise ValueError(f"{name}={column[bad][0]} outside [{lo}, {hi}]")
+        table[name] = column
+    return table
+
+
 def table_from_records(records: list[TelemetryRecord]) -> np.ndarray:
     """The `RECORD_DTYPE` array of a record list, in list order (CRC byte 0)."""
-    names = RECORD_DTYPE.names[:-1]
-    return np.array(
-        [tuple(getattr(r, name) for name in names) + (0,) for r in records],
-        dtype=RECORD_DTYPE,
-    )
+    fields_of = attrgetter(*_FIELD_NAMES)
+    return table_from_rows([fields_of(r) for r in records])
+
+
+def write_redundant(
+    flash: FlashImage, records: np.ndarray | list[TelemetryRecord]
+) -> FlashImage:
+    """Append records to both sectors identically, wrapping when full.
+
+    Takes a `RECORD_DTYPE` table (its CRC column is recomputed) or a record
+    list, which becomes one with `table_from_records`. The CRC-8 runs over
+    the whole batch a byte column at a time; record i goes to slot
+    (cursor + i) mod capacity, so of a batch longer than the ring only the
+    last `SECTOR_CAPACITY` records remain. The cursor advances by the
+    batch length.
+    """
+    table = records if isinstance(records, np.ndarray) else table_from_records(records)
+    if table.dtype != RECORD_DTYPE:
+        raise TypeError(f"records must be a RECORD_DTYPE table, got {table.dtype}")
+    rows = np.array(table).view(np.uint8).reshape(len(table), RECORD_BYTES)
+    rows[:, -1] = _crc8_rows(rows)
+    kept = rows[-SECTOR_CAPACITY:]
+    slot = (flash.cursor + len(rows) - len(kept)) % SECTOR_CAPACITY
+    # up to the sector's end, then on from slot 0
+    head, tail = kept[: SECTOR_CAPACITY - slot], kept[SECTOR_CAPACITY - slot :]
+    for sector in (flash.sector_a, flash.sector_b):
+        sector[slot * RECORD_BYTES : (slot + len(head)) * RECORD_BYTES] = head.tobytes()
+        sector[: len(tail) * RECORD_BYTES] = tail.tobytes()
+    flash.cursor += len(rows)
+    return flash
 
 
 def read_records(

@@ -76,13 +76,32 @@ def step_thermal(
     """One explicit Euler step of the housing node."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    flow = (
-        state.heater_watts
-        + internal_dissipation(params, active)
-        - params.conductance_w_per_c * (state.housing_temp_c - external_temp_c)
+    temp = housing_step(
+        params, state.housing_temp_c, state.heater_watts,
+        internal_dissipation(params, active), external_temp_c, dt,
     )
-    temp = state.housing_temp_c + dt * flow / params.heat_capacity_j_per_c
     return ThermalState(housing_temp_c=temp, heater_watts=state.heater_watts)
+
+
+def housing_step(
+    params: ThermalParams,
+    housing_temp_c: float,
+    heater_watts: float,
+    dissipation_w: float,
+    external_temp_c: float,
+    dt: float,
+) -> float:
+    """The housing temperature after one explicit Euler step of `dt`.
+
+    The one copy of the recurrence: `step_thermal` and the engine's idle
+    stretches both call it, so every tick rounds the same way.
+    """
+    flow = (
+        heater_watts
+        + dissipation_w
+        - params.conductance_w_per_c * (housing_temp_c - external_temp_c)
+    )
+    return housing_temp_c + dt * flow / params.heat_capacity_j_per_c
 
 
 def heater_cap(mode: str) -> float:

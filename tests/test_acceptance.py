@@ -39,6 +39,14 @@ def leo_run():
 
 
 @pytest.fixture(scope="module")
+def leo_wrapped_run():
+    """Leo 7500 s wraps the ring, and each heating stretch in it starts
+    right after a scan."""
+    scenario = make_scenario("leo", duration_s=7500.0, seed=3)
+    return run_simulation(scenario, seed=3)
+
+
+@pytest.fixture(scope="module")
 def balloon_run():
     scenario = make_scenario("balloon", seed=11)
     return run_simulation(scenario, seed=11)
@@ -236,8 +244,8 @@ def _flash_digest(flash):
     return hashlib.sha256(bytes(flash.sector_a) + bytes(flash.sector_b)).hexdigest()[:16]
 
 
-def test_golden_flash_digests(lab_pair, leo_run, balloon_run):
-    """Pinned flash output of the three gate runs.
+def test_golden_flash_digests(lab_pair, leo_run, leo_wrapped_run, balloon_run):
+    """Pinned flash output of the gate runs.
 
     Each pin is the first 16 hex digits of sha256(sector_a + sector_b),
     pinned on numpy 2.4.6. Criterion 12 only compares two runs of the same
@@ -247,6 +255,7 @@ def test_golden_flash_digests(lab_pair, leo_run, balloon_run):
     """
     assert _flash_digest(lab_pair[0][0]) == "a4889941ee660642"  # lab 480 s, seed 1
     assert _flash_digest(leo_run[0]) == "43d159792e2069e1"  # leo 4500 s, seed 3
+    assert _flash_digest(leo_wrapped_run[0]) == "2b033d68e845607b"  # leo 7500 s, seed 3
     assert _flash_digest(balloon_run[0]) == "feb0b6a3a324b0e4"  # balloon, seed 11
 
 

@@ -98,21 +98,38 @@ _powers = st.one_of(
     # ticks do the same); the jittered spacing gives odd and even lengths
     window_s=st.integers(2, 40).map(lambda k: k * 25 / 1000.0),
     threshold=st.one_of(st.just(0.05), st.floats(0.0, 0.5)),
-    # (milliseconds since the previous sample, power)
+    # (ms since the previous sample on the grid, ms since it with jitter,
+    # power); `jitter` picks which spacing the run uses
     samples=st.lists(
-        st.tuples(st.sampled_from([25, 50, 75, 100]), _powers), min_size=20, max_size=120
+        st.tuples(st.sampled_from([25, 50, 75, 100]), st.integers(1, 120), _powers),
+        min_size=20, max_size=120,
     ),
+    jitter=st.booleans(),
     clear_before=st.sets(st.integers(0, 119), max_size=3),
 )
-def test_laser_stable_matches_median_reference(window_s, threshold, samples, clear_before):
+def test_laser_stable_matches_median_reference(window_s, threshold, samples, jitter,
+                                               clear_before):
     mon = LaserMonitor(window_s=window_s, threshold=threshold)
     t_ms = 0
-    for i, (dt_ms, power) in enumerate(samples):
+    since_clear = []
+    for i, (grid_ms, jitter_ms, power) in enumerate(samples):
         if i in clear_before:
             mon.clear()
-        t_ms += dt_ms
+            since_clear = []
+        t_ms += jitter_ms if jitter else grid_ms
         mon.add_sample(t_ms / 1000.0, power)
+        since_clear.append(t_ms / 1000.0)
         assert mon.sorted_powers == sorted(p for _, p in mon.samples)
+        # Full once the kept samples span the window, or once the sample
+        # dropped last lies more than a window back; with jittered times the
+        # kept span alone rarely reaches the window.
+        kept = [t for t, _ in mon.samples]
+        dropped = since_clear[: len(since_clear) - len(kept)]
+        newest = since_clear[-1]
+        assert mon.ready() == (len(kept) >= 2 and (
+            newest - kept[0] >= window_s - 1e-9
+            or (bool(dropped) and newest - dropped[-1] > window_s + 1e-9)
+        ))
         if not mon.ready():
             assert laser_stable(mon) is None
             continue

@@ -1,19 +1,27 @@
 """Environment profiles, scenario construction, and full engine runs."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsat import telemetry
+from pairsat.controller import FlightController, Gate
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
     BALLOON_GROUND_ALT_M,
+    RECORD_PERIOD_MS,
     SEA_LEVEL_PRESSURE_MBAR,
+    TICK_MS,
     EnvironmentProfile,
     PackageNode,
+    RunSummary,
+    Scenario,
     SimulationEngine,
     balloon_flight_times,
     balloon_profile,
@@ -326,3 +334,101 @@ def test_pooled_visibility_is_unbiased():
     assert len(vals) == 80
     assert abs(mean - 0.95) < 0.01
     assert float(np.std(vals)) < 0.02
+
+
+def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
+    """A custom scenario whose air temperature runs linearly through `temps`;
+    with `package_c` the housing sits in a package node starting there."""
+    n = len(temps)
+    profile = EnvironmentProfile(
+        np.linspace(0.0, duration_s, n), np.array(temps, dtype=float),
+        np.zeros(n), np.zeros(n), np.ones(n),
+    )
+    return Scenario(
+        "custom", profile, duration_s, seed, initial_housing_c=housing_c,
+        package=None if package_c is None else PackageNode(), initial_package_c=package_c,
+    )
+
+
+def _stretches_match_per_tick_path(scenario):
+    """Run the scenario as is and with the idle-stretch entry patched out,
+    assert equal flash and summaries, and return (first tick, end tick, gate,
+    entered right after STORING) for each stretch taken."""
+    stretches = []
+    original = SimulationEngine._idle_stretch
+
+    def logged(self, k, bucket, env_temp):
+        gate, after_storing = self.ctrl.held_gate(), self._idle_cmd.commit_scan
+        end, bucket = original(self, k, bucket, env_temp)
+        stretches.append((k, end, gate, after_storing))
+        return end, bucket
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimulationEngine, "_idle_stretch", logged)
+        flash, summary = run_simulation(scenario)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FlightController, "held_gate", lambda self: None)
+        ref_flash, ref_summary = run_simulation(scenario)
+    assert flash.cursor == ref_flash.cursor
+    assert flash.sector_a == ref_flash.sector_a
+    assert flash.sector_b == ref_flash.sector_b
+    for f in dataclasses.fields(RunSummary):
+        # repr tells floats apart bit for bit
+        assert repr(getattr(summary, f.name)) == repr(getattr(ref_summary, f.name)), f.name
+    return stretches
+
+
+def _ends_on_period_boundary(end, n_ticks):
+    return end < n_ticks and end * TICK_MS % RECORD_PERIOD_MS < TICK_MS
+
+
+@pytest.mark.parametrize("kwargs, case", [
+    # cooled below 20 C during the first scan: heating from the tick after
+    # STORING to the end of the run
+    (dict(temps=[-100, -100], duration_s=120.0, housing_c=20.3),
+     lambda k, end, gate, after, n: gate is Gate.HEAT and after and end == n),
+    # warmed above 30 C during the first scan: waiting to cool likewise
+    (dict(temps=[200, 200], duration_s=120.0, housing_c=29.5),
+     lambda k, end, gate, after, n: gate is Gate.WAIT_COOL and after and end == n),
+    # heating inside a package node until the gate opens on a record boundary
+    (dict(temps=[-50, -50], duration_s=60.0, housing_c=19.9, package_c=0.0),
+     lambda k, end, gate, after, n: gate is Gate.HEAT and _ends_on_period_boundary(end, n)),
+    # heating that starts mid-period and ends mid-run, then three scans
+    (dict(temps=[-200, 250, -200], duration_s=200.0, housing_c=19.0),
+     lambda k, end, gate, after, n: k * TICK_MS % RECORD_PERIOD_MS and 0 < end < n),
+], ids=["heating-after-storing", "wait-cool-after-storing", "package-node", "gate-opens"])
+def test_idle_stretch_cases_match_per_tick_path(kwargs, case):
+    scenario = _custom(**kwargs)
+    n_ticks = round(scenario.duration_s * 1000) // TICK_MS
+    stretches = _stretches_match_per_tick_path(scenario)
+    assert any(case(*s, n_ticks) for s in stretches), stretches
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    # air temperatures far out, so the housing crosses 20, 22 and 30 C
+    # within a short run
+    temps=st.lists(st.floats(-200.0, 250.0), min_size=2, max_size=4),
+    duration_ms=st.integers(10_000, 150_000),
+    housing_c=st.floats(17.0, 33.0),
+    package_c=st.none() | st.floats(-20.0, 40.0),
+    seed=st.integers(0, 3),
+)
+def test_idle_stretches_match_per_tick_path(temps, duration_ms, housing_c, package_c, seed):
+    _stretches_match_per_tick_path(
+        _custom(temps, duration_ms / 1000.0, housing_c, package_c, seed)
+    )
+
+
+def test_wrapped_flag_marks_records_past_the_ring():
+    # a cold start that heats for the whole run writes more records than
+    # one sector holds; the ring keeps the newest of them
+    scenario = _custom([-5.0, -5.0], 4100.0, housing_c=-5.0)
+    flash, summary = run_simulation(scenario)
+    assert summary.records_written == flash.cursor == 4100 * 8
+    records = telemetry.read_records(flash)
+    assert len(records) == telemetry.SECTOR_CAPACITY
+    first_wrapped_ms = telemetry.SECTOR_CAPACITY * RECORD_PERIOD_MS
+    assert [bool(r.flags & telemetry.FLAG_WRAPPED) for r in records] == \
+        [r.time_ms >= first_wrapped_ms for r in records]
+    assert records[0].time_ms < first_wrapped_ms

@@ -1,6 +1,6 @@
 """Record codec, CRC, redundant flash, and link arithmetic."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from pairsat import telemetry
 from pairsat.telemetry import (
     FLAG_PRESENT,
     FLAG_SCAN_COMMIT,
+    FLAG_WRAPPED,
     RECORD_BYTES,
     SECTOR_BYTES,
     SECTOR_CAPACITY,
@@ -25,7 +26,6 @@ from pairsat.telemetry import (
     load_image,
     read_records,
     save_image,
-    sectors_identical,
     session_volume,
     table_from_records,
     write_redundant,
@@ -136,7 +136,7 @@ def test_flags_are_distinct_bits():
 def test_write_redundant_mirrors_sectors():
     flash = FlashImage()
     write_redundant(flash, [make_record(i) for i in range(10)])
-    assert sectors_identical(flash)
+    assert flash.sector_a == flash.sector_b
     assert flash.bytes_used == 10 * 32
     start = flash.sector_a[:32]
     assert decode(bytes(start)) == make_record(0)
@@ -153,7 +153,7 @@ def test_ring_wrap_at_capacity():
     # slot 0 and 1 now hold the two wrapped records
     assert decode(bytes(flash.sector_a[0:32])) == batch[1]
     assert decode(bytes(flash.sector_a[32:64])) == batch[2]
-    assert sectors_identical(flash)
+    assert flash.sector_a == flash.sector_b
 
 
 def test_read_records_skips_blank_and_sorts():
@@ -346,3 +346,72 @@ def test_round_trip_at_field_range_edges(records, outside):
     for bad in (lo - 1, hi + 1):
         with pytest.raises(ValueError):
             encode(TelemetryRecord(**{**asdict(r), outside: bad}))
+
+
+@st.composite
+def record_batches(draw):
+    """A start cursor and batches of records at field-range edges, some
+    crossing the end of the ring and some longer than it, each batch given
+    as a record list or as a table. As in flight, a record carries
+    FLAG_WRAPPED exactly when it is written at cursor SECTOR_CAPACITY or
+    later."""
+    pool = draw(st.lists(
+        st.builds(TelemetryRecord, **RECORD_FIELDS, time_ms=field_values(0, 2**32 - 1)),
+        min_size=1, max_size=6,
+    ))
+    variants = {
+        (j, wrapped): replace(r, flags=r.flags & ~FLAG_WRAPPED | (FLAG_WRAPPED if wrapped else 0))
+        for j, r in enumerate(pool) for wrapped in (False, True)
+    }
+    start = draw(st.sampled_from([0, SECTOR_CAPACITY - 3, 2 * SECTOR_CAPACITY - 1])
+                 | st.integers(0, 3 * SECTOR_CAPACITY))
+    small = st.integers(0, 12)
+    sizes = draw(st.lists(small | small | small | st.just(2 * SECTOR_CAPACITY + 1),
+                          min_size=1, max_size=3))
+    batches = []
+    cursor = start
+    for n in sizes:
+        batches.append([variants[(i % len(pool), i >= SECTOR_CAPACITY)]
+                        for i in range(cursor, cursor + n)])
+        cursor += n
+    as_table = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    return start, batches, as_table
+
+
+@settings(max_examples=20, deadline=None)
+@given(record_batches(), st.sampled_from(sorted(TelemetryRecord._RANGES)))
+def test_batched_writer_matches_per_record_encode(batches, outside):
+    start, batches, as_table = batches
+    flash = FlashImage()
+    flash.cursor = start
+    for batch, table in zip(batches, as_table):
+        write_redundant(flash, table_from_records(batch) if table else batch)
+    # reference: each record encoded on its own into the next ring slot
+    expected = bytearray(BLANK * SECTOR_CAPACITY)
+    written = [r for batch in batches for r in batch]
+    blobs = {id(r): encode(r) for r in {id(r): r for r in written}.values()}
+    for i, r in enumerate(written):
+        slot = (start + i) % SECTOR_CAPACITY
+        expected[slot * RECORD_BYTES : (slot + 1) * RECORD_BYTES] = blobs[id(r)]
+    assert flash.cursor == start + len(written)
+    assert flash.sector_a == expected
+    assert flash.sector_b == expected
+    # the ring keeps the newest records; of those, the ones written at
+    # cursor SECTOR_CAPACITY or later carry the wrap flag
+    kept = range(max(start, flash.cursor - SECTOR_CAPACITY), flash.cursor)
+    rows = read_records(flash, as_table=True).rows
+    assert len(rows) == len(kept)
+    assert int((rows["flags"] & FLAG_WRAPPED != 0).sum()) == \
+        sum(i >= SECTOR_CAPACITY for i in kept)
+
+    # a batch holding one value outside its field's range, or not an
+    # integer, raises and writes nothing
+    before = (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor)
+    lo, hi = TelemetryRecord._RANGES[outside]
+    for bad in (lo - 1, hi + 1, lo + 0.5):
+        batch = [written[0] if written else make_record(), make_record(**{outside: bad})]
+        with pytest.raises(ValueError, match=outside if bad != lo + 0.5 else "integer"):
+            write_redundant(flash, batch)
+        assert (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor) == before
+    with pytest.raises(TypeError):
+        write_redundant(flash, np.zeros(2, dtype=np.int64))

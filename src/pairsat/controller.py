@@ -259,7 +259,6 @@ class OpticalBench:
     window_s: float = physics.COINCIDENCE_WINDOW_S
     pair: int = PAIR_1_4
     apd_factors: tuple[float, float] = (1.0, 1.0)
-    fault_at_step: int | None = None
 
     def __post_init__(self) -> None:
         if self.calibration is None:
@@ -293,15 +292,12 @@ def run_scan(
     """Execute one synchronous LC scan and return its per-step records.
 
     Each step commands the next voltage, waits the full settling time, then
-    integrates counts for the dwell. A fault mid-scan discards everything:
-    the returned list is empty.
+    integrates counts for the dwell.
     """
     voltages = scan_voltages(config, devices.calibration)
     records: list[ScanRecord] = []
     elapsed = 0.0
     for step, mv in enumerate(voltages):
-        if devices.fault_at_step is not None and step == devices.fault_at_step:
-            return []
         elapsed += config.settle_s
         angle = angle_from_voltage(devices.calibration, mv / 1000.0)
         rates = bench_rates(devices, angle)

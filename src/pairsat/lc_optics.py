@@ -8,7 +8,6 @@ finite extinction, which leaks a little of the orthogonal polarization.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -125,14 +124,6 @@ def step_settle(state: LcState, dt: float) -> LcState:
     return replace(state, settled=remaining == 0.0, settle_remaining_s=remaining)
 
 
-def analyzer_transmission(theta_rel: float, extinction_ratio: float) -> float:
-    """Malus transmission with a leakage floor set by the extinction ratio."""
-    if extinction_ratio < 1:
-        raise ValueError("extinction_ratio must be >= 1")
-    eps = 1.0 / (1.0 + extinction_ratio)
-    return (1.0 - eps) * math.cos(theta_rel) ** 2 + eps
-
-
 def polarization_mixing(rate_parallel: float, rate_orthogonal: float,
                         extinction_ratio: float) -> float:
     """Measured rate behind an imperfect analyzer.
@@ -145,19 +136,3 @@ def polarization_mixing(rate_parallel: float, rate_orthogonal: float,
         raise ValueError("extinction_ratio must be >= 1")
     eps = 1.0 / (1.0 + extinction_ratio)
     return (1.0 - eps) * rate_parallel + eps * rate_orthogonal
-
-
-def load_calibration_csv(path: str) -> LcCalibration:
-    """Load knots from CSV rows of voltage,angle_rad (header optional)."""
-    knots: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                knots.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if i == 1:  # tolerate a header line
-                    continue
-                raise ValueError(f"bad calibration row at line {i}: {row!r}") from None
-    return LcCalibration(knots)

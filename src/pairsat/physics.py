@@ -189,15 +189,12 @@ class ApdParams:
     efficiency_sat_curve: Callable[[float], float] = field(
         default=_default_efficiency_curve
     )
-    dark_rate_hz: float = 500.0
     bias_min_v: float = 100.0
     bias_max_v: float = 130.0
 
     def __post_init__(self) -> None:
         if self.bias_min_v >= self.bias_max_v:
             raise ValueError("bias_min_v must be below bias_max_v")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be nonnegative")
 
 
 def breakdown_voltage(params: ApdParams, temp_c: float) -> float:

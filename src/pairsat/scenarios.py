@@ -3,7 +3,8 @@
 A scenario is an environment time series (temperature, pressure, altitude,
 acceleration) plus source ground truth and a seed. The engine advances the
 flight controller at a fixed 50 ms tick against device models, streams
-8 Hz telemetry into redundant flash, and fits every committed scan,
+8 Hz telemetry into redundant flash, and fits every committed scan from its
+own records through the ground grouping (`analysis.scan_data_from_records`),
 returning the flash image and a run summary. Identical (scenario, seed)
 inputs produce byte-identical flash output.
 """
@@ -519,7 +520,7 @@ class SimulationEngine:
             flags |= telemetry.FLAG_WRAPPED
         ch1, ch2 = controller.PAIR_CHANNELS[pair]
         # the TelemetryRecord fields, in order
-        self._pending.append((
+        row = (
             bucket.period * RECORD_PERIOD_MS,
             scan_id,
             step,
@@ -534,8 +535,13 @@ class SimulationEngine:
             round(self.ctrl.bias_loops[ch1].bias * 10),
             round(self.ctrl.bias_loops[ch2].bias * 10),
             flags,
-        ))
+        )
+        self._pending.append(row)
         self.records_written += 1
+        if flags & (telemetry.FLAG_COUNTING | telemetry.FLAG_SCAN_COMMIT):
+            self._scan_rows.append(row)
+            if flags & telemetry.FLAG_SCAN_COMMIT:
+                self._scans.append(self._fit_scan())
         if len(self._pending) == PENDING_RECORDS:
             self._write_pending()
 
@@ -556,10 +562,6 @@ class SimulationEngine:
         if any(self.ctrl.bias_loops[ch].railed for ch in self.ctrl.active_channels()):
             flags |= telemetry.FLAG_BIAS_RAILED
         return flags
-
-    def _new_scan_meta(self, t_ms: int, pair: int) -> dict:
-        return {"start_ms": t_ms, "pair": pair, "settle": set(),
-                "command_ms": {}, "counted": set()}
 
     def _idle_stretch(
         self, k: int, bucket: _RecordBucket, env_temp: np.ndarray
@@ -636,12 +638,18 @@ class SimulationEngine:
         env_temp = np.interp(tick_times, scen.profile.t_s, scen.profile.temp_c)
         env_alt = np.interp(tick_times, scen.profile.t_s, scen.profile.altitude_m)
 
-        step_acc: dict[tuple[int, int], list] = {}
-        scan_meta: dict[int, dict] = {}
-        scans: list[ScanSummary] = []
         aborted = 0
         self.records_written = 0
         self._pending: list[tuple[int, ...]] = []
+        self._scans: list[ScanSummary] = []
+        # the open scan: its counting and commit rows since the last commit
+        # fit, its start, the time of its step command not yet counted and
+        # its settle times; `_commit` holds what the STORING tick knew
+        self._scan_rows: list[tuple[int, ...]] = []
+        scan_start_ms = 0
+        command_ms: int | None = None
+        settle_ms: set[int] = set()
+        self._commit: tuple = ()
         self._last_laser_mw = 0.0
         self._idle_cmd = Commands(mode=Mode.INIT)
         self._max_power = 0.0
@@ -689,49 +697,38 @@ class SimulationEngine:
                 self.signal_angle = angle_from_voltage(
                     self.calibration, self.lc_signal.commanded_voltage
                 )
+                if cmd.step == 0:  # a new set: `_commit` may still hold the last one
+                    scan_start_ms, settle_ms = t_ms, set()
+                command_ms = t_ms
             if cmd.lc_idler_mv is not None:
                 self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv / 1000.0)
-            if cmd.lc_signal_mv is not None and cmd.scan_id:
-                meta = scan_meta.setdefault(
-                    cmd.scan_id, self._new_scan_meta(t_ms, cmd.pair)
-                )
-                meta["command_ms"][cmd.step] = t_ms
 
             if cmd.abort_scan:
                 aborted += 1
-                step_acc = {sk: v for sk, v in step_acc.items() if sk[0] != cmd.scan_id}
-                scan_meta.pop(cmd.scan_id, None)
 
             if cmd.counting:
                 rates = self._counting_rates(cmd.pair)
                 sample = physics.sample_counts(rates, TICK_S, self.rng)
-                key = (cmd.scan_id, cmd.step)
-                sig_mv = round(self.lc_signal.commanded_voltage * 1000)
-                idl_mv = round(self.lc_idler.commanded_voltage * 1000)
-                acc = step_acc.setdefault(key, [0, 0, 0, sig_mv])
-                acc[0] += sample.singles_1
-                acc[1] += sample.singles_2
-                acc[2] += sample.coincidences_raw
                 bucket.s1 += sample.singles_1
                 bucket.s2 += sample.singles_2
                 bucket.coinc += sample.coincidences_raw
                 bucket.flags |= telemetry.FLAG_COUNTING
                 if bucket.count_ctx is None:
-                    bucket.count_ctx = (cmd.scan_id, cmd.step, cmd.pair, sig_mv, idl_mv)
-                meta = scan_meta[cmd.scan_id]
-                if cmd.step not in meta["counted"]:
-                    meta["counted"].add(cmd.step)
-                    meta["settle"].add(t_ms - meta["command_ms"][cmd.step])
+                    bucket.count_ctx = (cmd.scan_id, cmd.step, cmd.pair,
+                                        round(self.lc_signal.commanded_voltage * 1000),
+                                        round(self.lc_idler.commanded_voltage * 1000))
+                if command_ms is not None:
+                    settle_ms.add(t_ms - command_ms)
+                    command_ms = None
 
             if cmd.commit_scan:
                 bucket.flags |= telemetry.FLAG_SCAN_COMMIT
                 sig_mv = round(self.lc_signal.commanded_voltage * 1000)
                 idl_mv = round(self.lc_idler.commanded_voltage * 1000)
                 bucket.commit_ctx = (cmd.scan_id, cmd.step, cmd.pair, sig_mv, idl_mv)
-                scans.append(self._fit_scan(cmd.scan_id, step_acc, scan_meta,
-                                            t_ms, float(env_alt[k])))
-                step_acc = {sk: v for sk, v in step_acc.items() if sk[0] != cmd.scan_id}
-                scan_meta.pop(cmd.scan_id, None)
+                # fitted when this bucket's record is flushed, up to 125 ms on
+                self._commit = (cmd.scan_id, cmd.pair, scan_start_ms, t_ms,
+                                float(env_alt[k]), settle_ms)
 
             bucket.flags |= self._tick_flags(cmd)
 
@@ -765,7 +762,7 @@ class SimulationEngine:
             scenario=scen.name,
             seed=self.seed,
             duration_s=scen.duration_s,
-            scans=scans,
+            scans=self._scans,
             aborted_scans=aborted,
             records_written=self.records_written,
             max_total_power_w=self._max_power,
@@ -778,38 +775,34 @@ class SimulationEngine:
         )
         return self.flash, summary
 
-    def _fit_scan(
-        self,
-        scan_id: int,
-        step_acc: dict,
-        scan_meta: dict,
-        t_ms: int,
-        altitude: float,
-    ) -> ScanSummary:
-        keys = sorted(k for k in step_acc if k[0] == scan_id)
-        angles = np.array([
-            angle_from_voltage(self.calibration, step_acc[k][3] / 1000.0) for k in keys
-        ])
-        dwell = self.ctrl.config.dwell_s
-        s1 = np.array([step_acc[k][0] for k in keys])
-        s2 = np.array([step_acc[k][1] for k in keys])
-        c = np.array([step_acc[k][2] for k in keys])
-        scan = analysis.ScanData(angles, dwell, s1, s2, c)
-        corrected = analysis.correct_accidentals(scan, self.window_s)
-        fit = analysis.fit_sinusoid(angles, corrected)
-        meta = scan_meta.get(scan_id, {})
+    def _fit_scan(self) -> ScanSummary:
+        """Fit the committed scan from its flash rows, grouped as on the ground.
+
+        Rows of an attempt aborted since the last commit carry a scan id
+        with no commit marker, so `scan_data_from_records` drops them as the
+        ground does.
+        """
+        scan_id, pair, start_ms, commit_ms, altitude, settle_ms = self._commit
+        scan = analysis.scan_data_from_records(
+            telemetry.table_from_rows(self._scan_rows), self.calibration,
+            self.ctrl.config.dwell_s,
+        )[scan_id]
+        self._scan_rows.clear()
+        fit = analysis.fit_sinusoid(
+            scan.angles_rad, analysis.correct_accidentals(scan, self.window_s)
+        )
         return ScanSummary(
             scan_id=scan_id,
-            pair=meta.get("pair", 0),
-            t_start_ms=meta.get("start_ms", t_ms),
-            t_commit_ms=t_ms,
+            pair=pair,
+            t_start_ms=start_ms,
+            t_commit_ms=commit_ms,
             visibility=fit.visibility,
             raw_v=fit.raw_v,
             phase_rad=fit.phase_rad,
             rms_residual=fit.rms_residual,
             converged=fit.converged,
             altitude_m=altitude,
-            settle_ms_values=tuple(sorted(meta.get("settle", ()))),
+            settle_ms_values=tuple(sorted(settle_ms)),
         )
 
 

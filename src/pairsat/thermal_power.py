@@ -8,7 +8,7 @@ active. The power ledger enforces the 2 W bus budget at all times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 # electrical draws per module, watts
 MODULE_DRAWS_W = {
@@ -62,8 +62,10 @@ class ThermalState:
             raise ValueError("heater_watts outside [0, idle cap]")
 
 
-def internal_dissipation(params: ThermalParams, active: Iterable[str]) -> float:
-    return sum(params.dissipation_map.get(m, 0.0) for m in active)
+def internal_dissipation(params: ThermalParams, active: Collection[str]) -> float:
+    """Housing heat of the active modules, summed in the dissipation map's
+    order so that the float sum does not depend on the order of `active`."""
+    return sum(w for m, w in params.dissipation_map.items() if m in active)
 
 
 def step_thermal(
@@ -71,7 +73,7 @@ def step_thermal(
     state: ThermalState,
     external_temp_c: float,
     dt: float,
-    active: Iterable[str] = (),
+    active: Collection[str] = (),
 ) -> ThermalState:
     """One explicit Euler step of the housing node."""
     if dt <= 0:

@@ -280,12 +280,6 @@ def test_run_scan_single_step():
     assert records[0].lc_voltage_mv == 0
 
 
-def test_run_scan_fault_discards_everything():
-    rng = np.random.default_rng(2)
-    bench = OpticalBench(fault_at_step=20)
-    assert run_scan(ScanConfig(), bench, rng) == []
-
-
 def test_run_scan_visibility_definition_check():
     # direct scans reproduce the configured contrast once accidentals go
     rng = np.random.default_rng(31)

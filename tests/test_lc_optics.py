@@ -10,11 +10,9 @@ from pairsat.lc_optics import (
     TWO_PI,
     LcCalibration,
     LcState,
-    analyzer_transmission,
     angle_from_voltage,
     command_voltage,
     default_calibration,
-    load_calibration_csv,
     polarization_mixing,
     step_settle,
     voltage_for_angle,
@@ -110,21 +108,6 @@ def test_state_invariant_enforced():
         LcState(commanded_voltage=1.0, settled=False, settle_remaining_s=0.0)
 
 
-def test_analyzer_transmission_examples():
-    assert analyzer_transmission(0.0, 100.0) == pytest.approx(1.0)
-    assert analyzer_transmission(math.pi / 2.0, 100.0) == pytest.approx(1.0 / 101.0, rel=1e-9)
-    assert analyzer_transmission(math.pi / 2.0, 1e15) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        analyzer_transmission(0.0, 0.5)
-
-
-def test_transmission_bounds():
-    eps = 1.0 / 101.0
-    for theta in np.linspace(0.0, TWO_PI, 97):
-        t = analyzer_transmission(theta, 100.0)
-        assert eps - 1e-12 <= t <= 1.0 + 1e-12
-
-
 def test_polarization_mixing_compresses_contrast():
     ratio = 100.0
     eps = 1.0 / (1.0 + ratio)
@@ -134,28 +117,6 @@ def test_polarization_mixing_compresses_contrast():
     raw_contrast = (hi - lo) / (hi + lo)
     mixed_contrast = (mixed_hi - mixed_lo) / (mixed_hi + mixed_lo)
     assert mixed_contrast == pytest.approx(raw_contrast * (1.0 - 2.0 * eps), rel=1e-12)
-
-
-def test_calibration_csv_round_trip(tmp_path):
-    cal = default_calibration()
-    path = tmp_path / "cal.csv"
-    with open(path, "w") as fh:
-        fh.write("voltage,angle_rad\n")
-        for v, a in cal.knots:
-            fh.write(f"{v!r},{a!r}\n")
-    loaded = load_calibration_csv(str(path))
-    assert loaded.knots == cal.knots
-
-
-def test_calibration_csv_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("voltage,angle_rad\n1.0,nope\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_calibration_csv(str(bad))
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError):
-        load_calibration_csv(str(empty))
 
 
 def test_vector_lookup_is_bit_identical_on_every_millivolt():

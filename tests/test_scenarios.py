@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsat import telemetry
+from pairsat.analysis import analyze_flash
 from pairsat.controller import FlightController, Gate
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
@@ -305,10 +306,10 @@ def test_cold_start_heats_first():
     assert summary.housing_temp_max_c > -5.0
 
 
-def test_laser_dip_aborts_and_retries():
+def test_laser_dip_aborts_and_retries(tmp_path):
     scenario = make_scenario("lab", duration_s=120.0, seed=7)
     scenario.laser_dips = [(20.0, 1.0, 0.2)]
-    _, summary = run_simulation(scenario, seed=7)
+    flash, summary = run_simulation(scenario, seed=7)
     assert summary.aborted_scans == 1
     # scan 1 died mid-flight; the retry burns a fresh id on the same pair
     assert [s.scan_id for s in summary.scans] == [2, 3]
@@ -320,6 +321,23 @@ def test_laser_dip_aborts_and_retries():
     assert resume - hold_start >= 30_000
     for s in summary.scans:
         assert s.span_ms == 27000
+    # the aborted attempt's records stay in the ring; the flight and the
+    # ground both drop them and fit the same two scans bit for bit
+    path = os.fspath(tmp_path / "flash.bin")
+    telemetry.save_image(flash, path)
+    rows = analyze_flash(path, os.fspath(tmp_path / "ground"))
+    assert [(s.scan_id, s.visibility.hex(), s.phase_rad, s.pair) for s in summary.scans] == [
+        (r["scan_id"], r["visibility"].hex(), r["phase_rad"], r["pair"]) for r in rows
+    ]
+
+
+def test_run_ending_on_a_commit_tick_reports_the_scan():
+    # the commit record is flushed, and the scan fitted, after the last tick
+    _, full = run_simulation(make_scenario("lab", seed=1), seed=1)
+    duration_s = (full.scans[0].t_commit_ms + TICK_MS) / 1000
+    assert duration_s == 37.15
+    _, short = run_simulation(make_scenario("lab", duration_s=duration_s, seed=1), seed=1)
+    assert short.scans == full.scans[:1]
 
 
 def test_pooled_visibility_is_unbiased():

@@ -99,7 +99,11 @@ def test_thermal_steady_state_offset():
 
 
 def test_internal_dissipation_map():
-    assert internal_dissipation(ThermalParams(), OPERATING) == pytest.approx(0.30)
+    # summed in the map's order: the same float whatever order (or hash
+    # order) the active modules come in
+    order = list(DEFAULT_DISSIPATION_W)
+    for active in (OPERATING, order, order[::-1]):
+        assert internal_dissipation(ThermalParams(), active) == 0.3
     assert internal_dissipation(ThermalParams(), IDLE) == pytest.approx(0.0)
     assert DEFAULT_DISSIPATION_W["apds"] == 0.15
 

@@ -4,7 +4,9 @@ The coincidence rate versus analyzer angle is modeled as
 
     r(theta) = A * (1 + v * cos(2*theta - phi)) / 2 + b
 
-and fitted by a damped Gauss-Newton iteration with an analytic Jacobian.
+and fitted by a damped Gauss-Newton iteration with an analytic Jacobian,
+a batch of scans at a time (`fit_sinusoids`, used by the flight engine and
+by `analyze_flash`), each row bit for bit as a fit of that row alone.
 The four parameters are not independently identifiable (only the offset
 A/2 + b, the amplitude A*v/2, and the phase are), so the visibility is
 reported as the contrast of the fitted curve, v*A/(A + 2*b), which is
@@ -43,6 +45,7 @@ class ScanData:
     singles_1: np.ndarray
     singles_2: np.ndarray
     coinc_raw: np.ndarray
+    pair: int = 0  # detector pair, 0 = 1&4, 1 = 2&3
 
     def __post_init__(self) -> None:
         n = len(self.angles_rad)
@@ -90,8 +93,15 @@ def correct_accidentals(scan: ScanData, window_s: float) -> np.ndarray:
 
 
 def _model(angles: np.ndarray, p: np.ndarray) -> np.ndarray:
-    amp, v, phi, base = p
+    """The curve for parameters (A, v, phi, b), or one curve per row of each."""
+    amp, v, phi, base = np.asarray(p).T[..., None]
     return amp * (1.0 + v * np.cos(2.0 * angles - phi)) / 2.0 + base
+
+
+def _sse(angles: np.ndarray, rates: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-row sum of squared residuals, each the `r @ r` of that row."""
+    r = _model(angles, p) - rates
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _canonical(p: np.ndarray) -> np.ndarray:
@@ -107,11 +117,11 @@ def _canonical(p: np.ndarray) -> np.ndarray:
 
 
 def _check_fit_inputs(angles: np.ndarray, rates: np.ndarray) -> None:
-    if len(angles) < 6:
+    if angles.shape[-1] < 6:
         raise ValueError("need at least 6 points")
-    if np.ptp(angles) <= math.pi:
+    if np.any(np.ptp(angles, axis=-1) <= math.pi):
         raise ValueError("points must span more than pi of analyzer angle")
-    if len(angles) != len(rates):
+    if angles.shape != rates.shape:
         raise ValueError("angles and rates must have equal length")
 
 
@@ -133,91 +143,95 @@ def _result_from(p: np.ndarray, angles: np.ndarray, rates: np.ndarray,
     )
 
 
-def fit_sinusoid(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult:
-    """Damped Gauss-Newton least-squares fit of the coincidence sinusoid.
+def _solve(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Steps of the damped systems (k, 4, 4), in one stacked solve; a
+    singular system's step is NaN, which no trial accepts."""
+    try:
+        return np.linalg.solve(systems, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(systems) == 1:
+            return np.full((1, 4), np.nan)
+        return np.concatenate([_solve(a[None], b[None]) for a, b in zip(systems, rhs)])
+
+
+def fit_sinusoids(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> list[FitResult]:
+    """Damped Gauss-Newton least-squares fits of the coincidence sinusoid,
+    one per row of (n, m) analyzer angles and accidental-corrected rates,
+    each row at least 6 points spanning more than pi.
 
     Initialization is coarse: amplitude from max - min, phase from the
-    discrete argmax (which selects the right of the two phase minima),
-    baseline zero. Iteration stops when the relative parameter step drops
-    below 1e-8 or after 200 iterations; if damping can no longer find any
-    improving step the current iterate is already a numerical optimum and
-    counts as converged.
-
-    Parameters
-    ----------
-    angles_rad : ndarray
-        Analyzer angles, at least 6 points spanning more than pi.
-    corrected_rates : ndarray
-        Accidental-corrected coincidence rates per step.
-
-    Returns
-    -------
-    FitResult
-        Curve parameters; ``visibility`` is the contrast of the fitted
-        curve and may exceed 1 under noise (flagged by value, not clamped).
+    discrete argmax, baseline zero. A row stops when its relative step
+    drops below 1e-8, when 60 damping tries find no improving step (its
+    iterate is then a numerical optimum, and converged) or after 200
+    iterations. Every product, sum and solve a row sees is the one a fit
+    of that row alone computes, so its result does not depend on the other
+    rows. ``visibility`` is the contrast of the fitted curve and may
+    exceed 1 under noise (flagged by value, not clamped).
     """
     angles = np.asarray(angles_rad, dtype=float)
     rates = np.asarray(corrected_rates, dtype=float)
+    if angles.ndim != 2:
+        raise ValueError("angles and rates must be (scans, points) arrays")
     _check_fit_inputs(angles, rates)
 
-    ymax, ymin = float(rates.max()), float(rates.min())
-    if ymax == ymin:
-        return FitResult(0.0, 0.0, 0.0, ymax, 0.0, True, 0.0)
-
-    scale = max(abs(ymax), abs(ymin))
+    ymax, ymin = rates.max(axis=1), rates.min(axis=1)
+    # the damping floor 1e-12 * scale**2, in Python floats as a fit of one row did
+    floor = 1e-12 * np.array([max(abs(hi), abs(lo)) ** 2
+                              for hi, lo in zip(ymax.tolist(), ymin.tolist())])
     total = ymax + ymin
-    p = np.array([
-        ymax - ymin,
-        (ymax - ymin) / abs(total) if total != 0 else 1.0,
-        (2.0 * angles[int(np.argmax(rates))]) % (2.0 * math.pi),
-        0.0,
-    ])
-
-    def sse(q: np.ndarray) -> float:
-        r = _model(angles, q) - rates
-        return float(r @ r)
-
-    best = sse(p)
-    lam = 1e-3
-    converged = False
+    v0 = np.divide(ymax - ymin, np.abs(total), out=np.ones_like(total), where=total != 0)
+    peak = angles[np.arange(len(angles)), np.argmax(rates, axis=1)]
+    p = np.stack([ymax - ymin, v0, (2.0 * peak) % (2.0 * math.pi), np.zeros_like(v0)], axis=1)
+    flat = ymax == ymin
+    best = _sse(angles, rates, p)
+    lam = np.full(len(angles), 1e-3)
+    converged = flat.copy()
+    diagonal = np.arange(4)
     for _ in range(MAX_ITERATIONS):
-        amp, v, phi, base = p
-        c = np.cos(2.0 * angles - phi)
-        s = np.sin(2.0 * angles - phi)
-        resid = amp * (1.0 + v * c) / 2.0 + base - rates
-        jac = np.column_stack([
-            (1.0 + v * c) / 2.0,
-            amp * c / 2.0,
-            amp * v * s / 2.0,
-            np.ones_like(angles),
-        ])
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        accepted = False
+        rows = np.flatnonzero(~converged)
+        if len(rows) == 0:
+            break
+        a, y = angles[rows], rates[rows]
+        amp, v, phi, base = p[rows].T[..., None]
+        c = np.cos(2.0 * a - phi)
+        s = np.sin(2.0 * a - phi)
+        resid = amp * (1.0 + v * c) / 2.0 + base - y
+        jac = np.stack([(1.0 + v * c) / 2.0, amp * c / 2.0, amp * v * s / 2.0,
+                        np.ones_like(a)], axis=-1)
+        jac_t = jac.transpose(0, 2, 1)
+        jtj = jac_t @ jac
+        neg_grad = -(jac_t @ resid[..., None])
+        damp = np.zeros_like(jtj)
+        damp[:, diagonal, diagonal] = np.maximum(jtj[:, diagonal, diagonal], floor[rows, None])
+        pending = np.ones(len(rows), bool)  # per row of `rows`: no step accepted yet
         for _try in range(60):
-            damp = np.diag(np.maximum(np.diag(jtj), 1e-12 * scale**2))
-            try:
-                step = np.linalg.solve(jtj + lam * damp, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = sse(p + step)
-            if trial < best:
-                rel = float(np.max(np.abs(step) / (np.abs(p) + 1e-12)))
-                p = p + step
-                best = trial
-                lam = max(lam * 0.3, 1e-12)
-                accepted = True
-                if rel < STEP_TOLERANCE:
-                    converged = True
+            t = np.flatnonzero(pending)
+            if len(t) == 0:
                 break
-            lam *= 10.0
-        if not accepted:
-            converged = True  # no improving direction left at this precision
-            break
-        if converged:
-            break
-    return _result_from(p, angles, rates, converged)
+            r = rows[t]
+            step = _solve(jtj[t] + lam[r, None, None] * damp[t], neg_grad[t])
+            trial = _sse(angles[r], rates[r], p[r] + step)
+            better = trial < best[r]
+            lam[r[~better]] *= 10.0
+            t, r, step = t[better], r[better], step[better]
+            rel = np.max(np.abs(step) / (np.abs(p[r]) + 1e-12), axis=1)
+            p[r] = p[r] + step
+            best[r] = trial[better]
+            lam[r] = np.maximum(lam[r] * 0.3, 1e-12)
+            pending[t] = False
+            converged[r[rel < STEP_TOLERANCE]] = True
+        converged[rows[pending]] = True  # no improving direction left at this precision
+    return [
+        FitResult(0.0, 0.0, 0.0, float(ymax[i]), 0.0, True, 0.0) if flat[i]
+        else _result_from(p[i], angles[i], rates[i], bool(converged[i]))
+        for i in range(len(angles))
+    ]
+
+
+def fit_sinusoid(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult:
+    """Fit one scan's angles and corrected rates: a one-row `fit_sinusoids`."""
+    return fit_sinusoids(np.asarray(angles_rad, dtype=float)[None],
+                         np.asarray(corrected_rates, dtype=float)[None])[0]
 
 
 def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult:
@@ -262,24 +276,20 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
     return _result_from(np.array(best_p), angles, rates, True)
 
 
-def _committed_ids(table: np.ndarray) -> np.ndarray:
-    """Nonzero scan ids that carry a commit marker, ascending."""
-    ids = table["scan_id"][(table["flags"] & telemetry.FLAG_SCAN_COMMIT) != 0]
-    return np.unique(ids[ids != 0])
-
-
-def _last_pairs(table: np.ndarray) -> dict[int, int]:
-    """scan_id -> pair_sel of the scan's last counting record."""
-    counting = table[(table["flags"] & telemetry.FLAG_COUNTING) != 0][::-1]
-    ids, last = np.unique(counting["scan_id"], return_index=True)
-    return dict(zip(ids.tolist(), counting["pair_sel"][last].tolist()))
+def _commit_pairs(table: np.ndarray) -> dict[int, int]:
+    """Nonzero scan id carrying a commit marker -> pair_sel of its last
+    commit record, ascending by id."""
+    commits = table[((table["flags"] & telemetry.FLAG_SCAN_COMMIT) != 0)
+                    & (table["scan_id"] != 0)][::-1]
+    ids, last = np.unique(commits["scan_id"], return_index=True)
+    return dict(zip(ids.tolist(), commits["pair_sel"][last].tolist()))
 
 
 def scan_data_from_records(
     records: np.ndarray | list[telemetry.TelemetryRecord],
     calibration: LcCalibration,
     dwell_s: float = _FLIGHT_SCAN.dwell_s,
-) -> dict[int, ScanData]:
+) -> tuple[dict[int, ScanData], int]:
     """Group flash records into per-scan step data.
 
     `records` is a `telemetry.RECORD_DTYPE` table, as the `rows` of
@@ -288,16 +298,22 @@ def scan_data_from_records(
     counting records cover exactly the steps 0..n_steps-1 of the flight
     `ScanConfig`. Records of aborted scans stay in the flash but are
     dropped here, and so are partial scans, such as a committed scan whose
-    first steps the ring wrap overwrote. Counts for a step are the sum over
-    its record periods (settle periods contribute zero), and the analyzer
-    angle is recomputed from the drive voltage of the step's last record,
-    in the order given, through the same calibration the flight code used.
+    first steps the ring wrap overwrote. A dwell of d counts over
+    ceil(d / 0.125 s) record periods, or one more; a complete scan with a
+    step of any other number of counting records is dropped and counted.
+    Counts for a step are the sum over its record periods (settle periods
+    contribute zero), the analyzer angle is recomputed from the drive
+    voltage of the step's last record, in the order given, through the
+    same calibration the flight code used, and the pair is that of the
+    scan's last commit record. Returns the scans by id, ascending, and the
+    number dropped for the dwell.
     """
     table = records if isinstance(records, np.ndarray) else telemetry.table_from_records(records)
-    rows = table[np.isin(table["scan_id"], _committed_ids(table))
+    pairs = _commit_pairs(table)
+    rows = table[np.isin(table["scan_id"], list(pairs))
                  & ((table["flags"] & telemetry.FLAG_COUNTING) != 0)]
     if len(rows) == 0:
-        return {}
+        return {}, 0
     rows = rows[np.lexsort((rows["step"], rows["scan_id"]))]  # stable: order kept per step
     scan_id, step = rows["scan_id"], rows["step"]
     starts = np.flatnonzero(np.r_[True, (scan_id[1:] != scan_id[:-1]) | (step[1:] != step[:-1])])
@@ -311,7 +327,11 @@ def scan_data_from_records(
     n_groups = np.diff(np.r_[scan_starts, len(starts)])
     complete = ((n_groups == n) & (group_step[scan_starts] == 0)
                 & (group_step[scan_starts + n_groups - 1] == n - 1))
-    keep = np.repeat(complete, n_groups)
+    fewest = math.ceil(dwell_s / (telemetry.RECORD_PERIOD_MS / 1000))
+    sizes = np.diff(np.r_[starts, len(rows)])
+    fits_dwell = np.logical_and.reduceat((sizes >= fewest) & (sizes <= fewest + 1), scan_starts)
+    kept = complete & fits_dwell
+    keep = np.repeat(kept, n_groups)
 
     def per_step(values: np.ndarray) -> np.ndarray:
         return values[keep].reshape(-1, n)
@@ -320,13 +340,15 @@ def scan_data_from_records(
         return per_step(np.add.reduceat(rows[name].astype(np.int64), starts))
 
     angles = angle_from_voltage(calibration, per_step(rows["lc_signal_mv"][last]) / 1000.0)
-    return {
-        sid: ScanData(angles_rad=a, dwell_s=dwell_s, singles_1=s1, singles_2=s2, coinc_raw=c)
+    scans = {
+        sid: ScanData(angles_rad=a, dwell_s=dwell_s, singles_1=s1, singles_2=s2,
+                      coinc_raw=c, pair=pairs[sid])
         for sid, a, s1, s2, c in zip(
-            group_scan[scan_starts][complete].tolist(), angles,
+            group_scan[scan_starts][kept].tolist(), angles,
             summed("singles_1"), summed("singles_2"), summed("coinc_raw"),
         )
     }
+    return scans, int(np.count_nonzero(complete & ~fits_dwell))
 
 
 def analyze_flash(
@@ -338,40 +360,43 @@ def analyze_flash(
 ) -> list[dict]:
     """Run the full pipeline on a flash image file.
 
-    Writes one CSV per scan (angle, raw rate, corrected rate, fit curve),
-    a summary CSV (scan_id, visibility, phase, residual) and a flash-health
-    CSV (slot counts of the read, and the committed scans dropped as
-    partial); returns the summary rows.
+    Fits every complete scan in one `fit_sinusoids` call. Writes one CSV
+    per scan (angle, raw rate, corrected rate, fit curve), a summary CSV
+    (scan_id, pair, visibility, phase, residual) and a flash-health CSV
+    (slot counts of the read, the committed scans dropped as partial and
+    those dropped for not fitting `dwell_s`); returns the summary rows.
     """
     from .lc_optics import default_calibration
 
     cal = calibration or default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
     table = read.rows
-    scans = scan_data_from_records(table, cal, dwell_s)
-    partial = len(_committed_ids(table)) - len(scans)
-    pair_of = _last_pairs(table)
+    scans, mismatched = scan_data_from_records(table, cal, dwell_s)
+    partial = len(_commit_pairs(table)) - len(scans) - mismatched
     os.makedirs(out_dir, exist_ok=True)
 
     summary_rows = []
-    for scan_id, scan in scans.items():
-        corrected = correct_accidentals(scan, window_s)
-        fit = fit_sinusoid(scan.angles_rad, corrected)
-        curve = _model(scan.angles_rad, np.array([
-            fit.amplitude, fit.raw_v, fit.phase_rad, fit.baseline
+    if scans:
+        angles = np.stack([scan.angles_rad for scan in scans.values()])
+        corrected = np.stack([correct_accidentals(scan, window_s) for scan in scans.values()])
+        fits = fit_sinusoids(angles, corrected)
+        curves = _model(angles, np.array([
+            [fit.amplitude, fit.raw_v, fit.phase_rad, fit.baseline] for fit in fits
         ]))
+    for i, (scan_id, scan) in enumerate(scans.items()):
+        fit = fits[i]
         with open(os.path.join(out_dir, f"scan_{scan_id:05d}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["angle_rad", "raw_rate_hz", "corrected_rate_hz", "fit_rate_hz"])
             raw = scan.coinc_raw / scan.dwell_s
-            for i in range(len(scan.angles_rad)):
+            for j in range(len(scan.angles_rad)):
                 w.writerow([
-                    f"{scan.angles_rad[i]:.6f}", f"{raw[i]:.3f}",
-                    f"{corrected[i]:.3f}", f"{curve[i]:.3f}",
+                    f"{scan.angles_rad[j]:.6f}", f"{raw[j]:.3f}",
+                    f"{corrected[i, j]:.3f}", f"{curves[i, j]:.3f}",
                 ])
         summary_rows.append({
             "scan_id": scan_id,
-            "pair": pair_of.get(scan_id, 0),
+            "pair": scan.pair,
             "visibility": fit.visibility,
             "phase_rad": fit.phase_rad,
             "rms_residual": fit.rms_residual,
@@ -386,7 +411,8 @@ def analyze_flash(
                 f"{row['phase_rad']:.6f}", f"{row['rms_residual']:.3f}",
                 int(row["converged"]),
             ])
-    counts = {**asdict(read.health), "partial_scans_dropped": partial}
+    counts = {**asdict(read.health), "partial_scans_dropped": partial,
+              "dwell_mismatch_scans_dropped": mismatched}
     with open(os.path.join(out_dir, HEALTH_CSV), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(counts)

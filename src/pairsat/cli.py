@@ -6,7 +6,8 @@ powerbudget print the module power ledger and worst-case totals
 linkbudget  downlink time for a given telemetry volume
 
 Exit status is 0 on success, 1 on a power-budget violation, 2 on bad
-arguments or malformed input files.
+arguments, malformed input files or a flash whose scans do not fit the
+given dwell.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"visibility {row['visibility']:.4f} "
             f"phase {row['phase_rad']:.4f} rms {row['rms_residual']:.1f}"
         )
+    if health["dwell_mismatch_scans_dropped"] != "0":
+        print(f"error: {health['dwell_mismatch_scans_dropped']} committed scans have steps "
+              f"of other record counts than a dwell of {args.dwell} s spans", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -23,6 +23,8 @@ COINCIDENCE_WINDOW_S = 9e-9
 # the raw peak (true + accidental at 360k/330k singles) lands near 4500/s.
 DEFAULT_PEAK_PAIR_RATE_HZ = 3431.0
 DEFAULT_PUMP_POWER_MW = 9.0
+# overvoltage of the nominal operating point, where the efficiency factor is 1
+REFERENCE_OVERVOLTS = 10.0
 
 
 def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
@@ -212,7 +214,8 @@ def avalanche_amplitude(params: ApdParams, bias_v: float, temp_c: float) -> floa
 
 
 def efficiency_factor(
-    params: ApdParams, bias_v: float, temp_c: float, reference_overvolts: float = 10.0
+    params: ApdParams, bias_v: float, temp_c: float,
+    reference_overvolts: float = REFERENCE_OVERVOLTS,
 ) -> float:
     """Detection-efficiency scale relative to the nominal operating point.
 

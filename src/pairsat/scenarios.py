@@ -3,10 +3,11 @@
 A scenario is an environment time series (temperature, pressure, altitude,
 acceleration) plus source ground truth and a seed. The engine advances the
 flight controller at a fixed 50 ms tick against device models, streams
-8 Hz telemetry into redundant flash, and fits every committed scan from its
-own records through the ground grouping (`analysis.scan_data_from_records`),
-returning the flash image and a run summary. Identical (scenario, seed)
-inputs produce byte-identical flash output.
+8 Hz telemetry into redundant flash, groups every committed scan from its
+own records through the ground grouping (`analysis.scan_data_from_records`)
+and fits them all in one batch (`analysis.fit_sinusoids`) after the last
+record, returning the flash image and a run summary. Identical (scenario,
+seed) inputs produce byte-identical flash output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .thermal_power import PowerLedger, ThermalParams, ThermalState
 
 TICK_MS = controller.TICK_MS
 TICK_S = controller.TICK_S
-RECORD_PERIOD_MS = 125  # 8 Hz telemetry
+RECORD_PERIOD_MS = telemetry.RECORD_PERIOD_MS
 # records held before one batched flash write: 512 s of telemetry, about
 # 1.5 MB of row tuples
 PENDING_RECORDS = 4096
@@ -441,7 +442,7 @@ class SimulationEngine:
         self.calibration = default_calibration()
         self.ctrl = FlightController(calibration=self.calibration)
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
-        self._check_run_length()
+        self._check_record_fields()
         self.thermal_params = ThermalParams()
         self.thermal = ThermalState(housing_temp_c=scenario.initial_housing_c)
         self.ledger = PowerLedger()
@@ -463,8 +464,9 @@ class SimulationEngine:
             for p in (controller.PAIR_1_4, controller.PAIR_2_3)
         ]
 
-    def _check_run_length(self) -> None:
-        """Reject a run whose records would overflow a fixed-width field.
+    def _check_record_fields(self) -> None:
+        """Reject a run whose records would overflow a fixed-width field,
+        by its length (time_ms, scan_id) or by its source (coinc_raw).
 
         Checked before the first tick, so an overlong run fails at once
         rather than at record validation hours into the simulation.
@@ -487,6 +489,22 @@ class SimulationEngine:
                 f"duration {duration_s} s could use more scan ids than the "
                 f"u16 scan_id field holds ({max_id} at >= {min_scan_s} s each)"
             )
+        # a record sums up to three 50 ms ticks of the raw rate at the peak
+        # of the pair curve, every detector at the top of its efficiency
+        # curve: the top of the bias range over a breakdown voltage >= 0 V
+        src = self.scenario.source
+        gain = max(p.efficiency_sat_curve(p.bias_max_v)
+                   / p.efficiency_sat_curve(physics.REFERENCE_OVERVOLTS)
+                   for p in (loop.params for loop in self.ctrl.bias_loops))
+        rate = (physics.true_pair_rate(src, src.phase_offset_rad / 2.0) * gain**2
+                + physics.accidental_rate(src.singles_rate_signal_hz * gain,
+                                          src.singles_rate_idler_hz * gain,
+                                          physics.COINCIDENCE_WINDOW_S))
+        counts = rate * -(-RECORD_PERIOD_MS // TICK_MS) * TICK_S
+        max_counts = TelemetryRecord._RANGES["coinc_raw"][1]
+        if counts > max_counts:
+            raise ValueError(f"peak raw coincidence rate {rate:.0f}/s could put {counts:.0f} "
+                             f"counts in one record, over the u16 coinc_raw field ({max_counts})")
 
     def _laser_power(self, t_s: float, laser_on: bool) -> float:
         if not laser_on:
@@ -529,7 +547,7 @@ class SimulationEngine:
             idl_mv,
             bucket.s1,
             bucket.s2,
-            min(bucket.coinc, 2**16 - 1),
+            bucket.coinc,
             int(round(max(-327.68, min(327.67, self.thermal.housing_temp_c)) * 100)),
             round(self._last_laser_mw * 100),
             round(self.ctrl.bias_loops[ch1].bias * 10),
@@ -541,7 +559,13 @@ class SimulationEngine:
         if flags & (telemetry.FLAG_COUNTING | telemetry.FLAG_SCAN_COMMIT):
             self._scan_rows.append(row)
             if flags & telemetry.FLAG_SCAN_COMMIT:
-                self._scans.append(self._fit_scan())
+                # grouped as on the ground, which drops the rows of an attempt
+                # aborted since the last commit: its id has no commit marker
+                scans, _ = analysis.scan_data_from_records(
+                    telemetry.table_from_rows(self._scan_rows), self.calibration,
+                    self.ctrl.config.dwell_s)
+                self._committed.append((self._commit, scans[self._commit[0]]))
+                self._scan_rows.clear()
         if len(self._pending) == PENDING_RECORDS:
             self._write_pending()
 
@@ -641,9 +665,10 @@ class SimulationEngine:
         aborted = 0
         self.records_written = 0
         self._pending: list[tuple[int, ...]] = []
-        self._scans: list[ScanSummary] = []
-        # the open scan: its counting and commit rows since the last commit
-        # fit, its start, the time of its step command not yet counted and
+        # each committed scan as the STORING tick knew it and as grouped
+        self._committed: list[tuple[tuple, analysis.ScanData]] = []
+        # the open scan: its counting and commit rows since the last commit,
+        # its start, the time of its step command not yet counted and
         # its settle times; `_commit` holds what the STORING tick knew
         self._scan_rows: list[tuple[int, ...]] = []
         scan_start_ms = 0
@@ -726,9 +751,8 @@ class SimulationEngine:
                 sig_mv = round(self.lc_signal.commanded_voltage * 1000)
                 idl_mv = round(self.lc_idler.commanded_voltage * 1000)
                 bucket.commit_ctx = (cmd.scan_id, cmd.step, cmd.pair, sig_mv, idl_mv)
-                # fitted when this bucket's record is flushed, up to 125 ms on
-                self._commit = (cmd.scan_id, cmd.pair, scan_start_ms, t_ms,
-                                float(env_alt[k]), settle_ms)
+                # grouped when this bucket's record is flushed, up to 125 ms on
+                self._commit = (cmd.scan_id, scan_start_ms, t_ms, float(env_alt[k]), settle_ms)
 
             bucket.flags |= self._tick_flags(cmd)
 
@@ -762,7 +786,7 @@ class SimulationEngine:
             scenario=scen.name,
             seed=self.seed,
             duration_s=scen.duration_s,
-            scans=self._scans,
+            scans=self._fit_scans(),
             aborted_scans=aborted,
             records_written=self.records_written,
             max_total_power_w=self._max_power,
@@ -775,35 +799,25 @@ class SimulationEngine:
         )
         return self.flash, summary
 
-    def _fit_scan(self) -> ScanSummary:
-        """Fit the committed scan from its flash rows, grouped as on the ground.
-
-        Rows of an attempt aborted since the last commit carry a scan id
-        with no commit marker, so `scan_data_from_records` drops them as the
-        ground does.
-        """
-        scan_id, pair, start_ms, commit_ms, altitude, settle_ms = self._commit
-        scan = analysis.scan_data_from_records(
-            telemetry.table_from_rows(self._scan_rows), self.calibration,
-            self.ctrl.config.dwell_s,
-        )[scan_id]
-        self._scan_rows.clear()
-        fit = analysis.fit_sinusoid(
-            scan.angles_rad, analysis.correct_accidentals(scan, self.window_s)
+    def _fit_scans(self) -> list[ScanSummary]:
+        """Fit every kept scan in one `analysis.fit_sinusoids` call."""
+        if not self._committed:
+            return []
+        metas, scans = zip(*self._committed)
+        fits = analysis.fit_sinusoids(
+            np.stack([scan.angles_rad for scan in scans]),
+            np.stack([analysis.correct_accidentals(scan, self.window_s) for scan in scans]),
         )
-        return ScanSummary(
-            scan_id=scan_id,
-            pair=pair,
-            t_start_ms=start_ms,
-            t_commit_ms=commit_ms,
-            visibility=fit.visibility,
-            raw_v=fit.raw_v,
-            phase_rad=fit.phase_rad,
-            rms_residual=fit.rms_residual,
-            converged=fit.converged,
-            altitude_m=altitude,
-            settle_ms_values=tuple(sorted(settle_ms)),
-        )
+        return [
+            ScanSummary(
+                scan_id=scan_id, pair=scan.pair, t_start_ms=start_ms, t_commit_ms=commit_ms,
+                visibility=fit.visibility, raw_v=fit.raw_v, phase_rad=fit.phase_rad,
+                rms_residual=fit.rms_residual, converged=fit.converged,
+                altitude_m=altitude, settle_ms_values=tuple(sorted(settle_ms)),
+            )
+            for (scan_id, start_ms, commit_ms, altitude, settle_ms), scan, fit
+            in zip(metas, scans, fits)
+        ]
 
 
 def run_simulation(scenario: Scenario, seed: int | None = None) -> tuple[FlashImage, RunSummary]:

@@ -53,6 +53,7 @@ import numpy as np
 SECTOR_BYTES = 1_048_576
 RECORD_BYTES = 32
 SECTOR_CAPACITY = SECTOR_BYTES // RECORD_BYTES
+RECORD_PERIOD_MS = 125  # 8 Hz records
 
 _RECORD_STRUCT = struct.Struct("<IHBBHHIIHhHHHBB")
 assert _RECORD_STRUCT.size == RECORD_BYTES

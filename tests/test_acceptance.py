@@ -275,3 +275,21 @@ def test_wrap_cut_scan_is_dropped_as_partial(balloon_run, tmp_path):
         health = next(csv.DictReader(fh))
     assert health["partial_scans_dropped"] == "1"
     assert health["valid_a"] == str(telemetry.SECTOR_CAPACITY)
+
+
+def test_flight_scans_equal_ground_rows(balloon_run, tmp_path):
+    """The flight fits its scans in one batch at the end of the run, the
+    ground fits the ring's complete scans in one batch: every scan the ring
+    still holds whole reads the same, bit for bit."""
+    flash, summary = balloon_run
+    path = tmp_path / "flash.bin"
+    telemetry.save_image(flash, str(path))
+    rows = analysis.analyze_flash(str(path), str(tmp_path / "out"))
+    flight = [s for s in summary.scans if s.scan_id >= rows[0]["scan_id"]]
+    assert len(rows) > 100
+
+    def bits(scan_id, pair, visibility, phase_rad, rms_residual, converged):
+        return scan_id, pair, visibility.hex(), phase_rad.hex(), rms_residual.hex(), converged
+
+    assert [bits(s.scan_id, s.pair, s.visibility, s.phase_rad, s.rms_residual, s.converged)
+            for s in flight] == [bits(**row) for row in rows]

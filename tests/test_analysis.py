@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,10 @@ from pairsat import analysis, telemetry
 from pairsat.analysis import (
     ScanData,
     correct_accidentals,
+    FitResult,
     fit_oracle,
     fit_sinusoid,
+    fit_sinusoids,
     scan_data_from_records,
     visibility,
 )
@@ -154,18 +156,151 @@ def test_reported_visibility_accounts_for_baseline():
     assert fit.visibility < fit.raw_v  # flat background dilutes the contrast
 
 
-def make_flight_records(scan_id, pair, angles, counts, committed=True):
+def fit_reference(angles_rad, corrected_rates):
+    """The damped Gauss-Newton loop of one scan, which `fit_sinusoids` runs
+    on every row at once; kept as its reference. Returns the fit, how it
+    stopped ("flat", "tolerance", "no_step" after 60 damping tries, or
+    "cap" after 200 iterations), and whether a damped system was singular.
+    """
+    angles = np.asarray(angles_rad, dtype=float)
+    rates = np.asarray(corrected_rates, dtype=float)
+    ymax, ymin = float(rates.max()), float(rates.min())
+    if ymax == ymin:
+        return FitResult(0.0, 0.0, 0.0, ymax, 0.0, True, 0.0), "flat", False
+    scale = max(abs(ymax), abs(ymin))
+    total = ymax + ymin
+    p = np.array([
+        ymax - ymin,
+        (ymax - ymin) / abs(total) if total != 0 else 1.0,
+        (2.0 * angles[int(np.argmax(rates))]) % (2.0 * math.pi),
+        0.0,
+    ])
+
+    def sse(q):
+        r = analysis._model(angles, q) - rates
+        return float(r @ r)
+
+    best = sse(p)
+    lam = 1e-3
+    singular = False
+    stop = "cap"
+    for _ in range(analysis.MAX_ITERATIONS):
+        amp, v, phi, base = p
+        c = np.cos(2.0 * angles - phi)
+        s = np.sin(2.0 * angles - phi)
+        resid = amp * (1.0 + v * c) / 2.0 + base - rates
+        jac = np.column_stack([
+            (1.0 + v * c) / 2.0, amp * c / 2.0, amp * v * s / 2.0, np.ones_like(angles),
+        ])
+        jtj = jac.T @ jac
+        grad = jac.T @ resid
+        accepted = False
+        for _try in range(60):
+            damp = np.diag(np.maximum(np.diag(jtj), 1e-12 * scale**2))
+            try:
+                step = np.linalg.solve(jtj + lam * damp, -grad)
+            except np.linalg.LinAlgError:
+                singular = True
+                lam *= 10.0
+                continue
+            trial = sse(p + step)
+            if trial < best:
+                rel = float(np.max(np.abs(step) / (np.abs(p) + 1e-12)))
+                p = p + step
+                best = trial
+                lam = max(lam * 0.3, 1e-12)
+                accepted = True
+                if rel < analysis.STEP_TOLERANCE:
+                    stop = "tolerance"
+                break
+            lam *= 10.0
+        if not accepted:
+            stop = "no_step"
+            break
+        if stop == "tolerance":
+            break
+    return analysis._result_from(p, angles, rates, stop != "cap"), stop, singular
+
+
+def fit_bits(fit):
+    return tuple(x.hex() if isinstance(x, float) else x for x in astuple(fit))
+
+
+def fit_row(rng, kind, scale, m):
+    """Angles and rates of one row: a noisy curve of either sign, noise,
+    a flat row or a coarse (rounded) curve, times `scale`."""
+    if rng.random() < 0.5:
+        angles = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False) + rng.uniform(0.0, 0.3)
+    else:
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        angles[0], angles[-1] = 0.0, rng.uniform(1.05 * math.pi, 2.0 * math.pi)
+        angles.sort()
+    if kind == "noise":
+        rates = rng.normal(0.0, 1.0, m)
+    elif kind == "flat":
+        rates = np.full(m, rng.uniform(-2.0, 2.0))
+    else:
+        amp, v = rng.uniform(-2.0, 2.0), rng.uniform(-1.2, 1.2)
+        rates = (amp * (1.0 + v * np.cos(2.0 * angles - rng.uniform(0.0, 7.0))) / 2.0
+                 + rng.uniform(-0.5, 0.5) + rng.normal(0.0, rng.choice([0.0, 1e-3, 0.1]), m))
+        if kind == "coarse":
+            rates = np.round(rates, 1)
+    return angles, rates * scale
+
+
+# at a scale of 1e15 a fit runs into the 200-iteration cap, and at 1e-165
+# its damped systems underflow to singular ones
+ROW_KINDS = st.sampled_from(["curve", "curve", "noise", "flat", "coarse"])
+ROW_SCALES = st.sampled_from([1.0, 1.0, 3431.0, -1e3, 1e15, 1e-165])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(6, 50), st.lists(st.tuples(ROW_KINDS, ROW_SCALES), min_size=1, max_size=64),
+       st.integers(0, 2**32 - 1))
+def test_batched_fit_matches_scalar_reference(m, rows, seed):
+    rng = np.random.default_rng(seed)
+    angles, rates = map(np.array, zip(*(fit_row(rng, kind, scale, m) for kind, scale in rows)))
+    fits = fit_sinusoids(angles, rates)
+    assert [fit_bits(f) for f in fits] == [
+        fit_bits(fit_reference(a, r)[0]) for a, r in zip(angles, rates)
+    ]
+
+
+def test_batched_fit_covers_every_stop():
+    # one batch holding a row that stops each way, and rows whose damped
+    # systems are singular: each row equals its fit alone and the reference
+    rng = np.random.default_rng(29)
+    rows = [fit_row(rng, kind, scale, 36) for kind, scale in (
+        ("curve", 1.0), ("noise", 1.0), ("flat", 1.0), ("curve", 1e15),
+        ("curve", 1e-165), ("noise", 1e-165), ("coarse", 3431.0), ("curve", -1e3),
+    ) for _ in range(4)]
+    angles, rates = map(np.array, zip(*rows))
+    references = [fit_reference(a, r) for a, r in zip(angles, rates)]
+    assert {stop for _, stop, _ in references} == {"flat", "tolerance", "no_step", "cap"}
+    assert any(singular for _, _, singular in references)
+    expected = [fit_bits(fit) for fit, _, _ in references]
+    assert [fit_bits(f) for f in fit_sinusoids(angles, rates)] == expected
+    assert [fit_bits(fit_sinusoid(a, r)) for a, r in zip(angles, rates)] == expected
+    assert fit_sinusoids(np.empty((0, 36)), np.empty((0, 36))) == []
+
+
+def make_flight_records(scan_id, pair, angles, counts, committed=True, per_step=4):
+    """A scan's records in flight layout: each step's counts spread over
+    `per_step` counting records (4 fit the flight's 0.45 s dwell), then the
+    commit record."""
     cal = default_calibration()
     recs = []
     t = scan_id * 100000
     for step, (theta, (s1, s2, c)) in enumerate(zip(angles, counts)):
         mv = round(voltage_for_angle(cal, theta % (2 * math.pi)) * 1000)
-        recs.append(telemetry.TelemetryRecord(
-            time_ms=t, scan_id=scan_id, step=step, pair_sel=pair,
-            lc_signal_mv=mv, singles_1=s1, singles_2=s2, coinc_raw=c,
-            flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
-        ))
-        t += 125
+        for k in range(per_step):
+            share = [x // per_step + (x % per_step if k == 0 else 0) for x in (s1, s2, c)]
+            recs.append(telemetry.TelemetryRecord(
+                time_ms=t, scan_id=scan_id, step=step, pair_sel=pair, lc_signal_mv=mv,
+                singles_1=share[0], singles_2=share[1], coinc_raw=share[2],
+                flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
+            ))
+            t += 125
     if committed:
         recs.append(telemetry.TelemetryRecord(
             time_ms=t, scan_id=scan_id, step=len(angles) - 1, pair_sel=pair,
@@ -179,8 +314,9 @@ def test_scan_grouping_drops_uncommitted():
     counts = [(1000, 900, 50)] * 36
     recs = make_flight_records(1, 0, angles, counts, committed=True)
     recs += make_flight_records(2, 1, angles, counts, committed=False)
-    scans = scan_data_from_records(recs, default_calibration())
+    scans, mismatched = scan_data_from_records(recs, default_calibration())
     assert list(scans) == [1]
+    assert mismatched == 0
     assert len(scans[1].angles_rad) == 36
 
 
@@ -190,16 +326,35 @@ def test_scan_grouping_sums_split_steps():
         3, 0, np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False),
         [(100, 90, 5)] * 36,
     )
-    # duplicate one counting record: same step split across two periods
+    # one more counting record: the step's dwell straddles a period edge
     dup = recs[0]
     recs.insert(1, telemetry.TelemetryRecord(
         time_ms=dup.time_ms + 60, scan_id=3, step=0, pair_sel=0,
         lc_signal_mv=dup.lc_signal_mv, singles_1=11, singles_2=9, coinc_raw=2,
         flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
     ))
-    scans = scan_data_from_records(recs, cal)
+    scans, _ = scan_data_from_records(recs, cal)
     assert scans[3].singles_1[0] == 111
     assert scans[3].coinc_raw[0] == 7
+
+
+def test_scan_grouping_checks_the_dwell():
+    # a 0.45 s dwell counts over 4 or 5 record periods per step
+    angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
+    counts = [(1000, 900, 50)] * 36
+    recs = []
+    for scan_id, per_step in ((1, 4), (2, 5), (3, 3), (4, 6), (5, 1)):
+        recs += make_flight_records(scan_id, 0, angles, counts, per_step=per_step)
+    # one step of scan 6 is a record short
+    short = make_flight_records(6, 1, angles, counts)
+    recs += short[:40] + short[41:]
+    scans, mismatched = scan_data_from_records(recs, default_calibration())
+    assert list(scans) == [1, 2]
+    assert mismatched == 4
+    # the records fit other dwells: 1 record per step is a 0.125 s dwell
+    scans, mismatched = scan_data_from_records(recs, default_calibration(), dwell_s=0.125)
+    assert list(scans) == [5]
+    assert mismatched == 5
 
 
 def test_analyze_flash_pipeline(tmp_path):
@@ -224,6 +379,14 @@ def test_analyze_flash_pipeline(tmp_path):
     assert [r["pair"] for r in rows] == [0, 1]
     for row in rows:
         assert 0.9 < row["visibility"] < 1.0
+    # the pair is the commit record's, whatever the counting records say
+    telemetry.write_redundant(flash, [
+        replace(r, pair_sel=1) if r.flags & telemetry.FLAG_COUNTING else r
+        for r in make_flight_records(3, 0, angles, counts)
+    ])
+    telemetry.save_image(flash, str(path))
+    rows = analysis.analyze_flash(str(path), str(tmp_path / "out"), dwell_s=dwell)
+    assert [(r["scan_id"], r["pair"]) for r in rows] == [(1, 0), (2, 1), (3, 0)]
     assert (tmp_path / "out" / "summary.csv").exists()
     assert (tmp_path / "out" / "scan_00001.csv").exists()
     lines = (tmp_path / "out" / "scan_00002.csv").read_text().strip().splitlines()
@@ -237,16 +400,17 @@ def test_scan_grouping_drops_partial_scans(tmp_path):
     whole = make_flight_records(1, 0, angles, counts)
     # the ring wrap overwrites the oldest slots: scan 2 keeps its commit
     # marker and its last 11 steps
-    cut = make_flight_records(2, 1, angles, counts)[25:]
+    cut = make_flight_records(2, 1, angles, counts)[25 * 4:]
     # a scan that skipped a step in the middle is partial as well
     gap = [r for r in make_flight_records(3, 0, angles, counts) if r.step != 17
            or r.flags & telemetry.FLAG_SCAN_COMMIT]
     # a partial scan's drive voltage is never looked up, so one outside the
     # calibration (a u16 field holds up to 65535 mV) cannot stop the analysis
     bad = [replace(r, lc_signal_mv=9000) if r.step == 30 else r
-           for r in make_flight_records(4, 1, angles, counts)[25:]]
-    scans = scan_data_from_records(whole + cut + gap + bad, default_calibration())
+           for r in make_flight_records(4, 1, angles, counts)[25 * 4:]]
+    scans, mismatched = scan_data_from_records(whole + cut + gap + bad, default_calibration())
     assert list(scans) == [1]
+    assert mismatched == 0
 
     flash = telemetry.FlashImage()
     telemetry.write_redundant(flash, cut + whole + gap + bad)
@@ -260,33 +424,38 @@ def test_scan_grouping_drops_partial_scans(tmp_path):
     assert health == [{
         "valid_a": str(written), "repaired_from_b": "0", "doubly_corrupt": "0",
         "blank": str(telemetry.SECTOR_CAPACITY - written), "partial_scans_dropped": "3",
+        "dwell_mismatch_scans_dropped": "0",
     }]
 
 
 def dict_grouping(records, calibration, dwell_s=0.45, n_steps=36):
     """Per-record grouping, kept as the reference for the table grouping:
-    the scans it returns, and each scan's pair."""
-    committed = {
-        r.scan_id for r in records
+    the scans it returns, and how many complete scans miss the dwell."""
+    pairs = {
+        r.scan_id: r.pair_sel for r in records
         if r.flags & telemetry.FLAG_SCAN_COMMIT and r.scan_id != 0
     }
+    fewest = math.ceil(dwell_s / 0.125)
     steps = {}
     volts = {}
-    pairs = {}
     for r in records:
-        if r.flags & telemetry.FLAG_COUNTING:
-            pairs[r.scan_id] = r.pair_sel
-        if r.scan_id not in committed or not r.flags & telemetry.FLAG_COUNTING:
+        if r.scan_id not in pairs or not r.flags & telemetry.FLAG_COUNTING:
             continue
-        acc = steps.setdefault(r.scan_id, {}).setdefault(r.step, {"s1": 0, "s2": 0, "c": 0})
+        acc = steps.setdefault(r.scan_id, {}).setdefault(
+            r.step, {"s1": 0, "s2": 0, "c": 0, "records": 0})
         acc["s1"] += r.singles_1
         acc["s2"] += r.singles_2
         acc["c"] += r.coinc_raw
+        acc["records"] += 1
         volts.setdefault(r.scan_id, {})[r.step] = r.lc_signal_mv
     out = {}
+    mismatched = 0
     for scan_id, per_step in sorted(steps.items()):
         order = sorted(per_step)
         if order != list(range(n_steps)):
+            continue
+        if any(not fewest <= acc["records"] <= fewest + 1 for acc in per_step.values()):
+            mismatched += 1
             continue
         out[scan_id] = ScanData(
             angles_rad=np.array([
@@ -296,8 +465,9 @@ def dict_grouping(records, calibration, dwell_s=0.45, n_steps=36):
             singles_1=np.array([per_step[k]["s1"] for k in order]),
             singles_2=np.array([per_step[k]["s2"] for k in order]),
             coinc_raw=np.array([per_step[k]["c"] for k in order]),
+            pair=pairs[scan_id],
         )
-    return out, pairs
+    return out, mismatched
 
 
 COUNTS = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
@@ -307,24 +477,28 @@ COUNTS = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.inte
 def scan_records(draw):
     """Records of a few scans in flight layout, with their variations:
     steps split over several periods, settle periods, missing or extra
-    steps, uncommitted (aborted) scans, reused scan ids, pair changes,
-    idle records, and an order that need not be time order."""
+    steps, a step too long for the dwell, uncommitted (aborted) scans,
+    reused scan ids, pair changes, idle records, and an order that need
+    not be time order."""
     records = []
     t = 0
     for _ in range(draw(st.integers(0, 4))):
         scan_id = draw(st.integers(0, 5))
-        shape = draw(st.sampled_from(["whole", "whole", "whole", "missing", "extra", "swap"]))
+        shape = draw(st.sampled_from(["whole", "whole", "whole", "missing", "extra", "swap",
+                                      "long"]))
         missing = draw(st.sets(st.integers(0, 35), min_size=1, max_size=3)) \
             if shape in ("missing", "swap") else set()
         # a swap replaces the missing steps with as many out of range
         extra = list(range(36, 36 + max(len(missing), 1))) if shape in ("extra", "swap") else []
+        # a long step has one counting record more than the dwell allows
+        long_step = draw(st.integers(0, 35)) if shape == "long" else None
         for step in [k for k in range(36) if k not in missing] + extra:
             if draw(st.booleans()):
                 records.append(telemetry.TelemetryRecord(
                     time_ms=t, scan_id=scan_id, step=step, singles_1=draw(st.integers(0, 999)),
                 ))
                 t += 125
-            for _ in range(draw(st.integers(1, 2))):
+            for _ in range(3 if step == long_step else draw(st.integers(1, 2))):
                 s1, s2, c = draw(COUNTS)
                 records.append(telemetry.TelemetryRecord(
                     time_ms=t, scan_id=scan_id, step=step, pair_sel=draw(st.integers(0, 1)),
@@ -334,7 +508,7 @@ def scan_records(draw):
                 t += 125
         if draw(st.sampled_from([True, True, False])):
             records.append(telemetry.TelemetryRecord(
-                time_ms=t, scan_id=scan_id, step=35,
+                time_ms=t, scan_id=scan_id, step=35, pair_sel=draw(st.integers(0, 1)),
                 flags=telemetry.FLAG_PRESENT | telemetry.FLAG_SCAN_COMMIT,
             ))
             t += 125
@@ -349,17 +523,19 @@ def scan_records(draw):
 @settings(max_examples=60, deadline=None)
 @given(scan_records())
 def test_table_grouping_matches_dict_reference(records):
+    # 1 or 2 counting records per step fit a 0.125 s dwell
     cal = default_calibration()
-    expected, pairs = dict_grouping(records, cal)
+    expected, expected_mismatched = dict_grouping(records, cal, dwell_s=0.125)
     table = telemetry.table_from_records(records)
-    for got in (scan_data_from_records(records, cal), scan_data_from_records(table, cal)):
+    for got, mismatched in (scan_data_from_records(records, cal, dwell_s=0.125),
+                            scan_data_from_records(table, cal, dwell_s=0.125)):
         assert list(got) == list(expected)
+        assert mismatched == expected_mismatched
         for scan_id, scan in got.items():
             ref = expected[scan_id]
             assert scan.angles_rad.tobytes() == ref.angles_rad.tobytes()
-            assert scan.dwell_s == ref.dwell_s
+            assert (scan.dwell_s, scan.pair) == (ref.dwell_s, ref.pair)
             for name in ("singles_1", "singles_2", "coinc_raw"):
                 assert getattr(scan, name).dtype == getattr(ref, name).dtype
                 assert np.array_equal(getattr(scan, name), getattr(ref, name))
-    assert analysis._last_pairs(table) == pairs
 

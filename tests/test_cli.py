@@ -56,7 +56,8 @@ def test_analyze_round_trip(tmp_path, capsys):
     assert "4 scans analyzed" in text
     written = 120 * 8
     assert (f"flash health: valid_a {written}, repaired_from_b 0, doubly_corrupt 0, "
-            f"blank {telemetry.SECTOR_CAPACITY - written}, partial_scans_dropped 0") in text
+            f"blank {telemetry.SECTOR_CAPACITY - written}, partial_scans_dropped 0, "
+            "dwell_mismatch_scans_dropped 0") in text
 
     with open(os.path.join(out_dir, "summary.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -66,6 +67,15 @@ def test_analyze_round_trip(tmp_path, capsys):
         assert 0.9 < float(row["visibility"]) < 1.0
     scan_files = sorted(f for f in os.listdir(out_dir) if f.startswith("scan_"))
     assert len(scan_files) == 4
+
+    # 0.9 s of dwell would span 8 or 9 records per step; the flight's 0.45 s
+    # spans 4 or 5, so every scan is dropped and the analysis fails
+    rc = run_cli("analyze", "--flash", flash_path, "--out", out_dir, "--dwell", "0.9")
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "0 scans analyzed" in captured.out
+    assert "dwell_mismatch_scans_dropped 4" in captured.out
+    assert "dwell of 0.9 s" in captured.err
 
 
 def test_simulate_custom_profile(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pairsat import telemetry
 from pairsat.analysis import analyze_flash
 from pairsat.controller import FlightController, Gate
+from pairsat.physics import SourceParams
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
@@ -227,6 +228,31 @@ def test_engine_rejects_run_past_time_ms_limit():
     # 2**32 - 1 ms is 4 294 967.295 s; the last 8 Hz record here is 4 294 967 875 ms
     with pytest.raises(ValueError, match="time_ms"):
         SimulationEngine(make_scenario("lab", duration_s=4_294_968.0))
+
+
+def _source_at_peak_counts(counts: float) -> SourceParams:
+    """A source whose expected raw coincidences at the peak angle, with both
+    detectors at the efficiency curve's top ratio, sum to `counts` over the
+    three 50 ms ticks one 125 ms record can hold."""
+    ratio = (1.0 - math.exp(-130.0 / 4.0)) / (1.0 - math.exp(-10.0 / 4.0))
+    src = SourceParams()
+    accidental = src.singles_rate_signal_hz * src.singles_rate_idler_hz * ratio**2 * 9e-9
+    true_peak = (counts / 0.15 - accidental) / ratio**2
+    return SourceParams(pair_rate_per_mw=true_peak / (src.pump_power_mw * (1.0 + 0.95) / 2.0))
+
+
+def test_engine_accepts_source_under_coinc_raw_limit():
+    scenario = make_scenario("lab", duration_s=1.0)
+    scenario.source = _source_at_peak_counts(0.999 * (2**16 - 1))
+    SimulationEngine(scenario)
+
+
+def test_engine_rejects_source_over_coinc_raw_limit():
+    # raised by the constructor: the u16 field is never clamped in flight
+    scenario = make_scenario("lab", duration_s=1.0)
+    scenario.source = _source_at_peak_counts(1.001 * (2**16 - 1))
+    with pytest.raises(ValueError, match="coinc_raw"):
+        SimulationEngine(scenario)
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from .analysis import FitResult, ScanData, correct_accidentals, fit_sinusoid, vi
 from .controller import FlightController, Mode, OpticalBench, ScanConfig, run_scan
 from .physics import ApdParams, SourceParams, accidental_rate, overlap_factor
 from .scenarios import RunSummary, Scenario, make_scenario, run_simulation
-from .telemetry import FlashImage, TelemetryRecord, read_records, session_volume
+from .telemetry import FlashImage, TelemetryRecord, read_records
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "read_records",
     "run_scan",
     "run_simulation",
-    "session_volume",
     "visibility",
     "__version__",
 ]

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import physics, telemetry
-from .lc_optics import LcCalibration, angle_from_voltage
+from .lc_optics import LcCalibration, angle_from_voltage, default_calibration
 # Imported after lc_optics so that the package loads its modules in the
 # order it did before analysis needed ScanConfig (set-up time; CHANGES.md).
 from .controller import ScanConfig
@@ -286,19 +286,20 @@ def _commit_pairs(table: np.ndarray) -> dict[int, int]:
 
 
 def scan_data_from_records(
-    records: np.ndarray | list[telemetry.TelemetryRecord],
+    table: np.ndarray,
     calibration: LcCalibration,
     dwell_s: float = _FLIGHT_SCAN.dwell_s,
 ) -> tuple[dict[int, ScanData], int]:
     """Group flash records into per-scan step data.
 
-    `records` is a `telemetry.RECORD_DTYPE` table, as the `rows` of
-    `telemetry.read_records(flash, as_table=True)`, or a list of records.
-    Only complete scans are returned: a scan with a commit marker whose
-    counting records cover exactly the steps 0..n_steps-1 of the flight
-    `ScanConfig`. Records of aborted scans stay in the flash but are
-    dropped here, and so are partial scans, such as a committed scan whose
-    first steps the ring wrap overwrote. A dwell of d counts over
+    `table` is a `telemetry.RECORD_DTYPE` table, as the `rows` of
+    `telemetry.read_records(flash, as_table=True)`; a dwell that is not
+    finite and positive raises ValueError naming it. Only complete scans
+    are returned: a scan with a commit marker whose counting records cover
+    exactly the steps 0..n_steps-1 of the flight `ScanConfig`. Records of
+    aborted scans stay in the flash but are dropped here, and so are
+    partial scans, such as a committed scan whose first steps the ring wrap
+    overwrote. A dwell of d counts over
     ceil(d / 0.125 s) record periods, or one more; a complete scan with a
     step of any other number of counting records is dropped and counted.
     Counts for a step are the sum over its record periods (settle periods
@@ -308,7 +309,8 @@ def scan_data_from_records(
     scan's last commit record. Returns the scans by id, ascending, and the
     number dropped for the dwell.
     """
-    table = records if isinstance(records, np.ndarray) else telemetry.table_from_records(records)
+    if not 0 < dwell_s < math.inf:
+        raise ValueError(f"dwell must be finite and positive, got {dwell_s} s")
     pairs = _commit_pairs(table)
     rows = table[np.isin(table["scan_id"], list(pairs))
                  & ((table["flags"] & telemetry.FLAG_COUNTING) != 0)]
@@ -366,8 +368,6 @@ def analyze_flash(
     (slot counts of the read, the committed scans dropped as partial and
     those dropped for not fitting `dwell_s`); returns the summary rows.
     """
-    from .lc_optics import default_calibration
-
     cal = calibration or default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
     table = read.rows

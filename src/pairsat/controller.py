@@ -24,7 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import physics, thermal_power
-from .lc_optics import LcCalibration, angle_from_voltage, polarization_mixing
+from .lc_optics import (LcCalibration, angle_from_voltage, default_calibration,
+                        polarization_mixing, voltage_for_angle)
 from .physics import ApdParams, CountSample, SourceParams
 
 TICK_S = 0.05
@@ -217,10 +218,6 @@ class ScanConfig:
         if self.n_steps * (self.settle_s + self.dwell_s) >= 30.0:
             raise ValueError("scan would exceed the 30 s collection limit")
 
-    @property
-    def step_ms(self) -> int:
-        return round(1000 * (self.settle_s + self.dwell_s))
-
 
 def scan_voltages(config: ScanConfig, cal: LcCalibration) -> list[int]:
     """Integer-millivolt scan table spanning the full calibration range."""
@@ -235,8 +232,6 @@ def idler_voltage_mv(pair: int, config: ScanConfig, cal: LcCalibration) -> int:
     splitter, so the alternate pair analyzes the orthogonal projection.
     """
     target = config.idler_target_rad + (math.pi / 2.0 if pair == PAIR_2_3 else 0.0)
-    from .lc_optics import voltage_for_angle
-
     return int(round(voltage_for_angle(cal, target) * 1000))
 
 
@@ -262,8 +257,6 @@ class OpticalBench:
 
     def __post_init__(self) -> None:
         if self.calibration is None:
-            from .lc_optics import default_calibration
-
             self.calibration = default_calibration()
 
 
@@ -349,8 +342,6 @@ class FlightController:
         calibration: LcCalibration | None = None,
         apd_params: ApdParams | None = None,
     ):
-        from .lc_optics import default_calibration
-
         self.config = scan_config or ScanConfig()
         self.calibration = calibration or default_calibration()
         apd = apd_params or ApdParams()

@@ -127,15 +127,6 @@ def true_pair_rate(src: SourceParams, analyzer_angle_rad: float) -> float:
     ) / 2.0
 
 
-def expected_coincidence_rate(
-    src: SourceParams, analyzer_angle_rad: float, window_s: float
-) -> float:
-    """Raw expected coincidence rate: sinusoidal true part plus accidentals."""
-    return true_pair_rate(src, analyzer_angle_rad) + accidental_rate(
-        src.singles_rate_signal_hz, src.singles_rate_idler_hz, window_s
-    )
-
-
 @dataclass
 class CountSample:
     """Counts integrated over one dwell interval."""

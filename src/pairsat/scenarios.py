@@ -68,19 +68,11 @@ class EnvironmentProfile:
     def duration_s(self) -> float:
         return float(self.t_s[-1])
 
-    def sample(self, t: float) -> tuple[float, float, float, float]:
-        return (
-            float(np.interp(t, self.t_s, self.temp_c)),
-            float(np.interp(t, self.t_s, self.pressure_mbar)),
-            float(np.interp(t, self.t_s, self.altitude_m)),
-            float(np.interp(t, self.t_s, self.accel_g)),
-        )
-
 
 def lab_profile(duration_s: float) -> EnvironmentProfile:
     """Constant bench conditions: 22 C, sea-level pressure, 1 g."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration_s} s")
     t = np.array([0.0, duration_s])
     return EnvironmentProfile(
         t_s=t,
@@ -97,8 +89,8 @@ def leo_cycle_profile(duration_s: float, phase_s: float = 0.0) -> EnvironmentPro
     With the default phase the cycle starts at its 20 C peak; phase_s=3000
     starts at the -5 C minimum.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration_s} s")
     t = np.arange(0.0, duration_s + 10.0, 10.0)
     temp = LEO_TEMP_MEAN_C + LEO_TEMP_AMPLITUDE_C * np.cos(
         2.0 * math.pi * (t + phase_s) / ORBIT_PERIOD_S
@@ -114,8 +106,8 @@ def leo_cycle_profile(duration_s: float, phase_s: float = 0.0) -> EnvironmentPro
 
 def thermal_vac_profile(duration_s: float) -> EnvironmentProfile:
     """Qualification chamber cycle: -10..40 C, 100 min period, hard vacuum."""
-    if duration_s < 86400.0:
-        raise ValueError("qualification run must cover at least 24 h")
+    if not 86400.0 <= duration_s < math.inf:
+        raise ValueError(f"qualification run must cover at least 24 h, got {duration_s} s")
     t = np.arange(0.0, duration_s + 10.0, 10.0)
     temp = 15.0 + 25.0 * np.cos(2.0 * math.pi * t / ORBIT_PERIOD_S)
     return EnvironmentProfile(
@@ -314,8 +306,8 @@ class Scenario:
     laser_dips: list[tuple[float, float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration_s} s")
 
 
 def make_scenario(
@@ -408,13 +400,6 @@ class RunSummary:
     @property
     def visibilities(self) -> list[float]:
         return [s.visibility for s in self.scans]
-
-    def scan_to_scan_std(self) -> float:
-        v = self.visibilities
-        return float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
-
-    def mean_rms_residual(self) -> float:
-        return float(np.mean([s.rms_residual for s in self.scans])) if self.scans else 0.0
 
 
 class _RecordBucket:

@@ -25,28 +25,29 @@ as a flag bit on later records). Erased flash reads 0xFF, which can never
 carry a valid CRC (the CRC of 31 0xFF bytes is 0xFC), so blank slots are
 self-identifying.
 
-Records are written in batches (`write_redundant`): the batch becomes a
-`RECORD_DTYPE` table, checked field by field against the record's ranges,
-its CRC column is computed with the same column-wise CRC-8 as the read
-below, and its rows are copied into consecutive ring slots of both
-sectors.
+Records are written in batches (`write_redundant`), each batch already a
+`RECORD_DTYPE` table, a structured dtype with the same layout as the
+record. Row tuples become such a table in `table_from_rows`, the one place
+where field values are checked against the record's ranges. The writer
+computes the CRC column with the same column-wise CRC-8 as the read below
+and copies the rows into consecutive ring slots of both sectors.
 
 The ground side reads the whole ring at once (`read_records`): each sector
 is viewed as a (32768, 32) byte array, the CRC-8 runs as 31 table lookups
 over a whole column of slots, and every slot takes its sector-A row when
 that passes, else its sector-B row. Slots that pass in neither sector are
-dropped. The surviving rows are viewed as `RECORD_DTYPE`, a structured
-dtype with the same layout as the record, and put in time order. Ground
-analysis keeps them as that array (`as_table=True` gives a `RecordTable`,
-which also counts the slots by outcome in `FlashHealth`); otherwise they
-become a list of `TelemetryRecord`.
+dropped. The surviving rows are viewed as `RECORD_DTYPE` and put in time
+order. Ground analysis keeps them as that table (`as_table=True` gives a
+`RecordTable`, which also counts the slots by outcome in `FlashHealth`);
+the list of `TelemetryRecord` that the read gives by default stays for
+the benchmark, which compares and times it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -175,14 +176,6 @@ class FlashImage:
     sector_b: bytearray = field(default_factory=lambda: bytearray(b"\xff" * SECTOR_BYTES))
     cursor: int = 0  # total records ever written; slot = cursor % capacity
 
-    @property
-    def wrapped(self) -> bool:
-        return self.cursor > SECTOR_CAPACITY
-
-    @property
-    def bytes_used(self) -> int:
-        return min(self.cursor, SECTOR_CAPACITY) * RECORD_BYTES
-
 
 # The record layout as a numpy dtype: one field per struct code, CRC last.
 RECORD_DTYPE = np.dtype([
@@ -266,27 +259,19 @@ def table_from_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
     return table
 
 
-def table_from_records(records: list[TelemetryRecord]) -> np.ndarray:
-    """The `RECORD_DTYPE` array of a record list, in list order (CRC byte 0)."""
-    fields_of = attrgetter(*_FIELD_NAMES)
-    return table_from_rows([fields_of(r) for r in records])
+def write_redundant(flash: FlashImage, table: np.ndarray) -> FlashImage:
+    """Append a `RECORD_DTYPE` table to both sectors identically, wrapping
+    when full.
 
-
-def write_redundant(
-    flash: FlashImage, records: np.ndarray | list[TelemetryRecord]
-) -> FlashImage:
-    """Append records to both sectors identically, wrapping when full.
-
-    Takes a `RECORD_DTYPE` table (its CRC column is recomputed) or a record
-    list, which becomes one with `table_from_records`. The CRC-8 runs over
-    the whole batch a byte column at a time; record i goes to slot
-    (cursor + i) mod capacity, so of a batch longer than the ring only the
-    last `SECTOR_CAPACITY` records remain. The cursor advances by the
-    batch length.
+    The table's CRC column is recomputed, over the whole batch a byte column
+    at a time; row i goes to slot (cursor + i) mod capacity, so of a batch
+    longer than the ring only the last `SECTOR_CAPACITY` rows remain. The
+    cursor advances by the batch length. Raises TypeError for anything but
+    a `RECORD_DTYPE` array.
     """
-    table = records if isinstance(records, np.ndarray) else table_from_records(records)
-    if table.dtype != RECORD_DTYPE:
-        raise TypeError(f"records must be a RECORD_DTYPE table, got {table.dtype}")
+    if not isinstance(table, np.ndarray) or table.dtype != RECORD_DTYPE:
+        got = getattr(table, "dtype", type(table).__name__)
+        raise TypeError(f"records must be a RECORD_DTYPE table, got {got}")
     rows = np.array(table).view(np.uint8).reshape(len(table), RECORD_BYTES)
     rows[:, -1] = _crc8_rows(rows)
     kept = rows[-SECTOR_CAPACITY:]
@@ -352,23 +337,16 @@ def load_image(path: str) -> FlashImage:
     )
 
 
-def session_volume(duration_s: float, record_rate_hz: float) -> int:
-    """Telemetry bytes generated by an uninterrupted session."""
-    if duration_s < 0 or record_rate_hz <= 0:
-        raise ValueError("duration must be nonnegative and rate positive")
-    return int(duration_s * record_rate_hz * RECORD_BYTES)
-
-
 @dataclass
 class LinkBudget:
     volume_bytes: float
     rate_bytes_per_s: float = 1250.0
 
     def __post_init__(self) -> None:
-        if self.rate_bytes_per_s <= 0:
-            raise ValueError("rate must be positive")
-        if self.volume_bytes < 0:
-            raise ValueError("volume must be nonnegative")
+        if not 0 < self.rate_bytes_per_s < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {self.rate_bytes_per_s}")
+        if not 0 <= self.volume_bytes < math.inf:
+            raise ValueError(f"volume must be finite and nonnegative, got {self.volume_bytes}")
 
 
 def downlink_time(budget: LinkBudget) -> float:

@@ -23,6 +23,11 @@ from pairsat.analysis import (
 from pairsat.lc_optics import angle_from_voltage, default_calibration, voltage_for_angle
 
 
+def table_of(records):
+    """The `RECORD_DTYPE` table of a record list, in list order."""
+    return telemetry.table_from_rows([astuple(r) for r in records])
+
+
 def model(theta, amp, v, phi, base):
     return amp * (1.0 + v * np.cos(2.0 * theta - phi)) / 2.0 + base
 
@@ -314,7 +319,7 @@ def test_scan_grouping_drops_uncommitted():
     counts = [(1000, 900, 50)] * 36
     recs = make_flight_records(1, 0, angles, counts, committed=True)
     recs += make_flight_records(2, 1, angles, counts, committed=False)
-    scans, mismatched = scan_data_from_records(recs, default_calibration())
+    scans, mismatched = scan_data_from_records(table_of(recs), default_calibration())
     assert list(scans) == [1]
     assert mismatched == 0
     assert len(scans[1].angles_rad) == 36
@@ -333,7 +338,7 @@ def test_scan_grouping_sums_split_steps():
         lc_signal_mv=dup.lc_signal_mv, singles_1=11, singles_2=9, coinc_raw=2,
         flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
     ))
-    scans, _ = scan_data_from_records(recs, cal)
+    scans, _ = scan_data_from_records(table_of(recs), cal)
     assert scans[3].singles_1[0] == 111
     assert scans[3].coinc_raw[0] == 7
 
@@ -348,11 +353,12 @@ def test_scan_grouping_checks_the_dwell():
     # one step of scan 6 is a record short
     short = make_flight_records(6, 1, angles, counts)
     recs += short[:40] + short[41:]
-    scans, mismatched = scan_data_from_records(recs, default_calibration())
+    scans, mismatched = scan_data_from_records(table_of(recs), default_calibration())
     assert list(scans) == [1, 2]
     assert mismatched == 4
     # the records fit other dwells: 1 record per step is a 0.125 s dwell
-    scans, mismatched = scan_data_from_records(recs, default_calibration(), dwell_s=0.125)
+    scans, mismatched = scan_data_from_records(table_of(recs), default_calibration(),
+                                               dwell_s=0.125)
     assert list(scans) == [5]
     assert mismatched == 5
 
@@ -370,7 +376,7 @@ def test_analyze_flash_pipeline(tmp_path):
             for r in true
         ]
         telemetry.write_redundant(
-            flash, make_flight_records(scan_id, pair, angles, counts)
+            flash, table_of(make_flight_records(scan_id, pair, angles, counts))
         )
     path = tmp_path / "flash.bin"
     telemetry.save_image(flash, str(path))
@@ -380,10 +386,10 @@ def test_analyze_flash_pipeline(tmp_path):
     for row in rows:
         assert 0.9 < row["visibility"] < 1.0
     # the pair is the commit record's, whatever the counting records say
-    telemetry.write_redundant(flash, [
+    telemetry.write_redundant(flash, table_of([
         replace(r, pair_sel=1) if r.flags & telemetry.FLAG_COUNTING else r
         for r in make_flight_records(3, 0, angles, counts)
-    ])
+    ]))
     telemetry.save_image(flash, str(path))
     rows = analysis.analyze_flash(str(path), str(tmp_path / "out"), dwell_s=dwell)
     assert [(r["scan_id"], r["pair"]) for r in rows] == [(1, 0), (2, 1), (3, 0)]
@@ -408,12 +414,13 @@ def test_scan_grouping_drops_partial_scans(tmp_path):
     # calibration (a u16 field holds up to 65535 mV) cannot stop the analysis
     bad = [replace(r, lc_signal_mv=9000) if r.step == 30 else r
            for r in make_flight_records(4, 1, angles, counts)[25 * 4:]]
-    scans, mismatched = scan_data_from_records(whole + cut + gap + bad, default_calibration())
+    scans, mismatched = scan_data_from_records(table_of(whole + cut + gap + bad),
+                                              default_calibration())
     assert list(scans) == [1]
     assert mismatched == 0
 
     flash = telemetry.FlashImage()
-    telemetry.write_redundant(flash, cut + whole + gap + bad)
+    telemetry.write_redundant(flash, table_of(cut + whole + gap + bad))
     path = tmp_path / "flash.bin"
     telemetry.save_image(flash, str(path))
     rows = analysis.analyze_flash(str(path), str(tmp_path / "out"))
@@ -526,16 +533,14 @@ def test_table_grouping_matches_dict_reference(records):
     # 1 or 2 counting records per step fit a 0.125 s dwell
     cal = default_calibration()
     expected, expected_mismatched = dict_grouping(records, cal, dwell_s=0.125)
-    table = telemetry.table_from_records(records)
-    for got, mismatched in (scan_data_from_records(records, cal, dwell_s=0.125),
-                            scan_data_from_records(table, cal, dwell_s=0.125)):
-        assert list(got) == list(expected)
-        assert mismatched == expected_mismatched
-        for scan_id, scan in got.items():
-            ref = expected[scan_id]
-            assert scan.angles_rad.tobytes() == ref.angles_rad.tobytes()
-            assert (scan.dwell_s, scan.pair) == (ref.dwell_s, ref.pair)
-            for name in ("singles_1", "singles_2", "coinc_raw"):
-                assert getattr(scan, name).dtype == getattr(ref, name).dtype
-                assert np.array_equal(getattr(scan, name), getattr(ref, name))
+    got, mismatched = scan_data_from_records(table_of(records), cal, dwell_s=0.125)
+    assert list(got) == list(expected)
+    assert mismatched == expected_mismatched
+    for scan_id, scan in got.items():
+        ref = expected[scan_id]
+        assert scan.angles_rad.tobytes() == ref.angles_rad.tobytes()
+        assert (scan.dwell_s, scan.pair) == (ref.dwell_s, ref.pair)
+        for name in ("singles_1", "singles_2", "coinc_raw"):
+            assert getattr(scan, name).dtype == getattr(ref, name).dtype
+            assert np.array_equal(getattr(scan, name), getattr(ref, name))
 

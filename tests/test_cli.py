@@ -134,6 +134,24 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run_cli("simulate", "--scenario", "custom", "--profile", os.fspath(bad)) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    # numbers that are not finite, or not positive where they must be, are
+    # refused by name, also on a flash without a committed scan
+    committed = os.fspath(tmp_path / "lab.bin")
+    assert run_cli("simulate", "--scenario", "lab", "--duration", "40",
+                   "--flash-out", committed) == 0
+    blank = os.fspath(tmp_path / "blank.bin")
+    telemetry.save_image(telemetry.FlashImage(), blank)
+    out = os.fspath(tmp_path / "out")
+    capsys.readouterr()
+    cases = [(["simulate", "--scenario", "lab", "--duration", d], "duration", d)
+             for d in ("inf", "nan")]
+    cases += [(["analyze", "--flash", flash, "--out", out, "--dwell", d], "dwell", d)
+              for flash in (committed, blank) for d in ("inf", "nan", "0", "-1")]
+    cases += [(["linkbudget", "--volume", v], "volume", v) for v in ("nan", "inf")]
+    for argv, name, value in cases:
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and str(float(value)) in err, err
 
 
 def test_help_exits_clean(capsys):

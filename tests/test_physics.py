@@ -14,7 +14,6 @@ from pairsat.physics import (
     avalanche_amplitude,
     breakdown_voltage,
     efficiency_factor,
-    expected_coincidence_rate,
     idler_wavelength,
     overlap_factor,
     sample_counts,
@@ -70,32 +69,17 @@ def test_overlap_factor_values():
         overlap_factor(0.0, 0.8)
 
 
-def test_expected_coincidence_rate_example():
-    src = SourceParams()
-    rate = expected_coincidence_rate(src, 0.0, 9e-9)
-    assert rate == pytest.approx(3431.0 * 0.975 + 1069.2, abs=1e-9)
-    assert rate == pytest.approx(4414.425)
-
-
-def test_expected_rate_limits():
-    # perfect contrast at the null angle, no accidentals
-    src = SourceParams(
-        true_visibility=1.0,
-        singles_rate_signal_hz=0.0,
-        singles_rate_idler_hz=0.0,
-    )
-    assert expected_coincidence_rate(src, math.pi / 2.0, 9e-9) == pytest.approx(0.0, abs=1e-9)
-    flat = SourceParams(true_visibility=0.0)
-    peak = flat.peak_pair_rate_hz
-    assert expected_coincidence_rate(flat, 1.234, 9e-9) == pytest.approx(peak / 2.0 + 1069.2)
-
-
 def test_sinusoid_contrast_matches_true_visibility():
-    src = SourceParams(singles_rate_signal_hz=0.0, singles_rate_idler_hz=0.0)
+    src = SourceParams()
     thetas = np.linspace(0.0, 2.0 * math.pi, 721)
-    rates = [expected_coincidence_rate(src, t, 9e-9) for t in thetas]
+    rates = [true_pair_rate(src, t) for t in thetas]
     vis = (max(rates) - min(rates)) / (max(rates) + min(rates))
     assert vis == pytest.approx(src.true_visibility, abs=1e-6)
+    # perfect contrast has a null at pi/2; no contrast is a flat curve
+    assert true_pair_rate(SourceParams(true_visibility=1.0), math.pi / 2.0) == \
+        pytest.approx(0.0, abs=1e-9)
+    flat = SourceParams(true_visibility=0.0)
+    assert true_pair_rate(flat, 1.234) == pytest.approx(flat.peak_pair_rate_hz / 2.0)
 
 
 def test_true_pair_rate_peak_location():

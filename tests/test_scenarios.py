@@ -102,7 +102,7 @@ def test_balloon_package_node_reproduces_knots():
     trace = {0.0: temp}
     t = 0.0
     while t < p.duration_s:
-        air = p.sample(t)[0]
+        air = float(np.interp(t, p.t_s, p.temp_c))
         flow = pkg.conductance_w_per_c * (air - temp) + pkg.payload_watts
         temp += flow * dt / pkg.heat_capacity_j_per_c
         t += dt
@@ -122,23 +122,6 @@ def test_profile_validation():
         EnvironmentProfile(np.array([0.0, 2.0, 1.0]), ones, ones, ones, ones)
     with pytest.raises(ValueError):
         EnvironmentProfile(t, ones, -ones, ones, ones)
-
-
-def test_profile_sample_interpolates():
-    p = EnvironmentProfile(
-        t_s=np.array([0.0, 10.0]),
-        temp_c=np.array([0.0, 20.0]),
-        pressure_mbar=np.array([1000.0, 500.0]),
-        altitude_m=np.array([0.0, 1000.0]),
-        accel_g=np.array([1.0, 3.0]),
-    )
-    temp, pres, alt, acc = p.sample(5.0)
-    assert temp == pytest.approx(10.0)
-    assert pres == pytest.approx(750.0)
-    assert alt == pytest.approx(500.0)
-    assert acc == pytest.approx(2.0)
-    # clamped beyond the ends
-    assert p.sample(100.0)[0] == pytest.approx(20.0)
 
 
 def test_profile_csv_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 """Record codec, CRC, redundant flash, and link arithmetic."""
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -26,12 +26,16 @@ from pairsat.telemetry import (
     load_image,
     read_records,
     save_image,
-    session_volume,
-    table_from_records,
+    table_from_rows,
     write_redundant,
 )
 
 BLANK = b"\xff" * RECORD_BYTES
+
+
+def table_of(records):
+    """The `RECORD_DTYPE` table of a record list, in list order."""
+    return table_from_rows([astuple(r) for r in records])
 
 
 def make_record(i=0, **overrides):
@@ -135,9 +139,9 @@ def test_flags_are_distinct_bits():
 
 def test_write_redundant_mirrors_sectors():
     flash = FlashImage()
-    write_redundant(flash, [make_record(i) for i in range(10)])
+    write_redundant(flash, table_of([make_record(i) for i in range(10)]))
     assert flash.sector_a == flash.sector_b
-    assert flash.bytes_used == 10 * 32
+    assert flash.cursor == 10
     start = flash.sector_a[:32]
     assert decode(bytes(start)) == make_record(0)
 
@@ -147,8 +151,7 @@ def test_ring_wrap_at_capacity():
     batch = [make_record(i) for i in range(100)]
     # fill to one slot short of capacity, then push over the edge
     flash.cursor = SECTOR_CAPACITY - 1
-    write_redundant(flash, batch[:3])
-    assert flash.wrapped
+    write_redundant(flash, table_of(batch[:3]))
     assert flash.cursor == SECTOR_CAPACITY + 2
     # slot 0 and 1 now hold the two wrapped records
     assert decode(bytes(flash.sector_a[0:32])) == batch[1]
@@ -158,7 +161,7 @@ def test_ring_wrap_at_capacity():
 
 def test_read_records_skips_blank_and_sorts():
     flash = FlashImage()
-    write_redundant(flash, [make_record(i) for i in range(5)])
+    write_redundant(flash, table_of([make_record(i) for i in range(5)]))
     out = read_records(flash)
     assert [r.time_ms for r in out] == [0, 125, 250, 375, 500]
 
@@ -166,7 +169,7 @@ def test_read_records_skips_blank_and_sorts():
 def test_read_records_repairs_from_sector_b():
     flash = FlashImage()
     recs = [make_record(i) for i in range(4)]
-    write_redundant(flash, recs)
+    write_redundant(flash, table_of(recs))
     # trash one record in sector A only; B copy must win
     flash.sector_a[32:64] = b"\x55" * 32
     out = read_records(flash)
@@ -177,7 +180,7 @@ def test_read_records_repairs_from_sector_b():
 def test_read_records_drops_doubly_corrupt_slot():
     flash = FlashImage()
     recs = [make_record(i) for i in range(4)]
-    write_redundant(flash, recs)
+    write_redundant(flash, table_of(recs))
     flash.sector_a[0:32] = b"\x55" * 32
     flash.sector_b[0:32] = b"\xaa" * 32
     out = read_records(flash)
@@ -187,7 +190,7 @@ def test_read_records_drops_doubly_corrupt_slot():
 
 def test_save_load_round_trip(tmp_path):
     flash = FlashImage()
-    write_redundant(flash, [make_record(i) for i in range(17)])
+    write_redundant(flash, table_of([make_record(i) for i in range(17)]))
     path = tmp_path / "flash.bin"
     save_image(flash, str(path))
     assert path.stat().st_size == 2 * SECTOR_BYTES
@@ -195,19 +198,6 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.sector_a == flash.sector_a
     assert loaded.sector_b == flash.sector_b
     assert [r.time_ms for r in read_records(loaded)] == [i * 125 for i in range(17)]
-
-
-def test_session_volume():
-    assert session_volume(480.0, 8.0) == 122880
-    assert session_volume(0.0, 8.0) == 0
-    assert session_volume(480.0, 8.533) == 131066
-    with pytest.raises(ValueError):
-        session_volume(-1.0, 8.0)
-
-
-def test_session_fits_sector_with_headroom():
-    used = session_volume(480.0, 8.0)
-    assert used / SECTOR_BYTES < 0.15  # at least 85 percent headroom
 
 
 def test_downlink_time():
@@ -272,7 +262,7 @@ def damaged_ring(draw):
     flash = FlashImage()
     flash.cursor = draw(st.sampled_from([0, SECTOR_CAPACITY - n // 2, 2 * SECTOR_CAPACITY - 1]))
     first = flash.cursor
-    write_redundant(flash, records)
+    write_redundant(flash, table_of(records))
     slots = [(first + i) % SECTOR_CAPACITY for i in range(n)]
     used = sorted(slots)
     harm = st.sampled_from([None, "flip", "erase"])
@@ -332,13 +322,13 @@ def test_round_trip_at_field_range_edges(records, outside):
     for r in records:
         assert decode(encode(r)) == r
     flash = FlashImage()
-    write_redundant(flash, records)
+    write_redundant(flash, table_of(records))
     in_time_order = sorted(records, key=lambda r: r.time_ms)
     read = read_records(flash, as_table=True)
     table, health = read.rows, read.health
     assert table["crc8"].tolist() == [encode(r)[-1] for r in in_time_order]
     assert [row[:-1] for row in table.tolist()] == \
-        [row[:-1] for row in table_from_records(in_time_order).tolist()]
+        [row[:-1] for row in table_of(in_time_order).tolist()]
     assert read_records(flash) == in_time_order
     assert (health.valid_a, health.blank) == (len(records), SECTOR_CAPACITY - len(records))
     r = records[0]
@@ -351,8 +341,7 @@ def test_round_trip_at_field_range_edges(records, outside):
 @st.composite
 def record_batches(draw):
     """A start cursor and batches of records at field-range edges, some
-    crossing the end of the ring and some longer than it, each batch given
-    as a record list or as a table. As in flight, a record carries
+    crossing the end of the ring and some longer than it. As in flight, a record carries
     FLAG_WRAPPED exactly when it is written at cursor SECTOR_CAPACITY or
     later."""
     pool = draw(st.lists(
@@ -374,22 +363,23 @@ def record_batches(draw):
         batches.append([variants[(i % len(pool), i >= SECTOR_CAPACITY)]
                         for i in range(cursor, cursor + n)])
         cursor += n
-    as_table = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
-    return start, batches, as_table
+    return start, batches
 
 
 @settings(max_examples=20, deadline=None)
 @given(record_batches(), st.sampled_from(sorted(TelemetryRecord._RANGES)))
 def test_batched_writer_matches_per_record_encode(batches, outside):
-    start, batches, as_table = batches
+    start, batches = batches
+    written = [r for batch in batches for r in batch]
+    distinct = {id(r): r for r in written}.values()  # a batch repeats a few records
+    rows = {id(r): astuple(r) for r in distinct}
     flash = FlashImage()
     flash.cursor = start
-    for batch, table in zip(batches, as_table):
-        write_redundant(flash, table_from_records(batch) if table else batch)
+    for batch in batches:
+        write_redundant(flash, table_from_rows([rows[id(r)] for r in batch]))
     # reference: each record encoded on its own into the next ring slot
     expected = bytearray(BLANK * SECTOR_CAPACITY)
-    written = [r for batch in batches for r in batch]
-    blobs = {id(r): encode(r) for r in {id(r): r for r in written}.values()}
+    blobs = {id(r): encode(r) for r in distinct}
     for i, r in enumerate(written):
         slot = (start + i) % SECTOR_CAPACITY
         expected[slot * RECORD_BYTES : (slot + 1) * RECORD_BYTES] = blobs[id(r)]
@@ -405,13 +395,16 @@ def test_batched_writer_matches_per_record_encode(batches, outside):
         sum(i >= SECTOR_CAPACITY for i in kept)
 
     # a batch holding one value outside its field's range, or not an
-    # integer, raises and writes nothing
+    # integer, fails where its rows become a table and writes nothing; the
+    # writer takes nothing but a RECORD_DTYPE table
     before = (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor)
     lo, hi = TelemetryRecord._RANGES[outside]
     for bad in (lo - 1, hi + 1, lo + 0.5):
         batch = [written[0] if written else make_record(), make_record(**{outside: bad})]
         with pytest.raises(ValueError, match=outside if bad != lo + 0.5 else "integer"):
-            write_redundant(flash, batch)
+            write_redundant(flash, table_from_rows([astuple(r) for r in batch]))
         assert (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor) == before
-    with pytest.raises(TypeError):
-        write_redundant(flash, np.zeros(2, dtype=np.int64))
+    for not_a_table in (np.zeros(2, dtype=np.int64), [make_record()]):
+        with pytest.raises(TypeError, match="RECORD_DTYPE"):
+            write_redundant(flash, not_a_table)
+        assert (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor) == before

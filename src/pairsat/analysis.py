@@ -123,6 +123,9 @@ def _check_fit_inputs(angles: np.ndarray, rates: np.ndarray) -> None:
         raise ValueError("points must span more than pi of analyzer angle")
     if angles.shape != rates.shape:
         raise ValueError("angles and rates must have equal length")
+    with np.errstate(over="ignore"):  # the damping floor squares a scan's largest |rate|
+        if not (np.isfinite(angles).all() and np.isfinite(np.abs(rates).max(axis=-1) ** 2).all()):
+            raise ValueError("angles, rates and each scan's largest |rate| squared must be finite")
 
 
 def _result_from(p: np.ndarray, angles: np.ndarray, rates: np.ndarray,

@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--profile", help="environment CSV for the custom scenario")
     sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--duration", type=float, help="override duration in seconds")
+    sim.add_argument("--duration", type=float,
+                     help="override duration in seconds, truncated to whole 50 ms ticks")
     sim.add_argument("--flash-out", help="write the 2 MiB flash image here")
     sim.add_argument("--summary-out", help="write the per-scan summary CSV here")
     sim.set_defaults(func=_cmd_simulate)

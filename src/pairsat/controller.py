@@ -65,6 +65,11 @@ class Mode(Enum):
     FAULT_HOLD = "fault_hold"
 
 
+# tuples: membership tests identity first, where a set hashes enum members in Python
+OPERATING_MODES = (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
+HEAT_ALLOWED_MODES = tuple(mode for mode in Mode if mode is not Mode.WAIT_COOL)
+
+
 class Gate(Enum):
     PROCEED = "proceed"
     WAIT_COOL = "wait_cool"
@@ -260,23 +265,34 @@ class OpticalBench:
             self.calibration = default_calibration()
 
 
-def bench_rates(bench: OpticalBench, analyzer_angle_rad: float) -> tuple[float, float, float]:
-    """Expected (singles_1, singles_2, coincidence) rates at an analyzer angle.
+def analyzer_pair_rate(bench: OpticalBench, analyzer_angle_rad: float) -> float:
+    """True-pair rate behind the analyzer at an angle, before detection.
 
     The alternate detector pair sees the orthogonal idler projection, which
     flips the sign of the correlation term; the finite-extinction analyzer
     then mixes in a little of the orthogonal rate, compressing the contrast
     by (1 - 2*eps).
     """
-    f1, f2 = bench.apd_factors
     theta = analyzer_angle_rad + (math.pi / 2.0 if bench.pair == PAIR_2_3 else 0.0)
     true_par = physics.true_pair_rate(bench.source, theta)
     true_orth = physics.true_pair_rate(bench.source, theta + math.pi / 2.0)
-    measured_true = polarization_mixing(true_par, true_orth, bench.extinction_ratio)
+    return polarization_mixing(true_par, true_orth, bench.extinction_ratio)
+
+
+def detector_rates(bench: OpticalBench, pair_rate: float, f1: float,
+                   f2: float) -> tuple[float, float, float]:
+    """(singles_1, singles_2, coincidence) rates of an analyzer pair rate
+    seen by detectors of efficiency factors f1 and f2."""
     s1 = bench.source.singles_rate_signal_hz * f1
     s2 = bench.source.singles_rate_idler_hz * f2
-    coinc = measured_true * f1 * f2 + physics.accidental_rate(s1, s2, bench.window_s)
+    coinc = pair_rate * f1 * f2 + physics.accidental_rate(s1, s2, bench.window_s)
     return s1, s2, coinc
+
+
+def bench_rates(bench: OpticalBench, analyzer_angle_rad: float) -> tuple[float, float, float]:
+    """Expected (singles_1, singles_2, coincidence) rates at an analyzer angle."""
+    f1, f2 = bench.apd_factors
+    return detector_rates(bench, analyzer_pair_rate(bench, analyzer_angle_rad), f1, f2)
 
 
 def run_scan(
@@ -301,7 +317,7 @@ def run_scan(
     return records
 
 
-@dataclass
+@dataclass(slots=True)
 class Sensors:
     time_ms: int
     housing_temp_c: float
@@ -310,7 +326,7 @@ class Sensors:
     lc_idler_settled: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Commands:
     mode: Mode
     laser_on: bool = False
@@ -491,15 +507,11 @@ class FlightController:
 
         # command synthesis for the state we ended the tick in
         cmd.mode = self.mode
-        operating = self.mode in (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
+        operating = self.mode in OPERATING_MODES
         cmd.laser_on = self.laser_on
         cmd.active_modules = OPERATING_MODULES if operating else IDLE_MODULES
         cmd.heater_mode = "operating" if operating else "idle"
-        heat_allowed = self.mode in (
-            Mode.HEATING, Mode.FAULT_HOLD, Mode.LASER_STABILIZING,
-            Mode.SCANNING, Mode.STORING, Mode.INIT,
-        )
-        if heat_allowed:
+        if self.mode in HEAT_ALLOWED_MODES:
             self.heater_watts = thermal_power.heater_command(
                 sensors.housing_temp_c, cmd.heater_mode, self.heater_watts
             )

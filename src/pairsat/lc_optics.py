@@ -9,7 +9,7 @@ finite extinction, which leaks a little of the orthogonal polarization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -121,7 +121,7 @@ def step_settle(state: LcState, dt: float) -> LcState:
     remaining = state.settle_remaining_s - dt
     if remaining < 1e-12:  # absorb float residue so 6 x 0.05 closes 0.3 exactly
         remaining = 0.0
-    return replace(state, settled=remaining == 0.0, settle_remaining_s=remaining)
+    return LcState(state.commanded_voltage, remaining == 0.0, remaining)
 
 
 def polarization_mixing(rate_parallel: float, rate_orthogonal: float,

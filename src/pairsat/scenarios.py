@@ -427,6 +427,8 @@ class SimulationEngine:
         self.calibration = default_calibration()
         self.ctrl = FlightController(calibration=self.calibration)
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
+        if self.n_ticks == 0:
+            raise ValueError(f"duration {scenario.duration_s} s is under one {TICK_MS} ms tick")
         self._check_record_fields()
         self.thermal_params = ThermalParams()
         self.thermal = ThermalState(housing_temp_c=scenario.initial_housing_c)
@@ -434,9 +436,10 @@ class SimulationEngine:
         self.flash = FlashImage()
         self.lc_signal = LcState()
         self.lc_idler = LcState()
-        # analyzer angle of the signal LC's commanded voltage; set with every
-        # signal command, and counting only ever follows one
-        self.signal_angle: float | None = None
+        # commanded signal mV: set by every signal command, which every count follows
+        self.signal_mv: int | None = None
+        # analyzer pair rate per (pair, signal mV), filled on first use
+        self._pair_rates: dict[tuple[int, int], float] = {}
         self.package_temp = scenario.initial_package_c
         self.window_s = physics.COINCIDENCE_WINDOW_S
         self._benches = [
@@ -501,15 +504,34 @@ class SimulationEngine:
         return power
 
     def _counting_rates(self, pair: int) -> tuple[float, float, float]:
+        """`controller.bench_rates` at the commanded signal voltage, its analyzer part cached."""
         ch1, ch2 = controller.PAIR_CHANNELS[pair]
         loops = self.ctrl.bias_loops
         temp = self.thermal.housing_temp_c
         bench = self._benches[pair]
-        bench.apd_factors = (
+        key = (pair, self.signal_mv)
+        pair_rate = self._pair_rates.get(key)
+        if pair_rate is None:
+            angle = angle_from_voltage(self.calibration, self.signal_mv / 1000.0)
+            pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(bench, angle)
+        return controller.detector_rates(
+            bench, pair_rate,
             physics.efficiency_factor(loops[ch1].params, loops[ch1].bias, temp),
             physics.efficiency_factor(loops[ch2].params, loops[ch2].bias, temp),
         )
-        return controller.bench_rates(bench, self.signal_angle)
+
+    def _draws(self, cmd: Commands) -> tuple[float, float]:
+        """A tick's bus draw (`thermal_power.total_power`) and housing heat
+        (`internal_dissipation`), cached per run. Only results that returned
+        are kept, so a key that raises raises every time it comes up."""
+        key = (cmd.active_modules, cmd.heater_watts, cmd.heater_mode)
+        draws = self._draw_cache.get(key)
+        if draws is None:
+            draws = self._draw_cache[key] = (
+                thermal_power.total_power(self.ledger, *key),
+                thermal_power.internal_dissipation(self.thermal_params, cmd.active_modules),
+            )
+        return draws
 
     def _flush_bucket(self, bucket: _RecordBucket, cmd: Commands) -> None:
         ctx = bucket.count_ctx or bucket.commit_ctx
@@ -568,7 +590,9 @@ class SimulationEngine:
             flags |= telemetry.FLAG_HEATER_ON
         if cmd.mode is Mode.FAULT_HOLD:
             flags |= telemetry.FLAG_FAULT_HOLD
-        if any(self.ctrl.bias_loops[ch].railed for ch in self.ctrl.active_channels()):
+        loops = self.ctrl.bias_loops
+        ch1, ch2 = self.ctrl.active_channels()
+        if loops[ch1].railed_s > 0.0 or loops[ch2].railed_s > 0.0:
             flags |= telemetry.FLAG_BIAS_RAILED
         return flags
 
@@ -582,8 +606,8 @@ class SimulationEngine:
         are settled. Tick k runs the controller as usual. Each later tick
         whose start-of-tick temperature keeps that gate would return equal
         commands, draw no random numbers and step no LC or bias loop, so
-        it advances only the housing node (`housing_step`, as
-        `step_thermal` does), the package node, the temperature extremes
+        it advances only the housing node (`housing_step`, as the
+        per-tick path does), the package node, the temperature extremes
         and the 125 ms records. Returns the first tick not advanced and the
         open record bucket, with the controller and the engine as the
         per-tick path leaves them.
@@ -600,11 +624,10 @@ class SimulationEngine:
         self._idle_cmd = cmd
         self._last_laser_mw = 0.0
         flags = self._tick_flags(cmd)
-        self._max_power = max(self._max_power, thermal_power.total_power(
-            self.ledger, cmd.active_modules, cmd.heater_watts, cmd.heater_mode
-        ))
+        total, dissipation = self._draws(cmd)
+        if total > self._max_power:
+            self._max_power = total
         heater = thermal.heater_watts = cmd.heater_watts
-        dissipation = thermal_power.internal_dissipation(params, cmd.active_modules)
         housing_step = thermal_power.housing_step
         pkg_temp = self.package_temp
         package = self.scenario.package if pkg_temp is not None else None
@@ -662,11 +685,13 @@ class SimulationEngine:
         self._commit: tuple = ()
         self._last_laser_mw = 0.0
         self._idle_cmd = Commands(mode=Mode.INIT)
+        self._draw_cache: dict[tuple, tuple[float, float]] = {}
         self._max_power = 0.0
         self._housing_min = self._housing_max = self.thermal.housing_temp_c
         self._package_min = self._package_max = self.package_temp
         mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
         bucket = _RecordBucket(0)
+        thermal = self.thermal
 
         k = 0
         while k < n_ticks:
@@ -680,7 +705,7 @@ class SimulationEngine:
 
             gate = self.ctrl.held_gate()
             if (gate is not None and self.lc_signal.settled and self.lc_idler.settled
-                    and thermal_gate(self.thermal.housing_temp_c) is gate):
+                    and thermal_gate(thermal.housing_temp_c) is gate):
                 k, bucket = self._idle_stretch(k, bucket, env_temp)
                 continue
 
@@ -691,7 +716,7 @@ class SimulationEngine:
             self._last_laser_mw = laser_mw
             sensors = Sensors(
                 time_ms=t_ms,
-                housing_temp_c=self.thermal.housing_temp_c,
+                housing_temp_c=thermal.housing_temp_c,
                 laser_power_mw=laser_mw,
                 lc_signal_settled=self.lc_signal.settled,
                 lc_idler_settled=self.lc_idler.settled,
@@ -704,9 +729,7 @@ class SimulationEngine:
 
             if cmd.lc_signal_mv is not None:
                 self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv / 1000.0)
-                self.signal_angle = angle_from_voltage(
-                    self.calibration, self.lc_signal.commanded_voltage
-                )
+                self.signal_mv = cmd.lc_signal_mv
                 if cmd.step == 0:  # a new set: `_commit` may still hold the last one
                     scan_start_ms, settle_ms = t_ms, set()
                 command_ms = t_ms
@@ -746,17 +769,17 @@ class SimulationEngine:
             if not self.lc_idler.settled:
                 self.lc_idler = step_settle(self.lc_idler, TICK_S)
 
-            self.thermal.heater_watts = cmd.heater_watts
-            self.thermal = thermal_power.step_thermal(
-                self.thermal_params, self.thermal, housing_ext, TICK_S,
-                cmd.active_modules,
-            )
-            total = thermal_power.total_power(
-                self.ledger, cmd.active_modules, cmd.heater_watts, cmd.heater_mode
-            )
-            self._max_power = max(self._max_power, total)
-            self._housing_min = min(self._housing_min, self.thermal.housing_temp_c)
-            self._housing_max = max(self._housing_max, self.thermal.housing_temp_c)
+            total, dissipation = self._draws(cmd)
+            thermal.heater_watts = cmd.heater_watts
+            temp = thermal.housing_temp_c = thermal_power.housing_step(
+                self.thermal_params, thermal.housing_temp_c, cmd.heater_watts,
+                dissipation, housing_ext, TICK_S)
+            if total > self._max_power:
+                self._max_power = total
+            if temp < self._housing_min:
+                self._housing_min = temp
+            if temp > self._housing_max:
+                self._housing_max = temp
 
             if self.package_temp is not None and scen.package is not None:
                 self.package_temp = scen.package.step(self.package_temp, air_temp, TICK_S)

@@ -108,6 +108,31 @@ def test_fit_input_validation():
         fit_sinusoid(narrow, np.ones(8))
 
 
+def _with(values: np.ndarray, i: int, value: float) -> np.ndarray:
+    out = values.copy()
+    out[i] = value
+    return out
+
+
+FIT_ANGLES = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
+FIT_RATES = (1.0 + 0.9 * np.cos(2.0 * FIT_ANGLES - 1.0)) / 2.0
+
+
+@pytest.mark.parametrize("angles, rates", [
+    (FIT_ANGLES, _with(FIT_RATES, 3, math.nan)),
+    (FIT_ANGLES, _with(FIT_RATES, 3, -math.inf)),
+    (_with(FIT_ANGLES, 3, math.nan), FIT_RATES),
+    (FIT_ANGLES, FIT_RATES * 1e160),
+], ids=["nan_rate", "inf_rate", "nan_angle", "rate_square_overflows"])
+def test_fit_rejects_non_finite_input(angles, rates):
+    # refused by value, not returned as a "converged" fit of nan or raised
+    # as a bare OverflowError, alone and beside a good row in a batch
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_sinusoid(angles, rates)
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_sinusoids(np.stack([FIT_ANGLES, angles]), np.stack([FIT_RATES, rates]))
+
+
 def test_fit_phase_offset_invariance():
     rng = np.random.default_rng(5)
     angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)

@@ -1,5 +1,6 @@
 """Calibration curve, settling state machine, and analyzer leakage."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,10 +85,15 @@ def test_settle_countdown():
 
 
 def test_settle_closes_exactly_on_tick_grid():
-    st = command_voltage(LcState(), 5.0)
-    for _ in range(6):
+    # each state is the one `dataclasses.replace` builds from the last
+    st = ref = command_voltage(LcState(), 5.0)
+    for i in range(6):
         st = step_settle(st, 0.05)
-    assert st.settled
+        remaining = ref.settle_remaining_s - 0.05
+        remaining = 0.0 if remaining < 1e-12 else remaining
+        ref = dataclasses.replace(ref, settled=remaining == 0.0, settle_remaining_s=remaining)
+        assert st == ref and st.settled == (i == 5)
+    assert st.settle_remaining_s == 0.0 and st.commanded_voltage == 5.0
 
 
 def test_recommand_restarts_timer():

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from pairsat import telemetry
 from pairsat.analysis import analyze_flash
-from pairsat.controller import FlightController, Gate
-from pairsat.physics import SourceParams
+from pairsat.controller import (PAIR_CHANNELS, FlightController, Gate, Mode, OpticalBench,
+                              bench_rates)
+from pairsat.lc_optics import angle_from_voltage
+from pairsat.physics import ApdParams, SourceParams, efficiency_factor
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
@@ -35,6 +37,7 @@ from pairsat.scenarios import (
     save_profile_csv,
     thermal_vac_profile,
 )
+from pairsat.thermal_power import BudgetError, PowerLedger
 
 
 def test_lab_profile_constant():
@@ -213,6 +216,13 @@ def test_engine_rejects_run_past_time_ms_limit():
         SimulationEngine(make_scenario("lab", duration_s=4_294_968.0))
 
 
+@pytest.mark.parametrize("duration_s", [0.01, 0.049])
+def test_engine_rejects_run_shorter_than_a_tick(duration_s):
+    with pytest.raises(ValueError, match=f"duration {duration_s} s"):
+        SimulationEngine(make_scenario("lab", duration_s=duration_s))
+    SimulationEngine(make_scenario("lab", duration_s=0.05))
+
+
 def _source_at_peak_counts(counts: float) -> SourceParams:
     """A source whose expected raw coincidences at the peak angle, with both
     detectors at the efficiency curve's top ratio, sum to `counts` over the
@@ -301,6 +311,58 @@ class TestLabRun:
         scenario = make_scenario("lab", duration_s=120.0, seed=8)
         flash2, _ = run_simulation(scenario, seed=8)
         assert bytes(flash.sector_a) != bytes(flash2.sector_a)
+
+
+BIASES = st.floats(ApdParams().bias_min_v, ApdParams().bias_max_v)
+HOUSING_C = st.floats(-40.0, 60.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(PAIR_CHANNELS)), st.integers(0, 35),
+                          st.tuples(BIASES, BIASES), HOUSING_C), min_size=1, max_size=8))
+def test_engine_rates_match_bench_rates(ticks):
+    # the engine caches the analyzer part per (pair, signal mV); on a miss
+    # and on a hit, at any bias and housing temperature, its rates are
+    # those of bench_rates bit for bit
+    scenario = make_scenario("lab", duration_s=1.0)
+    engine = SimulationEngine(scenario)
+    for pair, step, biases, temp in ticks:
+        engine.signal_mv = mv = engine.ctrl.voltages[step]
+        loops = [engine.ctrl.bias_loops[ch] for ch in PAIR_CHANNELS[pair]]
+        for loop, bias in zip(loops, biases):
+            loop.bias = bias
+        engine.thermal.housing_temp_c = temp
+        bench = OpticalBench(
+            source=scenario.source, calibration=engine.calibration,
+            extinction_ratio=scenario.extinction_ratio, pair=pair,
+            apd_factors=tuple(efficiency_factor(loop.params, bias, temp)
+                              for loop, bias in zip(loops, biases)),
+        )
+        expected = bench_rates(bench, angle_from_voltage(engine.calibration, mv / 1000.0))
+        assert engine._counting_rates(pair) == expected
+
+
+def test_engine_checks_the_budget_of_every_new_draw():
+    # a cold room: the housing cools through 20 C mid-scan, and the heater's
+    # first tick draws 2.0 W after some 1 300 cached ticks at 1.3 W
+    def cold_room() -> Scenario:
+        profile = lab_profile(120.0)
+        profile.temp_c[:] = -20.0
+        return Scenario("cold", profile, 120.0, seed=2, initial_housing_c=20.5)
+
+    flash, _ = run_simulation(cold_room())
+    rows = telemetry.read_records(flash, as_table=True).rows
+    first_heater_ms = rows["time_ms"][(rows["flags"] & telemetry.FLAG_HEATER_ON) != 0][0]
+    engine = SimulationEngine(cold_room())
+    engine.ledger = PowerLedger(budget_w=1.5)
+    with pytest.raises(BudgetError, match="2.000 W"):
+        engine.run()
+    assert engine.ctrl.heater_watts > 0.0 and engine.ctrl.mode is Mode.SCANNING
+    raised_ms = round(engine.ctrl.monitor.samples[-1][0] * 1000)
+    assert raised_ms // RECORD_PERIOD_MS * RECORD_PERIOD_MS == first_heater_ms
+    # the draw that raised was not cached: it raises again
+    with pytest.raises(BudgetError):
+        engine._draws(engine._idle_cmd)
 
 
 def test_cold_start_heats_first():

@@ -2,12 +2,23 @@
 
 A scenario is an environment time series (temperature, pressure, altitude,
 acceleration) plus source ground truth and a seed. The engine advances the
-flight controller at a fixed 50 ms tick against device models, streams
-8 Hz telemetry into redundant flash, groups every committed scan from its
-own records through the ground grouping (`analysis.scan_data_from_records`)
-and fits them all in one batch (`analysis.fit_sinusoids`) after the last
-record, returning the flash image and a run summary. Identical (scenario,
-seed) inputs produce byte-identical flash output.
+flight controller at a fixed 50 ms tick against device models and records
+8 Hz telemetry into redundant flash, returning the flash image and a run
+summary. Identical (scenario, seed) inputs produce byte-identical flash
+output.
+
+The recorder is columnar. Each 125 ms period logs its raw values into a
+pending block of at most `PENDING_RECORDS` periods: its context (scan id,
+step, pair, LC mV), summed counts and flags, and the unrounded housing
+temperature, laser power and two biases sampled at the top of the next
+period. The per-tick path logs one period at a time; an idle stretch logs
+one row for all the periods it holds, which differ only in temperature.
+A full block, and the last one, becomes a `RECORD_DTYPE` table column by
+column (`telemetry.fixed_point`, `telemetry.centi_c`), passes the one range
+check (`telemetry.table_from_rows`) and is written with one
+`telemetry.write_redundant`. The flight scans are grouped per written block
+through the ground grouping (`analysis.scan_data_from_records`), and fitted
+in one batch (`analysis.fit_sinusoids`) after the last record.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ from .thermal_power import PowerLedger, ThermalParams, ThermalState
 TICK_MS = controller.TICK_MS
 TICK_S = controller.TICK_S
 RECORD_PERIOD_MS = telemetry.RECORD_PERIOD_MS
-# records held before one batched flash write: 512 s of telemetry, about
-# 1.5 MB of row tuples
+# records held in the pending block before one batched flash write: 512 s
+# of telemetry
 PENDING_RECORDS = 4096
 
 SEA_LEVEL_PRESSURE_MBAR = 1013.25
@@ -59,6 +70,11 @@ class EnvironmentProfile:
                 raise ValueError("profile arrays must have equal length")
         if n < 2:
             raise ValueError("profile needs at least 2 samples")
+        for name in ("t_s", "temp_c", "pressure_mbar", "altitude_m", "accel_g"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            bad = ~np.isfinite(column)
+            if bad.any():
+                raise ValueError(f"profile {name} must be finite, got {column[bad][0]}")
         if np.any(np.diff(self.t_s) <= 0):
             raise ValueError("profile times must be strictly increasing")
         if np.any(self.pressure_mbar < 0) or np.any(self.accel_g < 0):
@@ -402,21 +418,6 @@ class RunSummary:
         return [s.visibility for s in self.scans]
 
 
-class _RecordBucket:
-    """Accumulator for one 125 ms telemetry period."""
-
-    __slots__ = ("period", "s1", "s2", "coinc", "flags", "count_ctx", "commit_ctx")
-
-    def __init__(self, period: int):
-        self.period = period
-        self.s1 = 0
-        self.s2 = 0
-        self.coinc = 0
-        self.flags = 0
-        self.count_ctx: tuple[int, int, int, int, int] | None = None
-        self.commit_ctx: tuple[int, int, int, int, int] | None = None
-
-
 class SimulationEngine:
     """Deterministic 50 ms tick loop wiring controller, devices, and storage."""
 
@@ -533,53 +534,72 @@ class SimulationEngine:
             )
         return draws
 
-    def _flush_bucket(self, bucket: _RecordBucket, cmd: Commands) -> None:
-        ctx = bucket.count_ctx or bucket.commit_ctx
-        if ctx is None:
-            ctx = (cmd.scan_id, cmd.step, cmd.pair,
-                   round(self.lc_signal.commanded_voltage * 1000),
-                   round(self.lc_idler.commanded_voltage * 1000))
-        scan_id, step, pair, sig_mv, idl_mv = ctx
-        flags = bucket.flags | telemetry.FLAG_PRESENT
-        if self.records_written >= telemetry.SECTOR_CAPACITY:
-            flags |= telemetry.FLAG_WRAPPED
-        ch1, ch2 = controller.PAIR_CHANNELS[pair]
-        # the TelemetryRecord fields, in order
-        row = (
-            bucket.period * RECORD_PERIOD_MS,
-            scan_id,
-            step,
-            pair,
-            sig_mv,
-            idl_mv,
-            bucket.s1,
-            bucket.s2,
-            bucket.coinc,
-            int(round(max(-327.68, min(327.67, self.thermal.housing_temp_c)) * 100)),
-            round(self._last_laser_mw * 100),
-            round(self.ctrl.bias_loops[ch1].bias * 10),
-            round(self.ctrl.bias_loops[ch2].bias * 10),
-            flags,
-        )
-        self._pending.append(row)
-        self.records_written += 1
-        if flags & (telemetry.FLAG_COUNTING | telemetry.FLAG_SCAN_COMMIT):
-            self._scan_rows.append(row)
-            if flags & telemetry.FLAG_SCAN_COMMIT:
-                # grouped as on the ground, which drops the rows of an attempt
-                # aborted since the last commit: its id has no commit marker
-                scans, _ = analysis.scan_data_from_records(
-                    telemetry.table_from_rows(self._scan_rows), self.calibration,
-                    self.ctrl.config.dwell_s)
-                self._committed.append((self._commit, scans[self._commit[0]]))
-                self._scan_rows.clear()
-        if len(self._pending) == PENDING_RECORDS:
-            self._write_pending()
+    def _close_period(self, cmd: Commands) -> None:
+        """Log the open period's record into the pending block, at the top
+        of the next period's first tick, and open the next period.
 
-    def _write_pending(self) -> None:
-        if self._pending:
-            telemetry.write_redundant(self.flash, telemetry.table_from_rows(self._pending))
-            self._pending.clear()
+        The context is the period's first counting tick's, else its commit
+        tick's, else that of `cmd`, the last commands. The temperature,
+        laser power and biases are the values at this moment.
+        """
+        ctx = self._count_ctx or self._commit_ctx
+        if ctx is None:
+            ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
+        ch1, ch2 = controller.PAIR_CHANNELS[ctx[2]]
+        loops = self.ctrl.bias_loops
+        self._rows.append((*ctx, self._s1, self._s2, self._coinc, self._flags,
+                           self._last_laser_mw, loops[ch1].bias, loops[ch2].bias))
+        self._repeats.append(1)
+        self._temps.append(self.thermal.housing_temp_c)
+        self._s1 = self._s2 = self._coinc = self._flags = 0
+        self._count_ctx = self._commit_ctx = None
+        if len(self._temps) == PENDING_RECORDS:
+            self._write_block()
+
+    def _write_block(self) -> None:
+        """Write the pending block as one `RECORD_DTYPE` table and group the
+        scans committed in it.
+
+        Row i of the block is period `_written + i`. Its counting and
+        commit rows up to the last commit are grouped as on the ground,
+        which drops the rows of an attempt aborted since the commit before:
+        its id has no commit marker. The rows after it carry over.
+        """
+        n = len(self._temps)
+        if n == 0:
+            return
+        # ints and floats in one float64 array: every int field is below 2**53
+        raw = np.array(self._rows)
+        if len(raw) < n:  # an idle stretch's row stands for many periods
+            raw = np.repeat(raw, self._repeats, axis=0)
+        first = self._written
+        wide = np.empty((n, len(telemetry.RECORD_DTYPE.names) - 1), dtype=np.int64)
+        wide[:, 0] = np.arange(first, first + n) * RECORD_PERIOD_MS
+        wide[:, 1:9] = raw[:, :8]  # scan id, step, pair, LC mV, counts
+        wide[:, 9] = telemetry.centi_c(np.array(self._temps))
+        wide[:, 10] = telemetry.fixed_point(raw[:, 9], 100)  # mW in 10 uW
+        wide[:, 11:13] = telemetry.fixed_point(raw[:, 10:12], 10)  # V in 0.1 V
+        flags = raw[:, 8].astype(np.int64) | telemetry.FLAG_PRESENT
+        flags[max(0, telemetry.SECTOR_CAPACITY - first):] |= telemetry.FLAG_WRAPPED
+        wide[:, 13] = flags
+        table = telemetry.table_from_rows(wide)
+        telemetry.write_redundant(self.flash, table)
+        self._written += n
+        self._temps.clear()
+        self._rows.clear()
+        self._repeats.clear()
+
+        counted = (table["flags"] & (telemetry.FLAG_COUNTING | telemetry.FLAG_SCAN_COMMIT)) != 0
+        rows = np.concatenate((self._ungrouped, table[counted]))
+        commits = np.flatnonzero(rows["flags"] & telemetry.FLAG_SCAN_COMMIT)
+        if len(commits):
+            cut = commits[-1] + 1
+            scans, _ = analysis.scan_data_from_records(
+                rows[:cut], self.calibration, self.ctrl.config.dwell_s)
+            self._committed.extend((meta, scans[meta[0]]) for meta in self._pending_commits)
+            self._pending_commits.clear()
+            rows = rows[cut:]
+        self._ungrouped = rows
 
     def _tick_flags(self, cmd: Commands) -> int:
         """The record flags that one tick's commands set."""
@@ -596,21 +616,21 @@ class SimulationEngine:
             flags |= telemetry.FLAG_BIAS_RAILED
         return flags
 
-    def _idle_stretch(
-        self, k: int, bucket: _RecordBucket, env_temp: np.ndarray
-    ) -> tuple[int, _RecordBucket]:
+    def _idle_stretch(self, k: int, env_temp: memoryview) -> int:
         """Advance from tick k while the thermal gate holds the controller idle.
 
-        Entered at the top of tick k, after its record flush, when the
+        Entered at the top of tick k, after its period check, when the
         housing temperature gets the gate `held_gate` names and both LCs
         are settled. Tick k runs the controller as usual. Each later tick
         whose start-of-tick temperature keeps that gate would return equal
         commands, draw no random numbers and step no LC or bias loop, so
         it advances only the housing node (`housing_step`, as the
-        per-tick path does), the package node, the temperature extremes
-        and the 125 ms records. Returns the first tick not advanced and the
-        open record bucket, with the controller and the engine as the
-        per-tick path leaves them.
+        per-tick path does), the package node and the temperature extremes.
+        The first period it closes goes through `_close_period`; every later
+        one holds the same record but for its temperature, so it appends
+        only that, and one row with a repeat count stands for them all.
+        Returns the first tick not advanced, with the controller, the open
+        period and the engine as the per-tick path leaves them.
         """
         ctrl, thermal, params = self.ctrl, self.thermal, self.thermal_params
         gate = ctrl.held_gate()
@@ -624,6 +644,15 @@ class SimulationEngine:
         self._idle_cmd = cmd
         self._last_laser_mw = 0.0
         flags = self._tick_flags(cmd)
+        self._flags |= flags
+        ch1, ch2 = controller.PAIR_CHANNELS[cmd.pair]
+        loops = ctrl.bias_loops
+        held_row = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv, 0, 0, 0, flags,
+                    0.0, loops[ch1].bias, loops[ch2].bias)
+        # periods logged with only their temperature, for held_row to stand
+        # for; -1 until the stretch closes its first period
+        held = -1
+        temps = self._temps
         total, dissipation = self._draws(cmd)
         if total > self._max_power:
             self._max_power = total
@@ -635,8 +664,7 @@ class SimulationEngine:
         p_min, p_max = self._package_min, self._package_max
         n_ticks = self.n_ticks
         while True:
-            bucket.flags |= flags
-            air_temp = float(env_temp[k])
+            air_temp = env_temp[k]
             temp = thermal.housing_temp_c = housing_step(
                 params, thermal.housing_temp_c, heater, dissipation,
                 air_temp if pkg_temp is None else pkg_temp, TICK_S,
@@ -654,35 +682,65 @@ class SimulationEngine:
             k += 1
             if k == n_ticks or thermal_gate(temp) is not gate:
                 break
-            period = k * TICK_MS // RECORD_PERIOD_MS
-            if period != bucket.period:
-                self._flush_bucket(bucket, cmd)
-                bucket = _RecordBucket(period)
+            if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
+                continue
+            # a new period starts
+            if held < 0:  # the period the stretch entered may hold counts or a commit
+                self._close_period(cmd)
+                self._flags = flags
+                held = 0
+            else:
+                temps.append(temp)
+                held += 1
+                if len(temps) == PENDING_RECORDS:
+                    self._rows.append(held_row)
+                    self._repeats.append(held)
+                    held = 0
+                    self._write_block()
+        if held > 0:
+            self._rows.append(held_row)
+            self._repeats.append(held)
         self.package_temp = pkg_temp
         self._housing_min, self._housing_max = h_min, h_max
         self._package_min, self._package_max = p_min, p_max
-        return k, bucket
+        return k
 
     def run(self) -> tuple[FlashImage, RunSummary]:
         scen = self.scenario
         n_ticks = self.n_ticks
         tick_times = np.arange(n_ticks) * (TICK_MS / 1000.0)
-        env_temp = np.interp(tick_times, scen.profile.t_s, scen.profile.temp_c)
+        # indexing a memoryview gives a Python float, as fast as a list and
+        # without a float object per tick
+        env_temp = memoryview(np.interp(tick_times, scen.profile.t_s, scen.profile.temp_c))
         env_alt = np.interp(tick_times, scen.profile.t_s, scen.profile.altitude_m)
 
         aborted = 0
-        self.records_written = 0
-        self._pending: list[tuple[int, ...]] = []
-        # each committed scan as the STORING tick knew it and as grouped
+        # the pending block: per record its start-of-next-period housing
+        # temperature, and its other raw values as rows that each stand for
+        # `_repeats` consecutive records
+        self._temps: list[float] = []
+        self._rows: list[tuple] = []
+        self._repeats: list[int] = []
+        self._written = 0  # records written to flash
+        # the open period's summed counts, flags and context
+        self._s1 = self._s2 = self._coinc = self._flags = 0
+        self._count_ctx: tuple[int, ...] | None = None
+        self._commit_ctx: tuple[int, ...] | None = None
+        # the record mV of the commanded LC voltages
+        self._lc_mv = (round(self.lc_signal.commanded_voltage * 1000),
+                       round(self.lc_idler.commanded_voltage * 1000))
+        # each committed scan as the STORING tick knew it and as grouped;
+        # `_pending_commits` holds what the STORING ticks knew of scans not yet
+        # grouped, and `_ungrouped` the counting and commit rows written
+        # since the last grouped commit
         self._committed: list[tuple[tuple, analysis.ScanData]] = []
-        # the open scan: its counting and commit rows since the last commit,
-        # its start, the time of its step command not yet counted and
-        # its settle times; `_commit` holds what the STORING tick knew
-        self._scan_rows: list[tuple[int, ...]] = []
+        self._pending_commits: list[tuple] = []
+        self._ungrouped = np.zeros(0, dtype=telemetry.RECORD_DTYPE)
+        # the open scan: its start, the time of its step command not yet
+        # counted and its settle times
         scan_start_ms = 0
         command_ms: int | None = None
         settle_ms: set[int] = set()
-        self._commit: tuple = ()
         self._last_laser_mw = 0.0
         self._idle_cmd = Commands(mode=Mode.INIT)
         self._draw_cache: dict[tuple, tuple[float, float]] = {}
@@ -690,7 +748,6 @@ class SimulationEngine:
         self._housing_min = self._housing_max = self.thermal.housing_temp_c
         self._package_min = self._package_max = self.package_temp
         mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
-        bucket = _RecordBucket(0)
         thermal = self.thermal
 
         k = 0
@@ -698,18 +755,16 @@ class SimulationEngine:
             t_ms = k * TICK_MS
             t_s = tick_times[k]
 
-            period = t_ms // RECORD_PERIOD_MS
-            if period != bucket.period:
-                self._flush_bucket(bucket, self._idle_cmd)
-                bucket = _RecordBucket(period)
+            if k and t_ms % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
+                self._close_period(self._idle_cmd)
 
             gate = self.ctrl.held_gate()
             if (gate is not None and self.lc_signal.settled and self.lc_idler.settled
                     and thermal_gate(thermal.housing_temp_c) is gate):
-                k, bucket = self._idle_stretch(k, bucket, env_temp)
+                k = self._idle_stretch(k, env_temp)
                 continue
 
-            air_temp = float(env_temp[k])
+            air_temp = env_temp[k]
             housing_ext = self.package_temp if self.package_temp is not None else air_temp
 
             laser_mw = self._laser_power(t_s, self.ctrl.laser_on)
@@ -730,11 +785,13 @@ class SimulationEngine:
             if cmd.lc_signal_mv is not None:
                 self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv / 1000.0)
                 self.signal_mv = cmd.lc_signal_mv
-                if cmd.step == 0:  # a new set: `_commit` may still hold the last one
+                self._lc_mv = (round(self.lc_signal.commanded_voltage * 1000), self._lc_mv[1])
+                if cmd.step == 0:  # a new set: `_pending_commits` may hold the last one
                     scan_start_ms, settle_ms = t_ms, set()
                 command_ms = t_ms
             if cmd.lc_idler_mv is not None:
                 self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv / 1000.0)
+                self._lc_mv = (self._lc_mv[0], round(self.lc_idler.commanded_voltage * 1000))
 
             if cmd.abort_scan:
                 aborted += 1
@@ -742,27 +799,24 @@ class SimulationEngine:
             if cmd.counting:
                 rates = self._counting_rates(cmd.pair)
                 sample = physics.sample_counts(rates, TICK_S, self.rng)
-                bucket.s1 += sample.singles_1
-                bucket.s2 += sample.singles_2
-                bucket.coinc += sample.coincidences_raw
-                bucket.flags |= telemetry.FLAG_COUNTING
-                if bucket.count_ctx is None:
-                    bucket.count_ctx = (cmd.scan_id, cmd.step, cmd.pair,
-                                        round(self.lc_signal.commanded_voltage * 1000),
-                                        round(self.lc_idler.commanded_voltage * 1000))
+                self._s1 += sample.singles_1
+                self._s2 += sample.singles_2
+                self._coinc += sample.coincidences_raw
+                self._flags |= telemetry.FLAG_COUNTING
+                if self._count_ctx is None:
+                    self._count_ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
                 if command_ms is not None:
                     settle_ms.add(t_ms - command_ms)
                     command_ms = None
 
             if cmd.commit_scan:
-                bucket.flags |= telemetry.FLAG_SCAN_COMMIT
-                sig_mv = round(self.lc_signal.commanded_voltage * 1000)
-                idl_mv = round(self.lc_idler.commanded_voltage * 1000)
-                bucket.commit_ctx = (cmd.scan_id, cmd.step, cmd.pair, sig_mv, idl_mv)
-                # grouped when this bucket's record is flushed, up to 125 ms on
-                self._commit = (cmd.scan_id, scan_start_ms, t_ms, float(env_alt[k]), settle_ms)
+                self._flags |= telemetry.FLAG_SCAN_COMMIT
+                self._commit_ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
+                # grouped when the block holding this period's record is written
+                self._pending_commits.append(
+                    (cmd.scan_id, scan_start_ms, t_ms, float(env_alt[k]), settle_ms))
 
-            bucket.flags |= self._tick_flags(cmd)
+            self._flags |= self._tick_flags(cmd)
 
             if not self.lc_signal.settled:
                 self.lc_signal = step_settle(self.lc_signal, TICK_S)
@@ -787,8 +841,8 @@ class SimulationEngine:
                 self._package_max = max(self._package_max, self.package_temp)
             k += 1
 
-        self._flush_bucket(bucket, self._idle_cmd)
-        self._write_pending()
+        self._close_period(self._idle_cmd)
+        self._write_block()
 
         summary = RunSummary(
             scenario=scen.name,
@@ -796,7 +850,7 @@ class SimulationEngine:
             duration_s=scen.duration_s,
             scans=self._fit_scans(),
             aborted_scans=aborted,
-            records_written=self.records_written,
+            records_written=self._written,
             max_total_power_w=self._max_power,
             housing_temp_min_c=self._housing_min,
             housing_temp_max_c=self._housing_max,

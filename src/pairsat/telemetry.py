@@ -27,10 +27,12 @@ self-identifying.
 
 Records are written in batches (`write_redundant`), each batch already a
 `RECORD_DTYPE` table, a structured dtype with the same layout as the
-record. Row tuples become such a table in `table_from_rows`, the one place
-where field values are checked against the record's ranges. The writer
-computes the CRC column with the same column-wise CRC-8 as the read below
-and copies the rows into consecutive ring slots of both sectors.
+record. Row tuples, or the integer columns of the engine's pending block
+(scaled and rounded by `fixed_point` and `centi_c`), become such a table in
+`table_from_rows`, the one place where field values are checked against the
+record's ranges. The writer computes the CRC column with the same
+column-wise CRC-8 as the read below and copies the rows into consecutive
+ring slots of both sectors.
 
 The ground side reads the whole ring at once (`read_records`): each sector
 is viewed as a (32768, 32) byte array, the CRC-8 runs as 31 table lookups
@@ -233,17 +235,38 @@ class RecordTable:
         return len(self.rows)
 
 
-def table_from_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
+def fixed_point(values: np.ndarray, scale: int) -> np.ndarray:
+    """`round(v * scale)` of each value, as Python rounds: halves to even.
+    The laser power field is mW at scale 100, a bias field V at scale 10.
+
+    A value that is not finite, or whose rounding is past the int64 range,
+    becomes -2**63, outside every record field, so `table_from_rows`
+    refuses it where the scalar `round` raised or gave a too-large int.
+    """
+    scaled = np.rint(values * scale)
+    return np.where(np.abs(scaled) < 2.0**63, scaled, -(2.0**63)).astype(np.int64)
+
+
+def centi_c(temp_c: np.ndarray) -> np.ndarray:
+    """The temp_centi_c field of each housing temperature, clamped to its
+    range: for every finite or infinite t,
+    `int(round(max(-327.68, min(327.67, t)) * 100))`."""
+    return fixed_point(np.clip(temp_c, -327.68, 327.67), 100)
+
+
+def table_from_rows(rows: list[tuple[int, ...]] | np.ndarray) -> np.ndarray:
     """The `RECORD_DTYPE` array of rows that each hold the 14 record fields
     in `TelemetryRecord` order, in row order (CRC byte 0).
 
-    Raises ValueError for a value outside its field's range in
+    The rows are a list of tuples, or an (n, 14) integer array, as the
+    engine's recorder builds a pending block column by column. Raises
+    ValueError for a value outside its field's range in
     `TelemetryRecord._RANGES`, naming the field, or for a non-integer value.
     """
     table = np.zeros(len(rows), dtype=RECORD_DTYPE)
-    if not rows:
+    if len(rows) == 0:
         return table
-    wide = np.array(rows)
+    wide = np.asarray(rows)
     if wide.dtype.kind != "i" or wide.shape != (len(rows), len(_FIELD_NAMES)):
         raise ValueError(
             f"records need {len(_FIELD_NAMES)} integer fields within their ranges, "

@@ -257,6 +257,11 @@ def test_golden_flash_digests(lab_pair, leo_run, leo_wrapped_run, balloon_run):
     assert _flash_digest(leo_run[0]) == "43d159792e2069e1"  # leo 4500 s, seed 3
     assert _flash_digest(leo_wrapped_run[0]) == "2b033d68e845607b"  # leo 7500 s, seed 3
     assert _flash_digest(balloon_run[0]) == "feb0b6a3a324b0e4"  # balloon, seed 11
+    # leo 3000 s heats throughout, written by the idle stretches; the laser
+    # never turns on, so nothing is drawn and every seed writes these bytes
+    for seed in (3, 5):
+        flash, _ = run_simulation(make_scenario("leo", duration_s=3000.0, seed=seed), seed=seed)
+        assert _flash_digest(flash) == "ff94306b49a011d9", seed
 
 
 def test_wrap_cut_scan_is_dropped_as_partial(balloon_run, tmp_path):

@@ -148,6 +148,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     cases += [(["analyze", "--flash", flash, "--out", out, "--dwell", d], "dwell", d)
               for flash in (committed, blank) for d in ("inf", "nan", "0", "-1")]
     cases += [(["linkbudget", "--volume", v], "volume", v) for v in ("nan", "inf")]
+    for value in ("nan", "inf"):
+        profile = tmp_path / f"{value}.csv"
+        profile.write_text("t_s,temp_c,pressure_mbar,altitude_m,accel_g\n"
+                           f"0,20,0,0,1\n75,{value},0,0,1\n150,20,0,0,1\n")
+        cases.append((["simulate", "--scenario", "custom", "--profile", os.fspath(profile),
+                       "--duration", "150"], "temp_c", value))
     for argv, name, value in cases:
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err

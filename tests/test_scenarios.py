@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsat import telemetry
+from pairsat import scenarios, telemetry
 from pairsat.analysis import analyze_flash
 from pairsat.controller import (PAIR_CHANNELS, FlightController, Gate, Mode, OpticalBench,
                               bench_rates)
@@ -125,6 +125,18 @@ def test_profile_validation():
         EnvironmentProfile(np.array([0.0, 2.0, 1.0]), ones, ones, ones, ones)
     with pytest.raises(ValueError):
         EnvironmentProfile(t, ones, -ones, ones, ones)
+
+
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_samples(column, value):
+    # a NaN air temperature used to clamp to 327.67 C in every record, and
+    # rail the biases, with the run exiting clean
+    columns = [np.array([0.0, 1.0, 2.0]), *(np.ones(3) for _ in range(4))]
+    columns[column][1] = value
+    name = dataclasses.fields(EnvironmentProfile)[column].name
+    with pytest.raises(ValueError, match=f"profile {name} must be finite, got {value}"):
+        EnvironmentProfile(*columns)
 
 
 def test_profile_csv_round_trip(tmp_path):
@@ -442,15 +454,15 @@ def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
 def _stretches_match_per_tick_path(scenario):
     """Run the scenario as is and with the idle-stretch entry patched out,
     assert equal flash and summaries, and return (first tick, end tick, gate,
-    entered right after STORING) for each stretch taken."""
+    entered right after STORING) for each stretch taken, and the summary."""
     stretches = []
     original = SimulationEngine._idle_stretch
 
-    def logged(self, k, bucket, env_temp):
+    def logged(self, k, env_temp):
         gate, after_storing = self.ctrl.held_gate(), self._idle_cmd.commit_scan
-        end, bucket = original(self, k, bucket, env_temp)
+        end = original(self, k, env_temp)
         stretches.append((k, end, gate, after_storing))
-        return end, bucket
+        return end
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SimulationEngine, "_idle_stretch", logged)
@@ -464,7 +476,7 @@ def _stretches_match_per_tick_path(scenario):
     for f in dataclasses.fields(RunSummary):
         # repr tells floats apart bit for bit
         assert repr(getattr(summary, f.name)) == repr(getattr(ref_summary, f.name)), f.name
-    return stretches
+    return stretches, summary
 
 
 def _ends_on_period_boundary(end, n_ticks):
@@ -489,8 +501,50 @@ def _ends_on_period_boundary(end, n_ticks):
 def test_idle_stretch_cases_match_per_tick_path(kwargs, case):
     scenario = _custom(**kwargs)
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
-    stretches = _stretches_match_per_tick_path(scenario)
+    stretches, _ = _stretches_match_per_tick_path(scenario)
     assert any(case(*s, n_ticks) for s in stretches), stretches
+
+
+def test_idle_stretch_above_the_temperature_clamp_matches_per_tick_path():
+    # waiting to cool in 600 C air from 325 C: the housing passes the
+    # +327.67 C that the temp_centi_c field clamps to
+    stretches, summary = _stretches_match_per_tick_path(
+        _custom([600.0, 600.0], 120.0, housing_c=325.0))
+    assert [(gate, end) for _, end, gate, _ in stretches] == [(Gate.WAIT_COOL, 2400)]
+    assert summary.housing_temp_max_c > 327.67
+
+
+@pytest.mark.parametrize("pending", [scenarios.PENDING_RECORDS, 1000])
+def test_idle_stretch_across_blocks_and_the_ring_wrap_matches_per_tick_path(
+        pending, monkeypatch):
+    # the 4 100 s cold start heats throughout, past SECTOR_CAPACITY records;
+    # 32 768 records are 8 blocks of 4 096, so only with 1 000-record blocks
+    # does FLAG_WRAPPED flip inside one block
+    monkeypatch.setattr(scenarios, "PENDING_RECORDS", pending)
+    stretches, _ = _stretches_match_per_tick_path(_custom([-5.0, -5.0], 4100.0, housing_c=-5.0))
+    periods = [(k * TICK_MS // RECORD_PERIOD_MS, end * TICK_MS // RECORD_PERIOD_MS)
+               for k, end, _, _ in stretches]
+    assert any(first < telemetry.SECTOR_CAPACITY < end and first // pending < end // pending
+               for first, end in periods), periods
+
+
+@pytest.mark.parametrize("pending", [7, 1000])
+def test_block_size_changes_no_output(pending, monkeypatch):
+    # where the pending blocks end changes no byte and no summary field:
+    # scans and an aborted attempt straddle the 7-record blocks, so their
+    # rows carry over into the next block's grouping, and the ring wraps
+    # inside a block of either size
+    dip = make_scenario("lab", duration_s=120.0, seed=7)
+    dip.laser_dips = [(20.0, 1.0, 0.2)]
+    runs = [dip, _custom([-5.0, -5.0], 4100.0, housing_c=-5.0)]
+    expected = [run_simulation(scenario) for scenario in runs]
+    monkeypatch.setattr(scenarios, "PENDING_RECORDS", pending)
+    for scenario, (ref_flash, ref_summary) in zip(runs, expected):
+        flash, summary = run_simulation(scenario)
+        assert (flash.cursor, flash.sector_a, flash.sector_b) == \
+            (ref_flash.cursor, ref_flash.sector_a, ref_flash.sector_b)
+        assert repr(summary) == repr(ref_summary)
+    assert expected[0][1].aborted_scans == 1 and len(expected[0][1].scans) == 2
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,10 +19,12 @@ from pairsat.telemetry import (
     FlashImage,
     LinkBudget,
     TelemetryRecord,
+    centi_c,
     crc8,
     decode,
     downlink_time,
     encode,
+    fixed_point,
     load_image,
     read_records,
     save_image,
@@ -376,7 +378,12 @@ def test_batched_writer_matches_per_record_encode(batches, outside):
     flash = FlashImage()
     flash.cursor = start
     for batch in batches:
-        write_redundant(flash, table_from_rows([rows[id(r)] for r in batch]))
+        table = table_from_rows([rows[id(r)] for r in batch])
+        if len(batch) < SECTOR_CAPACITY:
+            # the (n, 14) integer array the engine's recorder builds gives the same table
+            wide = np.array([rows[id(r)] for r in batch], dtype=np.int64)
+            assert table_from_rows(wide).tobytes() == table.tobytes()
+        write_redundant(flash, table)
     # reference: each record encoded on its own into the next ring slot
     expected = bytearray(BLANK * SECTOR_CAPACITY)
     blobs = {id(r): encode(r) for r in distinct}
@@ -400,11 +407,39 @@ def test_batched_writer_matches_per_record_encode(batches, outside):
     before = (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor)
     lo, hi = TelemetryRecord._RANGES[outside]
     for bad in (lo - 1, hi + 1, lo + 0.5):
-        batch = [written[0] if written else make_record(), make_record(**{outside: bad})]
-        with pytest.raises(ValueError, match=outside if bad != lo + 0.5 else "integer"):
-            write_redundant(flash, table_from_rows([astuple(r) for r in batch]))
+        batch = [astuple(written[0] if written else make_record()),
+                 astuple(make_record(**{outside: bad}))]
+        for form in (batch, np.array(batch)):  # row tuples, and one array
+            with pytest.raises(ValueError, match=outside if bad != lo + 0.5 else "integer"):
+                write_redundant(flash, table_from_rows(form))
         assert (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor) == before
     for not_a_table in (np.zeros(2, dtype=np.int64), [make_record()]):
         with pytest.raises(TypeError, match="RECORD_DTYPE"):
             write_redundant(flash, not_a_table)
         assert (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor) == before
+
+
+@settings(max_examples=300, deadline=None)
+# any float but NaN, and multiples of 0.005 up to past the clamp, whose
+# scaled values sit on or next to a half
+@given(st.lists(st.floats(allow_nan=False) | st.integers(-70_000, 70_000).map(lambda i: i / 200),
+                min_size=1, max_size=8))
+def test_record_conversions_match_scalar_round(values):
+    # the engine recorder's column conversions equal the scalar expressions
+    # they replace, for finite and infinite floats; where the scalar `round`
+    # raises or leaves int64, the column value is outside every field
+    column = np.array(values)
+    assert centi_c(column).tolist() == \
+        [int(round(max(-327.68, min(327.67, t)) * 100)) for t in values]
+    for scale in (100, 10):  # laser mW in 10 uW, bias V in 0.1 V
+        with np.errstate(over="ignore"):
+            converted = fixed_point(column, scale).tolist()
+        for v, got in zip(values, converted):
+            try:
+                expected = round(v * scale)
+            except OverflowError:
+                expected = None
+            if expected is not None and abs(expected) < 2**63:
+                assert got == expected, v
+            else:
+                assert got == -(2**63), v

@@ -24,10 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import physics, telemetry
-from .lc_optics import LcCalibration, angle_from_voltage, default_calibration
-# Imported after lc_optics so that the package loads its modules in the
-# order it did before analysis needed ScanConfig (set-up time; CHANGES.md).
 from .controller import ScanConfig
+from .lc_optics import LcCalibration, angle_from_voltage, default_calibration
 
 _FLIGHT_SCAN = ScanConfig()
 

@@ -76,11 +76,16 @@ class Gate(Enum):
     HEAT = "heat"
 
 
+# housing temperatures that admit laser operation, inclusive
+GATE_MIN_C = 20.0
+GATE_MAX_C = 30.0
+
+
 def thermal_gate(housing_temp_c: float) -> Gate:
-    """Admission decision for laser operation: 20..30 C inclusive."""
-    if housing_temp_c > 30.0:
+    """Admission decision for laser operation: GATE_MIN_C..GATE_MAX_C inclusive."""
+    if housing_temp_c > GATE_MAX_C:
         return Gate.WAIT_COOL
-    if housing_temp_c < 20.0:
+    if housing_temp_c < GATE_MIN_C:
         return Gate.HEAT
     return Gate.PROCEED
 

@@ -4,26 +4,121 @@ A drive voltage maps to a rotation angle through a nonlinear but strictly
 monotone calibration curve; the device needs a fixed settling time after
 every voltage step before counts may be trusted. The analyzer behind it has
 finite extinction, which leaks a little of the orthogonal polarization.
+
+The curve is a monotone piecewise cubic (`MonotoneCubic`, PCHIP) in numpy
+and the standard library; the balloon profile's package temperature uses
+the same class.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 TWO_PI = 2.0 * math.pi
 SETTLE_TIME_S = 0.3
+# bracket width at which `voltage_for_angle` stops bisecting, volts
+INVERSE_TOLERANCE_V = 1e-12
+
+
+class MonotoneCubic:
+    """Monotone piecewise-cubic (PCHIP) interpolant through knots (x, y).
+
+    The knot slopes are Fritsch-Butland's weighted harmonic mean of the
+    neighbouring secant slopes, or 0 where those differ in sign or either
+    is 0; the end slopes are Moler's one-sided three-point estimate, kept
+    to the shape of the data. Two knots give the line through them. Every
+    step, and the order of every float operation in the construction and
+    in the evaluation, is that of scipy's `PchipInterpolator` (scipy 1.17),
+    so both give the same bits; the tests hold it to that reference.
+
+    Called with an ndarray it evaluates element-wise in numpy; with a
+    float it evaluates in Python floats, with no numpy call. Outside the
+    knots it extends the end pieces.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+            raise ValueError("need two equal-length 1-D knot arrays of at least 2 knots")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("knots must be finite")
+        h = np.diff(x)
+        if not (h > 0).all():
+            raise ValueError("knot x must be strictly increasing")
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            # 1 / the weighted harmonic mean; infinite or nan only where flat
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inverse = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / inverse)
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._set(x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
+
+    def _set(self, x: np.ndarray, c: np.ndarray) -> None:
+        """Take the knots and the per-piece coefficients, highest power first."""
+        self._x = x
+        self._c = c
+        self._x_list = x.tolist()
+        # constant term first, in the order the evaluation adds the terms
+        self._c_lists = c[::-1].tolist()
+
+    def derivative(self) -> MonotoneCubic:
+        """The first derivative, a piecewise quadratic on the same knots."""
+        deriv = MonotoneCubic.__new__(MonotoneCubic)
+        powers = np.arange(len(self._c) - 1, 0, -1, dtype=np.float64)
+        deriv._set(self._x, self._c[:-1] * powers[:, None])
+        return deriv
+
+    def __call__(self, v):
+        # the piece holding v, [x_i, x_i+1) but the last closed, the end
+        # pieces extended; the sum runs 0.0 + c0 + c1*s + c2*(s*s) + ...
+        if isinstance(v, np.ndarray):
+            i = np.clip(np.searchsorted(self._x, v, side="right") - 1, 0, len(self._x) - 2)
+            s = v - self._x[i]
+            rows = self._c[::-1]
+        else:
+            xs = self._x_list
+            i = min(max(bisect_right(xs, v) - 1, 0), len(xs) - 2)
+            s = v - xs[i]
+            rows = self._c_lists
+        total = 0.0
+        power = 1.0
+        for row in rows:
+            total = total + row[i] * power
+            power = power * s
+        return total
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Moler's one-sided three-point end slope, kept to the data's shape:
+    0 where it opposes the end secant `m0`, and at most 3*m0 where the
+    secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 class LcCalibration:
     """Monotone voltage -> rotation-angle curve through fixed knots.
 
     Knots span [V_min, V_max] onto [0, 2*pi]; interpolation is monotone
-    piecewise-cubic, so no overshoot between knots.
+    piecewise-cubic (`MonotoneCubic`), so no overshoot between knots.
     """
 
     def __init__(self, knots: list[tuple[float, float]]):
@@ -40,7 +135,7 @@ class LcCalibration:
         self.knots = [(float(v), float(a)) for v, a in knots]
         self.v_min = float(volts[0])
         self.v_max = float(volts[-1])
-        self._interp = PchipInterpolator(volts, angles)
+        self._interp = MonotoneCubic(volts, angles)
 
     def __repr__(self) -> str:
         return f"LcCalibration({len(self.knots)} knots, {self.v_min}..{self.v_max} V)"
@@ -77,16 +172,26 @@ def angle_from_voltage(cal: LcCalibration, v: float | np.ndarray) -> float | np.
 
 
 def voltage_for_angle(cal: LcCalibration, theta: float) -> float:
-    """Inverse calibration lookup by root bracketing."""
+    """Inverse calibration lookup: bisection of the monotone curve to
+    `INVERSE_TOLERANCE_V`, or to adjacent floats where those lie wider
+    apart (above about 4.5 kV)."""
     if not 0.0 <= theta <= TWO_PI:
         raise ValueError(f"angle {theta} outside [0, 2*pi]")
     if theta <= 0.0:
         return cal.v_min
     if theta >= TWO_PI:
         return cal.v_max
-    return float(
-        brentq(lambda v: cal._interp(v) - theta, cal.v_min, cal.v_max, xtol=1e-12)
-    )
+    curve = cal._interp
+    lo, hi = cal.v_min, cal.v_max
+    while hi - lo > INVERSE_TOLERANCE_V:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if curve(mid) < theta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import Commands, FlightController, Mode, ScanConfig, Sensors, thermal_gate
-from .lc_optics import LcCalibration, LcState, angle_from_voltage, command_voltage, \
-    default_calibration, step_settle
+from .controller import (GATE_MAX_C, GATE_MIN_C, Commands, FlightController, Gate, Mode,
+                         ScanConfig, Sensors, thermal_gate)
+from .lc_optics import LcCalibration, LcState, MonotoneCubic, angle_from_voltage, \
+    command_voltage, default_calibration, step_settle
 from .physics import SourceParams
 from .telemetry import FlashImage, TelemetryRecord
 from .thermal_power import PowerLedger, ThermalParams, ThermalState
@@ -220,7 +220,7 @@ def balloon_profile(package: PackageNode | None = None) -> EnvironmentProfile:
     knots.append((t_end, 9.0))
     pk_t = np.array([k[0] for k in knots])
     pk_T = np.array([k[1] for k in knots])
-    package_curve = PchipInterpolator(pk_t, pk_T)
+    package_curve = MonotoneCubic(pk_t, pk_T)
     package_slope = package_curve.derivative()
 
     base = np.arange(0.0, t_end + 10.0, 10.0)
@@ -624,8 +624,9 @@ class SimulationEngine:
         are settled. Tick k runs the controller as usual. Each later tick
         whose start-of-tick temperature keeps that gate would return equal
         commands, draw no random numbers and step no LC or bias loop, so
-        it advances only the housing node (`housing_step`, as the
-        per-tick path does), the package node and the temperature extremes.
+        it advances only the housing node (`housing_step` inlined, in its
+        operation order), the package node and the temperature extremes,
+        and checks the gate as one comparison with its threshold.
         The first period it closes goes through `_close_period`; every later
         one holds the same record but for its temperature, so it appends
         only that, and one row with a repeat count stands for them all.
@@ -656,8 +657,13 @@ class SimulationEngine:
         total, dissipation = self._draws(cmd)
         if total > self._max_power:
             self._max_power = total
-        heater = thermal.heater_watts = cmd.heater_watts
-        housing_step = thermal_power.housing_step
+        thermal.heater_watts = cmd.heater_watts
+        # `thermal_power.housing_step`, term for term: heat in, then the flow
+        heat_in = cmd.heater_watts + dissipation
+        conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
+        # the gate holds while the temperature stays beyond its threshold
+        heating = gate is Gate.HEAT
+        temp = thermal.housing_temp_c
         pkg_temp = self.package_temp
         package = self.scenario.package if pkg_temp is not None else None
         h_min, h_max = self._housing_min, self._housing_max
@@ -665,10 +671,8 @@ class SimulationEngine:
         n_ticks = self.n_ticks
         while True:
             air_temp = env_temp[k]
-            temp = thermal.housing_temp_c = housing_step(
-                params, thermal.housing_temp_c, heater, dissipation,
-                air_temp if pkg_temp is None else pkg_temp, TICK_S,
-            )
+            ext = air_temp if pkg_temp is None else pkg_temp
+            temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
             if temp < h_min:
                 h_min = temp
             if temp > h_max:
@@ -680,12 +684,13 @@ class SimulationEngine:
                 if pkg_temp > p_max:
                     p_max = pkg_temp
             k += 1
-            if k == n_ticks or thermal_gate(temp) is not gate:
+            if k == n_ticks or not (temp < GATE_MIN_C if heating else temp > GATE_MAX_C):
                 break
             if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
                 continue
             # a new period starts
             if held < 0:  # the period the stretch entered may hold counts or a commit
+                thermal.housing_temp_c = temp
                 self._close_period(cmd)
                 self._flags = flags
                 held = 0
@@ -700,6 +705,7 @@ class SimulationEngine:
         if held > 0:
             self._rows.append(held_row)
             self._repeats.append(held)
+        thermal.housing_temp_c = temp
         self.package_temp = pkg_temp
         self._housing_min, self._housing_max = h_min, h_max
         self._package_min, self._package_max = p_min, p_max

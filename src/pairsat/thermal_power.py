@@ -95,8 +95,9 @@ def housing_step(
 ) -> float:
     """The housing temperature after one explicit Euler step of `dt`.
 
-    The one copy of the recurrence: `step_thermal` and the engine's idle
-    stretches both call it, so every tick rounds the same way.
+    `step_thermal` and the engine's per-tick path call it. The engine's
+    idle stretches inline the same expression, in the same operation
+    order, so every tick rounds the same way.
     """
     flow = (
         heater_watts

@@ -172,3 +172,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "budget" in proc.stdout
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is only the tests' reference: with it blocked, the CLI imports
+    # without it and a simulate/analyze round trip runs
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import pairsat.cli
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+flash = {os.fspath(tmp_path / "flash.bin")!r}
+assert pairsat.cli.main(["simulate", "--scenario", "lab", "--duration", "60",
+                         "--flash-out", flash]) == 0
+assert pairsat.cli.main(["analyze", "--flash", flash, "--out", {os.fspath(tmp_path / "out")!r}]) == 0
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "1 scans analyzed" in proc.stdout

@@ -239,6 +239,8 @@ def test_idler_voltage_pair_mapping():
     cal = default_calibration()
     mv14 = idler_voltage_mv(PAIR_1_4, cfg, cal)
     mv23 = idler_voltage_mv(PAIR_2_3, cfg, cal)
+    # the commanded idler settings, as the flash carries them
+    assert (mv14, mv23) == (0, 2555)
     a14 = angle_from_voltage(cal, mv14 / 1000.0)
     a23 = angle_from_voltage(cal, mv23 / 1000.0)
     # alternate pair sits behind the other splitter port, a quarter turn away

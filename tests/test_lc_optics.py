@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairsat.lc_optics import (
     SETTLE_TIME_S,
     TWO_PI,
     LcCalibration,
     LcState,
+    MonotoneCubic,
     angle_from_voltage,
     command_voltage,
     default_calibration,
@@ -49,6 +52,9 @@ def test_linear_two_knot_midpoint():
     cal = LcCalibration([(0.0, 0.0), (10.0, TWO_PI)])
     assert angle_from_voltage(cal, 5.0) == pytest.approx(math.pi, abs=1e-9)
     assert voltage_for_angle(cal, math.pi) == pytest.approx(5.0, abs=1e-9)
+    # adjacent floats lie more than the bisection tolerance apart up here
+    wide = LcCalibration([(0.0, 0.0), (1e5, TWO_PI)])
+    assert voltage_for_angle(wide, math.pi) == pytest.approx(5e4, rel=1e-12)
 
 
 def test_inverse_round_trip_dense_grid():
@@ -135,3 +141,74 @@ def test_vector_lookup_is_bit_identical_on_every_millivolt():
     for bad in (cal.v_min - 0.001, cal.v_max + 0.001, float("nan")):
         with pytest.raises(ValueError):
             angle_from_voltage(cal, np.array([4.0, bad]))
+
+
+# Knots on small integer grids, scaled: equal neighbours give zero secants,
+# and up-down runs give sign changes and both end-slope clamps.
+KNOTS = st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1),
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    st.sampled_from([1e-3, 0.37, 1.0, 150.0]),
+    st.sampled_from([1e-2, 1.0, 6.5]),
+    st.floats(-1e4, 1e4, allow_nan=False),
+))
+
+
+def _knots_and_points(widths, levels, x_scale, y_scale, x0):
+    x = x0 + np.cumsum([0.0] + [w * x_scale for w in widths])
+    y = np.array(levels, dtype=np.float64) * y_scale
+    # every knot, both ends, the midpoints, quarter points and one
+    # interval's width beyond each end
+    mids = (x[1:] + x[:-1]) / 2
+    quarters = x[:-1] + (x[1:] - x[:-1]) / 4
+    span = x[-1] - x[0]
+    points = np.concatenate([x, mids, quarters, [x[0] - span / 3, x[-1] + span / 3]])
+    return x, y, points
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(KNOTS)
+@example(([4], [0, 1], 1.0, 1.0, 0.0))  # two knots: the line
+@example(([4, 6, 3, 5], [2, 2, 3, 3, 1], 1.0, 1.0, 0.0))  # zero secants and a sign change
+@example(([1, 1], [0, 1, 5], 1.0, 1.0, 0.0))  # first end slope opposes its secant: 0
+@example(([1, 1], [0, 1, -3], 1.0, 1.0, 0.0))  # secants change sign, end slope > 3 m0
+@example(([1, 1], [5, 1, 0], 1.0, 1.0, 0.0))  # the same two clamps at the last end
+@example(([1, 1], [4, 0, 1], 1.0, 1.0, 0.0))
+def test_monotone_cubic_bit_identical_to_scipy_pchip(knots):
+    from scipy.interpolate import PchipInterpolator
+
+    x, y, points = _knots_and_points(*knots)
+    ours, ref = MonotoneCubic(x, y), PchipInterpolator(x, y)
+    for curve, reference in ((ours, ref), (ours.derivative(), ref.derivative())):
+        expected = _hex(reference(points))
+        assert _hex(curve(points)) == expected  # array path
+        assert _hex(curve(float(p)) for p in points) == expected  # scalar path
+        assert all(type(curve(float(p))) is float for p in points)
+
+
+def test_balloon_package_knots_bit_identical_to_scipy_pchip():
+    # the balloon profile's curve and slope: a 12 -> 12 C flat, real times
+    from scipy.interpolate import PchipInterpolator
+
+    from pairsat import scenarios
+
+    _, _, t_land = scenarios.balloon_flight_times()
+    knots = list(scenarios._BALLOON_PACKAGE_KNOTS) + [(t_land, 5.0), (t_land + 400.0, 9.0)]
+    t, temp = np.array(knots).T
+    assert any(a == b for a, b in zip(temp, temp[1:]))
+    ours, ref = MonotoneCubic(t, temp), PchipInterpolator(t, temp)
+    grid = np.arange(0.0, t[-1] + 10.0, 0.5)
+    for curve, reference in ((ours, ref), (ours.derivative(), ref.derivative())):
+        assert np.array_equal(curve(grid).view(np.uint64), reference(grid).view(np.uint64))
+
+
+def test_monotone_cubic_rejects_bad_knots():
+    for x, y in (([0.0], [0.0]), ([0.0, 1.0], [0.0]), ([0.0, 0.0], [0.0, 1.0]),
+                 ([1.0, 0.0], [0.0, 1.0]), ([0.0, float("nan")], [0.0, 1.0]),
+                 ([0.0, 1.0], [0.0, float("inf")])):
+        with pytest.raises(ValueError):
+            MonotoneCubic(x, y)

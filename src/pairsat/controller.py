@@ -103,6 +103,10 @@ class LaserMonitor:
     exactly one window back; the 1e-9 keeps such a drop from counting, so
     on an exact tick grid the window is full on the same ticks as by the
     span test alone.
+
+    The engine's scan stretch (`SimulationEngine._scan_stretch`) inlines
+    `add_sample`, `ready` and `laser_stable` on this deque and sorted list;
+    a change to either rule changes that copy too.
     """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
@@ -186,7 +190,12 @@ def apd_bias_step(
 
 
 class ApdBiasLoop:
-    """Stateful wrapper of apd_bias_step with rail-fault bookkeeping."""
+    """Stateful wrapper of apd_bias_step with rail-fault bookkeeping.
+
+    The engine's scan stretch (`SimulationEngine._scan_stretch`) inlines
+    `step`, with `avalanche_amplitude`, `apd_bias_step` and both their range
+    checks, for the two active loops; a change here changes that copy too.
+    """
 
     def __init__(self, params: ApdParams, setpoint: float = BIAS_SETPOINT,
                  initial_bias: float = 115.0):
@@ -404,6 +413,14 @@ class FlightController:
             return Gate.WAIT_COOL
         return None
 
+    def steady_scan(self) -> bool:
+        """Whether the controller scans with the laser on and neither active
+        bias loop at a rail: the state the engine's scan stretch advances."""
+        if self.mode is not Mode.SCANNING or not self.laser_on:
+            return False
+        ch1, ch2 = self.active_channels()
+        return not (self.bias_loops[ch1].railed or self.bias_loops[ch2].railed)
+
     def _turn_laser_on(self, sensors: Sensors) -> None:
         self.laser_on = True
         self.monitor.clear()
@@ -444,10 +461,15 @@ class FlightController:
 
     def tick(self, sensors: Sensors) -> Commands:
         """Advance one 50 ms tick; returns the commands for this tick."""
-        cmd = Commands(mode=self.mode, scan_id=0, pair=self.pair)
-
         if self.laser_on:
             self.monitor.add_sample(sensors.time_ms / 1000.0, sensors.laser_power_mw)
+        return self.decide(sensors)
+
+    def decide(self, sensors: Sensors) -> Commands:
+        """The rest of a tick whose laser reading the monitor already holds:
+        run the state machine, step the active bias loops, and return the
+        commands."""
+        cmd = Commands(mode=self.mode, scan_id=0, pair=self.pair)
 
         if self.mode is Mode.INIT:
             self._enter_gate(sensors)

@@ -7,6 +7,17 @@ flight controller at a fixed 50 ms tick against device models and records
 summary. Identical (scenario, seed) inputs produce byte-identical flash
 output.
 
+Most ticks run in one of two stretches, which repeat the per-tick path's
+arithmetic, in its order, on local variables. An idle stretch runs while the
+thermal gate holds the controller idle, laser off; it steps only the housing
+and package nodes. A scan stretch runs while the controller scans with the
+laser on and neither active bias loop is railed; it inlines the laser
+monitor, the SCANNING branch of the controller, the heater rule, both bias
+loops, the counts and the LC settle timers. Each leaves where the per-tick
+path has a decision to make: the gate, an unstable laser reading, the end
+of a scan, a bias rail. The tests compare every stretch with the per-tick
+path, the stretch's entry patched out.
+
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
 step, pair, LC mV), summed counts and flags, and the unrounded housing
@@ -25,18 +36,22 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import (GATE_MAX_C, GATE_MIN_C, Commands, FlightController, Gate, Mode,
-                         ScanConfig, Sensors, thermal_gate)
-from .lc_optics import LcCalibration, LcState, MonotoneCubic, angle_from_voltage, \
-    command_voltage, default_calibration, step_settle
-from .physics import SourceParams
-from .telemetry import FlashImage, TelemetryRecord
-from .thermal_power import PowerLedger, ThermalParams, ThermalState
+from .controller import (BIAS_KI, BIAS_KP, BIAS_RAIL_FAULT_S, GATE_MAX_C, GATE_MIN_C,
+                         OPERATING_MODULES, PAIR_CHANNELS, Commands, FlightController, Gate,
+                         Mode, ScanConfig, Sensors, thermal_gate)
+from .lc_optics import SETTLE_TIME_S, LcCalibration, LcState, MonotoneCubic, \
+    angle_from_voltage, command_voltage, default_calibration, step_settle
+from .physics import REFERENCE_OVERVOLTS, SourceParams
+from .telemetry import FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_HEATER_ON, FLAG_LASER_ON, \
+    FlashImage, TelemetryRecord
+from .thermal_power import (HEATER_CAP_OPERATING_W, HEATER_OFF_ABOVE_C, HEATER_ON_BELOW_C,
+                            PowerLedger, ThermalParams, ThermalState)
 
 TICK_MS = controller.TICK_MS
 TICK_S = controller.TICK_S
@@ -44,6 +59,10 @@ RECORD_PERIOD_MS = telemetry.RECORD_PERIOD_MS
 # records held in the pending block before one batched flash write: 512 s
 # of telemetry
 PENDING_RECORDS = 4096
+
+# pump laser power, mW: nominal, and the relative standard deviation of its noise
+LASER_MW = 9.0
+LASER_NOISE = 0.0003
 
 SEA_LEVEL_PRESSURE_MBAR = 1013.25
 ATMOSPHERE_SCALE_HEIGHT_M = 7000.0
@@ -324,6 +343,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"duration must be finite and positive, got {self.duration_s} s")
+        # one without the other would pin the housing's outside temperature
+        # (start temperature, no node) or drop the node (node, no start)
+        if (self.package is None) != (self.initial_package_c is None):
+            raise ValueError("package and initial_package_c must be given together")
 
 
 def make_scenario(
@@ -498,25 +521,29 @@ class SimulationEngine:
     def _laser_power(self, t_s: float, laser_on: bool) -> float:
         if not laser_on:
             return 0.0
-        power = 9.0 * (1.0 + 0.0003 * float(self.rng.standard_normal()))
+        power = LASER_MW * (1.0 + LASER_NOISE * float(self.rng.standard_normal()))
         for t0, dur, frac in self.scenario.laser_dips:
             if t0 <= t_s < t0 + dur:
                 power *= 1.0 - frac
         return power
 
-    def _counting_rates(self, pair: int) -> tuple[float, float, float]:
-        """`controller.bench_rates` at the commanded signal voltage, its analyzer part cached."""
-        ch1, ch2 = controller.PAIR_CHANNELS[pair]
-        loops = self.ctrl.bias_loops
-        temp = self.thermal.housing_temp_c
-        bench = self._benches[pair]
-        key = (pair, self.signal_mv)
+    def _pair_rate(self, pair: int, signal_mv: int) -> float:
+        """`controller.analyzer_pair_rate` at a signal LC voltage, cached per run."""
+        key = (pair, signal_mv)
         pair_rate = self._pair_rates.get(key)
         if pair_rate is None:
-            angle = angle_from_voltage(self.calibration, self.signal_mv / 1000.0)
-            pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(bench, angle)
+            angle = angle_from_voltage(self.calibration, signal_mv / 1000.0)
+            pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(
+                self._benches[pair], angle)
+        return pair_rate
+
+    def _counting_rates(self, pair: int) -> tuple[float, float, float]:
+        """`controller.bench_rates` at the commanded signal voltage, its analyzer part cached."""
+        ch1, ch2 = PAIR_CHANNELS[pair]
+        loops = self.ctrl.bias_loops
+        temp = self.thermal.housing_temp_c
         return controller.detector_rates(
-            bench, pair_rate,
+            self._benches[pair], self._pair_rate(pair, self.signal_mv),
             physics.efficiency_factor(loops[ch1].params, loops[ch1].bias, temp),
             physics.efficiency_factor(loops[ch2].params, loops[ch2].bias, temp),
         )
@@ -657,7 +684,6 @@ class SimulationEngine:
         total, dissipation = self._draws(cmd)
         if total > self._max_power:
             self._max_power = total
-        thermal.heater_watts = cmd.heater_watts
         # `thermal_power.housing_step`, term for term: heat in, then the flow
         heat_in = cmd.heater_watts + dissipation
         conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
@@ -665,13 +691,13 @@ class SimulationEngine:
         heating = gate is Gate.HEAT
         temp = thermal.housing_temp_c
         pkg_temp = self.package_temp
-        package = self.scenario.package if pkg_temp is not None else None
+        package = self.scenario.package
         h_min, h_max = self._housing_min, self._housing_max
         p_min, p_max = self._package_min, self._package_max
         n_ticks = self.n_ticks
         while True:
             air_temp = env_temp[k]
-            ext = air_temp if pkg_temp is None else pkg_temp
+            ext = air_temp if package is None else pkg_temp
             temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
             if temp < h_min:
                 h_min = temp
@@ -711,6 +737,255 @@ class SimulationEngine:
         self._package_min, self._package_max = p_min, p_max
         return k
 
+    def _scan_stretch(self, k: int, env_temp: memoryview) -> tuple[int, float | None]:
+        """Advance from tick k while the controller scans with the laser on
+        and neither active bias loop is railed (`FlightController.steady_scan`).
+
+        Entered at the top of tick k, after its period check. Each tick does
+        on locals, in the per-tick path's order and with its arithmetic: the
+        laser draw (`_laser_power`); the monitor's sample and stability test
+        (`LaserMonitor.add_sample`, `laser_stable`); the SCANNING branch of
+        `FlightController.decide` (step command, settle wait or counting
+        tick) and the engine's LC commands; the operating heater rule
+        (`heater_command`); both PI bias steps (`ApdBiasLoop.step`); on a
+        counting tick the rates and three Poisson draws (`_counting_rates`,
+        `physics.sample_counts`); the tick flags; the LC settle timers
+        (`step_settle`); the housing and package steps; and the period close
+        (`_close_period`). The draw cache is looked up only when the heater
+        toggles. A not-ready window does not abort a scan, so the stretch
+        goes on through it.
+
+        After the last dwell tick, which it ends in STORING, after a tick
+        that railed an active loop, and at the end of the run, it returns
+        (the first tick not advanced, None). On a reading `laser_stable`
+        finds unstable it returns (its tick, its laser power) before the
+        controller decides it: the monitor holds the sample, and the per-tick
+        path finishes the tick with `FlightController.decide`. Every local is
+        written back on the way out, also when a draw raises.
+        """
+        ctrl, poisson, normal = self.ctrl, self.rng.poisson, self.rng.standard_normal
+        monitor = ctrl.monitor
+        samples, powers, dropped = monitor.samples, monitor.sorted_powers, monitor.last_dropped_s
+        window_s, threshold = monitor.window_s, monitor.threshold
+        # `LaserMonitor.ready`'s two tests, their bounds as it computes them
+        full_after_drop, full_span = window_s + 1e-9, window_s - 1e-9
+        dips = self.scenario.laser_dips
+        mode_history, settle_ms = self._mode_history, self._settle_ms
+        scan_id, pair, n_steps = ctrl.scan_id, ctrl.pair, ctrl.config.n_steps
+        step, dwell, pending = ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command
+        cmd_step, dwell_ms = step, round(ctrl.config.dwell_s * 1000)
+        voltages, idler_mv = ctrl.voltages, ctrl.idler_voltages[pair]
+        hw, drawn_hw = ctrl.heater_watts, None
+        sig_v, sig_r = self.lc_signal.commanded_voltage, self.lc_signal.settle_remaining_s
+        idl_v, idl_r = self.lc_idler.commanded_voltage, self.lc_idler.settle_remaining_s
+        signal_mv, lc_mv, pair_rate = self.signal_mv, self._lc_mv, None
+        source = self.scenario.source
+        singles_1, singles_2 = source.singles_rate_signal_hz, source.singles_rate_idler_hz
+        window = self._benches[pair].window_s
+        loops = ctrl.bias_loops
+        loop_1, loop_2 = (loops[ch] for ch in PAIR_CHANNELS[pair])
+        p1, p2 = loop_1.params, loop_2.params
+        bd25_1, tc_1, gain_1 = (p1.breakdown_volts_at_25c, p1.breakdown_tempco_v_per_c,
+                                p1.amplitude_gain_per_overvolt)
+        bd25_2, tc_2, gain_2 = (p2.breakdown_volts_at_25c, p2.breakdown_tempco_v_per_c,
+                                p2.amplitude_gain_per_overvolt)
+        min_1, max_1, min_2, max_2 = p1.bias_min_v, p1.bias_max_v, p2.bias_min_v, p2.bias_max_v
+        curve_1, curve_2 = p1.efficiency_sat_curve, p2.efficiency_sat_curve
+        ref_1, ref_2 = curve_1(REFERENCE_OVERVOLTS), curve_2(REFERENCE_OVERVOLTS)
+        set_1, set_2 = loop_1.setpoint, loop_2.setpoint
+        b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
+        railed_1 = railed_2 = False
+        params = self.thermal_params
+        conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
+        temp, pkg_temp = self.thermal.housing_temp_c, self.package_temp
+        package = self.scenario.package
+        h_min, h_max = self._housing_min, self._housing_max
+        p_min, p_max = self._package_min, self._package_max
+        s1, s2, coinc, flags = self._s1, self._s2, self._coinc, self._flags
+        count_ctx, commit_ctx = self._count_ctx, self._commit_ctx
+        laser_mw = self._last_laser_mw
+        rows, repeats, temps = self._rows, self._repeats, self._temps
+        n_ticks = self.n_ticks
+        try:
+            while True:
+                t_ms = k * TICK_MS
+                laser_mw = LASER_MW * (1.0 + LASER_NOISE * normal())
+                for t0, dur, frac in dips:
+                    if t0 <= k * TICK_S < t0 + dur:
+                        laser_mw *= 1.0 - frac
+                t_s = t_ms / 1000.0
+                samples.append((t_s, laser_mw))
+                insort(powers, laser_mw)
+                while samples and samples[0][0] < t_s - window_s:
+                    dropped, old = samples.popleft()
+                    del powers[bisect_left(powers, old)]
+                n = len(powers)
+                if n >= 2 and (dropped is not None and t_s - dropped > full_after_drop
+                               or t_s - samples[0][0] >= full_span):
+                    mid = n // 2
+                    med = powers[mid] if n % 2 else (powers[mid - 1] + powers[mid]) / 2
+                    if med <= 0 or not max(powers[-1] - med, med - powers[0]) / med <= threshold:
+                        return k, laser_mw
+
+                cmd_step = step
+                counting = False
+                if pending:
+                    pending, dwell = False, dwell_ms
+                    self.signal_mv = signal_mv = voltages[step]
+                    sig_v, idl_v = signal_mv / 1000.0, idler_mv / 1000.0
+                    sig_r = idl_r = SETTLE_TIME_S
+                    self._lc_mv = lc_mv = (round(sig_v * 1000), round(idl_v * 1000))
+                    pair_rate = None
+                    self._command_ms = t_ms
+                elif sig_r == 0.0 and idl_r == 0.0 and dwell > 0:
+                    counting = True
+                    dwell -= TICK_MS
+                    if dwell == 0:
+                        step += 1
+                        if step >= n_steps:
+                            ctrl.mode = Mode.STORING
+                            mode_history.append((t_ms, Mode.STORING.value))
+                        else:
+                            pending = True
+
+                if temp < HEATER_ON_BELOW_C:
+                    hw = HEATER_CAP_OPERATING_W
+                elif temp > HEATER_OFF_ABOVE_C:
+                    hw = 0.0
+                else:
+                    hw = HEATER_CAP_OPERATING_W if hw > 0.0 else 0.0
+
+                bd1 = bd25_1 + tc_1 * (temp - 25.0)
+                if not 0.0 <= b1 <= max_1:
+                    raise ValueError(f"bias {b1} outside [0, {max_1}]")
+                if b1 < min_1:
+                    raise ValueError(f"bias {b1} outside [{min_1}, {max_1}]")
+                over = b1 - bd1
+                err = (set_1 - gain_1 * (over if over > 0.0 else 0.0)) / set_1
+                trial = i1 + err
+                bias = b1 + BIAS_KP * err + BIAS_KI * trial
+                if bias > max_1:
+                    b1, i1 = max_1, (max_1 - b1 - BIAS_KP * err) / BIAS_KI
+                elif bias < min_1:
+                    b1, i1 = min_1, (min_1 - b1 - BIAS_KP * err) / BIAS_KI
+                else:
+                    b1, i1 = bias, trial
+                railed_1 = b1 <= min_1 + 1e-9 or b1 >= max_1 - 1e-9
+
+                bd2 = bd25_2 + tc_2 * (temp - 25.0)
+                if not 0.0 <= b2 <= max_2:
+                    raise ValueError(f"bias {b2} outside [0, {max_2}]")
+                if b2 < min_2:
+                    raise ValueError(f"bias {b2} outside [{min_2}, {max_2}]")
+                over = b2 - bd2
+                err = (set_2 - gain_2 * (over if over > 0.0 else 0.0)) / set_2
+                trial = i2 + err
+                bias = b2 + BIAS_KP * err + BIAS_KI * trial
+                if bias > max_2:
+                    b2, i2 = max_2, (max_2 - b2 - BIAS_KP * err) / BIAS_KI
+                elif bias < min_2:
+                    b2, i2 = min_2, (min_2 - b2 - BIAS_KP * err) / BIAS_KI
+                else:
+                    b2, i2 = bias, trial
+                railed_2 = b2 <= min_2 + 1e-9 or b2 >= max_2 - 1e-9
+
+                if counting:
+                    if pair_rate is None:
+                        pair_rate = self._pair_rate(pair, signal_mv)
+                    if ref_1 <= 0 or ref_2 <= 0:
+                        raise ValueError("efficiency curve must be positive at the reference point")
+                    over = b1 - bd1
+                    f1 = curve_1(over if over > 0.0 else 0.0) / ref_1
+                    over = b2 - bd2
+                    f2 = curve_2(over if over > 0.0 else 0.0) / ref_2
+                    rate_1, rate_2 = singles_1 * f1, singles_2 * f2
+                    if rate_1 < 0 or rate_2 < 0:
+                        raise ValueError("rates and window must be nonnegative")
+                    rate_c = pair_rate * f1 * f2 + rate_1 * rate_2 * window
+                    n1 = int(poisson(rate_1 * TICK_S))
+                    n2 = int(poisson(rate_2 * TICK_S))
+                    s1 += n1
+                    s2 += n2
+                    coinc += min(int(poisson(rate_c * TICK_S)), n1, n2)
+                    flags |= FLAG_COUNTING
+                    if count_ctx is None:
+                        count_ctx = (scan_id, cmd_step, pair, *lc_mv)
+                    if self._command_ms is not None:
+                        settle_ms.add(t_ms - self._command_ms)
+                        self._command_ms = None
+
+                flags |= FLAG_LASER_ON | FLAG_HEATER_ON if hw > 0 else FLAG_LASER_ON
+                if railed_1 or railed_2:
+                    flags |= FLAG_BIAS_RAILED
+
+                if sig_r != 0.0:
+                    sig_r -= TICK_S
+                    if sig_r < 1e-12:
+                        sig_r = 0.0
+                if idl_r != 0.0:
+                    idl_r -= TICK_S
+                    if idl_r < 1e-12:
+                        idl_r = 0.0
+
+                if hw != drawn_hw:
+                    total, dissipation = self._draws(Commands(
+                        Mode.SCANNING, True, hw, "operating", active_modules=OPERATING_MODULES))
+                    heat_in, drawn_hw = hw + dissipation, hw
+                    if total > self._max_power:
+                        self._max_power = total
+                air_temp = env_temp[k]
+                ext = air_temp if package is None else pkg_temp
+                temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
+                if temp < h_min:
+                    h_min = temp
+                if temp > h_max:
+                    h_max = temp
+                if package is not None:
+                    pkg_temp = package.step(pkg_temp, air_temp, TICK_S)
+                    if pkg_temp < p_min:
+                        p_min = pkg_temp
+                    if pkg_temp > p_max:
+                        p_max = pkg_temp
+
+                k += 1
+                if k == n_ticks or railed_1 or railed_2 or ctrl.mode is Mode.STORING:
+                    return k, None
+                if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
+                    continue
+                # a new period starts: `_close_period`
+                ctx = count_ctx or commit_ctx or (scan_id, cmd_step, pair, *lc_mv)
+                if ctx[2] == pair:
+                    row_biases = b1, b2
+                else:  # a commit record of the pair before
+                    row_biases = tuple(loops[ch].bias for ch in PAIR_CHANNELS[ctx[2]])
+                rows.append((*ctx, s1, s2, coinc, flags, laser_mw, *row_biases))
+                repeats.append(1)
+                temps.append(temp)
+                s1 = s2 = coinc = flags = 0
+                count_ctx = commit_ctx = None
+                if len(temps) == PENDING_RECORDS:
+                    self._write_block()
+        finally:
+            monitor.last_dropped_s = dropped
+            ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command = step, dwell, pending
+            ctrl.heater_watts = hw
+            for loop, bias, integrator, railed in ((loop_1, b1, i1, railed_1),
+                                                  (loop_2, b2, i2, railed_2)):
+                loop.bias, loop.integrator = bias, integrator
+                loop.railed_s = TICK_S if railed else 0.0
+                loop.fault = loop.railed_s > BIAS_RAIL_FAULT_S
+            self.lc_signal = LcState(sig_v, sig_r == 0.0, sig_r)
+            self.lc_idler = LcState(idl_v, idl_r == 0.0, idl_r)
+            self._idle_cmd = Commands(
+                ctrl.mode, True, hw, "operating", active_modules=OPERATING_MODULES,
+                scan_id=scan_id, step=cmd_step, pair=pair)
+            self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags
+            self._count_ctx, self._commit_ctx = count_ctx, commit_ctx
+            self._last_laser_mw = laser_mw
+            self.thermal.housing_temp_c, self.package_temp = temp, pkg_temp
+            self._housing_min, self._housing_max = h_min, h_max
+            self._package_min, self._package_max = p_min, p_max
+
     def run(self) -> tuple[FlashImage, RunSummary]:
         scen = self.scenario
         n_ticks = self.n_ticks
@@ -744,36 +1019,44 @@ class SimulationEngine:
         self._ungrouped = np.zeros(0, dtype=telemetry.RECORD_DTYPE)
         # the open scan: its start, the time of its step command not yet
         # counted and its settle times
-        scan_start_ms = 0
-        command_ms: int | None = None
-        settle_ms: set[int] = set()
+        self._scan_start_ms = 0
+        self._command_ms: int | None = None
+        self._settle_ms: set[int] = set()
         self._last_laser_mw = 0.0
         self._idle_cmd = Commands(mode=Mode.INIT)
         self._draw_cache: dict[tuple, tuple[float, float]] = {}
         self._max_power = 0.0
         self._housing_min = self._housing_max = self.thermal.housing_temp_c
         self._package_min = self._package_max = self.package_temp
-        mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
-        thermal = self.thermal
+        self._mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
+        thermal, ctrl = self.thermal, self.ctrl
 
         k = 0
         while k < n_ticks:
             t_ms = k * TICK_MS
-            t_s = tick_times[k]
 
             if k and t_ms % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
                 self._close_period(self._idle_cmd)
 
-            gate = self.ctrl.held_gate()
+            gate = ctrl.held_gate()
             if (gate is not None and self.lc_signal.settled and self.lc_idler.settled
                     and thermal_gate(thermal.housing_temp_c) is gate):
                 k = self._idle_stretch(k, env_temp)
                 continue
+            # a reading the scan stretch sampled and found unstable, or None
+            laser_mw = None
+            if ctrl.steady_scan():
+                k, laser_mw = self._scan_stretch(k, env_temp)
+                if laser_mw is None:
+                    continue
+                t_ms = k * TICK_MS
 
             air_temp = env_temp[k]
-            housing_ext = self.package_temp if self.package_temp is not None else air_temp
+            housing_ext = air_temp if scen.package is None else self.package_temp
 
-            laser_mw = self._laser_power(t_s, self.ctrl.laser_on)
+            sampled = laser_mw is not None
+            if not sampled:
+                laser_mw = self._laser_power(tick_times[k], ctrl.laser_on)
             self._last_laser_mw = laser_mw
             sensors = Sensors(
                 time_ms=t_ms,
@@ -782,19 +1065,19 @@ class SimulationEngine:
                 lc_signal_settled=self.lc_signal.settled,
                 lc_idler_settled=self.lc_idler.settled,
             )
-            prev_mode = self.ctrl.mode
-            cmd = self.ctrl.tick(sensors)
+            prev_mode = ctrl.mode
+            cmd = ctrl.decide(sensors) if sampled else ctrl.tick(sensors)
             self._idle_cmd = cmd
             if cmd.mode is not prev_mode:
-                mode_history.append((t_ms, cmd.mode.value))
+                self._mode_history.append((t_ms, cmd.mode.value))
 
             if cmd.lc_signal_mv is not None:
                 self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv / 1000.0)
                 self.signal_mv = cmd.lc_signal_mv
                 self._lc_mv = (round(self.lc_signal.commanded_voltage * 1000), self._lc_mv[1])
                 if cmd.step == 0:  # a new set: `_pending_commits` may hold the last one
-                    scan_start_ms, settle_ms = t_ms, set()
-                command_ms = t_ms
+                    self._scan_start_ms, self._settle_ms = t_ms, set()
+                self._command_ms = t_ms
             if cmd.lc_idler_mv is not None:
                 self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv / 1000.0)
                 self._lc_mv = (self._lc_mv[0], round(self.lc_idler.commanded_voltage * 1000))
@@ -811,16 +1094,16 @@ class SimulationEngine:
                 self._flags |= telemetry.FLAG_COUNTING
                 if self._count_ctx is None:
                     self._count_ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
-                if command_ms is not None:
-                    settle_ms.add(t_ms - command_ms)
-                    command_ms = None
+                if self._command_ms is not None:
+                    self._settle_ms.add(t_ms - self._command_ms)
+                    self._command_ms = None
 
             if cmd.commit_scan:
                 self._flags |= telemetry.FLAG_SCAN_COMMIT
                 self._commit_ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
                 # grouped when the block holding this period's record is written
-                self._pending_commits.append(
-                    (cmd.scan_id, scan_start_ms, t_ms, float(env_alt[k]), settle_ms))
+                self._pending_commits.append((cmd.scan_id, self._scan_start_ms, t_ms,
+                                              float(env_alt[k]), self._settle_ms))
 
             self._flags |= self._tick_flags(cmd)
 
@@ -830,7 +1113,6 @@ class SimulationEngine:
                 self.lc_idler = step_settle(self.lc_idler, TICK_S)
 
             total, dissipation = self._draws(cmd)
-            thermal.heater_watts = cmd.heater_watts
             temp = thermal.housing_temp_c = thermal_power.housing_step(
                 self.thermal_params, thermal.housing_temp_c, cmd.heater_watts,
                 dissipation, housing_ext, TICK_S)
@@ -841,7 +1123,7 @@ class SimulationEngine:
             if temp > self._housing_max:
                 self._housing_max = temp
 
-            if self.package_temp is not None and scen.package is not None:
+            if scen.package is not None:
                 self.package_temp = scen.package.step(self.package_temp, air_temp, TICK_S)
                 self._package_min = min(self._package_min, self.package_temp)
                 self._package_max = max(self._package_max, self.package_temp)
@@ -862,8 +1144,8 @@ class SimulationEngine:
             housing_temp_max_c=self._housing_max,
             package_temp_min_c=self._package_min,
             package_temp_max_c=self._package_max,
-            mode_history=mode_history,
-            laser_activations=list(self.ctrl.laser_activations),
+            mode_history=self._mode_history,
+            laser_activations=list(ctrl.laser_activations),
         )
         return self.flash, summary
 

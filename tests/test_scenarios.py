@@ -437,6 +437,14 @@ def test_pooled_visibility_is_unbiased():
     assert float(np.std(vals)) < 0.02
 
 
+@pytest.mark.parametrize("kwargs", [dict(initial_package_c=25.0), dict(package=PackageNode())])
+def test_scenario_rejects_half_configured_package_node(kwargs):
+    # a start temperature without a node used to hold the housing's outside
+    # temperature at it (25 C in -40 C air); a node without one was ignored
+    with pytest.raises(ValueError, match="package and initial_package_c"):
+        Scenario("custom", lab_profile(60.0), 60.0, **kwargs)
+
+
 def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
     """A custom scenario whose air temperature runs linearly through `temps`;
     with `package_c` the housing sits in a package node starting there."""
@@ -469,14 +477,19 @@ def _stretches_match_per_tick_path(scenario):
         flash, summary = run_simulation(scenario)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FlightController, "held_gate", lambda self: None)
-        ref_flash, ref_summary = run_simulation(scenario)
+        _assert_same_run((flash, summary), run_simulation(scenario))
+    return stretches, summary
+
+
+def _assert_same_run(run, ref):
+    """Equal flash images and `RunSummary` fields, floats bit for bit."""
+    (flash, summary), (ref_flash, ref_summary) = run, ref
     assert flash.cursor == ref_flash.cursor
     assert flash.sector_a == ref_flash.sector_a
     assert flash.sector_b == ref_flash.sector_b
     for f in dataclasses.fields(RunSummary):
         # repr tells floats apart bit for bit
         assert repr(getattr(summary, f.name)) == repr(getattr(ref_summary, f.name)), f.name
-    return stretches, summary
 
 
 def _ends_on_period_boundary(end, n_ticks):
@@ -575,3 +588,145 @@ def test_wrapped_flag_marks_records_past_the_ring():
     assert [bool(r.flags & telemetry.FLAG_WRAPPED) for r in records] == \
         [r.time_ms >= first_wrapped_ms for r in records]
     assert records[0].time_ms < first_wrapped_ms
+
+
+@dataclasses.dataclass(frozen=True)
+class ScanStretch:
+    """One scan stretch as taken, and the state it left."""
+
+    first: int  # the tick it entered on
+    end: int  # the first tick it did not advance
+    reason: str  # "unstable", "storing", "railed" or "end"
+    after_commit: bool  # entered inside a commit record's period
+    wrote_block: bool
+    heater_toggled: bool
+    pending: bool  # a step command is due
+    dwell_ms: int
+
+
+def _scan_stretches_match_per_tick_path(scenario, prepare=None):
+    """Run the scenario as is and with the scan-stretch entry patched out,
+    `prepare` applied to each engine first; assert equal flash and summaries,
+    and return each scan stretch taken and the summary."""
+    stretches = []
+    original = SimulationEngine._scan_stretch
+
+    def logged(self, k, env_temp):
+        ctrl = self.ctrl
+        after_commit = self._commit_ctx is not None
+        written, watts = self._written, ctrl.heater_watts
+        end, laser_mw = original(self, k, env_temp)
+        if laser_mw is not None:
+            reason = "unstable"
+        elif end == self.n_ticks:
+            reason = "end"
+        elif ctrl.mode is Mode.STORING:
+            reason = "storing"
+        else:
+            assert any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
+            reason = "railed"
+        stretches.append(ScanStretch(k, end, reason, after_commit, self._written > written,
+                                     ctrl.heater_watts != watts, ctrl.pending_command,
+                                     ctrl.dwell_remaining_ms))
+        return end, laser_mw
+
+    def run():
+        engine = SimulationEngine(scenario)
+        if prepare is not None:
+            prepare(engine)
+        return engine.run()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimulationEngine, "_scan_stretch", logged)
+        flash, summary = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FlightController, "steady_scan", lambda self: False)
+        _assert_same_run((flash, summary), run())
+    return stretches, summary
+
+
+def _lab_dip(t0_s, frac=0.2):
+    """Lab 120 s, seed 7, with a 0.5 s laser dip by `frac` from t0_s; its
+    first scan starts at 10.1 s and commands step s at 10.1 + 0.75 s s."""
+    scenario = make_scenario("lab", duration_s=120.0, seed=7)
+    scenario.laser_dips = [(t0_s, 0.5, frac)]
+    return scenario
+
+
+def _narrow_bias_max(engine, bias_max_v=120.5, breakdown_v=112.0):
+    # channel 0 needs 120.5 V near 22.9 C, which the housing in 200 C air
+    # passes some 20 s in, during the first scan, on channel 0's pair
+    loop = engine.ctrl.bias_loops[0]
+    loop.params = dataclasses.replace(loop.params, bias_max_v=bias_max_v,
+                                      breakdown_volts_at_25c=breakdown_v)
+
+
+@pytest.mark.parametrize("scenario, prepare, case", [
+    # the dip starts on a tick that counts at step 13 (a command at 19.85 s,
+    # counts from 20.15 s)
+    (_lab_dip(20.25), None, lambda s: s.reason == "unstable" and 0 < s.dwell_ms < 450),
+    # a dip just under the 5 % threshold: the stretch runs through it
+    (_lab_dip(20.25, 0.0495), None, lambda s: s.first < 405 < s.end),
+    # its first tick is step 2's command tick, at 11.6 s (on the command
+    # tick of step 13 the window is not full, so that dip aborts a tick later)
+    (_lab_dip(11.59), None, lambda s: s.reason == "unstable" and s.pending),
+    (_custom([200.0, 200.0], 60.0, housing_c=22.0), _narrow_bias_max,
+     lambda s: s.reason == "railed"),
+    # channel 0's breakdown 1 V lower: its bias sits 1 V under channel 3's
+    (make_scenario("lab", duration_s=60.0, seed=1), lambda e: _narrow_bias_max(e, 130.0, 111.0),
+     lambda s: s.reason == "storing"),
+    # the housing cools through 20 C in the third scan: the heater turns on
+    (_custom([-20.0, -20.0], 120.0, housing_c=20.5), None, lambda s: s.heater_toggled),
+    (_custom([-20.0, -20.0], 120.0, housing_c=20.5, package_c=-20.0), None,
+     lambda s: s.heater_toggled),
+    (make_scenario("lab", duration_s=25.0, seed=1), None,
+     lambda s: s.reason == "end" and s.end == 500),
+    # the first commit is at 37.1 s, the run's last tick
+    (make_scenario("lab", duration_s=37.15, seed=1), None,
+     lambda s: s.reason == "storing" and s.end == 742),
+    # some scan starts in the period of the commit before it
+    (make_scenario("lab", seed=1), None, lambda s: s.after_commit),
+], ids=["dip-mid-dwell", "dip-under-threshold", "dip-on-step-command", "bias-rail",
+        "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
+        "ends-after-commit", "after-storing"])
+def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case):
+    stretches, _ = _scan_stretches_match_per_tick_path(scenario, prepare)
+    assert any(case(s) for s in stretches), stretches
+
+
+def test_scan_stretch_fills_blocks_matches_per_tick_path(monkeypatch):
+    # 7-record blocks fill inside the stretches, and scans straddle them
+    monkeypatch.setattr(scenarios, "PENDING_RECORDS", 7)
+    stretches, _ = _scan_stretches_match_per_tick_path(_lab_dip(20.25))
+    assert any(s.wrote_block for s in stretches), stretches
+
+
+@pytest.mark.parametrize("name, duration_s, seed", [
+    ("lab", None, 1), ("leo", 4500.0, 3), ("leo", 7500.0, 3), ("balloon", None, 11),
+])
+def test_pinned_runs_match_per_tick_path(name, duration_s, seed):
+    stretches, _ = _scan_stretches_match_per_tick_path(make_scenario(name, duration_s, seed))
+    assert {s.reason for s in stretches} >= {"storing"}
+    if name != "lab":  # the heater toggles inside scans
+        assert any(s.heater_toggled for s in stretches)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    temps=st.lists(st.floats(-100.0, 150.0), min_size=2, max_size=4),
+    duration_ms=st.integers(10_000, 90_000),
+    housing_c=st.floats(19.0, 31.0),
+    package_c=st.none() | st.floats(-20.0, 40.0),
+    seed=st.integers(0, 3),
+    dips=st.lists(st.tuples(st.floats(9.0, 90.0), st.floats(0.01, 3.0), st.floats(0.0, 0.3)),
+                  max_size=2),
+    # channel 0's rail and breakdown: a narrow range rails it, and another
+    # breakdown sets its bias apart from channel 3's
+    channel_0=st.tuples(st.floats(119.0, 130.0), st.floats(110.0, 114.0)),
+)
+def test_scan_stretches_match_per_tick_path(temps, duration_ms, housing_c, package_c, seed,
+                                            dips, channel_0):
+    scenario = _custom(temps, duration_ms / 1000.0, housing_c, package_c, seed)
+    scenario.laser_dips = dips
+    _scan_stretches_match_per_tick_path(
+        scenario, lambda engine: _narrow_bias_max(engine, *channel_0))

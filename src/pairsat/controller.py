@@ -24,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import physics, thermal_power
-from .lc_optics import (LcCalibration, angle_from_voltage, default_calibration,
-                        polarization_mixing, voltage_for_angle)
+from .lc_optics import (SETTLE_TIME_MS, LcCalibration, angle_from_voltage,
+                        default_calibration, polarization_mixing, voltage_for_angle)
 from .physics import ApdParams, CountSample, SourceParams
 
 TICK_S = 0.05
@@ -37,7 +37,6 @@ TICK_MS = 50
 BIAS_KP = 5.0
 BIAS_KI = 1.0
 BIAS_SETPOINT = 1.0
-BIAS_RAIL_FAULT_S = 60.0
 
 STABILITY_WINDOW_S = 10.0
 STABILITY_THRESHOLD = 0.05
@@ -104,9 +103,11 @@ class LaserMonitor:
     on an exact tick grid the window is full on the same ticks as by the
     span test alone.
 
-    The engine's scan stretch (`SimulationEngine._scan_stretch`) inlines
-    `add_sample`, `ready` and `laser_stable` on this deque and sorted list;
-    a change to either rule changes that copy too.
+    It is the one flight timer still on float seconds: the LC settle timer
+    counts whole milliseconds. The engine's scan stretch
+    (`SimulationEngine._scan_stretch`) inlines `add_sample`, `ready` and
+    `laser_stable` on this deque and sorted list; a change to either rule
+    changes that copy too.
     """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
@@ -190,51 +191,42 @@ def apd_bias_step(
 
 
 class ApdBiasLoop:
-    """Stateful wrapper of apd_bias_step with rail-fault bookkeeping.
+    """Stateful wrapper of apd_bias_step, servoing to `BIAS_SETPOINT` from
+    115 V; `railed` tells whether the last step left the bias at a supply
+    rail.
 
     The engine's scan stretch (`SimulationEngine._scan_stretch`) inlines
     `step`, with `avalanche_amplitude`, `apd_bias_step` and both their range
     checks, for the two active loops; a change here changes that copy too.
     """
 
-    def __init__(self, params: ApdParams, setpoint: float = BIAS_SETPOINT,
-                 initial_bias: float = 115.0):
+    def __init__(self, params: ApdParams):
         self.params = params
-        self.setpoint = setpoint
-        self.bias = initial_bias
+        self.bias = 115.0
         self.integrator = 0.0
-        self.railed_s = 0.0
-        self.fault = False
+        self.railed = False
 
-    def step(self, temp_c: float, dt: float = TICK_S) -> float:
+    def step(self, temp_c: float) -> float:
         measured = physics.avalanche_amplitude(self.params, self.bias, temp_c)
         self.bias, self.integrator = apd_bias_step(
-            self.params, measured, self.setpoint, self.bias, self.integrator
+            self.params, measured, BIAS_SETPOINT, self.bias, self.integrator
         )
-        railed = (
+        self.railed = (
             self.bias <= self.params.bias_min_v + 1e-9
             or self.bias >= self.params.bias_max_v - 1e-9
         )
-        self.railed_s = self.railed_s + dt if railed else 0.0
-        self.fault = self.railed_s > BIAS_RAIL_FAULT_S
         return self.bias
-
-    @property
-    def railed(self) -> bool:
-        return self.railed_s > 0.0
 
 
 @dataclass
 class ScanConfig:
     n_steps: int = 36
     dwell_s: float = 0.45
-    settle_s: float = 0.3
-    idler_target_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.n_steps * (self.settle_s + self.dwell_s) >= 30.0:
+        if self.n_steps * (SETTLE_TIME_MS / 1000 + self.dwell_s) >= 30.0:
             raise ValueError("scan would exceed the 30 s collection limit")
 
 
@@ -244,13 +236,13 @@ def scan_voltages(config: ScanConfig, cal: LcCalibration) -> list[int]:
     return [int(round(v * 1000)) for v in volts]
 
 
-def idler_voltage_mv(pair: int, config: ScanConfig, cal: LcCalibration) -> int:
+def idler_voltage_mv(pair: int, cal: LcCalibration) -> int:
     """Idler LC setting for maximum transmission into the selected detector.
 
     The two idler detectors sit on opposite ports of the polarizing
     splitter, so the alternate pair analyzes the orthogonal projection.
     """
-    target = config.idler_target_rad + (math.pi / 2.0 if pair == PAIR_2_3 else 0.0)
+    target = math.pi / 2.0 if pair == PAIR_2_3 else 0.0
     return int(round(voltage_for_angle(cal, target) * 1000))
 
 
@@ -321,7 +313,7 @@ def run_scan(
     records: list[ScanRecord] = []
     elapsed = 0.0
     for step, mv in enumerate(voltages):
-        elapsed += config.settle_s
+        elapsed += SETTLE_TIME_MS / 1000
         angle = angle_from_voltage(devices.calibration, mv / 1000.0)
         rates = bench_rates(devices, angle)
         counts = physics.sample_counts(rates, config.dwell_s, rng)
@@ -366,15 +358,10 @@ class FlightController:
     response at the sensed housing temperature.
     """
 
-    def __init__(
-        self,
-        scan_config: ScanConfig | None = None,
-        calibration: LcCalibration | None = None,
-        apd_params: ApdParams | None = None,
-    ):
-        self.config = scan_config or ScanConfig()
+    def __init__(self, calibration: LcCalibration | None = None):
+        self.config = ScanConfig()
         self.calibration = calibration or default_calibration()
-        apd = apd_params or ApdParams()
+        apd = ApdParams()
         self.mode = Mode.INIT
         self.pair = PAIR_1_4
         self.scan_id = 1
@@ -383,7 +370,7 @@ class FlightController:
         self.pending_command = False
         self.voltages = scan_voltages(self.config, self.calibration)
         self.idler_voltages = {
-            pair: idler_voltage_mv(pair, self.config, self.calibration)
+            pair: idler_voltage_mv(pair, self.calibration)
             for pair in PAIR_CHANNELS
         }
         self.monitor = LaserMonitor()
@@ -414,12 +401,9 @@ class FlightController:
         return None
 
     def steady_scan(self) -> bool:
-        """Whether the controller scans with the laser on and neither active
-        bias loop at a rail: the state the engine's scan stretch advances."""
-        if self.mode is not Mode.SCANNING or not self.laser_on:
-            return False
-        ch1, ch2 = self.active_channels()
-        return not (self.bias_loops[ch1].railed or self.bias_loops[ch2].railed)
+        """Whether the controller scans, the laser always on in SCANNING: the
+        state the engine's scan stretch advances."""
+        return self.mode is Mode.SCANNING
 
     def _turn_laser_on(self, sensors: Sensors) -> None:
         self.laser_on = True

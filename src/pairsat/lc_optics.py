@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-SETTLE_TIME_S = 0.3
+SETTLE_TIME_MS = 300
 # bracket width at which `voltage_for_angle` stops bisecting, volts
 INVERSE_TOLERANCE_V = 1e-12
 
@@ -196,37 +196,38 @@ def voltage_for_angle(cal: LcCalibration, theta: float) -> float:
 
 @dataclass(frozen=True)
 class LcState:
-    commanded_voltage: float = 0.0
-    settled: bool = True
-    settle_remaining_s: float = 0.0
+    """The commanded drive voltage, in the integer millivolts the scan table
+    and the records use, and the settle time left, in ms; settled at 0."""
+
+    commanded_mv: int = 0
+    settle_remaining_ms: int = 0
 
     def __post_init__(self) -> None:
-        if self.settle_remaining_s < 0:
-            raise ValueError("settle_remaining_s must be nonnegative")
-        if self.settled != (self.settle_remaining_s == 0.0):
-            raise ValueError("settled flag must mirror settle_remaining_s == 0")
+        if self.settle_remaining_ms < 0:
+            raise ValueError("settle_remaining_ms must be nonnegative")
+
+    @property
+    def settled(self) -> bool:
+        return self.settle_remaining_ms == 0
 
 
-def command_voltage(state: LcState, v: float) -> LcState:
-    """Command a drive voltage.
+def command_voltage(state: LcState, mv: int) -> LcState:
+    """Command a drive voltage, in mV.
 
     Every command restarts the settle timer, including a re-command of the
     current voltage: the drive transient is assumed whenever the output
     stage is written, so counts gated on the settled flag always sit a full
     settle interval after the write.
     """
-    return LcState(commanded_voltage=v, settled=False, settle_remaining_s=SETTLE_TIME_S)
+    return LcState(mv, SETTLE_TIME_MS)
 
 
-def step_settle(state: LcState, dt: float) -> LcState:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def step_settle(state: LcState, dt_ms: int) -> LcState:
+    if dt_ms <= 0:
+        raise ValueError("dt_ms must be positive")
     if state.settled:
         return state
-    remaining = state.settle_remaining_s - dt
-    if remaining < 1e-12:  # absorb float residue so 6 x 0.05 closes 0.3 exactly
-        remaining = 0.0
-    return LcState(state.commanded_voltage, remaining == 0.0, remaining)
+    return LcState(state.commanded_mv, max(0, state.settle_remaining_ms - dt_ms))
 
 
 def polarization_mixing(rate_parallel: float, rate_orthogonal: float,

@@ -204,17 +204,21 @@ def avalanche_amplitude(params: ApdParams, bias_v: float, temp_c: float) -> floa
     return params.amplitude_gain_per_overvolt * max(0.0, over)
 
 
-def efficiency_factor(
-    params: ApdParams, bias_v: float, temp_c: float,
-    reference_overvolts: float = REFERENCE_OVERVOLTS,
-) -> float:
+def reference_efficiency(params: ApdParams) -> float:
+    """The efficiency curve at `REFERENCE_OVERVOLTS`, which every efficiency
+    factor divides by; a curve not positive there raises."""
+    ref = params.efficiency_sat_curve(REFERENCE_OVERVOLTS)
+    if ref <= 0:
+        raise ValueError("efficiency curve must be positive at the reference point")
+    return ref
+
+
+def efficiency_factor(params: ApdParams, bias_v: float, temp_c: float) -> float:
     """Detection-efficiency scale relative to the nominal operating point.
 
     1.0 when the bias loop sits at its reference overvoltage; drops toward 0
     if the bias rails below breakdown plus reference.
     """
     over = max(0.0, bias_v - breakdown_voltage(params, temp_c))
-    ref = params.efficiency_sat_curve(reference_overvolts)
-    if ref <= 0:
-        raise ValueError("efficiency curve must be positive at the reference point")
+    ref = reference_efficiency(params)
     return params.efficiency_sat_curve(over) / ref

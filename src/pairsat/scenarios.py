@@ -10,13 +10,13 @@ output.
 Most ticks run in one of two stretches, which repeat the per-tick path's
 arithmetic, in its order, on local variables. An idle stretch runs while the
 thermal gate holds the controller idle, laser off; it steps only the housing
-and package nodes. A scan stretch runs while the controller scans with the
-laser on and neither active bias loop is railed; it inlines the laser
-monitor, the SCANNING branch of the controller, the heater rule, both bias
-loops, the counts and the LC settle timers. Each leaves where the per-tick
-path has a decision to make: the gate, an unstable laser reading, the end
-of a scan, a bias rail. The tests compare every stretch with the per-tick
-path, the stretch's entry patched out.
+and package nodes. A scan stretch runs every SCANNING tick but the one that
+aborts; it inlines the laser monitor, the SCANNING branch of the controller,
+the heater rule, both bias loops, the counts and the LC settle timers. Each
+leaves where the per-tick path has a decision to make: the gate, an unstable
+laser reading, the end of a scan. The tests compare every stretch with the
+per-tick path, the stretch's entry patched out; in a run the per-tick path
+never takes a counting tick.
 
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
@@ -42,16 +42,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import (BIAS_KI, BIAS_KP, BIAS_RAIL_FAULT_S, GATE_MAX_C, GATE_MIN_C,
+from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, GATE_MAX_C, GATE_MIN_C,
                          OPERATING_MODULES, PAIR_CHANNELS, Commands, FlightController, Gate,
-                         Mode, ScanConfig, Sensors, thermal_gate)
-from .lc_optics import SETTLE_TIME_S, LcCalibration, LcState, MonotoneCubic, \
-    angle_from_voltage, command_voltage, default_calibration, step_settle
-from .physics import REFERENCE_OVERVOLTS, SourceParams
+                         Mode, Sensors, thermal_gate)
+from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
+    command_voltage, default_calibration, step_settle
+from .physics import SourceParams, reference_efficiency
 from .telemetry import FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_HEATER_ON, FLAG_LASER_ON, \
     FlashImage, TelemetryRecord
 from .thermal_power import (HEATER_CAP_OPERATING_W, HEATER_OFF_ABOVE_C, HEATER_ON_BELOW_C,
-                            PowerLedger, ThermalParams, ThermalState)
+                            PowerLedger, ThermalParams)
 
 TICK_MS = controller.TICK_MS
 TICK_S = controller.TICK_S
@@ -455,13 +455,11 @@ class SimulationEngine:
             raise ValueError(f"duration {scenario.duration_s} s is under one {TICK_MS} ms tick")
         self._check_record_fields()
         self.thermal_params = ThermalParams()
-        self.thermal = ThermalState(housing_temp_c=scenario.initial_housing_c)
+        self.housing_temp_c = scenario.initial_housing_c
         self.ledger = PowerLedger()
         self.flash = FlashImage()
         self.lc_signal = LcState()
         self.lc_idler = LcState()
-        # commanded signal mV: set by every signal command, which every count follows
-        self.signal_mv: int | None = None
         # analyzer pair rate per (pair, signal mV), filled on first use
         self._pair_rates: dict[tuple[int, int], float] = {}
         self.package_temp = scenario.initial_package_c
@@ -494,7 +492,8 @@ class SimulationEngine:
         # a scan id is held for at least a full scan (commit) or, once
         # burned by an abort, a fault hold before the next scan starts
         cfg = self.ctrl.config
-        min_scan_s = min(cfg.n_steps * (cfg.settle_s + cfg.dwell_s), controller.FAULT_HOLD_S)
+        min_scan_s = min(cfg.n_steps * (SETTLE_TIME_MS / 1000 + cfg.dwell_s),
+                         controller.FAULT_HOLD_S)
         max_id = TelemetryRecord._RANGES["scan_id"][1]
         if duration_s > max_id * min_scan_s:
             raise ValueError(
@@ -505,9 +504,9 @@ class SimulationEngine:
         # of the pair curve, every detector at the top of its efficiency
         # curve: the top of the bias range over a breakdown voltage >= 0 V
         src = self.scenario.source
-        gain = max(p.efficiency_sat_curve(p.bias_max_v)
-                   / p.efficiency_sat_curve(physics.REFERENCE_OVERVOLTS)
-                   for p in (loop.params for loop in self.ctrl.bias_loops))
+        params = [loop.params for loop in self.ctrl.bias_loops]
+        refs = [reference_efficiency(p) for p in params]
+        gain = max(p.efficiency_sat_curve(p.bias_max_v) / ref for p, ref in zip(params, refs))
         rate = (physics.true_pair_rate(src, src.phase_offset_rad / 2.0) * gain**2
                 + physics.accidental_rate(src.singles_rate_signal_hz * gain,
                                           src.singles_rate_idler_hz * gain,
@@ -527,12 +526,12 @@ class SimulationEngine:
                 power *= 1.0 - frac
         return power
 
-    def _pair_rate(self, pair: int, signal_mv: int) -> float:
+    def _pair_rate(self, pair: int, mv: int) -> float:
         """`controller.analyzer_pair_rate` at a signal LC voltage, cached per run."""
-        key = (pair, signal_mv)
+        key = (pair, mv)
         pair_rate = self._pair_rates.get(key)
         if pair_rate is None:
-            angle = angle_from_voltage(self.calibration, signal_mv / 1000.0)
+            angle = angle_from_voltage(self.calibration, mv / 1000.0)
             pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(
                 self._benches[pair], angle)
         return pair_rate
@@ -541,9 +540,9 @@ class SimulationEngine:
         """`controller.bench_rates` at the commanded signal voltage, its analyzer part cached."""
         ch1, ch2 = PAIR_CHANNELS[pair]
         loops = self.ctrl.bias_loops
-        temp = self.thermal.housing_temp_c
+        temp = self.housing_temp_c
         return controller.detector_rates(
-            self._benches[pair], self._pair_rate(pair, self.signal_mv),
+            self._benches[pair], self._pair_rate(pair, self.lc_signal.commanded_mv),
             physics.efficiency_factor(loops[ch1].params, loops[ch1].bias, temp),
             physics.efficiency_factor(loops[ch2].params, loops[ch2].bias, temp),
         )
@@ -571,13 +570,14 @@ class SimulationEngine:
         """
         ctx = self._count_ctx or self._commit_ctx
         if ctx is None:
-            ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
+            ctx = (cmd.scan_id, cmd.step, cmd.pair, self.lc_signal.commanded_mv,
+                   self.lc_idler.commanded_mv)
         ch1, ch2 = controller.PAIR_CHANNELS[ctx[2]]
         loops = self.ctrl.bias_loops
         self._rows.append((*ctx, self._s1, self._s2, self._coinc, self._flags,
                            self._last_laser_mw, loops[ch1].bias, loops[ch2].bias))
         self._repeats.append(1)
-        self._temps.append(self.thermal.housing_temp_c)
+        self._temps.append(self.housing_temp_c)
         self._s1 = self._s2 = self._coinc = self._flags = 0
         self._count_ctx = self._commit_ctx = None
         if len(self._temps) == PENDING_RECORDS:
@@ -639,7 +639,7 @@ class SimulationEngine:
             flags |= telemetry.FLAG_FAULT_HOLD
         loops = self.ctrl.bias_loops
         ch1, ch2 = self.ctrl.active_channels()
-        if loops[ch1].railed_s > 0.0 or loops[ch2].railed_s > 0.0:
+        if loops[ch1].railed or loops[ch2].railed:
             flags |= telemetry.FLAG_BIAS_RAILED
         return flags
 
@@ -660,11 +660,11 @@ class SimulationEngine:
         Returns the first tick not advanced, with the controller, the open
         period and the engine as the per-tick path leaves them.
         """
-        ctrl, thermal, params = self.ctrl, self.thermal, self.thermal_params
+        ctrl, params = self.ctrl, self.thermal_params
         gate = ctrl.held_gate()
         cmd = ctrl.tick(Sensors(
             time_ms=k * TICK_MS,
-            housing_temp_c=thermal.housing_temp_c,
+            housing_temp_c=self.housing_temp_c,
             laser_power_mw=0.0,  # held idle, the laser is off
             lc_signal_settled=True,
             lc_idler_settled=True,
@@ -675,8 +675,9 @@ class SimulationEngine:
         self._flags |= flags
         ch1, ch2 = controller.PAIR_CHANNELS[cmd.pair]
         loops = ctrl.bias_loops
-        held_row = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv, 0, 0, 0, flags,
-                    0.0, loops[ch1].bias, loops[ch2].bias)
+        held_row = (cmd.scan_id, cmd.step, cmd.pair, self.lc_signal.commanded_mv,
+                    self.lc_idler.commanded_mv, 0, 0, 0, flags, 0.0, loops[ch1].bias,
+                    loops[ch2].bias)
         # periods logged with only their temperature, for held_row to stand
         # for; -1 until the stretch closes its first period
         held = -1
@@ -689,7 +690,7 @@ class SimulationEngine:
         conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
         # the gate holds while the temperature stays beyond its threshold
         heating = gate is Gate.HEAT
-        temp = thermal.housing_temp_c
+        temp = self.housing_temp_c
         pkg_temp = self.package_temp
         package = self.scenario.package
         h_min, h_max = self._housing_min, self._housing_max
@@ -716,7 +717,7 @@ class SimulationEngine:
                 continue
             # a new period starts
             if held < 0:  # the period the stretch entered may hold counts or a commit
-                thermal.housing_temp_c = temp
+                self.housing_temp_c = temp
                 self._close_period(cmd)
                 self._flags = flags
                 held = 0
@@ -731,15 +732,15 @@ class SimulationEngine:
         if held > 0:
             self._rows.append(held_row)
             self._repeats.append(held)
-        thermal.housing_temp_c = temp
+        self.housing_temp_c = temp
         self.package_temp = pkg_temp
         self._housing_min, self._housing_max = h_min, h_max
         self._package_min, self._package_max = p_min, p_max
         return k
 
     def _scan_stretch(self, k: int, env_temp: memoryview) -> tuple[int, float | None]:
-        """Advance from tick k while the controller scans with the laser on
-        and neither active bias loop is railed (`FlightController.steady_scan`).
+        """Advance from tick k while the controller scans
+        (`FlightController.steady_scan`).
 
         Entered at the top of tick k, after its period check. Each tick does
         on locals, in the per-tick path's order and with its arithmetic: the
@@ -752,16 +753,17 @@ class SimulationEngine:
         `physics.sample_counts`); the tick flags; the LC settle timers
         (`step_settle`); the housing and package steps; and the period close
         (`_close_period`). The draw cache is looked up only when the heater
-        toggles. A not-ready window does not abort a scan, so the stretch
-        goes on through it.
+        toggles, and the reference efficiencies are checked on entry. Neither
+        a not-ready window nor a railed bias loop stops a scan, so the
+        stretch goes on through both.
 
-        After the last dwell tick, which it ends in STORING, after a tick
-        that railed an active loop, and at the end of the run, it returns
-        (the first tick not advanced, None). On a reading `laser_stable`
-        finds unstable it returns (its tick, its laser power) before the
-        controller decides it: the monitor holds the sample, and the per-tick
-        path finishes the tick with `FlightController.decide`. Every local is
-        written back on the way out, also when a draw raises.
+        It has three exits. After the last dwell tick, which it ends in
+        STORING, and at the end of the run, it returns (the first tick not
+        advanced, None). On a reading `laser_stable` finds unstable it
+        returns (its tick, its laser power) before the controller decides
+        it: the monitor holds the sample, and the per-tick path finishes the
+        tick with `FlightController.decide`. Every local is written back on
+        the way out, also when a draw raises.
         """
         ctrl, poisson, normal = self.ctrl, self.rng.poisson, self.rng.standard_normal
         monitor = ctrl.monitor
@@ -776,9 +778,9 @@ class SimulationEngine:
         cmd_step, dwell_ms = step, round(ctrl.config.dwell_s * 1000)
         voltages, idler_mv = ctrl.voltages, ctrl.idler_voltages[pair]
         hw, drawn_hw = ctrl.heater_watts, None
-        sig_v, sig_r = self.lc_signal.commanded_voltage, self.lc_signal.settle_remaining_s
-        idl_v, idl_r = self.lc_idler.commanded_voltage, self.lc_idler.settle_remaining_s
-        signal_mv, lc_mv, pair_rate = self.signal_mv, self._lc_mv, None
+        sig_mv, sig_r = self.lc_signal.commanded_mv, self.lc_signal.settle_remaining_ms
+        idl_mv, idl_r = self.lc_idler.commanded_mv, self.lc_idler.settle_remaining_ms
+        pair_rate = None
         source = self.scenario.source
         singles_1, singles_2 = source.singles_rate_signal_hz, source.singles_rate_idler_hz
         window = self._benches[pair].window_s
@@ -791,13 +793,13 @@ class SimulationEngine:
                                 p2.amplitude_gain_per_overvolt)
         min_1, max_1, min_2, max_2 = p1.bias_min_v, p1.bias_max_v, p2.bias_min_v, p2.bias_max_v
         curve_1, curve_2 = p1.efficiency_sat_curve, p2.efficiency_sat_curve
-        ref_1, ref_2 = curve_1(REFERENCE_OVERVOLTS), curve_2(REFERENCE_OVERVOLTS)
-        set_1, set_2 = loop_1.setpoint, loop_2.setpoint
+        ref_1, ref_2 = reference_efficiency(p1), reference_efficiency(p2)
+        setpoint = BIAS_SETPOINT
         b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
-        railed_1 = railed_2 = False
+        railed_1, railed_2 = loop_1.railed, loop_2.railed
         params = self.thermal_params
         conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
-        temp, pkg_temp = self.thermal.housing_temp_c, self.package_temp
+        temp, pkg_temp = self.housing_temp_c, self.package_temp
         package = self.scenario.package
         h_min, h_max = self._housing_min, self._housing_max
         p_min, p_max = self._package_min, self._package_max
@@ -831,13 +833,11 @@ class SimulationEngine:
                 counting = False
                 if pending:
                     pending, dwell = False, dwell_ms
-                    self.signal_mv = signal_mv = voltages[step]
-                    sig_v, idl_v = signal_mv / 1000.0, idler_mv / 1000.0
-                    sig_r = idl_r = SETTLE_TIME_S
-                    self._lc_mv = lc_mv = (round(sig_v * 1000), round(idl_v * 1000))
+                    sig_mv, idl_mv = voltages[step], idler_mv
+                    sig_r = idl_r = SETTLE_TIME_MS
                     pair_rate = None
                     self._command_ms = t_ms
-                elif sig_r == 0.0 and idl_r == 0.0 and dwell > 0:
+                elif sig_r == 0 and idl_r == 0 and dwell > 0:
                     counting = True
                     dwell -= TICK_MS
                     if dwell == 0:
@@ -861,7 +861,7 @@ class SimulationEngine:
                 if b1 < min_1:
                     raise ValueError(f"bias {b1} outside [{min_1}, {max_1}]")
                 over = b1 - bd1
-                err = (set_1 - gain_1 * (over if over > 0.0 else 0.0)) / set_1
+                err = (setpoint - gain_1 * (over if over > 0.0 else 0.0)) / setpoint
                 trial = i1 + err
                 bias = b1 + BIAS_KP * err + BIAS_KI * trial
                 if bias > max_1:
@@ -878,7 +878,7 @@ class SimulationEngine:
                 if b2 < min_2:
                     raise ValueError(f"bias {b2} outside [{min_2}, {max_2}]")
                 over = b2 - bd2
-                err = (set_2 - gain_2 * (over if over > 0.0 else 0.0)) / set_2
+                err = (setpoint - gain_2 * (over if over > 0.0 else 0.0)) / setpoint
                 trial = i2 + err
                 bias = b2 + BIAS_KP * err + BIAS_KI * trial
                 if bias > max_2:
@@ -891,9 +891,7 @@ class SimulationEngine:
 
                 if counting:
                     if pair_rate is None:
-                        pair_rate = self._pair_rate(pair, signal_mv)
-                    if ref_1 <= 0 or ref_2 <= 0:
-                        raise ValueError("efficiency curve must be positive at the reference point")
+                        pair_rate = self._pair_rate(pair, sig_mv)
                     over = b1 - bd1
                     f1 = curve_1(over if over > 0.0 else 0.0) / ref_1
                     over = b2 - bd2
@@ -909,7 +907,7 @@ class SimulationEngine:
                     coinc += min(int(poisson(rate_c * TICK_S)), n1, n2)
                     flags |= FLAG_COUNTING
                     if count_ctx is None:
-                        count_ctx = (scan_id, cmd_step, pair, *lc_mv)
+                        count_ctx = (scan_id, cmd_step, pair, sig_mv, idl_mv)
                     if self._command_ms is not None:
                         settle_ms.add(t_ms - self._command_ms)
                         self._command_ms = None
@@ -918,14 +916,10 @@ class SimulationEngine:
                 if railed_1 or railed_2:
                     flags |= FLAG_BIAS_RAILED
 
-                if sig_r != 0.0:
-                    sig_r -= TICK_S
-                    if sig_r < 1e-12:
-                        sig_r = 0.0
-                if idl_r != 0.0:
-                    idl_r -= TICK_S
-                    if idl_r < 1e-12:
-                        idl_r = 0.0
+                if sig_r:
+                    sig_r = max(0, sig_r - TICK_MS)
+                if idl_r:
+                    idl_r = max(0, idl_r - TICK_MS)
 
                 if hw != drawn_hw:
                     total, dissipation = self._draws(Commands(
@@ -948,12 +942,12 @@ class SimulationEngine:
                         p_max = pkg_temp
 
                 k += 1
-                if k == n_ticks or railed_1 or railed_2 or ctrl.mode is Mode.STORING:
+                if k == n_ticks or ctrl.mode is Mode.STORING:
                     return k, None
                 if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
                     continue
                 # a new period starts: `_close_period`
-                ctx = count_ctx or commit_ctx or (scan_id, cmd_step, pair, *lc_mv)
+                ctx = count_ctx or commit_ctx or (scan_id, cmd_step, pair, sig_mv, idl_mv)
                 if ctx[2] == pair:
                     row_biases = b1, b2
                 else:  # a commit record of the pair before
@@ -969,20 +963,17 @@ class SimulationEngine:
             monitor.last_dropped_s = dropped
             ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command = step, dwell, pending
             ctrl.heater_watts = hw
-            for loop, bias, integrator, railed in ((loop_1, b1, i1, railed_1),
-                                                  (loop_2, b2, i2, railed_2)):
-                loop.bias, loop.integrator = bias, integrator
-                loop.railed_s = TICK_S if railed else 0.0
-                loop.fault = loop.railed_s > BIAS_RAIL_FAULT_S
-            self.lc_signal = LcState(sig_v, sig_r == 0.0, sig_r)
-            self.lc_idler = LcState(idl_v, idl_r == 0.0, idl_r)
+            loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1
+            loop_2.bias, loop_2.integrator, loop_2.railed = b2, i2, railed_2
+            self.lc_signal = LcState(sig_mv, sig_r)
+            self.lc_idler = LcState(idl_mv, idl_r)
             self._idle_cmd = Commands(
                 ctrl.mode, True, hw, "operating", active_modules=OPERATING_MODULES,
                 scan_id=scan_id, step=cmd_step, pair=pair)
             self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags
             self._count_ctx, self._commit_ctx = count_ctx, commit_ctx
             self._last_laser_mw = laser_mw
-            self.thermal.housing_temp_c, self.package_temp = temp, pkg_temp
+            self.housing_temp_c, self.package_temp = temp, pkg_temp
             self._housing_min, self._housing_max = h_min, h_max
             self._package_min, self._package_max = p_min, p_max
 
@@ -1007,9 +998,6 @@ class SimulationEngine:
         self._s1 = self._s2 = self._coinc = self._flags = 0
         self._count_ctx: tuple[int, ...] | None = None
         self._commit_ctx: tuple[int, ...] | None = None
-        # the record mV of the commanded LC voltages
-        self._lc_mv = (round(self.lc_signal.commanded_voltage * 1000),
-                       round(self.lc_idler.commanded_voltage * 1000))
         # each committed scan as the STORING tick knew it and as grouped;
         # `_pending_commits` holds what the STORING ticks knew of scans not yet
         # grouped, and `_ungrouped` the counting and commit rows written
@@ -1026,10 +1014,10 @@ class SimulationEngine:
         self._idle_cmd = Commands(mode=Mode.INIT)
         self._draw_cache: dict[tuple, tuple[float, float]] = {}
         self._max_power = 0.0
-        self._housing_min = self._housing_max = self.thermal.housing_temp_c
+        self._housing_min = self._housing_max = self.housing_temp_c
         self._package_min = self._package_max = self.package_temp
         self._mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
-        thermal, ctrl = self.thermal, self.ctrl
+        ctrl = self.ctrl
 
         k = 0
         while k < n_ticks:
@@ -1040,7 +1028,7 @@ class SimulationEngine:
 
             gate = ctrl.held_gate()
             if (gate is not None and self.lc_signal.settled and self.lc_idler.settled
-                    and thermal_gate(thermal.housing_temp_c) is gate):
+                    and thermal_gate(self.housing_temp_c) is gate):
                 k = self._idle_stretch(k, env_temp)
                 continue
             # a reading the scan stretch sampled and found unstable, or None
@@ -1060,7 +1048,7 @@ class SimulationEngine:
             self._last_laser_mw = laser_mw
             sensors = Sensors(
                 time_ms=t_ms,
-                housing_temp_c=thermal.housing_temp_c,
+                housing_temp_c=self.housing_temp_c,
                 laser_power_mw=laser_mw,
                 lc_signal_settled=self.lc_signal.settled,
                 lc_idler_settled=self.lc_idler.settled,
@@ -1072,15 +1060,12 @@ class SimulationEngine:
                 self._mode_history.append((t_ms, cmd.mode.value))
 
             if cmd.lc_signal_mv is not None:
-                self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv / 1000.0)
-                self.signal_mv = cmd.lc_signal_mv
-                self._lc_mv = (round(self.lc_signal.commanded_voltage * 1000), self._lc_mv[1])
+                self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv)
                 if cmd.step == 0:  # a new set: `_pending_commits` may hold the last one
                     self._scan_start_ms, self._settle_ms = t_ms, set()
                 self._command_ms = t_ms
             if cmd.lc_idler_mv is not None:
-                self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv / 1000.0)
-                self._lc_mv = (self._lc_mv[0], round(self.lc_idler.commanded_voltage * 1000))
+                self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv)
 
             if cmd.abort_scan:
                 aborted += 1
@@ -1093,14 +1078,16 @@ class SimulationEngine:
                 self._coinc += sample.coincidences_raw
                 self._flags |= telemetry.FLAG_COUNTING
                 if self._count_ctx is None:
-                    self._count_ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
+                    self._count_ctx = (cmd.scan_id, cmd.step, cmd.pair,
+                                       self.lc_signal.commanded_mv, self.lc_idler.commanded_mv)
                 if self._command_ms is not None:
                     self._settle_ms.add(t_ms - self._command_ms)
                     self._command_ms = None
 
             if cmd.commit_scan:
                 self._flags |= telemetry.FLAG_SCAN_COMMIT
-                self._commit_ctx = (cmd.scan_id, cmd.step, cmd.pair, *self._lc_mv)
+                self._commit_ctx = (cmd.scan_id, cmd.step, cmd.pair,
+                                    self.lc_signal.commanded_mv, self.lc_idler.commanded_mv)
                 # grouped when the block holding this period's record is written
                 self._pending_commits.append((cmd.scan_id, self._scan_start_ms, t_ms,
                                               float(env_alt[k]), self._settle_ms))
@@ -1108,13 +1095,13 @@ class SimulationEngine:
             self._flags |= self._tick_flags(cmd)
 
             if not self.lc_signal.settled:
-                self.lc_signal = step_settle(self.lc_signal, TICK_S)
+                self.lc_signal = step_settle(self.lc_signal, TICK_MS)
             if not self.lc_idler.settled:
-                self.lc_idler = step_settle(self.lc_idler, TICK_S)
+                self.lc_idler = step_settle(self.lc_idler, TICK_MS)
 
             total, dissipation = self._draws(cmd)
-            temp = thermal.housing_temp_c = thermal_power.housing_step(
-                self.thermal_params, thermal.housing_temp_c, cmd.heater_watts,
+            temp = self.housing_temp_c = thermal_power.housing_step(
+                self.thermal_params, self.housing_temp_c, cmd.heater_watts,
                 dissipation, housing_ext, TICK_S)
             if total > self._max_power:
                 self._max_power = total

@@ -1,6 +1,5 @@
 """Calibration curve, settling state machine, and analyzer leakage."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsat.lc_optics import (
-    SETTLE_TIME_S,
+    SETTLE_TIME_MS,
     TWO_PI,
     LcCalibration,
     LcState,
@@ -78,46 +77,44 @@ def test_calibration_validation():
 
 
 def test_settle_countdown():
-    st = command_voltage(LcState(), 3.0)
+    st = command_voltage(LcState(), 3000)
     assert not st.settled
-    assert st.settle_remaining_s == SETTLE_TIME_S
-    st = step_settle(st, 0.1)
-    assert st.settle_remaining_s == pytest.approx(0.2)
+    assert st.settle_remaining_ms == SETTLE_TIME_MS
+    st = step_settle(st, 100)
+    assert st.settle_remaining_ms == 200
     assert not st.settled
-    st = step_settle(st, 0.2)
-    assert st.settled and st.settle_remaining_s == 0.0
+    st = step_settle(st, 250)  # an overshoot closes at 0
+    assert st.settled and st.settle_remaining_ms == 0
     # absorbing once settled
-    assert step_settle(st, 1.0) == st
+    assert step_settle(st, 1000) == st
 
 
 def test_settle_closes_exactly_on_tick_grid():
-    # each state is the one `dataclasses.replace` builds from the last
-    st = ref = command_voltage(LcState(), 5.0)
+    st = command_voltage(LcState(), 5000)
     for i in range(6):
-        st = step_settle(st, 0.05)
-        remaining = ref.settle_remaining_s - 0.05
-        remaining = 0.0 if remaining < 1e-12 else remaining
-        ref = dataclasses.replace(ref, settled=remaining == 0.0, settle_remaining_s=remaining)
-        assert st == ref and st.settled == (i == 5)
-    assert st.settle_remaining_s == 0.0 and st.commanded_voltage == 5.0
+        st = step_settle(st, 50)
+        assert st == LcState(5000, SETTLE_TIME_MS - 50 * (i + 1))
+        assert st.settled == (i == 5)
+    assert st.settle_remaining_ms == 0 and st.commanded_mv == 5000
 
 
 def test_recommand_restarts_timer():
-    st = command_voltage(LcState(), 3.0)
+    st = command_voltage(LcState(), 3000)
     for _ in range(6):
-        st = step_settle(st, 0.05)
+        st = step_settle(st, 50)
     assert st.settled
     # same voltage written again still forces a fresh settle interval
-    st = command_voltage(st, 3.0)
+    st = command_voltage(st, 3000)
     assert not st.settled
-    assert st.settle_remaining_s == SETTLE_TIME_S
+    assert st.settle_remaining_ms == SETTLE_TIME_MS
 
 
 def test_state_invariant_enforced():
+    # a negative remaining time raises
     with pytest.raises(ValueError):
-        LcState(commanded_voltage=1.0, settled=True, settle_remaining_s=0.1)
+        LcState(commanded_mv=1000, settle_remaining_ms=-50)
     with pytest.raises(ValueError):
-        LcState(commanded_voltage=1.0, settled=False, settle_remaining_s=0.0)
+        step_settle(LcState(1000, 50), 0)
 
 
 def test_polarization_mixing_compresses_contrast():

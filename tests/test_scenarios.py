@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsat import scenarios, telemetry
+from pairsat import controller, scenarios, telemetry
 from pairsat.analysis import analyze_flash
 from pairsat.controller import (PAIR_CHANNELS, FlightController, Gate, Mode, OpticalBench,
                               bench_rates)
-from pairsat.lc_optics import angle_from_voltage
-from pairsat.physics import ApdParams, SourceParams, efficiency_factor
+from pairsat.lc_optics import LcState, angle_from_voltage
+from pairsat.physics import REFERENCE_OVERVOLTS, ApdParams, SourceParams, efficiency_factor
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
@@ -260,6 +260,16 @@ def test_engine_rejects_source_over_coinc_raw_limit():
         SimulationEngine(scenario)
 
 
+def test_engine_rejects_zero_reference_efficiency(monkeypatch):
+    # every loop is checked before the record-field check divides by it
+    def curve(overvolts):
+        return max(0.0, overvolts - REFERENCE_OVERVOLTS)
+
+    monkeypatch.setattr(controller, "ApdParams", lambda: ApdParams(efficiency_sat_curve=curve))
+    with pytest.raises(ValueError, match="positive at the reference point"):
+        SimulationEngine(make_scenario("lab", duration_s=1.0))
+
+
 @pytest.fixture(scope="module")
 def lab_run():
     """One 120 s bench run, shared across the checks below."""
@@ -339,11 +349,12 @@ def test_engine_rates_match_bench_rates(ticks):
     scenario = make_scenario("lab", duration_s=1.0)
     engine = SimulationEngine(scenario)
     for pair, step, biases, temp in ticks:
-        engine.signal_mv = mv = engine.ctrl.voltages[step]
+        mv = engine.ctrl.voltages[step]
+        engine.lc_signal = LcState(mv)
         loops = [engine.ctrl.bias_loops[ch] for ch in PAIR_CHANNELS[pair]]
         for loop, bias in zip(loops, biases):
             loop.bias = bias
-        engine.thermal.housing_temp_c = temp
+        engine.housing_temp_c = temp
         bench = OpticalBench(
             source=scenario.source, calibration=engine.calibration,
             extinction_ratio=scenario.extinction_ratio, pair=pair,
@@ -596,8 +607,9 @@ class ScanStretch:
 
     first: int  # the tick it entered on
     end: int  # the first tick it did not advance
-    reason: str  # "unstable", "storing", "railed" or "end"
+    reason: str  # "unstable", "storing" or "end"
     after_commit: bool  # entered inside a commit record's period
+    railed: bool  # an active bias loop railed at exit
     wrote_block: bool
     heater_toggled: bool
     pending: bool  # a step command is due
@@ -620,14 +632,13 @@ def _scan_stretches_match_per_tick_path(scenario, prepare=None):
             reason = "unstable"
         elif end == self.n_ticks:
             reason = "end"
-        elif ctrl.mode is Mode.STORING:
-            reason = "storing"
         else:
-            assert any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-            reason = "railed"
-        stretches.append(ScanStretch(k, end, reason, after_commit, self._written > written,
-                                     ctrl.heater_watts != watts, ctrl.pending_command,
-                                     ctrl.dwell_remaining_ms))
+            assert ctrl.mode is Mode.STORING
+            reason = "storing"
+        railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
+        stretches.append(ScanStretch(k, end, reason, after_commit, railed,
+                                     self._written > written, ctrl.heater_watts != watts,
+                                     ctrl.pending_command, ctrl.dwell_remaining_ms))
         return end, laser_mw
 
     def run():
@@ -661,6 +672,15 @@ def _narrow_bias_max(engine, bias_max_v=120.5, breakdown_v=112.0):
                                       breakdown_volts_at_25c=breakdown_v)
 
 
+def _railed_dip():
+    """Air at 200 C and a dip from 64.25 s, the third scan stretch's first
+    tick (the scan begins at 64.2 s): the first two begin on ticks whose
+    window reads not ready."""
+    scenario = _custom([200.0, 200.0], 70.0, housing_c=22.0)
+    scenario.laser_dips = [(64.25, 0.5, 0.2)]
+    return scenario
+
+
 @pytest.mark.parametrize("scenario, prepare, case", [
     # the dip starts on a tick that counts at step 13 (a command at 19.85 s,
     # counts from 20.15 s)
@@ -670,8 +690,16 @@ def _narrow_bias_max(engine, bias_max_v=120.5, breakdown_v=112.0):
     # its first tick is step 2's command tick, at 11.6 s (on the command
     # tick of step 13 the window is not full, so that dip aborts a tick later)
     (_lab_dip(11.59), None, lambda s: s.reason == "unstable" and s.pending),
+    # the stretch runs through the rail to the end of the scan: one stretch
+    # of all the scan's 540 ticks but the first, which began it, railed at
+    # its exit
     (_custom([200.0, 200.0], 60.0, housing_c=22.0), _narrow_bias_max,
-     lambda s: s.reason == "railed"),
+     lambda s: s.railed and s.reason == "storing" and s.end - s.first == 539),
+    # channel 0 railed within seconds, and a dip on a stretch's first tick:
+    # the stretch returns before any bias step, and the fault hold after it
+    # steps no loop, so its records carry the rail the stretch entered with
+    (_railed_dip(), lambda e: _narrow_bias_max(e, 119.0),
+     lambda s: s.railed and s.reason == "unstable" and s.end == s.first),
     # channel 0's breakdown 1 V lower: its bias sits 1 V under channel 3's
     (make_scenario("lab", duration_s=60.0, seed=1), lambda e: _narrow_bias_max(e, 130.0, 111.0),
      lambda s: s.reason == "storing"),
@@ -687,11 +715,34 @@ def _narrow_bias_max(engine, bias_max_v=120.5, breakdown_v=112.0):
     # some scan starts in the period of the commit before it
     (make_scenario("lab", seed=1), None, lambda s: s.after_commit),
 ], ids=["dip-mid-dwell", "dip-under-threshold", "dip-on-step-command", "bias-rail",
+        "railed-dip-on-entry",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
         "ends-after-commit", "after-storing"])
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case):
     stretches, _ = _scan_stretches_match_per_tick_path(scenario, prepare)
     assert any(case(s) for s in stretches), stretches
+
+
+@pytest.mark.parametrize("scenario, prepare", [
+    (make_scenario("lab", seed=1), None),
+    (make_scenario("leo", 4500.0, 3), None),
+    (_custom([200.0, 200.0], 60.0, housing_c=22.0), _narrow_bias_max),
+], ids=["lab", "leo-4500", "bias-rail"])
+def test_counting_ticks_run_only_in_scan_stretches(scenario, prepare, monkeypatch):
+    # the per-tick path's counting branch serves only as the tests' reference
+    calls = []
+    original = SimulationEngine._counting_rates
+
+    def counted(self, pair):
+        calls.append(pair)
+        return original(self, pair)
+
+    monkeypatch.setattr(SimulationEngine, "_counting_rates", counted)
+    engine = SimulationEngine(scenario)
+    if prepare is not None:
+        prepare(engine)
+    _, summary = engine.run()
+    assert summary.scans and calls == []
 
 
 def test_scan_stretch_fills_blocks_matches_per_tick_path(monkeypatch):

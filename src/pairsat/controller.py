@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import physics, thermal_power
-from .lc_optics import (SETTLE_TIME_MS, LcCalibration, angle_from_voltage,
+from .lc_optics import (EXTINCTION_RATIO, SETTLE_TIME_MS, LcCalibration, angle_from_voltage,
                         default_calibration, polarization_mixing, voltage_for_angle)
 from .physics import ApdParams, CountSample, SourceParams
 
@@ -64,8 +64,11 @@ class Mode(Enum):
     FAULT_HOLD = "fault_hold"
 
 
-# tuples: membership tests identity first, where a set hashes enum members in Python
+# The laser runs in exactly these modes, which power the operating modules.
+# Tuples: membership tests identity first, where a set hashes enum members in Python.
 OPERATING_MODES = (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
+# (active modules, heater mode) by whether the laser is on
+POWER_STATES = {False: (IDLE_MODULES, "idle"), True: (OPERATING_MODULES, "operating")}
 HEAT_ALLOWED_MODES = tuple(mode for mode in Mode if mode is not Mode.WAIT_COOL)
 
 
@@ -169,10 +172,9 @@ def apd_bias_step(
     """One PI iteration of the constant-amplitude bias feedback.
 
     Returns the new bias (clamped to the supply rails) and the updated
-    integrator term. On saturation the integrator is back-calculated to
-    the value consistent with the railed output, so neither a dwell at a
-    rail nor a large pre-rail transient can wind it up; recovery starts
-    on the first step the error points back inside.
+    integrator term. On saturation the integrator resets to 0, so neither
+    a dwell at a rail nor a large pre-rail transient can wind it up; the
+    loop leaves the rail on the first step its error points back inside.
     """
     if not params.bias_min_v <= current_bias <= params.bias_max_v:
         raise ValueError(
@@ -182,11 +184,9 @@ def apd_bias_step(
     trial = integrator + err
     bias = current_bias + BIAS_KP * err + BIAS_KI * trial
     if bias > params.bias_max_v:
-        trial = (params.bias_max_v - current_bias - BIAS_KP * err) / BIAS_KI
-        return params.bias_max_v, trial
+        return params.bias_max_v, 0.0
     if bias < params.bias_min_v:
-        trial = (params.bias_min_v - current_bias - BIAS_KP * err) / BIAS_KI
-        return params.bias_min_v, trial
+        return params.bias_min_v, 0.0
     return bias, trial
 
 
@@ -261,8 +261,6 @@ class OpticalBench:
 
     source: SourceParams = field(default_factory=SourceParams)
     calibration: LcCalibration = None  # filled in __post_init__
-    extinction_ratio: float = 2000.0
-    window_s: float = physics.COINCIDENCE_WINDOW_S
     pair: int = PAIR_1_4
     apd_factors: tuple[float, float] = (1.0, 1.0)
 
@@ -282,7 +280,7 @@ def analyzer_pair_rate(bench: OpticalBench, analyzer_angle_rad: float) -> float:
     theta = analyzer_angle_rad + (math.pi / 2.0 if bench.pair == PAIR_2_3 else 0.0)
     true_par = physics.true_pair_rate(bench.source, theta)
     true_orth = physics.true_pair_rate(bench.source, theta + math.pi / 2.0)
-    return polarization_mixing(true_par, true_orth, bench.extinction_ratio)
+    return polarization_mixing(true_par, true_orth, EXTINCTION_RATIO)
 
 
 def detector_rates(bench: OpticalBench, pair_rate: float, f1: float,
@@ -291,7 +289,7 @@ def detector_rates(bench: OpticalBench, pair_rate: float, f1: float,
     seen by detectors of efficiency factors f1 and f2."""
     s1 = bench.source.singles_rate_signal_hz * f1
     s2 = bench.source.singles_rate_idler_hz * f2
-    coinc = pair_rate * f1 * f2 + physics.accidental_rate(s1, s2, bench.window_s)
+    coinc = pair_rate * f1 * f2 + physics.accidental_rate(s1, s2, physics.COINCIDENCE_WINDOW_S)
     return s1, s2, coinc
 
 
@@ -328,25 +326,36 @@ class Sensors:
     time_ms: int
     housing_temp_c: float
     laser_power_mw: float
-    lc_signal_settled: bool
-    lc_idler_settled: bool
+    lc_settled: bool  # both LCs: they are always commanded together
 
 
 @dataclass(slots=True)
 class Commands:
+    """One tick's commands. The laser, the active modules and the heater
+    mode follow from the mode the tick ends in."""
+
     mode: Mode
-    laser_on: bool = False
     heater_watts: float = 0.0
-    heater_mode: str = "idle"
     lc_signal_mv: int | None = None
     lc_idler_mv: int | None = None
     counting: bool = False
     commit_scan: bool = False
     abort_scan: bool = False
-    active_modules: frozenset[str] = IDLE_MODULES
     scan_id: int = 0
     step: int = 0
     pair: int = PAIR_1_4
+
+    @property
+    def laser_on(self) -> bool:
+        return self.mode in OPERATING_MODES
+
+    @property
+    def active_modules(self) -> frozenset[str]:
+        return POWER_STATES[self.laser_on][0]
+
+    @property
+    def heater_mode(self) -> str:
+        return POWER_STATES[self.laser_on][1]
 
 
 class FlightController:
@@ -374,11 +383,15 @@ class FlightController:
             for pair in PAIR_CHANNELS
         }
         self.monitor = LaserMonitor()
-        self.laser_on = False
         self.heater_watts = 0.0
         self.fault_until_ms: int | None = None
         self.bias_loops = [ApdBiasLoop(apd) for _ in range(4)]
         self.laser_activations: list[tuple[int, float]] = []
+
+    @property
+    def laser_on(self) -> bool:
+        """The laser runs in exactly the operating modes."""
+        return self.mode in OPERATING_MODES
 
     def active_channels(self) -> tuple[int, int]:
         return PAIR_CHANNELS[self.pair]
@@ -386,14 +399,12 @@ class FlightController:
     def held_gate(self) -> Gate | None:
         """The gate decision that holds the controller idle, or None.
 
-        In HEATING or WAIT_COOL with the laser off, a tick whose sensed
+        In HEATING or WAIT_COOL, where the laser is off, a tick whose sensed
         housing temperature gets this decision from `thermal_gate` keeps
         the mode and changes nothing but the heater command, and every
         such tick after the first returns equal commands and changes
         nothing at all.
         """
-        if self.laser_on:
-            return None
         if self.mode is Mode.HEATING:
             return Gate.HEAT
         if self.mode is Mode.WAIT_COOL:
@@ -405,29 +416,19 @@ class FlightController:
         state the engine's scan stretch advances."""
         return self.mode is Mode.SCANNING
 
-    def _turn_laser_on(self, sensors: Sensors) -> None:
-        self.laser_on = True
-        self.monitor.clear()
-        self.laser_activations.append((sensors.time_ms, sensors.housing_temp_c))
-        self.mode = Mode.LASER_STABILIZING
-
-    def _turn_laser_off(self) -> None:
-        self.laser_on = False
-        self.monitor.clear()
-
     def _enter_gate(self, sensors: Sensors) -> None:
+        """Leave for the mode the thermal gate admits. The laser's state is
+        read from the mode left, so this runs before the mode changes: from
+        STORING the laser stays on and its monitor window is kept."""
         gate = thermal_gate(sensors.housing_temp_c)
         if gate is Gate.PROCEED:
-            if not self.laser_on:
-                self._turn_laser_on(sensors)
-            else:
-                self.mode = Mode.LASER_STABILIZING
-        elif gate is Gate.HEAT:
-            self._turn_laser_off()
-            self.mode = Mode.HEATING
-        else:
-            self._turn_laser_off()
-            self.mode = Mode.WAIT_COOL
+            if not self.laser_on:  # the laser turns on
+                self.monitor.clear()
+                self.laser_activations.append((sensors.time_ms, sensors.housing_temp_c))
+            self.mode = Mode.LASER_STABILIZING
+        else:  # the laser is or turns off
+            self.monitor.clear()
+            self.mode = Mode.HEATING if gate is Gate.HEAT else Mode.WAIT_COOL
 
     def _begin_scan(self, cmd: Commands) -> None:
         self.mode = Mode.SCANNING
@@ -484,16 +485,12 @@ class FlightController:
                 cmd.abort_scan = True
                 cmd.scan_id = self.scan_id
                 self.scan_id += 1
-                self._turn_laser_off()
+                self.monitor.clear()  # the laser turns off
                 self.mode = Mode.FAULT_HOLD
                 self.fault_until_ms = sensors.time_ms + round(FAULT_HOLD_S * 1000)
             elif self.pending_command:
                 self._emit_step_command(cmd)
-            elif (
-                sensors.lc_signal_settled
-                and sensors.lc_idler_settled
-                and self.dwell_remaining_ms > 0
-            ):
+            elif sensors.lc_settled and self.dwell_remaining_ms > 0:
                 cmd.scan_id = self.scan_id
                 cmd.step = self.step_index
                 cmd.counting = True
@@ -518,10 +515,6 @@ class FlightController:
 
         # command synthesis for the state we ended the tick in
         cmd.mode = self.mode
-        operating = self.mode in OPERATING_MODES
-        cmd.laser_on = self.laser_on
-        cmd.active_modules = OPERATING_MODULES if operating else IDLE_MODULES
-        cmd.heater_mode = "operating" if operating else "idle"
         if self.mode in HEAT_ALLOWED_MODES:
             self.heater_watts = thermal_power.heater_command(
                 sensors.housing_temp_c, cmd.heater_mode, self.heater_watts
@@ -530,7 +523,7 @@ class FlightController:
             self.heater_watts = 0.0
         cmd.heater_watts = self.heater_watts
 
-        if operating:
+        if cmd.laser_on:
             for ch in self.active_channels():
                 self.bias_loops[ch].step(sensors.housing_temp_c)
 

@@ -20,6 +20,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SETTLE_TIME_MS = 300
+# the analyzer's extinction ratio: it passes the orthogonal polarization at
+# 1 / (1 + EXTINCTION_RATIO)
+EXTINCTION_RATIO = 2000.0
 # bracket width at which `voltage_for_angle` stops bisecting, volts
 INVERSE_TOLERANCE_V = 1e-12
 
@@ -196,10 +199,13 @@ def voltage_for_angle(cal: LcCalibration, theta: float) -> float:
 
 @dataclass(frozen=True)
 class LcState:
-    """The commanded drive voltage, in the integer millivolts the scan table
-    and the records use, and the settle time left, in ms; settled at 0."""
+    """The LC pair: the commanded signal and idler drive voltages, in the
+    integer millivolts the scan table and the records use, and the settle
+    time left, in ms; settled at 0. Both LCs are always written together,
+    so one timer serves the pair."""
 
-    commanded_mv: int = 0
+    signal_mv: int = 0
+    idler_mv: int = 0
     settle_remaining_ms: int = 0
 
     def __post_init__(self) -> None:
@@ -211,15 +217,15 @@ class LcState:
         return self.settle_remaining_ms == 0
 
 
-def command_voltage(state: LcState, mv: int) -> LcState:
-    """Command a drive voltage, in mV.
+def command_voltage(signal_mv: int, idler_mv: int) -> LcState:
+    """Command both drive voltages, in mV.
 
     Every command restarts the settle timer, including a re-command of the
-    current voltage: the drive transient is assumed whenever the output
+    current voltages: the drive transient is assumed whenever the output
     stage is written, so counts gated on the settled flag always sit a full
     settle interval after the write.
     """
-    return LcState(mv, SETTLE_TIME_MS)
+    return LcState(signal_mv, idler_mv, SETTLE_TIME_MS)
 
 
 def step_settle(state: LcState, dt_ms: int) -> LcState:
@@ -227,7 +233,7 @@ def step_settle(state: LcState, dt_ms: int) -> LcState:
         raise ValueError("dt_ms must be positive")
     if state.settled:
         return state
-    return LcState(state.commanded_mv, max(0, state.settle_remaining_ms - dt_ms))
+    return LcState(state.signal_mv, state.idler_mv, max(0, state.settle_remaining_ms - dt_ms))
 
 
 def polarization_mixing(rate_parallel: float, rate_orthogonal: float,

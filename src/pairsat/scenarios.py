@@ -4,7 +4,7 @@ A scenario is an environment time series (temperature, pressure, altitude,
 acceleration) plus source ground truth and a seed. The engine advances the
 flight controller at a fixed 50 ms tick against device models and records
 8 Hz telemetry into redundant flash, returning the flash image and a run
-summary. Identical (scenario, seed) inputs produce byte-identical flash
+summary. Identical scenarios, seed included, produce byte-identical flash
 output.
 
 Most ticks run in one of two stretches, which repeat the per-tick path's
@@ -12,7 +12,7 @@ arithmetic, in its order, on local variables. An idle stretch runs while the
 thermal gate holds the controller idle, laser off; it steps only the housing
 and package nodes. A scan stretch runs every SCANNING tick but the one that
 aborts; it inlines the laser monitor, the SCANNING branch of the controller,
-the heater rule, both bias loops, the counts and the LC settle timers. Each
+the heater rule, both bias loops, the counts and the LC pair's settle timer. Each
 leaves where the per-tick path has a decision to make: the gate, an unstable
 laser reading, the end of a scan. The tests compare every stretch with the
 per-tick path, the stretch's entry patched out; in a run the per-tick path
@@ -27,9 +27,10 @@ one row for all the periods it holds, which differ only in temperature.
 A full block, and the last one, becomes a `RECORD_DTYPE` table column by
 column (`telemetry.fixed_point`, `telemetry.centi_c`), passes the one range
 check (`telemetry.table_from_rows`) and is written with one
-`telemetry.write_redundant`. The flight scans are grouped per written block
-through the ground grouping (`analysis.scan_data_from_records`), and fitted
-in one batch (`analysis.fit_sinusoids`) after the last record.
+`telemetry.write_redundant`. Each block's counting and commit rows are kept;
+after the last record the flight scans are grouped once through the ground
+grouping (`analysis.scan_data_from_records`) and fitted in one batch
+(`analysis.fit_sinusoids`).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
 from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, GATE_MAX_C, GATE_MIN_C,
-                         OPERATING_MODULES, PAIR_CHANNELS, Commands, FlightController, Gate,
-                         Mode, Sensors, thermal_gate)
+                         PAIR_CHANNELS, POWER_STATES, Commands, FlightController, Gate, Mode,
+                         Sensors, thermal_gate)
 from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
     command_voltage, default_calibration, step_settle
 from .physics import SourceParams, reference_efficiency
@@ -334,7 +335,6 @@ class Scenario:
     duration_s: float
     seed: int = 1
     source: SourceParams = field(default_factory=SourceParams)
-    extinction_ratio: float = 2000.0
     initial_housing_c: float = 22.0
     package: PackageNode | None = None
     initial_package_c: float | None = None
@@ -358,10 +358,10 @@ def make_scenario(
     """Construct one of the canonical scenarios (or a custom one from CSV)."""
     name = name.lower()
     if name == "lab":
-        dur = duration_s or 480.0
+        dur = 480.0 if duration_s is None else duration_s
         return Scenario("lab", lab_profile(dur), dur, seed, initial_housing_c=22.0)
     if name == "leo":
-        dur = duration_s or 6000.0
+        dur = 6000.0 if duration_s is None else duration_s
         return Scenario(
             "leo",
             leo_cycle_profile(dur, phase_s=ORBIT_PERIOD_S / 2.0),
@@ -370,7 +370,7 @@ def make_scenario(
             initial_housing_c=-5.0,
         )
     if name == "thermalvac":
-        dur = duration_s or 86400.0
+        dur = 86400.0 if duration_s is None else duration_s
         return Scenario(
             "thermalvac",
             thermal_vac_profile(dur),
@@ -381,7 +381,7 @@ def make_scenario(
     if name == "balloon":
         pkg = PackageNode()
         profile = balloon_profile(pkg)
-        dur = duration_s or profile.duration_s
+        dur = profile.duration_s if duration_s is None else duration_s
         return Scenario(
             "balloon",
             profile,
@@ -396,7 +396,7 @@ def make_scenario(
         if not profile_path:
             raise ValueError("custom scenario needs a profile CSV")
         profile = load_profile_csv(profile_path)
-        dur = duration_s or profile.duration_s
+        dur = profile.duration_s if duration_s is None else duration_s
         return Scenario("custom", profile, dur, seed)
     raise ValueError(f"unknown scenario {name!r}")
 
@@ -444,10 +444,9 @@ class RunSummary:
 class SimulationEngine:
     """Deterministic 50 ms tick loop wiring controller, devices, and storage."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(scenario.seed)
         self.calibration = default_calibration()
         self.ctrl = FlightController(calibration=self.calibration)
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
@@ -458,19 +457,12 @@ class SimulationEngine:
         self.housing_temp_c = scenario.initial_housing_c
         self.ledger = PowerLedger()
         self.flash = FlashImage()
-        self.lc_signal = LcState()
-        self.lc_idler = LcState()
+        self.lc = LcState()
         # analyzer pair rate per (pair, signal mV), filled on first use
         self._pair_rates: dict[tuple[int, int], float] = {}
         self.package_temp = scenario.initial_package_c
-        self.window_s = physics.COINCIDENCE_WINDOW_S
         self._benches = [
-            controller.OpticalBench(
-                source=scenario.source,
-                calibration=self.calibration,
-                extinction_ratio=scenario.extinction_ratio,
-                pair=p,
-            )
+            controller.OpticalBench(source=scenario.source, calibration=self.calibration, pair=p)
             for p in (controller.PAIR_1_4, controller.PAIR_2_3)
         ]
 
@@ -542,21 +534,24 @@ class SimulationEngine:
         loops = self.ctrl.bias_loops
         temp = self.housing_temp_c
         return controller.detector_rates(
-            self._benches[pair], self._pair_rate(pair, self.lc_signal.commanded_mv),
+            self._benches[pair], self._pair_rate(pair, self.lc.signal_mv),
             physics.efficiency_factor(loops[ch1].params, loops[ch1].bias, temp),
             physics.efficiency_factor(loops[ch2].params, loops[ch2].bias, temp),
         )
 
-    def _draws(self, cmd: Commands) -> tuple[float, float]:
+    def _draws(self, laser_on: bool, heater_watts: float) -> tuple[float, float]:
         """A tick's bus draw (`thermal_power.total_power`) and housing heat
-        (`internal_dissipation`), cached per run. Only results that returned
-        are kept, so a key that raises raises every time it comes up."""
-        key = (cmd.active_modules, cmd.heater_watts, cmd.heater_mode)
+        (`internal_dissipation`), cached per run by whether the laser is on,
+        which sets the modules and heater mode, and the heater power. Only
+        results that returned are kept, so a key that raises raises every
+        time it comes up."""
+        key = (laser_on, heater_watts)
         draws = self._draw_cache.get(key)
         if draws is None:
+            modules, heater_mode = POWER_STATES[laser_on]
             draws = self._draw_cache[key] = (
-                thermal_power.total_power(self.ledger, *key),
-                thermal_power.internal_dissipation(self.thermal_params, cmd.active_modules),
+                thermal_power.total_power(self.ledger, modules, heater_watts, heater_mode),
+                thermal_power.internal_dissipation(self.thermal_params, modules),
             )
         return draws
 
@@ -570,8 +565,7 @@ class SimulationEngine:
         """
         ctx = self._count_ctx or self._commit_ctx
         if ctx is None:
-            ctx = (cmd.scan_id, cmd.step, cmd.pair, self.lc_signal.commanded_mv,
-                   self.lc_idler.commanded_mv)
+            ctx = (cmd.scan_id, cmd.step, cmd.pair, self.lc.signal_mv, self.lc.idler_mv)
         ch1, ch2 = controller.PAIR_CHANNELS[ctx[2]]
         loops = self.ctrl.bias_loops
         self._rows.append((*ctx, self._s1, self._s2, self._coinc, self._flags,
@@ -584,13 +578,10 @@ class SimulationEngine:
             self._write_block()
 
     def _write_block(self) -> None:
-        """Write the pending block as one `RECORD_DTYPE` table and group the
-        scans committed in it.
+        """Write the pending block as one `RECORD_DTYPE` table, and keep its
+        counting and commit rows for `_fit_scans`.
 
-        Row i of the block is period `_written + i`. Its counting and
-        commit rows up to the last commit are grouped as on the ground,
-        which drops the rows of an attempt aborted since the commit before:
-        its id has no commit marker. The rows after it carry over.
+        Row i of the block is period `_written + i`.
         """
         n = len(self._temps)
         if n == 0:
@@ -615,18 +606,8 @@ class SimulationEngine:
         self._temps.clear()
         self._rows.clear()
         self._repeats.clear()
-
         counted = (table["flags"] & (telemetry.FLAG_COUNTING | telemetry.FLAG_SCAN_COMMIT)) != 0
-        rows = np.concatenate((self._ungrouped, table[counted]))
-        commits = np.flatnonzero(rows["flags"] & telemetry.FLAG_SCAN_COMMIT)
-        if len(commits):
-            cut = commits[-1] + 1
-            scans, _ = analysis.scan_data_from_records(
-                rows[:cut], self.calibration, self.ctrl.config.dwell_s)
-            self._committed.extend((meta, scans[meta[0]]) for meta in self._pending_commits)
-            self._pending_commits.clear()
-            rows = rows[cut:]
-        self._ungrouped = rows
+        self._scan_rows.append(table[counted])
 
     def _tick_flags(self, cmd: Commands) -> int:
         """The record flags that one tick's commands set."""
@@ -647,7 +628,7 @@ class SimulationEngine:
         """Advance from tick k while the thermal gate holds the controller idle.
 
         Entered at the top of tick k, after its period check, when the
-        housing temperature gets the gate `held_gate` names and both LCs
+        housing temperature gets the gate `held_gate` names and the LCs
         are settled. Tick k runs the controller as usual. Each later tick
         whose start-of-tick temperature keeps that gate would return equal
         commands, draw no random numbers and step no LC or bias loop, so
@@ -666,8 +647,7 @@ class SimulationEngine:
             time_ms=k * TICK_MS,
             housing_temp_c=self.housing_temp_c,
             laser_power_mw=0.0,  # held idle, the laser is off
-            lc_signal_settled=True,
-            lc_idler_settled=True,
+            lc_settled=True,
         ))
         self._idle_cmd = cmd
         self._last_laser_mw = 0.0
@@ -675,14 +655,13 @@ class SimulationEngine:
         self._flags |= flags
         ch1, ch2 = controller.PAIR_CHANNELS[cmd.pair]
         loops = ctrl.bias_loops
-        held_row = (cmd.scan_id, cmd.step, cmd.pair, self.lc_signal.commanded_mv,
-                    self.lc_idler.commanded_mv, 0, 0, 0, flags, 0.0, loops[ch1].bias,
-                    loops[ch2].bias)
+        held_row = (cmd.scan_id, cmd.step, cmd.pair, self.lc.signal_mv, self.lc.idler_mv,
+                    0, 0, 0, flags, 0.0, loops[ch1].bias, loops[ch2].bias)
         # periods logged with only their temperature, for held_row to stand
         # for; -1 until the stretch closes its first period
         held = -1
         temps = self._temps
-        total, dissipation = self._draws(cmd)
+        total, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
         if total > self._max_power:
             self._max_power = total
         # `thermal_power.housing_step`, term for term: heat in, then the flow
@@ -750,7 +729,7 @@ class SimulationEngine:
         tick) and the engine's LC commands; the operating heater rule
         (`heater_command`); both PI bias steps (`ApdBiasLoop.step`); on a
         counting tick the rates and three Poisson draws (`_counting_rates`,
-        `physics.sample_counts`); the tick flags; the LC settle timers
+        `physics.sample_counts`); the tick flags; the LC pair's settle timer
         (`step_settle`); the housing and package steps; and the period close
         (`_close_period`). The draw cache is looked up only when the heater
         toggles, and the reference efficiencies are checked on entry. Neither
@@ -778,12 +757,11 @@ class SimulationEngine:
         cmd_step, dwell_ms = step, round(ctrl.config.dwell_s * 1000)
         voltages, idler_mv = ctrl.voltages, ctrl.idler_voltages[pair]
         hw, drawn_hw = ctrl.heater_watts, None
-        sig_mv, sig_r = self.lc_signal.commanded_mv, self.lc_signal.settle_remaining_ms
-        idl_mv, idl_r = self.lc_idler.commanded_mv, self.lc_idler.settle_remaining_ms
+        sig_mv, idl_mv, settle = self.lc.signal_mv, self.lc.idler_mv, self.lc.settle_remaining_ms
         pair_rate = None
         source = self.scenario.source
         singles_1, singles_2 = source.singles_rate_signal_hz, source.singles_rate_idler_hz
-        window = self._benches[pair].window_s
+        window = physics.COINCIDENCE_WINDOW_S
         loops = ctrl.bias_loops
         loop_1, loop_2 = (loops[ch] for ch in PAIR_CHANNELS[pair])
         p1, p2 = loop_1.params, loop_2.params
@@ -833,11 +811,10 @@ class SimulationEngine:
                 counting = False
                 if pending:
                     pending, dwell = False, dwell_ms
-                    sig_mv, idl_mv = voltages[step], idler_mv
-                    sig_r = idl_r = SETTLE_TIME_MS
+                    sig_mv, idl_mv, settle = voltages[step], idler_mv, SETTLE_TIME_MS
                     pair_rate = None
                     self._command_ms = t_ms
-                elif sig_r == 0 and idl_r == 0 and dwell > 0:
+                elif settle == 0 and dwell > 0:
                     counting = True
                     dwell -= TICK_MS
                     if dwell == 0:
@@ -865,9 +842,9 @@ class SimulationEngine:
                 trial = i1 + err
                 bias = b1 + BIAS_KP * err + BIAS_KI * trial
                 if bias > max_1:
-                    b1, i1 = max_1, (max_1 - b1 - BIAS_KP * err) / BIAS_KI
+                    b1, i1 = max_1, 0.0
                 elif bias < min_1:
-                    b1, i1 = min_1, (min_1 - b1 - BIAS_KP * err) / BIAS_KI
+                    b1, i1 = min_1, 0.0
                 else:
                     b1, i1 = bias, trial
                 railed_1 = b1 <= min_1 + 1e-9 or b1 >= max_1 - 1e-9
@@ -882,9 +859,9 @@ class SimulationEngine:
                 trial = i2 + err
                 bias = b2 + BIAS_KP * err + BIAS_KI * trial
                 if bias > max_2:
-                    b2, i2 = max_2, (max_2 - b2 - BIAS_KP * err) / BIAS_KI
+                    b2, i2 = max_2, 0.0
                 elif bias < min_2:
-                    b2, i2 = min_2, (min_2 - b2 - BIAS_KP * err) / BIAS_KI
+                    b2, i2 = min_2, 0.0
                 else:
                     b2, i2 = bias, trial
                 railed_2 = b2 <= min_2 + 1e-9 or b2 >= max_2 - 1e-9
@@ -916,14 +893,11 @@ class SimulationEngine:
                 if railed_1 or railed_2:
                     flags |= FLAG_BIAS_RAILED
 
-                if sig_r:
-                    sig_r = max(0, sig_r - TICK_MS)
-                if idl_r:
-                    idl_r = max(0, idl_r - TICK_MS)
+                if settle:
+                    settle = max(0, settle - TICK_MS)
 
                 if hw != drawn_hw:
-                    total, dissipation = self._draws(Commands(
-                        Mode.SCANNING, True, hw, "operating", active_modules=OPERATING_MODULES))
+                    total, dissipation = self._draws(True, hw)
                     heat_in, drawn_hw = hw + dissipation, hw
                     if total > self._max_power:
                         self._max_power = total
@@ -965,11 +939,8 @@ class SimulationEngine:
             ctrl.heater_watts = hw
             loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1
             loop_2.bias, loop_2.integrator, loop_2.railed = b2, i2, railed_2
-            self.lc_signal = LcState(sig_mv, sig_r)
-            self.lc_idler = LcState(idl_mv, idl_r)
-            self._idle_cmd = Commands(
-                ctrl.mode, True, hw, "operating", active_modules=OPERATING_MODULES,
-                scan_id=scan_id, step=cmd_step, pair=pair)
+            self.lc = LcState(sig_mv, idl_mv, settle)
+            self._idle_cmd = Commands(ctrl.mode, hw, scan_id=scan_id, step=cmd_step, pair=pair)
             self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags
             self._count_ctx, self._commit_ctx = count_ctx, commit_ctx
             self._last_laser_mw = laser_mw
@@ -998,13 +969,10 @@ class SimulationEngine:
         self._s1 = self._s2 = self._coinc = self._flags = 0
         self._count_ctx: tuple[int, ...] | None = None
         self._commit_ctx: tuple[int, ...] | None = None
-        # each committed scan as the STORING tick knew it and as grouped;
-        # `_pending_commits` holds what the STORING ticks knew of scans not yet
-        # grouped, and `_ungrouped` the counting and commit rows written
-        # since the last grouped commit
-        self._committed: list[tuple[tuple, analysis.ScanData]] = []
-        self._pending_commits: list[tuple] = []
-        self._ungrouped = np.zeros(0, dtype=telemetry.RECORD_DTYPE)
+        # each committed scan as its STORING tick knew it, and each written
+        # block's counting and commit rows, which `_fit_scans` groups
+        self._committed: list[tuple] = []
+        self._scan_rows: list[np.ndarray] = []
         # the open scan: its start, the time of its step command not yet
         # counted and its settle times
         self._scan_start_ms = 0
@@ -1027,8 +995,7 @@ class SimulationEngine:
                 self._close_period(self._idle_cmd)
 
             gate = ctrl.held_gate()
-            if (gate is not None and self.lc_signal.settled and self.lc_idler.settled
-                    and thermal_gate(self.housing_temp_c) is gate):
+            if gate is not None and self.lc.settled and thermal_gate(self.housing_temp_c) is gate:
                 k = self._idle_stretch(k, env_temp)
                 continue
             # a reading the scan stretch sampled and found unstable, or None
@@ -1050,8 +1017,7 @@ class SimulationEngine:
                 time_ms=t_ms,
                 housing_temp_c=self.housing_temp_c,
                 laser_power_mw=laser_mw,
-                lc_signal_settled=self.lc_signal.settled,
-                lc_idler_settled=self.lc_idler.settled,
+                lc_settled=self.lc.settled,
             )
             prev_mode = ctrl.mode
             cmd = ctrl.decide(sensors) if sampled else ctrl.tick(sensors)
@@ -1059,13 +1025,11 @@ class SimulationEngine:
             if cmd.mode is not prev_mode:
                 self._mode_history.append((t_ms, cmd.mode.value))
 
-            if cmd.lc_signal_mv is not None:
-                self.lc_signal = command_voltage(self.lc_signal, cmd.lc_signal_mv)
-                if cmd.step == 0:  # a new set: `_pending_commits` may hold the last one
+            if cmd.lc_signal_mv is not None:  # a step command writes both LCs
+                self.lc = command_voltage(cmd.lc_signal_mv, cmd.lc_idler_mv)
+                if cmd.step == 0:  # a new set: `_committed` holds the last one
                     self._scan_start_ms, self._settle_ms = t_ms, set()
                 self._command_ms = t_ms
-            if cmd.lc_idler_mv is not None:
-                self.lc_idler = command_voltage(self.lc_idler, cmd.lc_idler_mv)
 
             if cmd.abort_scan:
                 aborted += 1
@@ -1079,7 +1043,7 @@ class SimulationEngine:
                 self._flags |= telemetry.FLAG_COUNTING
                 if self._count_ctx is None:
                     self._count_ctx = (cmd.scan_id, cmd.step, cmd.pair,
-                                       self.lc_signal.commanded_mv, self.lc_idler.commanded_mv)
+                                       self.lc.signal_mv, self.lc.idler_mv)
                 if self._command_ms is not None:
                     self._settle_ms.add(t_ms - self._command_ms)
                     self._command_ms = None
@@ -1087,19 +1051,16 @@ class SimulationEngine:
             if cmd.commit_scan:
                 self._flags |= telemetry.FLAG_SCAN_COMMIT
                 self._commit_ctx = (cmd.scan_id, cmd.step, cmd.pair,
-                                    self.lc_signal.commanded_mv, self.lc_idler.commanded_mv)
-                # grouped when the block holding this period's record is written
-                self._pending_commits.append((cmd.scan_id, self._scan_start_ms, t_ms,
-                                              float(env_alt[k]), self._settle_ms))
+                                    self.lc.signal_mv, self.lc.idler_mv)
+                self._committed.append((cmd.scan_id, self._scan_start_ms, t_ms,
+                                        float(env_alt[k]), self._settle_ms))
 
             self._flags |= self._tick_flags(cmd)
 
-            if not self.lc_signal.settled:
-                self.lc_signal = step_settle(self.lc_signal, TICK_MS)
-            if not self.lc_idler.settled:
-                self.lc_idler = step_settle(self.lc_idler, TICK_MS)
+            if not self.lc.settled:
+                self.lc = step_settle(self.lc, TICK_MS)
 
-            total, dissipation = self._draws(cmd)
+            total, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
             temp = self.housing_temp_c = thermal_power.housing_step(
                 self.thermal_params, self.housing_temp_c, cmd.heater_watts,
                 dissipation, housing_ext, TICK_S)
@@ -1121,7 +1082,7 @@ class SimulationEngine:
 
         summary = RunSummary(
             scenario=scen.name,
-            seed=self.seed,
+            seed=scen.seed,
             duration_s=scen.duration_s,
             scans=self._fit_scans(),
             aborted_scans=aborted,
@@ -1137,13 +1098,24 @@ class SimulationEngine:
         return self.flash, summary
 
     def _fit_scans(self) -> list[ScanSummary]:
-        """Fit every kept scan in one `analysis.fit_sinusoids` call."""
+        """Group the written counting and commit rows as on the ground, in one
+        `analysis.scan_data_from_records` call, and fit every committed scan
+        in one `analysis.fit_sinusoids` call.
+
+        The grouping drops the rows of an aborted attempt, whose id has no
+        commit marker, and those of a scan the run ended in; scan ids are
+        never reused, so no scan's rows mix with another's.
+        """
         if not self._committed:
             return []
-        metas, scans = zip(*self._committed)
+        grouped, _ = analysis.scan_data_from_records(
+            np.concatenate(self._scan_rows), self.calibration, self.ctrl.config.dwell_s)
+        metas = self._committed
+        scans = [grouped[meta[0]] for meta in metas]
         fits = analysis.fit_sinusoids(
             np.stack([scan.angles_rad for scan in scans]),
-            np.stack([analysis.correct_accidentals(scan, self.window_s) for scan in scans]),
+            np.stack([analysis.correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S)
+                      for scan in scans]),
         )
         return [
             ScanSummary(
@@ -1157,10 +1129,10 @@ class SimulationEngine:
         ]
 
 
-def run_simulation(scenario: Scenario, seed: int | None = None) -> tuple[FlashImage, RunSummary]:
-    """Run a scenario to completion; (scenario, seed) determines every byte."""
-    engine = SimulationEngine(scenario, seed)
-    return engine.run()
+def run_simulation(scenario: Scenario) -> tuple[FlashImage, RunSummary]:
+    """Run a scenario to completion; the scenario, its seed included,
+    determines every byte."""
+    return SimulationEngine(scenario).run()
 
 
 def summary_to_csv(summary: RunSummary, path: str) -> None:

@@ -29,13 +29,13 @@ from pairsat.thermal_power import PowerLedger
 def lab_pair():
     """The same 480 s bench session executed twice."""
     scenario = make_scenario("lab", seed=1)
-    return run_simulation(scenario, seed=1), run_simulation(scenario, seed=1)
+    return run_simulation(scenario), run_simulation(scenario)
 
 
 @pytest.fixture(scope="module")
 def leo_run():
     scenario = make_scenario("leo", duration_s=4500.0, seed=3)
-    return run_simulation(scenario, seed=3)
+    return run_simulation(scenario)
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +43,13 @@ def leo_wrapped_run():
     """Leo 7500 s wraps the ring, and each heating stretch in it starts
     right after a scan."""
     scenario = make_scenario("leo", duration_s=7500.0, seed=3)
-    return run_simulation(scenario, seed=3)
+    return run_simulation(scenario)
 
 
 @pytest.fixture(scope="module")
 def balloon_run():
     scenario = make_scenario("balloon", seed=11)
-    return run_simulation(scenario, seed=11)
+    return run_simulation(scenario)
 
 
 def _fit_records(records, dwell_s=0.45):
@@ -260,7 +260,7 @@ def test_golden_flash_digests(lab_pair, leo_run, leo_wrapped_run, balloon_run):
     # leo 3000 s heats throughout, written by the idle stretches; the laser
     # never turns on, so nothing is drawn and every seed writes these bytes
     for seed in (3, 5):
-        flash, _ = run_simulation(make_scenario("leo", duration_s=3000.0, seed=seed), seed=seed)
+        flash, _ = run_simulation(make_scenario("leo", duration_s=3000.0, seed=seed))
         assert _flash_digest(flash) == "ff94306b49a011d9", seed
 
 

@@ -144,7 +144,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     out = os.fspath(tmp_path / "out")
     capsys.readouterr()
     cases = [(["simulate", "--scenario", "lab", "--duration", d], "duration", d)
-             for d in ("inf", "nan", "0.01")]
+             for d in ("inf", "nan", "0", "0.01")]
     cases += [(["analyze", "--flash", flash, "--out", out, "--dwell", d], "dwell", d)
               for flash in (committed, blank) for d in ("inf", "nan", "0", "-1")]
     cases += [(["linkbudget", "--volume", v], "volume", v) for v in ("nan", "inf")]

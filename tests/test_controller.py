@@ -11,6 +11,8 @@ from pairsat import controller
 from pairsat.controller import (
     BIAS_SETPOINT,
     FAULT_HOLD_S,
+    IDLE_MODULES,
+    OPERATING_MODULES,
     PAIR_1_4,
     PAIR_2_3,
     PAIR_CHANNELS,
@@ -216,6 +218,20 @@ def test_bias_loop_rails_cold_and_recovers():
     assert abs(amp - BIAS_SETPOINT) / BIAS_SETPOINT < 0.01
 
 
+def test_bias_integrator_does_not_wind_up_at_a_rail():
+    # 200 steps at the lower rail leave no integral to carry the loop across
+    # its range: on the way back at 25 C no step reaches the upper rail
+    loop = ApdBiasLoop(ApdParams())
+    for _ in range(200):
+        loop.step(-40.0)
+    assert (loop.bias, loop.integrator) == (loop.params.bias_min_v, 0.0)
+    for _ in range(100):
+        loop.step(25.0)
+        assert loop.bias < loop.params.bias_max_v
+    amp = avalanche_amplitude(loop.params, loop.bias, 25.0)
+    assert abs(amp - BIAS_SETPOINT) / BIAS_SETPOINT < 0.01
+
+
 def test_scan_voltages_cover_revolution():
     # steps are uniform in drive voltage; the angle axis inherits the
     # calibration nonlinearity, which is what makes the raw trace look
@@ -307,11 +323,8 @@ def test_run_scan_visibility_definition_check():
     assert abs(fit.visibility - 0.95) < 0.04
 
 
-def sensors_at(t_ms, temp=25.0, power=9.0, sig=True, idl=True):
-    return Sensors(
-        time_ms=t_ms, housing_temp_c=temp, laser_power_mw=power,
-        lc_signal_settled=sig, lc_idler_settled=idl,
-    )
+def sensors_at(t_ms, temp=25.0, power=9.0, settled=True):
+    return Sensors(time_ms=t_ms, housing_temp_c=temp, laser_power_mw=power, lc_settled=settled)
 
 
 def test_cold_start_goes_heating():
@@ -343,17 +356,27 @@ def test_laser_only_in_operating_modes():
     assert Mode.SCANNING in seen and Mode.STORING in seen
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_laser_and_power_state_follow_the_mode(mode):
+    operating = mode in (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
+    cmd = Commands(mode)
+    assert cmd.laser_on is operating
+    assert cmd.active_modules == (OPERATING_MODULES if operating else IDLE_MODULES)
+    assert cmd.heater_mode == ("operating" if operating else "idle")
+    ctrl = FlightController()
+    ctrl.mode = mode
+    assert ctrl.laser_on is operating
+    with pytest.raises(AttributeError):
+        ctrl.laser_on = not operating
+
+
 def run_to_first_commit(ctrl, t=0, power=9.0):
-    sig_settle = 0
-    idl_settle = 0
+    settle = 0
     while True:
-        cmd = ctrl.tick(sensors_at(t, sig=sig_settle == 0, idl=idl_settle == 0))
+        cmd = ctrl.tick(sensors_at(t, settled=settle == 0))
         if cmd.lc_signal_mv is not None:
-            sig_settle = 6
-        if cmd.lc_idler_mv is not None:
-            idl_settle = 6
-        sig_settle = max(0, sig_settle - 1)
-        idl_settle = max(0, idl_settle - 1)
+            settle = 6
+        settle = max(0, settle - 1)
         t += TICK_MS
         if cmd.commit_scan:
             return cmd, t
@@ -370,15 +393,21 @@ def test_scan_commit_and_pair_alternation():
     assert third.pair == PAIR_1_4
 
 
-def test_counting_requires_both_settled():
+def test_counting_waits_for_the_settled_flag():
     ctrl = FlightController()
     t = 0
-    # drive to scanning with devices never settling: no counting ever happens
+    # drive to scanning with the LCs never settling: no counting ever happens
+    commands = []
     for _ in range(1000):
-        cmd = ctrl.tick(sensors_at(t, sig=False, idl=True))
+        cmd = ctrl.tick(sensors_at(t, settled=False))
         assert not cmd.counting
+        if cmd.lc_signal_mv is not None or cmd.lc_idler_mv is not None:
+            commands.append((cmd.lc_signal_mv, cmd.lc_idler_mv))
         t += TICK_MS
     assert ctrl.mode is Mode.SCANNING
+    # the one step command wrote both LCs, and the first settled tick counts
+    assert commands == [(ctrl.voltages[0], ctrl.idler_voltages[PAIR_1_4])]
+    assert ctrl.tick(sensors_at(t)).counting
 
 
 def test_laser_dip_aborts_scan_and_burns_id():

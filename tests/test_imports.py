@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and the
+package's settable values do not grow."""
 
 import ast
 import pathlib
@@ -34,3 +35,44 @@ def test_finder_flags_only_unused_names():
                                         if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# parameters with defaults plus dataclass fields with defaults in src/pairsat;
+# lower it when an option goes, and let a new option replace an old one
+MAX_SETTABLE_VALUES = 85
+
+
+def settable_values(source: str, module: str) -> list[str]:
+    """Every parameter with a default, as `module.function(name)`, and every
+    dataclass field with a default, as `module.Class.name`."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            function = getattr(node, "name", "<lambda>")
+            names += [f"{module}.{function}({arg.arg})" for arg in defaulted]
+        elif isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            names += [f"{module}.{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and item.value is not None]
+    return names
+
+
+def test_settable_value_finder():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "class B:\n    z: int = 0\n"
+              "def f(a, b=1, *, c, d=2):\n    return lambda e=3: e\n")
+    assert sorted(settable_values(source, "m")) == [
+        "m.<lambda>(e)", "m.A.y", "m.f(b)", "m.f(d)"]
+
+
+def test_settable_values_do_not_grow():
+    names = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in settable_values(path.read_text(), path.stem)]
+    assert len(names) <= MAX_SETTABLE_VALUES, (
+        f"{len(names)} settable values, over {MAX_SETTABLE_VALUES}:\n" + "\n".join(names))

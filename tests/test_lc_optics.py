@@ -77,9 +77,9 @@ def test_calibration_validation():
 
 
 def test_settle_countdown():
-    st = command_voltage(LcState(), 3000)
+    st = command_voltage(3000, 2555)
     assert not st.settled
-    assert st.settle_remaining_ms == SETTLE_TIME_MS
+    assert st == LcState(3000, 2555, SETTLE_TIME_MS)
     st = step_settle(st, 100)
     assert st.settle_remaining_ms == 200
     assert not st.settled
@@ -90,21 +90,21 @@ def test_settle_countdown():
 
 
 def test_settle_closes_exactly_on_tick_grid():
-    st = command_voltage(LcState(), 5000)
+    st = command_voltage(5000, 0)
     for i in range(6):
         st = step_settle(st, 50)
-        assert st == LcState(5000, SETTLE_TIME_MS - 50 * (i + 1))
+        assert st == LcState(5000, 0, SETTLE_TIME_MS - 50 * (i + 1))
         assert st.settled == (i == 5)
-    assert st.settle_remaining_ms == 0 and st.commanded_mv == 5000
+    assert st == LcState(5000, 0, 0)
 
 
 def test_recommand_restarts_timer():
-    st = command_voltage(LcState(), 3000)
+    st = command_voltage(3000, 0)
     for _ in range(6):
         st = step_settle(st, 50)
     assert st.settled
-    # same voltage written again still forces a fresh settle interval
-    st = command_voltage(st, 3000)
+    # the same voltages written again still force a fresh settle interval
+    st = command_voltage(3000, 0)
     assert not st.settled
     assert st.settle_remaining_ms == SETTLE_TIME_MS
 
@@ -112,9 +112,9 @@ def test_recommand_restarts_timer():
 def test_state_invariant_enforced():
     # a negative remaining time raises
     with pytest.raises(ValueError):
-        LcState(commanded_mv=1000, settle_remaining_ms=-50)
+        LcState(signal_mv=1000, idler_mv=0, settle_remaining_ms=-50)
     with pytest.raises(ValueError):
-        step_settle(LcState(1000, 50), 0)
+        step_settle(LcState(1000, 0, 50), 0)
 
 
 def test_polarization_mixing_compresses_contrast():

@@ -274,7 +274,7 @@ def test_engine_rejects_zero_reference_efficiency(monkeypatch):
 def lab_run():
     """One 120 s bench run, shared across the checks below."""
     scenario = make_scenario("lab", duration_s=120.0, seed=7)
-    return run_simulation(scenario, seed=7)
+    return run_simulation(scenario)
 
 
 class TestLabRun:
@@ -322,7 +322,7 @@ class TestLabRun:
     def test_determinism(self, lab_run):
         flash, summary = lab_run
         scenario = make_scenario("lab", duration_s=120.0, seed=7)
-        flash2, summary2 = run_simulation(scenario, seed=7)
+        flash2, summary2 = run_simulation(scenario)
         assert bytes(flash.sector_a) == bytes(flash2.sector_a)
         assert bytes(flash.sector_b) == bytes(flash2.sector_b)
         assert flash.cursor == flash2.cursor
@@ -331,7 +331,7 @@ class TestLabRun:
     def test_seed_changes_counts(self, lab_run):
         flash, _ = lab_run
         scenario = make_scenario("lab", duration_s=120.0, seed=8)
-        flash2, _ = run_simulation(scenario, seed=8)
+        flash2, _ = run_simulation(scenario)
         assert bytes(flash.sector_a) != bytes(flash2.sector_a)
 
 
@@ -350,14 +350,13 @@ def test_engine_rates_match_bench_rates(ticks):
     engine = SimulationEngine(scenario)
     for pair, step, biases, temp in ticks:
         mv = engine.ctrl.voltages[step]
-        engine.lc_signal = LcState(mv)
+        engine.lc = LcState(mv)
         loops = [engine.ctrl.bias_loops[ch] for ch in PAIR_CHANNELS[pair]]
         for loop, bias in zip(loops, biases):
             loop.bias = bias
         engine.housing_temp_c = temp
         bench = OpticalBench(
-            source=scenario.source, calibration=engine.calibration,
-            extinction_ratio=scenario.extinction_ratio, pair=pair,
+            source=scenario.source, calibration=engine.calibration, pair=pair,
             apd_factors=tuple(efficiency_factor(loop.params, bias, temp)
                               for loop, bias in zip(loops, biases)),
         )
@@ -385,12 +384,12 @@ def test_engine_checks_the_budget_of_every_new_draw():
     assert raised_ms // RECORD_PERIOD_MS * RECORD_PERIOD_MS == first_heater_ms
     # the draw that raised was not cached: it raises again
     with pytest.raises(BudgetError):
-        engine._draws(engine._idle_cmd)
+        engine._draws(engine._idle_cmd.laser_on, engine._idle_cmd.heater_watts)
 
 
 def test_cold_start_heats_first():
     scenario = make_scenario("leo", duration_s=600.0, seed=3)
-    _, summary = run_simulation(scenario, seed=3)
+    _, summary = run_simulation(scenario)
     # -5 C start: the whole run is spent heating toward the gate window
     assert summary.scans == []
     assert summary.laser_activations == []
@@ -403,7 +402,7 @@ def test_cold_start_heats_first():
 def test_laser_dip_aborts_and_retries(tmp_path):
     scenario = make_scenario("lab", duration_s=120.0, seed=7)
     scenario.laser_dips = [(20.0, 1.0, 0.2)]
-    flash, summary = run_simulation(scenario, seed=7)
+    flash, summary = run_simulation(scenario)
     assert summary.aborted_scans == 1
     # scan 1 died mid-flight; the retry burns a fresh id on the same pair
     assert [s.scan_id for s in summary.scans] == [2, 3]
@@ -427,10 +426,10 @@ def test_laser_dip_aborts_and_retries(tmp_path):
 
 def test_run_ending_on_a_commit_tick_reports_the_scan():
     # the commit record is flushed, and the scan fitted, after the last tick
-    _, full = run_simulation(make_scenario("lab", seed=1), seed=1)
+    _, full = run_simulation(make_scenario("lab", seed=1))
     duration_s = (full.scans[0].t_commit_ms + TICK_MS) / 1000
     assert duration_s == 37.15
-    _, short = run_simulation(make_scenario("lab", duration_s=duration_s, seed=1), seed=1)
+    _, short = run_simulation(make_scenario("lab", duration_s=duration_s, seed=1))
     assert short.scans == full.scans[:1]
 
 
@@ -440,7 +439,7 @@ def test_pooled_visibility_is_unbiased():
     vals: list[float] = []
     for seed in range(20):
         scenario = make_scenario("lab", duration_s=120.0, seed=seed)
-        _, summary = run_simulation(scenario, seed=seed)
+        _, summary = run_simulation(scenario)
         vals.extend(summary.visibilities)
     mean = float(np.mean(vals))
     assert len(vals) == 80
@@ -609,6 +608,7 @@ class ScanStretch:
     end: int  # the first tick it did not advance
     reason: str  # "unstable", "storing" or "end"
     after_commit: bool  # entered inside a commit record's period
+    entered_railed: bool  # an active bias loop railed at entry
     railed: bool  # an active bias loop railed at exit
     wrote_block: bool
     heater_toggled: bool
@@ -627,6 +627,7 @@ def _scan_stretches_match_per_tick_path(scenario, prepare=None):
         ctrl = self.ctrl
         after_commit = self._commit_ctx is not None
         written, watts = self._written, ctrl.heater_watts
+        entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
         end, laser_mw = original(self, k, env_temp)
         if laser_mw is not None:
             reason = "unstable"
@@ -636,7 +637,7 @@ def _scan_stretches_match_per_tick_path(scenario, prepare=None):
             assert ctrl.mode is Mode.STORING
             reason = "storing"
         railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        stretches.append(ScanStretch(k, end, reason, after_commit, railed,
+        stretches.append(ScanStretch(k, end, reason, after_commit, entered_railed, railed,
                                      self._written > written, ctrl.heater_watts != watts,
                                      ctrl.pending_command, ctrl.dwell_remaining_ms))
         return end, laser_mw
@@ -700,6 +701,11 @@ def _railed_dip():
     # steps no loop, so its records carry the rail the stretch entered with
     (_railed_dip(), lambda e: _narrow_bias_max(e, 119.0),
      lambda s: s.railed and s.reason == "unstable" and s.end == s.first),
+    # 200 C air falling to -300 C from 40 to 80 s: channel 0 rails just
+    # before the third scan's stretch and leaves the rail inside it, where
+    # the integrator it reset at the rail sets the tick it leaves on
+    (_custom([200.0, 200.0, -300.0, -300.0], 120.0, housing_c=22.0), _narrow_bias_max,
+     lambda s: s.entered_railed and not s.railed),
     # channel 0's breakdown 1 V lower: its bias sits 1 V under channel 3's
     (make_scenario("lab", duration_s=60.0, seed=1), lambda e: _narrow_bias_max(e, 130.0, 111.0),
      lambda s: s.reason == "storing"),
@@ -715,7 +721,7 @@ def _railed_dip():
     # some scan starts in the period of the commit before it
     (make_scenario("lab", seed=1), None, lambda s: s.after_commit),
 ], ids=["dip-mid-dwell", "dip-under-threshold", "dip-on-step-command", "bias-rail",
-        "railed-dip-on-entry",
+        "railed-dip-on-entry", "leaves-rail",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
         "ends-after-commit", "after-storing"])
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case):

@@ -363,16 +363,22 @@ def analyze_flash(
 ) -> list[dict]:
     """Run the full pipeline on a flash image file.
 
-    Fits every complete scan in one `fit_sinusoids` call. Writes one CSV
-    per scan (angle, raw rate, corrected rate, fit curve), a summary CSV
-    (scan_id, pair, visibility, phase, residual) and a flash-health CSV
-    (slot counts of the read, the committed scans dropped as partial and
-    those dropped for not fitting `dwell_s`); returns the summary rows.
+    Fits every complete scan in one `fit_sinusoids` call. Once the ring has
+    wrapped (`FLAG_WRAPPED`), the scan of the oldest record left, if any,
+    is partial: the wrap may have overwritten its first records, also where
+    the steps left still look complete. Writes one CSV per scan (angle, raw
+    rate, corrected rate, fit curve), a summary CSV (scan_id, pair,
+    visibility, phase, residual) and a flash-health CSV (slot counts of the
+    read, the committed scans dropped as partial and those dropped for not
+    fitting `dwell_s`); returns the summary rows.
     """
     cal = calibration or default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
     table = read.rows
-    scans, mismatched = scan_data_from_records(table, cal, dwell_s)
+    grouped = table
+    if len(table) and table["scan_id"][0] and (table["flags"] & telemetry.FLAG_WRAPPED).any():
+        grouped = table[table["scan_id"] != table["scan_id"][0]]
+    scans, mismatched = scan_data_from_records(grouped, cal, dwell_s)
     partial = len(_commit_pairs(table)) - len(scans) - mismatched
     os.makedirs(out_dir, exist_ok=True)
 

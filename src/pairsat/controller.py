@@ -283,20 +283,15 @@ def analyzer_pair_rate(bench: OpticalBench, analyzer_angle_rad: float) -> float:
     return polarization_mixing(true_par, true_orth, EXTINCTION_RATIO)
 
 
-def detector_rates(bench: OpticalBench, pair_rate: float, f1: float,
-                   f2: float) -> tuple[float, float, float]:
-    """(singles_1, singles_2, coincidence) rates of an analyzer pair rate
-    seen by detectors of efficiency factors f1 and f2."""
+def bench_rates(bench: OpticalBench, analyzer_angle_rad: float) -> tuple[float, float, float]:
+    """Expected (singles_1, singles_2, coincidence) rates at an analyzer
+    angle, each detector scaled by its efficiency factor."""
+    f1, f2 = bench.apd_factors
     s1 = bench.source.singles_rate_signal_hz * f1
     s2 = bench.source.singles_rate_idler_hz * f2
-    coinc = pair_rate * f1 * f2 + physics.accidental_rate(s1, s2, physics.COINCIDENCE_WINDOW_S)
+    coinc = (analyzer_pair_rate(bench, analyzer_angle_rad) * f1 * f2
+             + physics.accidental_rate(s1, s2, physics.COINCIDENCE_WINDOW_S))
     return s1, s2, coinc
-
-
-def bench_rates(bench: OpticalBench, analyzer_angle_rad: float) -> tuple[float, float, float]:
-    """Expected (singles_1, singles_2, coincidence) rates at an analyzer angle."""
-    f1, f2 = bench.apd_factors
-    return detector_rates(bench, analyzer_pair_rate(bench, analyzer_angle_rad), f1, f2)
 
 
 def run_scan(
@@ -331,13 +326,14 @@ class Sensors:
 
 @dataclass(slots=True)
 class Commands:
-    """One tick's commands. The laser, the active modules and the heater
-    mode follow from the mode the tick ends in."""
+    """One tick's commands. The laser, and with it the active modules and
+    the heater mode (`POWER_STATES`), follow from the mode the tick ends in."""
 
     mode: Mode
     heater_watts: float = 0.0
+    # a step command's signal LC voltage; the idler LC takes the pair's
+    # `FlightController.idler_voltages` with it
     lc_signal_mv: int | None = None
-    lc_idler_mv: int | None = None
     counting: bool = False
     commit_scan: bool = False
     abort_scan: bool = False
@@ -348,10 +344,6 @@ class Commands:
     @property
     def laser_on(self) -> bool:
         return self.mode in OPERATING_MODES
-
-    @property
-    def active_modules(self) -> frozenset[str]:
-        return POWER_STATES[self.laser_on][0]
 
     @property
     def heater_mode(self) -> str:
@@ -411,11 +403,6 @@ class FlightController:
             return Gate.WAIT_COOL
         return None
 
-    def steady_scan(self) -> bool:
-        """Whether the controller scans, the laser always on in SCANNING: the
-        state the engine's scan stretch advances."""
-        return self.mode is Mode.SCANNING
-
     def _enter_gate(self, sensors: Sensors) -> None:
         """Leave for the mode the thermal gate admits. The laser's state is
         read from the mode left, so this runs before the mode changes: from
@@ -433,14 +420,12 @@ class FlightController:
     def _begin_scan(self, cmd: Commands) -> None:
         self.mode = Mode.SCANNING
         self.step_index = 0
-        self.pending_command = True
         self._emit_step_command(cmd)
 
     def _emit_step_command(self, cmd: Commands) -> None:
         cmd.scan_id = self.scan_id
         cmd.step = self.step_index
         cmd.lc_signal_mv = self.voltages[self.step_index]
-        cmd.lc_idler_mv = self.idler_voltages[self.pair]
         self.pending_command = False
         self.dwell_remaining_ms = round(self.config.dwell_s * 1000)
 

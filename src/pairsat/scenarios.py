@@ -7,16 +7,19 @@ flight controller at a fixed 50 ms tick against device models and records
 summary. Identical scenarios, seed included, produce byte-identical flash
 output.
 
-Most ticks run in one of two stretches, which repeat the per-tick path's
-arithmetic, in its order, on local variables. An idle stretch runs while the
-thermal gate holds the controller idle, laser off; it steps only the housing
-and package nodes. A scan stretch runs every SCANNING tick but the one that
-aborts; it inlines the laser monitor, the SCANNING branch of the controller,
-the heater rule, both bias loops, the counts and the LC pair's settle timer. Each
-leaves where the per-tick path has a decision to make: the gate, an unstable
-laser reading, the end of a scan. The tests compare every stretch with the
-per-tick path, the stretch's entry patched out; in a run the per-tick path
-never takes a counting tick.
+Most ticks run in one of two stretches, which repeat the arithmetic of a
+tick through the controller and the device models, in its order, on local
+variables. An idle stretch runs while the thermal gate holds the controller
+idle, laser off; it steps only the housing and package nodes. A scan stretch
+runs every SCANNING tick but the one that aborts; it inlines the laser
+monitor, the SCANNING branch of the controller, the heater rule, both bias
+loops, the counts and the LC pair's settle timer. Each leaves where the
+per-tick path has a decision to make: the gate, an unstable laser reading,
+the end of a scan. The per-tick path runs every other tick and counts on
+none; it raises if a tick it runs would count. The tests compare every run
+with a reference engine that steps each tick through the controller and the
+device models, with no cache, stretch or block, and require the same flash
+and summary bit for bit.
 
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
@@ -415,10 +418,6 @@ class ScanSummary:
     altitude_m: float
     settle_ms_values: tuple[int, ...]
 
-    @property
-    def span_ms(self) -> int:
-        return self.t_commit_ms - self.t_start_ms
-
 
 @dataclass
 class RunSummary:
@@ -527,17 +526,6 @@ class SimulationEngine:
             pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(
                 self._benches[pair], angle)
         return pair_rate
-
-    def _counting_rates(self, pair: int) -> tuple[float, float, float]:
-        """`controller.bench_rates` at the commanded signal voltage, its analyzer part cached."""
-        ch1, ch2 = PAIR_CHANNELS[pair]
-        loops = self.ctrl.bias_loops
-        temp = self.housing_temp_c
-        return controller.detector_rates(
-            self._benches[pair], self._pair_rate(pair, self.lc.signal_mv),
-            physics.efficiency_factor(loops[ch1].params, loops[ch1].bias, temp),
-            physics.efficiency_factor(loops[ch2].params, loops[ch2].bias, temp),
-        )
 
     def _draws(self, laser_on: bool, heater_watts: float) -> tuple[float, float]:
         """A tick's bus draw (`thermal_power.total_power`) and housing heat
@@ -718,23 +706,24 @@ class SimulationEngine:
         return k
 
     def _scan_stretch(self, k: int, env_temp: memoryview) -> tuple[int, float | None]:
-        """Advance from tick k while the controller scans
-        (`FlightController.steady_scan`).
+        """Advance from tick k while the controller is in SCANNING.
 
         Entered at the top of tick k, after its period check. Each tick does
-        on locals, in the per-tick path's order and with its arithmetic: the
-        laser draw (`_laser_power`); the monitor's sample and stability test
+        on locals, in the order of a tick through the controller and the
+        device models and with their arithmetic: the laser draw
+        (`_laser_power`); the monitor's sample and stability test
         (`LaserMonitor.add_sample`, `laser_stable`); the SCANNING branch of
         `FlightController.decide` (step command, settle wait or counting
         tick) and the engine's LC commands; the operating heater rule
         (`heater_command`); both PI bias steps (`ApdBiasLoop.step`); on a
-        counting tick the rates and three Poisson draws (`_counting_rates`,
-        `physics.sample_counts`); the tick flags; the LC pair's settle timer
-        (`step_settle`); the housing and package steps; and the period close
-        (`_close_period`). The draw cache is looked up only when the heater
-        toggles, and the reference efficiencies are checked on entry. Neither
-        a not-ready window nor a railed bias loop stops a scan, so the
-        stretch goes on through both.
+        counting tick the rates (`controller.bench_rates` at the loops'
+        `physics.efficiency_factor`, the analyzer part from `_pair_rate`)
+        and three Poisson draws (`physics.sample_counts`); the tick flags;
+        the LC pair's settle timer (`step_settle`); the housing and package
+        steps; and the period close (`_close_period`). The draw cache is
+        looked up only when the heater toggles, and the reference
+        efficiencies are checked on entry. Neither a not-ready window nor a
+        railed bias loop stops a scan, so the stretch goes on through both.
 
         It has three exits. After the last dwell tick, which it ends in
         STORING, and at the end of the run, it returns (the first tick not
@@ -757,7 +746,7 @@ class SimulationEngine:
         cmd_step, dwell_ms = step, round(ctrl.config.dwell_s * 1000)
         voltages, idler_mv = ctrl.voltages, ctrl.idler_voltages[pair]
         hw, drawn_hw = ctrl.heater_watts, None
-        sig_mv, idl_mv, settle = self.lc.signal_mv, self.lc.idler_mv, self.lc.settle_remaining_ms
+        sig_mv, settle = self.lc.signal_mv, self.lc.settle_remaining_ms
         pair_rate = None
         source = self.scenario.source
         singles_1, singles_2 = source.singles_rate_signal_hz, source.singles_rate_idler_hz
@@ -811,7 +800,7 @@ class SimulationEngine:
                 counting = False
                 if pending:
                     pending, dwell = False, dwell_ms
-                    sig_mv, idl_mv, settle = voltages[step], idler_mv, SETTLE_TIME_MS
+                    sig_mv, settle = voltages[step], SETTLE_TIME_MS
                     pair_rate = None
                     self._command_ms = t_ms
                 elif settle == 0 and dwell > 0:
@@ -884,7 +873,7 @@ class SimulationEngine:
                     coinc += min(int(poisson(rate_c * TICK_S)), n1, n2)
                     flags |= FLAG_COUNTING
                     if count_ctx is None:
-                        count_ctx = (scan_id, cmd_step, pair, sig_mv, idl_mv)
+                        count_ctx = (scan_id, cmd_step, pair, sig_mv, idler_mv)
                     if self._command_ms is not None:
                         settle_ms.add(t_ms - self._command_ms)
                         self._command_ms = None
@@ -921,7 +910,7 @@ class SimulationEngine:
                 if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
                     continue
                 # a new period starts: `_close_period`
-                ctx = count_ctx or commit_ctx or (scan_id, cmd_step, pair, sig_mv, idl_mv)
+                ctx = count_ctx or commit_ctx or (scan_id, cmd_step, pair, sig_mv, idler_mv)
                 if ctx[2] == pair:
                     row_biases = b1, b2
                 else:  # a commit record of the pair before
@@ -939,7 +928,7 @@ class SimulationEngine:
             ctrl.heater_watts = hw
             loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1
             loop_2.bias, loop_2.integrator, loop_2.railed = b2, i2, railed_2
-            self.lc = LcState(sig_mv, idl_mv, settle)
+            self.lc = LcState(sig_mv, idler_mv, settle)
             self._idle_cmd = Commands(ctrl.mode, hw, scan_id=scan_id, step=cmd_step, pair=pair)
             self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags
             self._count_ctx, self._commit_ctx = count_ctx, commit_ctx
@@ -1000,7 +989,7 @@ class SimulationEngine:
                 continue
             # a reading the scan stretch sampled and found unstable, or None
             laser_mw = None
-            if ctrl.steady_scan():
+            if ctrl.mode is Mode.SCANNING:
                 k, laser_mw = self._scan_stretch(k, env_temp)
                 if laser_mw is None:
                     continue
@@ -1026,7 +1015,7 @@ class SimulationEngine:
                 self._mode_history.append((t_ms, cmd.mode.value))
 
             if cmd.lc_signal_mv is not None:  # a step command writes both LCs
-                self.lc = command_voltage(cmd.lc_signal_mv, cmd.lc_idler_mv)
+                self.lc = command_voltage(cmd.lc_signal_mv, ctrl.idler_voltages[cmd.pair])
                 if cmd.step == 0:  # a new set: `_committed` holds the last one
                     self._scan_start_ms, self._settle_ms = t_ms, set()
                 self._command_ms = t_ms
@@ -1034,19 +1023,8 @@ class SimulationEngine:
             if cmd.abort_scan:
                 aborted += 1
 
-            if cmd.counting:
-                rates = self._counting_rates(cmd.pair)
-                sample = physics.sample_counts(rates, TICK_S, self.rng)
-                self._s1 += sample.singles_1
-                self._s2 += sample.singles_2
-                self._coinc += sample.coincidences_raw
-                self._flags |= telemetry.FLAG_COUNTING
-                if self._count_ctx is None:
-                    self._count_ctx = (cmd.scan_id, cmd.step, cmd.pair,
-                                       self.lc.signal_mv, self.lc.idler_mv)
-                if self._command_ms is not None:
-                    self._settle_ms.add(t_ms - self._command_ms)
-                    self._command_ms = None
+            if cmd.counting:  # only an abort leaves a scan stretch mid-scan
+                raise RuntimeError(f"tick {k} counts outside a scan stretch")
 
             if cmd.commit_scan:
                 self._flags |= telemetry.FLAG_SCAN_COMMIT

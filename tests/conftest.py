@@ -1,0 +1,132 @@
+"""Engine runs shared across the test modules: a runner that logs every
+stretch the engine takes, and the pinned scenarios, each simulated once per
+session through it."""
+
+import dataclasses
+from typing import NamedTuple
+
+import pytest
+
+from pairsat.controller import Gate, Mode
+from pairsat.scenarios import RunSummary, Scenario, SimulationEngine, make_scenario
+from pairsat.telemetry import FlashImage
+
+
+@dataclasses.dataclass(frozen=True)
+class IdleStretch:
+    """One idle stretch as taken."""
+
+    first: int  # the tick it entered on
+    end: int  # the first tick it did not advance
+    gate: Gate  # the gate decision it held
+    after_storing: bool  # entered on the tick after a commit
+
+
+@dataclasses.dataclass(frozen=True)
+class ScanStretch:
+    """One scan stretch as taken, and the state it left."""
+
+    first: int  # the tick it entered on
+    end: int  # the first tick it did not advance
+    reason: str  # "unstable", "storing" or "end"
+    after_commit: bool  # entered inside a commit record's period
+    entered_railed: bool  # an active bias loop railed at entry
+    railed: bool  # an active bias loop railed at exit
+    wrote_block: bool
+    heater_toggled: bool
+    pending: bool  # a step command is due
+    dwell_ms: int
+
+
+class LoggedRun(NamedTuple):
+    flash: FlashImage
+    summary: RunSummary
+    idle: list[IdleStretch]
+    scans: list[ScanStretch]
+    scenario: Scenario
+
+
+def run_logged(scenario, prepare=None) -> LoggedRun:
+    """Run the scenario on the engine, `prepare` applied to its controller
+    first, and log each idle and scan stretch the run takes."""
+    idle, scans = [], []
+    idle_stretch, scan_stretch = SimulationEngine._idle_stretch, SimulationEngine._scan_stretch
+
+    def logged_idle(self, k, env_temp):
+        gate, after_storing = self.ctrl.held_gate(), self._idle_cmd.commit_scan
+        end = idle_stretch(self, k, env_temp)
+        idle.append(IdleStretch(k, end, gate, after_storing))
+        return end
+
+    def logged_scan(self, k, env_temp):
+        ctrl = self.ctrl
+        after_commit = self._commit_ctx is not None
+        written, watts = self._written, ctrl.heater_watts
+        entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
+        end, laser_mw = scan_stretch(self, k, env_temp)
+        if laser_mw is not None:
+            reason = "unstable"
+        elif end == self.n_ticks:
+            reason = "end"
+        else:
+            assert ctrl.mode is Mode.STORING
+            reason = "storing"
+        railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
+        scans.append(ScanStretch(k, end, reason, after_commit, entered_railed, railed,
+                                 self._written > written, ctrl.heater_watts != watts,
+                                 ctrl.pending_command, ctrl.dwell_remaining_ms))
+        return end, laser_mw
+
+    engine = SimulationEngine(scenario)
+    if prepare is not None:
+        prepare(engine.ctrl)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimulationEngine, "_idle_stretch", logged_idle)
+        mp.setattr(SimulationEngine, "_scan_stretch", logged_scan)
+        flash, summary = engine.run()
+    return LoggedRun(flash, summary, idle, scans, scenario)
+
+
+@pytest.fixture(scope="session")
+def engine_run():
+    """`run_logged`, for tests that run scenarios of their own."""
+    return run_logged
+
+
+# The pinned runs: the acceptance gate's scenarios and the golden digests'.
+
+@pytest.fixture(scope="session")
+def lab_480s_run():
+    return run_logged(make_scenario("lab", seed=1))
+
+
+@pytest.fixture(scope="session")
+def leo_cold_run():
+    """Leo 3000 s heats throughout; the laser never turns on."""
+    return run_logged(make_scenario("leo", duration_s=3000.0, seed=5))
+
+
+@pytest.fixture(scope="session")
+def leo_run():
+    return run_logged(make_scenario("leo", duration_s=4500.0, seed=3))
+
+
+@pytest.fixture(scope="session")
+def leo_wrapped_run():
+    """Leo 7500 s wraps the ring, and each heating stretch in it starts
+    right after a scan."""
+    return run_logged(make_scenario("leo", duration_s=7500.0, seed=3))
+
+
+@pytest.fixture(scope="session")
+def balloon_run():
+    return run_logged(make_scenario("balloon", seed=11))
+
+
+@pytest.fixture(scope="session")
+def lab_dip_run():
+    """Lab 120 s, seed 7, with a 1 s laser dip by 20 % from 20 s, in the
+    first scan: it aborts, and the retry burns a fresh scan id."""
+    scenario = make_scenario("lab", duration_s=120.0, seed=7)
+    scenario.laser_dips = [(20.0, 1.0, 0.2)]
+    return run_logged(scenario)

@@ -460,6 +460,30 @@ def test_scan_grouping_drops_partial_scans(tmp_path):
     }]
 
 
+def test_wrapped_ring_drops_the_scan_of_its_oldest_record(tmp_path):
+    # a step whose dwell starts mid-period spans 5 records; with its first
+    # one overwritten its 4 still fit the dwell, and only the wrap flag
+    # tells that the scan was cut
+    angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
+    counts = [(360000, 330000, 2000)] * 36
+    cut = make_flight_records(1, 0, angles, counts, per_step=5)[1:]
+    whole = make_flight_records(2, 1, angles, counts)
+    wrapped = [replace(r, flags=r.flags | telemetry.FLAG_WRAPPED) for r in whole]
+
+    def analyze(records):
+        flash = telemetry.FlashImage()
+        telemetry.write_redundant(flash, table_of(records))
+        telemetry.save_image(flash, str(tmp_path / "flash.bin"))
+        rows = analysis.analyze_flash(str(tmp_path / "flash.bin"), str(tmp_path / "out"))
+        with open(tmp_path / "out" / analysis.HEALTH_CSV, newline="") as fh:
+            health = next(csv.DictReader(fh))
+        return ([r["scan_id"] for r in rows], health["partial_scans_dropped"],
+                health["dwell_mismatch_scans_dropped"])
+
+    assert analyze(cut + whole) == ([1, 2], "0", "0")  # the ring never wrapped
+    assert analyze(cut + wrapped) == ([2], "1", "0")
+
+
 def dict_grouping(records, calibration, dwell_s=0.45, n_steps=36):
     """Per-record grouping, kept as the reference for the table grouping:
     the scans it returns, and how many complete scans miss the dwell."""

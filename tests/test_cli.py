@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pairsat import telemetry, thermal_power
 from pairsat.cli import main
-from pairsat.scenarios import lab_profile, save_profile_csv
+from pairsat.scenarios import lab_profile, make_scenario, run_simulation, save_profile_csv
 
 
 def run_cli(*argv: str) -> int:
@@ -76,6 +77,30 @@ def test_analyze_round_trip(tmp_path, capsys):
     assert "0 scans analyzed" in captured.out
     assert "dwell_mismatch_scans_dropped 4" in captured.out
     assert "dwell of 0.9 s" in captured.err
+
+
+def test_analyze_wrapped_image_drops_its_cut_first_scan(tmp_path, capsys):
+    # leo 7 308.75 s, seed 3: the ring keeps 3 of the 4 step-0 counting
+    # records of scan 1, whose other steps are whole, so the grouping alone
+    # took it for a dwell mismatch and exited 2; the wrap makes it partial
+    flash, summary = run_simulation(make_scenario("leo", duration_s=7308.75, seed=3))
+    rows = telemetry.read_records(flash, as_table=True).rows
+    counting = (rows["flags"] & telemetry.FLAG_COUNTING) != 0
+    assert rows["scan_id"][0] == 1
+    assert np.count_nonzero(counting & (rows["scan_id"] == 1) & (rows["step"] == 0)) == 3
+    flash_path = os.fspath(tmp_path / "flash.bin")
+    telemetry.save_image(flash, flash_path)
+    out_dir = os.fspath(tmp_path / "analysis")
+    assert run_cli("analyze", "--flash", flash_path, "--out", out_dir) == 0
+    assert "partial_scans_dropped 1, dwell_mismatch_scans_dropped 0" in capsys.readouterr().out
+    # every other scan is fitted as the flight fitted it
+    with open(os.path.join(out_dir, "summary.csv"), newline="") as fh:
+        ground = [tuple(row.values()) for row in csv.DictReader(fh)]
+    assert ground == [
+        (str(s.scan_id), str(s.pair), f"{s.visibility:.6f}", f"{s.phase_rad:.6f}",
+         f"{s.rms_residual:.3f}", str(int(s.converged)))
+        for s in summary.scans if s.scan_id != 1
+    ]
 
 
 def test_simulate_custom_profile(tmp_path, capsys):

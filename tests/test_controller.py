@@ -16,6 +16,7 @@ from pairsat.controller import (
     PAIR_1_4,
     PAIR_2_3,
     PAIR_CHANNELS,
+    POWER_STATES,
     TICK_MS,
     ApdBiasLoop,
     Commands,
@@ -361,7 +362,7 @@ def test_laser_and_power_state_follow_the_mode(mode):
     operating = mode in (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
     cmd = Commands(mode)
     assert cmd.laser_on is operating
-    assert cmd.active_modules == (OPERATING_MODULES if operating else IDLE_MODULES)
+    assert POWER_STATES[cmd.laser_on][0] == (OPERATING_MODULES if operating else IDLE_MODULES)
     assert cmd.heater_mode == ("operating" if operating else "idle")
     ctrl = FlightController()
     ctrl.mode = mode
@@ -401,8 +402,8 @@ def test_counting_waits_for_the_settled_flag():
     for _ in range(1000):
         cmd = ctrl.tick(sensors_at(t, settled=False))
         assert not cmd.counting
-        if cmd.lc_signal_mv is not None or cmd.lc_idler_mv is not None:
-            commands.append((cmd.lc_signal_mv, cmd.lc_idler_mv))
+        if cmd.lc_signal_mv is not None:
+            commands.append((cmd.lc_signal_mv, ctrl.idler_voltages[cmd.pair]))
         t += TICK_MS
     assert ctrl.mode is Mode.SCANNING
     # the one step command wrote both LCs, and the first settled tick counts

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from pairsat import controller, scenarios, telemetry
 from pairsat.analysis import analyze_flash
-from pairsat.controller import (PAIR_CHANNELS, FlightController, Gate, Mode, OpticalBench,
-                              bench_rates)
-from pairsat.lc_optics import LcState, angle_from_voltage
-from pairsat.physics import REFERENCE_OVERVOLTS, ApdParams, SourceParams, efficiency_factor
+from pairsat.controller import Gate, Mode
+from pairsat.physics import REFERENCE_OVERVOLTS, ApdParams, SourceParams
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
@@ -24,7 +22,6 @@ from pairsat.scenarios import (
     TICK_MS,
     EnvironmentProfile,
     PackageNode,
-    RunSummary,
     Scenario,
     SimulationEngine,
     balloon_flight_times,
@@ -38,6 +35,7 @@ from pairsat.scenarios import (
     thermal_vac_profile,
 )
 from pairsat.thermal_power import BudgetError, PowerLedger
+from reference_engine import assert_same_run, reference_run
 
 
 def test_lab_profile_constant():
@@ -284,7 +282,7 @@ class TestLabRun:
         assert [s.pair for s in summary.scans] == [0, 1, 0, 1]
         for s in summary.scans:
             # 36 steps of 0.3 s settle + 0.45 s dwell, commit on the next tick
-            assert s.span_ms == 27000
+            assert s.t_commit_ms - s.t_start_ms == 27000
             assert s.settle_ms_values == (300,)
         assert summary.scans[0].t_start_ms == 10100  # 10 s laser warm-up
         assert summary.aborted_scans == 0
@@ -335,35 +333,6 @@ class TestLabRun:
         assert bytes(flash.sector_a) != bytes(flash2.sector_a)
 
 
-BIASES = st.floats(ApdParams().bias_min_v, ApdParams().bias_max_v)
-HOUSING_C = st.floats(-40.0, 60.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(sorted(PAIR_CHANNELS)), st.integers(0, 35),
-                          st.tuples(BIASES, BIASES), HOUSING_C), min_size=1, max_size=8))
-def test_engine_rates_match_bench_rates(ticks):
-    # the engine caches the analyzer part per (pair, signal mV); on a miss
-    # and on a hit, at any bias and housing temperature, its rates are
-    # those of bench_rates bit for bit
-    scenario = make_scenario("lab", duration_s=1.0)
-    engine = SimulationEngine(scenario)
-    for pair, step, biases, temp in ticks:
-        mv = engine.ctrl.voltages[step]
-        engine.lc = LcState(mv)
-        loops = [engine.ctrl.bias_loops[ch] for ch in PAIR_CHANNELS[pair]]
-        for loop, bias in zip(loops, biases):
-            loop.bias = bias
-        engine.housing_temp_c = temp
-        bench = OpticalBench(
-            source=scenario.source, calibration=engine.calibration, pair=pair,
-            apd_factors=tuple(efficiency_factor(loop.params, bias, temp)
-                              for loop, bias in zip(loops, biases)),
-        )
-        expected = bench_rates(bench, angle_from_voltage(engine.calibration, mv / 1000.0))
-        assert engine._counting_rates(pair) == expected
-
-
 def test_engine_checks_the_budget_of_every_new_draw():
     # a cold room: the housing cools through 20 C mid-scan, and the heater's
     # first tick draws 2.0 W after some 1 300 cached ticks at 1.3 W
@@ -399,10 +368,8 @@ def test_cold_start_heats_first():
     assert summary.housing_temp_max_c > -5.0
 
 
-def test_laser_dip_aborts_and_retries(tmp_path):
-    scenario = make_scenario("lab", duration_s=120.0, seed=7)
-    scenario.laser_dips = [(20.0, 1.0, 0.2)]
-    flash, summary = run_simulation(scenario)
+def test_laser_dip_aborts_and_retries(lab_dip_run, tmp_path):
+    flash, summary = lab_dip_run[:2]
     assert summary.aborted_scans == 1
     # scan 1 died mid-flight; the retry burns a fresh id on the same pair
     assert [s.scan_id for s in summary.scans] == [2, 3]
@@ -413,7 +380,7 @@ def test_laser_dip_aborts_and_retries(tmp_path):
     resume = next(t for t, m in summary.mode_history if t > hold_start and m != "fault_hold")
     assert resume - hold_start >= 30_000
     for s in summary.scans:
-        assert s.span_ms == 27000
+        assert s.t_commit_ms - s.t_start_ms == 27000
     # the aborted attempt's records stay in the ring; the flight and the
     # ground both drop them and fit the same two scans bit for bit
     path = os.fspath(tmp_path / "flash.bin")
@@ -469,105 +436,89 @@ def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
     )
 
 
-def _stretches_match_per_tick_path(scenario):
-    """Run the scenario as is and with the idle-stretch entry patched out,
-    assert equal flash and summaries, and return (first tick, end tick, gate,
-    entered right after STORING) for each stretch taken, and the summary."""
-    stretches = []
-    original = SimulationEngine._idle_stretch
+# The differential tests: each run's flash and summary must equal those of
+# the reference engine (`tests/reference_engine.py`), which takes every tick
+# one at a time, so each stretch the engine takes is checked against the
+# per-tick rules it repeats. Each case also asserts that the run took the
+# stretch, exit or state the case is there for.
 
-    def logged(self, k, env_temp):
-        gate, after_storing = self.ctrl.held_gate(), self._idle_cmd.commit_scan
-        end = original(self, k, env_temp)
-        stretches.append((k, end, gate, after_storing))
-        return end
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SimulationEngine, "_idle_stretch", logged)
-        flash, summary = run_simulation(scenario)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FlightController, "held_gate", lambda self: None)
-        _assert_same_run((flash, summary), run_simulation(scenario))
-    return stretches, summary
-
-
-def _assert_same_run(run, ref):
-    """Equal flash images and `RunSummary` fields, floats bit for bit."""
-    (flash, summary), (ref_flash, ref_summary) = run, ref
-    assert flash.cursor == ref_flash.cursor
-    assert flash.sector_a == ref_flash.sector_a
-    assert flash.sector_b == ref_flash.sector_b
-    for f in dataclasses.fields(RunSummary):
-        # repr tells floats apart bit for bit
-        assert repr(getattr(summary, f.name)) == repr(getattr(ref_summary, f.name)), f.name
+def _matches_reference(engine_run, scenario, prepare=None):
+    """Run the scenario on the engine, logging its stretches, and on the
+    reference engine, `prepare` applied to each controller first; assert
+    equal flash and summaries, and return the engine's logged run."""
+    run = engine_run(scenario, prepare)
+    assert_same_run(run, reference_run(scenario, prepare))
+    return run
 
 
 def _ends_on_period_boundary(end, n_ticks):
     return end < n_ticks and end * TICK_MS % RECORD_PERIOD_MS < TICK_MS
 
 
+@pytest.fixture(scope="module")
+def cold_start():
+    """A 4 100 s cold start that heats throughout, past SECTOR_CAPACITY
+    records, and its reference run."""
+    scenario = _custom([-5.0, -5.0], 4100.0, housing_c=-5.0)
+    return scenario, reference_run(scenario)
+
+
 @pytest.mark.parametrize("kwargs, case", [
     # cooled below 20 C during the first scan: heating from the tick after
     # STORING to the end of the run
     (dict(temps=[-100, -100], duration_s=120.0, housing_c=20.3),
-     lambda k, end, gate, after, n: gate is Gate.HEAT and after and end == n),
+     lambda s, n: s.gate is Gate.HEAT and s.after_storing and s.end == n),
     # warmed above 30 C during the first scan: waiting to cool likewise
     (dict(temps=[200, 200], duration_s=120.0, housing_c=29.5),
-     lambda k, end, gate, after, n: gate is Gate.WAIT_COOL and after and end == n),
+     lambda s, n: s.gate is Gate.WAIT_COOL and s.after_storing and s.end == n),
     # heating inside a package node until the gate opens on a record boundary
     (dict(temps=[-50, -50], duration_s=60.0, housing_c=19.9, package_c=0.0),
-     lambda k, end, gate, after, n: gate is Gate.HEAT and _ends_on_period_boundary(end, n)),
+     lambda s, n: s.gate is Gate.HEAT and _ends_on_period_boundary(s.end, n)),
     # heating that starts mid-period and ends mid-run, then three scans
     (dict(temps=[-200, 250, -200], duration_s=200.0, housing_c=19.0),
-     lambda k, end, gate, after, n: k * TICK_MS % RECORD_PERIOD_MS and 0 < end < n),
+     lambda s, n: s.first * TICK_MS % RECORD_PERIOD_MS and 0 < s.end < n),
 ], ids=["heating-after-storing", "wait-cool-after-storing", "package-node", "gate-opens"])
-def test_idle_stretch_cases_match_per_tick_path(kwargs, case):
+def test_idle_stretch_cases_match_per_tick_path(kwargs, case, engine_run):
     scenario = _custom(**kwargs)
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
-    stretches, _ = _stretches_match_per_tick_path(scenario)
-    assert any(case(*s, n_ticks) for s in stretches), stretches
+    run = _matches_reference(engine_run, scenario)
+    assert any(case(s, n_ticks) for s in run.idle), run.idle
 
 
-def test_idle_stretch_above_the_temperature_clamp_matches_per_tick_path():
+def test_idle_stretch_above_the_temperature_clamp_matches_per_tick_path(engine_run):
     # waiting to cool in 600 C air from 325 C: the housing passes the
     # +327.67 C that the temp_centi_c field clamps to
-    stretches, summary = _stretches_match_per_tick_path(
-        _custom([600.0, 600.0], 120.0, housing_c=325.0))
-    assert [(gate, end) for _, end, gate, _ in stretches] == [(Gate.WAIT_COOL, 2400)]
-    assert summary.housing_temp_max_c > 327.67
+    run = _matches_reference(engine_run, _custom([600.0, 600.0], 120.0, housing_c=325.0))
+    assert [(s.gate, s.end) for s in run.idle] == [(Gate.WAIT_COOL, 2400)]
+    assert run.summary.housing_temp_max_c > 327.67
 
 
 @pytest.mark.parametrize("pending", [scenarios.PENDING_RECORDS, 1000])
 def test_idle_stretch_across_blocks_and_the_ring_wrap_matches_per_tick_path(
-        pending, monkeypatch):
-    # the 4 100 s cold start heats throughout, past SECTOR_CAPACITY records;
+        pending, monkeypatch, engine_run, cold_start):
     # 32 768 records are 8 blocks of 4 096, so only with 1 000-record blocks
     # does FLAG_WRAPPED flip inside one block
+    scenario, reference = cold_start
     monkeypatch.setattr(scenarios, "PENDING_RECORDS", pending)
-    stretches, _ = _stretches_match_per_tick_path(_custom([-5.0, -5.0], 4100.0, housing_c=-5.0))
-    periods = [(k * TICK_MS // RECORD_PERIOD_MS, end * TICK_MS // RECORD_PERIOD_MS)
-               for k, end, _, _ in stretches]
+    run = engine_run(scenario)
+    assert_same_run(run, reference)
+    periods = [(s.first * TICK_MS // RECORD_PERIOD_MS, s.end * TICK_MS // RECORD_PERIOD_MS)
+               for s in run.idle]
     assert any(first < telemetry.SECTOR_CAPACITY < end and first // pending < end // pending
                for first, end in periods), periods
 
 
 @pytest.mark.parametrize("pending", [7, 1000])
-def test_block_size_changes_no_output(pending, monkeypatch):
+def test_block_size_changes_no_output(pending, monkeypatch, lab_dip_run, cold_start):
     # where the pending blocks end changes no byte and no summary field:
     # scans and an aborted attempt straddle the 7-record blocks, so their
     # rows carry over into the next block's grouping, and the ring wraps
     # inside a block of either size
-    dip = make_scenario("lab", duration_s=120.0, seed=7)
-    dip.laser_dips = [(20.0, 1.0, 0.2)]
-    runs = [dip, _custom([-5.0, -5.0], 4100.0, housing_c=-5.0)]
-    expected = [run_simulation(scenario) for scenario in runs]
+    dip = lab_dip_run.scenario
     monkeypatch.setattr(scenarios, "PENDING_RECORDS", pending)
-    for scenario, (ref_flash, ref_summary) in zip(runs, expected):
-        flash, summary = run_simulation(scenario)
-        assert (flash.cursor, flash.sector_a, flash.sector_b) == \
-            (ref_flash.cursor, ref_flash.sector_a, ref_flash.sector_b)
-        assert repr(summary) == repr(ref_summary)
-    assert expected[0][1].aborted_scans == 1 and len(expected[0][1].scans) == 2
+    for scenario, reference in [(dip, reference_run(dip)), cold_start]:
+        assert_same_run(run_simulation(scenario), reference)
+    assert lab_dip_run.summary.aborted_scans == 1 and len(lab_dip_run.summary.scans) == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -580,17 +531,15 @@ def test_block_size_changes_no_output(pending, monkeypatch):
     package_c=st.none() | st.floats(-20.0, 40.0),
     seed=st.integers(0, 3),
 )
-def test_idle_stretches_match_per_tick_path(temps, duration_ms, housing_c, package_c, seed):
-    _stretches_match_per_tick_path(
-        _custom(temps, duration_ms / 1000.0, housing_c, package_c, seed)
-    )
+def test_idle_stretches_match_per_tick_path(temps, duration_ms, housing_c, package_c, seed,
+                                            engine_run):
+    _matches_reference(engine_run, _custom(temps, duration_ms / 1000.0, housing_c, package_c, seed))
 
 
-def test_wrapped_flag_marks_records_past_the_ring():
+def test_wrapped_flag_marks_records_past_the_ring(cold_start):
     # a cold start that heats for the whole run writes more records than
     # one sector holds; the ring keeps the newest of them
-    scenario = _custom([-5.0, -5.0], 4100.0, housing_c=-5.0)
-    flash, summary = run_simulation(scenario)
+    flash, summary = run_simulation(cold_start[0])
     assert summary.records_written == flash.cursor == 4100 * 8
     records = telemetry.read_records(flash)
     assert len(records) == telemetry.SECTOR_CAPACITY
@@ -598,63 +547,6 @@ def test_wrapped_flag_marks_records_past_the_ring():
     assert [bool(r.flags & telemetry.FLAG_WRAPPED) for r in records] == \
         [r.time_ms >= first_wrapped_ms for r in records]
     assert records[0].time_ms < first_wrapped_ms
-
-
-@dataclasses.dataclass(frozen=True)
-class ScanStretch:
-    """One scan stretch as taken, and the state it left."""
-
-    first: int  # the tick it entered on
-    end: int  # the first tick it did not advance
-    reason: str  # "unstable", "storing" or "end"
-    after_commit: bool  # entered inside a commit record's period
-    entered_railed: bool  # an active bias loop railed at entry
-    railed: bool  # an active bias loop railed at exit
-    wrote_block: bool
-    heater_toggled: bool
-    pending: bool  # a step command is due
-    dwell_ms: int
-
-
-def _scan_stretches_match_per_tick_path(scenario, prepare=None):
-    """Run the scenario as is and with the scan-stretch entry patched out,
-    `prepare` applied to each engine first; assert equal flash and summaries,
-    and return each scan stretch taken and the summary."""
-    stretches = []
-    original = SimulationEngine._scan_stretch
-
-    def logged(self, k, env_temp):
-        ctrl = self.ctrl
-        after_commit = self._commit_ctx is not None
-        written, watts = self._written, ctrl.heater_watts
-        entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        end, laser_mw = original(self, k, env_temp)
-        if laser_mw is not None:
-            reason = "unstable"
-        elif end == self.n_ticks:
-            reason = "end"
-        else:
-            assert ctrl.mode is Mode.STORING
-            reason = "storing"
-        railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        stretches.append(ScanStretch(k, end, reason, after_commit, entered_railed, railed,
-                                     self._written > written, ctrl.heater_watts != watts,
-                                     ctrl.pending_command, ctrl.dwell_remaining_ms))
-        return end, laser_mw
-
-    def run():
-        engine = SimulationEngine(scenario)
-        if prepare is not None:
-            prepare(engine)
-        return engine.run()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SimulationEngine, "_scan_stretch", logged)
-        flash, summary = run()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FlightController, "steady_scan", lambda self: False)
-        _assert_same_run((flash, summary), run())
-    return stretches, summary
 
 
 def _lab_dip(t0_s, frac=0.2):
@@ -665,10 +557,10 @@ def _lab_dip(t0_s, frac=0.2):
     return scenario
 
 
-def _narrow_bias_max(engine, bias_max_v=120.5, breakdown_v=112.0):
+def _narrow_bias_max(ctrl, bias_max_v=120.5, breakdown_v=112.0):
     # channel 0 needs 120.5 V near 22.9 C, which the housing in 200 C air
     # passes some 20 s in, during the first scan, on channel 0's pair
-    loop = engine.ctrl.bias_loops[0]
+    loop = ctrl.bias_loops[0]
     loop.params = dataclasses.replace(loop.params, bias_max_v=bias_max_v,
                                       breakdown_volts_at_25c=breakdown_v)
 
@@ -699,7 +591,7 @@ def _railed_dip():
     # channel 0 railed within seconds, and a dip on a stretch's first tick:
     # the stretch returns before any bias step, and the fault hold after it
     # steps no loop, so its records carry the rail the stretch entered with
-    (_railed_dip(), lambda e: _narrow_bias_max(e, 119.0),
+    (_railed_dip(), lambda ctrl: _narrow_bias_max(ctrl, 119.0),
      lambda s: s.railed and s.reason == "unstable" and s.end == s.first),
     # 200 C air falling to -300 C from 40 to 80 s: channel 0 rails just
     # before the third scan's stretch and leaves the rail inside it, where
@@ -707,8 +599,8 @@ def _railed_dip():
     (_custom([200.0, 200.0, -300.0, -300.0], 120.0, housing_c=22.0), _narrow_bias_max,
      lambda s: s.entered_railed and not s.railed),
     # channel 0's breakdown 1 V lower: its bias sits 1 V under channel 3's
-    (make_scenario("lab", duration_s=60.0, seed=1), lambda e: _narrow_bias_max(e, 130.0, 111.0),
-     lambda s: s.reason == "storing"),
+    (make_scenario("lab", duration_s=60.0, seed=1),
+     lambda ctrl: _narrow_bias_max(ctrl, 130.0, 111.0), lambda s: s.reason == "storing"),
     # the housing cools through 20 C in the third scan: the heater turns on
     (_custom([-20.0, -20.0], 120.0, housing_c=20.5), None, lambda s: s.heater_toggled),
     (_custom([-20.0, -20.0], 120.0, housing_c=20.5, package_c=-20.0), None,
@@ -724,9 +616,9 @@ def _railed_dip():
         "railed-dip-on-entry", "leaves-rail",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
         "ends-after-commit", "after-storing"])
-def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case):
-    stretches, _ = _scan_stretches_match_per_tick_path(scenario, prepare)
-    assert any(case(s) for s in stretches), stretches
+def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_run):
+    run = _matches_reference(engine_run, scenario, prepare)
+    assert any(case(s) for s in run.scans), run.scans
 
 
 @pytest.mark.parametrize("scenario, prepare", [
@@ -734,56 +626,103 @@ def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case):
     (make_scenario("leo", 4500.0, 3), None),
     (_custom([200.0, 200.0], 60.0, housing_c=22.0), _narrow_bias_max),
 ], ids=["lab", "leo-4500", "bias-rail"])
-def test_counting_ticks_run_only_in_scan_stretches(scenario, prepare, monkeypatch):
-    # the per-tick path's counting branch serves only as the tests' reference
-    calls = []
-    original = SimulationEngine._counting_rates
-
-    def counted(self, pair):
-        calls.append(pair)
-        return original(self, pair)
-
-    monkeypatch.setattr(SimulationEngine, "_counting_rates", counted)
+def test_counting_ticks_run_only_in_scan_stretches(scenario, prepare):
+    # the per-tick path raises on a counting tick, so a run that ends and
+    # fits its scans took every count in a scan stretch
     engine = SimulationEngine(scenario)
     if prepare is not None:
-        prepare(engine)
+        prepare(engine.ctrl)
     _, summary = engine.run()
-    assert summary.scans and calls == []
+    assert summary.scans
 
 
-def test_scan_stretch_fills_blocks_matches_per_tick_path(monkeypatch):
+def test_per_tick_path_raises_on_a_counting_tick(monkeypatch):
+    # a scan stretch that samples the laser and hands every tick back leaves
+    # the counting ticks to the per-tick path, which refuses the first
+    def sample_only(self, k, env_temp):
+        laser_mw = self._laser_power(k * scenarios.TICK_S, True)
+        self.ctrl.monitor.add_sample(k * TICK_MS / 1000.0, laser_mw)
+        return k, laser_mw
+
+    monkeypatch.setattr(SimulationEngine, "_scan_stretch", sample_only)
+    engine = SimulationEngine(make_scenario("lab", duration_s=60.0, seed=1))
+    with pytest.raises(RuntimeError, match="counts outside a scan stretch"):
+        engine.run()
+    assert engine.ctrl.mode is Mode.SCANNING and engine.ctrl.dwell_remaining_ms == 400
+
+
+def test_scan_stretch_fills_blocks_matches_per_tick_path(monkeypatch, engine_run):
     # 7-record blocks fill inside the stretches, and scans straddle them
     monkeypatch.setattr(scenarios, "PENDING_RECORDS", 7)
-    stretches, _ = _scan_stretches_match_per_tick_path(_lab_dip(20.25))
-    assert any(s.wrote_block for s in stretches), stretches
+    run = _matches_reference(engine_run, _lab_dip(20.25))
+    assert any(s.wrote_block for s in run.scans), run.scans
 
 
-@pytest.mark.parametrize("name, duration_s, seed", [
-    ("lab", None, 1), ("leo", 4500.0, 3), ("leo", 7500.0, 3), ("balloon", None, 11),
-])
-def test_pinned_runs_match_per_tick_path(name, duration_s, seed):
-    stretches, _ = _scan_stretches_match_per_tick_path(make_scenario(name, duration_s, seed))
-    assert {s.reason for s in stretches} >= {"storing"}
+# the session's pinned runs (conftest.py) by scenario, duration and seed
+PINNED_RUNS = {
+    ("lab", None, 1): "lab_480s_run",
+    ("leo", 3000.0, 5): "leo_cold_run",
+    ("leo", 4500.0, 3): "leo_run",
+    ("leo", 7500.0, 3): "leo_wrapped_run",
+    ("balloon", None, 11): "balloon_run",
+}
+
+
+@pytest.mark.parametrize("name, duration_s, seed", list(PINNED_RUNS))
+def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
+    run = request.getfixturevalue(PINNED_RUNS[name, duration_s, seed])
+    assert (run.scenario.name, run.scenario.seed) == (name, seed)
+    assert_same_run(run, reference_run(run.scenario))
+    if duration_s == 3000.0:  # heating throughout, in idle stretches to the end
+        assert not run.scans and run.idle[-1].end == round(duration_s * 1000) // TICK_MS
+        return
+    assert {s.reason for s in run.scans} >= {"storing"}
     if name != "lab":  # the heater toggles inside scans
-        assert any(s.heater_toggled for s in stretches)
+        assert any(s.heater_toggled for s in run.scans)
+
+
+def test_lab_dip_run_matches_per_tick_path(lab_dip_run):
+    assert_same_run(lab_dip_run, reference_run(lab_dip_run.scenario))
+    assert [s.reason for s in lab_dip_run.scans].count("unstable") == 1
+
+
+# channel 0's rail and breakdown: a narrow range rails it, and another
+# breakdown sets its bias apart from channel 3's
+CHANNEL_0 = st.tuples(st.floats(119.0, 130.0), st.floats(110.0, 114.0))
+
+
+@st.composite
+def _rail_round_trip(draw):
+    """(air temperatures, duration s, housing C, package C, channel 0) of a
+    run whose housing warms, in hot air, past channel 0's rail during a scan
+    of its pair, and cools back through it, in falling air, during a later
+    one: the loop leaves its rail inside a scan stretch."""
+    housing_c = draw(st.floats(20.5, 23.5))
+    breakdown_v = draw(st.floats(110.0, 114.0))
+    # the rail is the bias that holds the setpoint `over_c` above the start:
+    # 10 V over a breakdown that drifts 0.7 V/C
+    over_c = draw(st.floats(0.1, 1.5))
+    bias_max_v = breakdown_v + 10.0 + 0.7 * (housing_c + over_c - 25.0)
+    hot, cold = draw(st.floats(150.0, 250.0)), draw(st.floats(-400.0, -200.0))
+    duration_s = draw(st.integers(90_000, 150_000)) / 1000.0
+    return [hot, hot, cold, cold], duration_s, housing_c, None, (bias_max_v, breakdown_v)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    temps=st.lists(st.floats(-100.0, 150.0), min_size=2, max_size=4),
-    duration_ms=st.integers(10_000, 90_000),
-    housing_c=st.floats(19.0, 31.0),
-    package_c=st.none() | st.floats(-20.0, 40.0),
+    run=st.tuples(
+        st.lists(st.floats(-100.0, 150.0), min_size=2, max_size=4),
+        st.integers(10_000, 90_000).map(lambda ms: ms / 1000.0),
+        st.floats(19.0, 31.0),
+        st.none() | st.floats(-20.0, 40.0),
+        CHANNEL_0,
+    ) | _rail_round_trip(),
     seed=st.integers(0, 3),
     dips=st.lists(st.tuples(st.floats(9.0, 90.0), st.floats(0.01, 3.0), st.floats(0.0, 0.3)),
                   max_size=2),
-    # channel 0's rail and breakdown: a narrow range rails it, and another
-    # breakdown sets its bias apart from channel 3's
-    channel_0=st.tuples(st.floats(119.0, 130.0), st.floats(110.0, 114.0)),
 )
-def test_scan_stretches_match_per_tick_path(temps, duration_ms, housing_c, package_c, seed,
-                                            dips, channel_0):
-    scenario = _custom(temps, duration_ms / 1000.0, housing_c, package_c, seed)
+def test_scan_stretches_match_per_tick_path(run, seed, dips, engine_run):
+    temps, duration_s, housing_c, package_c, channel_0 = run
+    scenario = _custom(temps, duration_s, housing_c, package_c, seed)
     scenario.laser_dips = dips
-    _scan_stretches_match_per_tick_path(
-        scenario, lambda engine: _narrow_bias_max(engine, *channel_0))
+    _matches_reference(engine_run, scenario, lambda ctrl: _narrow_bias_max(ctrl, *channel_0))

@@ -107,10 +107,10 @@ class LaserMonitor:
     span test alone.
 
     It is the one flight timer still on float seconds: the LC settle timer
-    counts whole milliseconds. The engine's scan stretch
-    (`SimulationEngine._scan_stretch`) inlines `add_sample`, `ready` and
-    `laser_stable` on this deque and sorted list; a change to either rule
-    changes that copy too.
+    counts whole milliseconds. The engine's operating stretch
+    (`SimulationEngine._operating_stretch`) inlines `add_sample`, `ready`
+    and `laser_stable` on this deque and sorted list for every laser-on
+    tick; a change to either rule changes that copy too.
     """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
@@ -195,9 +195,10 @@ class ApdBiasLoop:
     115 V; `railed` tells whether the last step left the bias at a supply
     rail.
 
-    The engine's scan stretch (`SimulationEngine._scan_stretch`) inlines
-    `step`, with `avalanche_amplitude`, `apd_bias_step` and both their range
-    checks, for the two active loops; a change here changes that copy too.
+    The engine's operating stretch (`SimulationEngine._operating_stretch`)
+    inlines `step`, with `avalanche_amplitude`, `apd_bias_step` and both
+    their range checks, for the two active loops; a change here changes
+    that copy too.
     """
 
     def __init__(self, params: ApdParams):
@@ -438,7 +439,8 @@ class FlightController:
     def decide(self, sensors: Sensors) -> Commands:
         """The rest of a tick whose laser reading the monitor already holds:
         run the state machine, step the active bias loops, and return the
-        commands."""
+        commands. The engine calls it on the laser-on ticks its operating
+        stretch hands back, and `tick` on its laser-off ticks."""
         cmd = Commands(mode=self.mode, scan_id=0, pair=self.pair)
 
         if self.mode is Mode.INIT:

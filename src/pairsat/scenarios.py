@@ -1,7 +1,8 @@
 """Environment profiles and the end-to-end simulation engine.
 
 A scenario is an environment time series (temperature, pressure, altitude,
-acceleration) plus source ground truth and a seed. The engine advances the
+acceleration) plus source ground truth and a seed; its run may not outlast
+the profile's last sample. The engine advances the
 flight controller at a fixed 50 ms tick against device models and records
 8 Hz telemetry into redundant flash, returning the flash image and a run
 summary. Identical scenarios, seed included, produce byte-identical flash
@@ -10,16 +11,18 @@ output.
 Most ticks run in one of two stretches, which repeat the arithmetic of a
 tick through the controller and the device models, in its order, on local
 variables. An idle stretch runs while the thermal gate holds the controller
-idle, laser off; it steps only the housing and package nodes. A scan stretch
-runs every SCANNING tick but the one that aborts; it inlines the laser
-monitor, the SCANNING branch of the controller, the heater rule, both bias
-loops, the counts and the LC pair's settle timer. Each leaves where the
-per-tick path has a decision to make: the gate, an unstable laser reading,
-the end of a scan. The per-tick path runs every other tick and counts on
-none; it raises if a tick it runs would count. The tests compare every run
-with a reference engine that steps each tick through the controller and the
-device models, with no cache, stretch or block, and require the same flash
-and summary bit for bit.
+idle, laser off; it steps only the housing and package nodes. The operating
+stretch runs while the laser is on; it draws the laser reading and inlines
+the laser monitor, the SCANNING branch of the controller, the heater rule,
+both bias loops, the counts and the LC pair's settle timer, and in
+LASER_STABILIZING runs the same tick with the scan steps switched off. Each
+leaves where the controller has a decision to make: the gate, a stable
+window before a scan, an unstable one during it, a commit. The per-tick
+path decides those ticks and runs the laser-off ticks outside the idle
+stretches; it draws no random number and raises if a tick it runs would
+count. The tests compare every run with a reference engine that steps each
+tick through the controller and the device models, with no cache, stretch
+or block, and require the same flash and summary bit for bit.
 
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
@@ -255,16 +258,10 @@ def balloon_profile(package: PackageNode | None = None) -> EnvironmentProfile:
     t = np.unique(np.concatenate([base, events, [t_end]]))
     t = t[t <= t_end]
 
-    # altitude piecewise
+    # altitude piecewise: ground hold and ascent, then the descent
     desc_t, desc_h = _balloon_descent(t_burst)
-    alt = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if ti <= t_release:
-            alt[i] = BALLOON_GROUND_ALT_M
-        elif ti <= t_burst:
-            alt[i] = BALLOON_GROUND_ALT_M + BALLOON_ASCENT_RATE_M_S * (ti - t_release)
-        else:
-            alt[i] = float(np.interp(ti, desc_t, desc_h))
+    alt = BALLOON_GROUND_ALT_M + BALLOON_ASCENT_RATE_M_S * np.maximum(t - t_release, 0.0)
+    alt = np.where(t <= t_burst, alt, np.interp(t, desc_t, desc_h))
     alt = np.minimum(alt, BALLOON_CEILING_M)
 
     pressure = SEA_LEVEL_PRESSURE_MBAR * np.exp(-alt / ATMOSPHERE_SCALE_HEIGHT_M)
@@ -346,6 +343,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"duration must be finite and positive, got {self.duration_s} s")
+        if self.duration_s > self.profile.duration_s:
+            raise ValueError(f"duration {self.duration_s} s runs past the profile, "
+                             f"which ends at {self.profile.duration_s} s")
         # one without the other would pin the housing's outside temperature
         # (start temperature, no node) or drop the node (node, no start)
         if (self.package is None) != (self.initial_package_c is None):
@@ -507,15 +507,6 @@ class SimulationEngine:
         if counts > max_counts:
             raise ValueError(f"peak raw coincidence rate {rate:.0f}/s could put {counts:.0f} "
                              f"counts in one record, over the u16 coinc_raw field ({max_counts})")
-
-    def _laser_power(self, t_s: float, laser_on: bool) -> float:
-        if not laser_on:
-            return 0.0
-        power = LASER_MW * (1.0 + LASER_NOISE * float(self.rng.standard_normal()))
-        for t0, dur, frac in self.scenario.laser_dips:
-            if t0 <= t_s < t0 + dur:
-                power *= 1.0 - frac
-        return power
 
     def _pair_rate(self, pair: int, mv: int) -> float:
         """`controller.analyzer_pair_rate` at a signal LC voltage, cached per run."""
@@ -705,33 +696,36 @@ class SimulationEngine:
         self._package_min, self._package_max = p_min, p_max
         return k
 
-    def _scan_stretch(self, k: int, env_temp: memoryview) -> tuple[int, float | None]:
-        """Advance from tick k while the controller is in SCANNING.
+    def _operating_stretch(self, k: int, env_temp: memoryview) -> int:
+        """Advance from tick k while the laser is on, up to the next tick
+        the controller has to decide.
 
-        Entered at the top of tick k, after its period check. Each tick does
-        on locals, in the order of a tick through the controller and the
-        device models and with their arithmetic: the laser draw
-        (`_laser_power`); the monitor's sample and stability test
-        (`LaserMonitor.add_sample`, `laser_stable`); the SCANNING branch of
-        `FlightController.decide` (step command, settle wait or counting
-        tick) and the engine's LC commands; the operating heater rule
-        (`heater_command`); both PI bias steps (`ApdBiasLoop.step`); on a
-        counting tick the rates (`controller.bench_rates` at the loops'
-        `physics.efficiency_factor`, the analyzer part from `_pair_rate`)
-        and three Poisson draws (`physics.sample_counts`); the tick flags;
-        the LC pair's settle timer (`step_settle`); the housing and package
-        steps; and the period close (`_close_period`). The draw cache is
-        looked up only when the heater toggles, and the reference
-        efficiencies are checked on entry. Neither a not-ready window nor a
-        railed bias loop stops a scan, so the stretch goes on through both.
+        Entered at the top of tick k, after its period check, whenever the
+        laser is on. Each tick does on locals, in the order of a tick
+        through the controller and the device models and with their
+        arithmetic: the laser draw and its dips; the monitor's sample and
+        stability test (`LaserMonitor.add_sample`, `laser_stable`); in
+        SCANNING the SCANNING branch of `FlightController.decide` (step
+        command, settle wait or counting tick) and the engine's LC commands;
+        the operating heater rule (`heater_command`); both PI bias steps
+        (`ApdBiasLoop.step`); on a counting tick the rates
+        (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
+        the analyzer part from `_pair_rate`) and three Poisson draws
+        (`physics.sample_counts`); the tick flags; the LC pair's settle
+        timer (`step_settle`); the housing and package steps; and the period
+        close (`_close_period`). A LASER_STABILIZING tick is the same tick
+        with the scan steps switched off; its commands carry scan id 0 and
+        step 0. The draw cache is looked up only when the heater toggles,
+        and the reference efficiencies are checked on entry. Neither a
+        not-ready window nor a railed bias loop stops the stretch.
 
-        It has three exits. After the last dwell tick, which it ends in
-        STORING, and at the end of the run, it returns (the first tick not
-        advanced, None). On a reading `laser_stable` finds unstable it
-        returns (its tick, its laser power) before the controller decides
-        it: the monitor holds the sample, and the per-tick path finishes the
-        tick with `FlightController.decide`. Every local is written back on
-        the way out, also when a draw raises.
+        It returns the first tick it did not advance: the end of the run,
+        or a tick the controller decides, after its period check and with
+        its reading in the monitor and in `_last_laser_mw`. Those are a
+        full window that reads stable in LASER_STABILIZING (the scan
+        begins) or unstable in SCANNING (it aborts), and every STORING
+        tick. Every local is written back on the way out, also when a draw
+        raises.
         """
         ctrl, poisson, normal = self.ctrl, self.rng.poisson, self.rng.standard_normal
         monitor = ctrl.monitor
@@ -741,12 +735,14 @@ class SimulationEngine:
         full_after_drop, full_span = window_s + 1e-9, window_s - 1e-9
         dips = self.scenario.laser_dips
         mode_history, settle_ms = self._mode_history, self._settle_ms
-        scan_id, pair, n_steps = ctrl.scan_id, ctrl.pair, ctrl.config.n_steps
+        scanning, storing = ctrl.mode is Mode.SCANNING, False
+        scan_id, pair, n_steps = ctrl.scan_id if scanning else 0, ctrl.pair, ctrl.config.n_steps
         step, dwell, pending = ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command
-        cmd_step, dwell_ms = step, round(ctrl.config.dwell_s * 1000)
-        voltages, idler_mv = ctrl.voltages, ctrl.idler_voltages[pair]
+        cmd_step, dwell_ms = step if scanning else 0, round(ctrl.config.dwell_s * 1000)
         hw, drawn_hw = ctrl.heater_watts, None
-        sig_mv, settle = self.lc.signal_mv, self.lc.settle_remaining_ms
+        # after a commit the idler LC holds the pair before's voltage until
+        # the next step command
+        sig_mv, idler_mv, settle = self.lc.signal_mv, self.lc.idler_mv, self.lc.settle_remaining_ms
         pair_rate = None
         source = self.scenario.source
         singles_1, singles_2 = source.singles_rate_signal_hz, source.singles_rate_idler_hz
@@ -788,31 +784,36 @@ class SimulationEngine:
                 while samples and samples[0][0] < t_s - window_s:
                     dropped, old = samples.popleft()
                     del powers[bisect_left(powers, old)]
+                if storing:
+                    return k
                 n = len(powers)
                 if n >= 2 and (dropped is not None and t_s - dropped > full_after_drop
                                or t_s - samples[0][0] >= full_span):
                     mid = n // 2
                     med = powers[mid] if n % 2 else (powers[mid - 1] + powers[mid]) / 2
-                    if med <= 0 or not max(powers[-1] - med, med - powers[0]) / med <= threshold:
-                        return k, laser_mw
+                    stable = med > 0 and max(powers[-1] - med, med - powers[0]) / med <= threshold
+                    if stable is not scanning:  # a scan begins, or aborts
+                        return k
 
-                cmd_step = step
                 counting = False
-                if pending:
-                    pending, dwell = False, dwell_ms
-                    sig_mv, settle = voltages[step], SETTLE_TIME_MS
-                    pair_rate = None
-                    self._command_ms = t_ms
-                elif settle == 0 and dwell > 0:
-                    counting = True
-                    dwell -= TICK_MS
-                    if dwell == 0:
-                        step += 1
-                        if step >= n_steps:
-                            ctrl.mode = Mode.STORING
-                            mode_history.append((t_ms, Mode.STORING.value))
-                        else:
-                            pending = True
+                if scanning:
+                    cmd_step = step
+                    if pending:
+                        pending, dwell = False, dwell_ms
+                        sig_mv, settle = ctrl.voltages[step], SETTLE_TIME_MS
+                        pair_rate = None
+                        self._command_ms = t_ms
+                    elif settle == 0 and dwell > 0:
+                        counting = True
+                        dwell -= TICK_MS
+                        if dwell == 0:
+                            step += 1
+                            if step >= n_steps:
+                                ctrl.mode = Mode.STORING
+                                mode_history.append((t_ms, Mode.STORING.value))
+                                storing = True
+                            else:
+                                pending = True
 
                 if temp < HEATER_ON_BELOW_C:
                     hw = HEATER_CAP_OPERATING_W
@@ -905,8 +906,8 @@ class SimulationEngine:
                         p_max = pkg_temp
 
                 k += 1
-                if k == n_ticks or ctrl.mode is Mode.STORING:
-                    return k, None
+                if k == n_ticks:
+                    return k
                 if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
                     continue
                 # a new period starts: `_close_period`
@@ -978,38 +979,32 @@ class SimulationEngine:
 
         k = 0
         while k < n_ticks:
-            t_ms = k * TICK_MS
-
-            if k and t_ms % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
+            if k and k * TICK_MS % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
                 self._close_period(self._idle_cmd)
 
             gate = ctrl.held_gate()
             if gate is not None and self.lc.settled and thermal_gate(self.housing_temp_c) is gate:
                 k = self._idle_stretch(k, env_temp)
                 continue
-            # a reading the scan stretch sampled and found unstable, or None
-            laser_mw = None
-            if ctrl.mode is Mode.SCANNING:
-                k, laser_mw = self._scan_stretch(k, env_temp)
-                if laser_mw is None:
-                    continue
-                t_ms = k * TICK_MS
-
+            laser_on = ctrl.laser_on
+            if laser_on:  # on to a tick to decide, its reading in the monitor
+                k = self._operating_stretch(k, env_temp)
+                if k == n_ticks:
+                    break
+            else:
+                self._last_laser_mw = 0.0
+            t_ms = k * TICK_MS
             air_temp = env_temp[k]
             housing_ext = air_temp if scen.package is None else self.package_temp
 
-            sampled = laser_mw is not None
-            if not sampled:
-                laser_mw = self._laser_power(tick_times[k], ctrl.laser_on)
-            self._last_laser_mw = laser_mw
             sensors = Sensors(
                 time_ms=t_ms,
                 housing_temp_c=self.housing_temp_c,
-                laser_power_mw=laser_mw,
+                laser_power_mw=self._last_laser_mw,
                 lc_settled=self.lc.settled,
             )
             prev_mode = ctrl.mode
-            cmd = ctrl.decide(sensors) if sampled else ctrl.tick(sensors)
+            cmd = ctrl.decide(sensors) if laser_on else ctrl.tick(sensors)
             self._idle_cmd = cmd
             if cmd.mode is not prev_mode:
                 self._mode_history.append((t_ms, cmd.mode.value))
@@ -1023,8 +1018,8 @@ class SimulationEngine:
             if cmd.abort_scan:
                 aborted += 1
 
-            if cmd.counting:  # only an abort leaves a scan stretch mid-scan
-                raise RuntimeError(f"tick {k} counts outside a scan stretch")
+            if cmd.counting:  # the operating stretch counts every counting tick
+                raise RuntimeError(f"tick {k} counts outside the operating stretch")
 
             if cmd.commit_scan:
                 self._flags |= telemetry.FLAG_SCAN_COMMIT

@@ -96,8 +96,8 @@ def housing_step(
     """The housing temperature after one explicit Euler step of `dt`.
 
     `step_thermal` and the engine's per-tick path call it. The engine's
-    idle and scan stretches (`SimulationEngine._idle_stretch`,
-    `_scan_stretch`) inline the same expression, in the same operation
+    idle and operating stretches (`SimulationEngine._idle_stretch`,
+    `_operating_stretch`) inline the same expression, in the same operation
     order, so every tick rounds the same way.
     """
     flow = (

@@ -1,13 +1,14 @@
 """Engine runs shared across the test modules: a runner that logs every
-stretch the engine takes, and the pinned scenarios, each simulated once per
-session through it."""
+stretch the engine takes and counts the controller's decisions, and the
+pinned scenarios, each simulated once per session through it."""
 
 import dataclasses
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
 
-from pairsat.controller import Gate, Mode
+from pairsat.controller import FlightController, Gate, Mode
 from pairsat.scenarios import RunSummary, Scenario, SimulationEngine, make_scenario
 from pairsat.telemetry import FlashImage
 
@@ -22,13 +23,18 @@ class IdleStretch:
     after_storing: bool  # entered on the tick after a commit
 
 
+# the exit that hands a tick back, by the mode the tick is in
+EXITS = {Mode.LASER_STABILIZING: "stable", Mode.SCANNING: "unstable", Mode.STORING: "storing"}
+
+
 @dataclasses.dataclass(frozen=True)
-class ScanStretch:
-    """One scan stretch as taken, and the state it left."""
+class OperatingStretch:
+    """One operating stretch as taken, and the state it left."""
 
     first: int  # the tick it entered on
     end: int  # the first tick it did not advance
-    reason: str  # "unstable", "storing" or "end"
+    reason: str  # "stable", "unstable", "storing" or "end"
+    stabilizing: bool  # entered in LASER_STABILIZING
     after_commit: bool  # entered inside a commit record's period
     entered_railed: bool  # an active bias loop railed at entry
     railed: bool  # an active bias loop railed at exit
@@ -42,15 +48,21 @@ class LoggedRun(NamedTuple):
     flash: FlashImage
     summary: RunSummary
     idle: list[IdleStretch]
-    scans: list[ScanStretch]
+    operating: list[OperatingStretch]
+    # `FlightController.decide` calls by the mode the controller was in:
+    # the ticks the per-tick path ran, and each idle stretch's first tick
+    decisions: Counter
     scenario: Scenario
 
 
 def run_logged(scenario, prepare=None) -> LoggedRun:
     """Run the scenario on the engine, `prepare` applied to its controller
-    first, and log each idle and scan stretch the run takes."""
-    idle, scans = [], []
-    idle_stretch, scan_stretch = SimulationEngine._idle_stretch, SimulationEngine._scan_stretch
+    first; log each idle and operating stretch the run takes, and count the
+    controller's decisions by mode."""
+    idle, operating, decisions = [], [], Counter()
+    idle_stretch = SimulationEngine._idle_stretch
+    operating_stretch = SimulationEngine._operating_stretch
+    decide = FlightController.decide
 
     def logged_idle(self, k, env_temp):
         gate, after_storing = self.ctrl.held_gate(), self._idle_cmd.commit_scan
@@ -58,33 +70,34 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
         idle.append(IdleStretch(k, end, gate, after_storing))
         return end
 
-    def logged_scan(self, k, env_temp):
+    def logged_operating(self, k, env_temp):
         ctrl = self.ctrl
+        stabilizing = ctrl.mode is Mode.LASER_STABILIZING
         after_commit = self._commit_ctx is not None
         written, watts = self._written, ctrl.heater_watts
         entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        end, laser_mw = scan_stretch(self, k, env_temp)
-        if laser_mw is not None:
-            reason = "unstable"
-        elif end == self.n_ticks:
-            reason = "end"
-        else:
-            assert ctrl.mode is Mode.STORING
-            reason = "storing"
+        end = operating_stretch(self, k, env_temp)
+        reason = "end" if end == self.n_ticks else EXITS[ctrl.mode]
         railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        scans.append(ScanStretch(k, end, reason, after_commit, entered_railed, railed,
-                                 self._written > written, ctrl.heater_watts != watts,
-                                 ctrl.pending_command, ctrl.dwell_remaining_ms))
-        return end, laser_mw
+        operating.append(OperatingStretch(
+            k, end, reason, stabilizing, after_commit, entered_railed, railed,
+            self._written > written, ctrl.heater_watts != watts,
+            ctrl.pending_command, ctrl.dwell_remaining_ms))
+        return end
+
+    def counted_decide(self, sensors):
+        decisions[self.mode.value] += 1
+        return decide(self, sensors)
 
     engine = SimulationEngine(scenario)
     if prepare is not None:
         prepare(engine.ctrl)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SimulationEngine, "_idle_stretch", logged_idle)
-        mp.setattr(SimulationEngine, "_scan_stretch", logged_scan)
+        mp.setattr(SimulationEngine, "_operating_stretch", logged_operating)
+        mp.setattr(FlightController, "decide", counted_decide)
         flash, summary = engine.run()
-    return LoggedRun(flash, summary, idle, scans, scenario)
+    return LoggedRun(flash, summary, idle, operating, decisions, scenario)
 
 
 @pytest.fixture(scope="session")

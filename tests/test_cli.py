@@ -111,6 +111,18 @@ def test_simulate_custom_profile(tmp_path, capsys):
     assert "custom: 60 s simulated" in capsys.readouterr().out
 
 
+def test_simulate_rejects_a_run_past_its_profile(tmp_path, capsys):
+    # the run used to hold the profile's last sample for the rest of it
+    path = os.fspath(tmp_path / "bench.csv")
+    save_profile_csv(lab_profile(60.0), path)
+    cases = [(["--scenario", "custom", "--profile", path, "--duration", "600"], "600.0", "60.0"),
+             (["--scenario", "balloon", "--duration", "12000"], "12000.0", "9610.0")]
+    for argv, duration, end in cases:
+        assert run_cli("simulate", *argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"duration {duration} s" in err and end in err, err
+
+
 def test_powerbudget_report(capsys):
     rc = run_cli("powerbudget")
     assert rc == 0

@@ -422,6 +422,17 @@ def test_scenario_rejects_half_configured_package_node(kwargs):
         Scenario("custom", lab_profile(60.0), 60.0, **kwargs)
 
 
+def test_scenario_rejects_a_run_past_its_profile():
+    # a run up to the last sample is accepted; one past it used to hold the
+    # last sample silently
+    Scenario("custom", lab_profile(60.0), 60.0)
+    with pytest.raises(ValueError, match=r"duration 60\.05 s runs past .* ends at 60\.0 s"):
+        Scenario("custom", lab_profile(60.0), 60.05)
+    end_s = balloon_profile().duration_s
+    with pytest.raises(ValueError, match=f"duration 12000.0 s .* ends at {end_s} s"):
+        make_scenario("balloon", duration_s=12000.0)
+
+
 def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
     """A custom scenario whose air temperature runs linearly through `temps`;
     with `package_c` the housing sits in a package node starting there."""
@@ -521,7 +532,7 @@ def test_block_size_changes_no_output(pending, monkeypatch, lab_dip_run, cold_st
     assert lab_dip_run.summary.aborted_scans == 1 and len(lab_dip_run.summary.scans) == 2
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     # air temperatures far out, so the housing crosses 20, 22 and 30 C
     # within a short run
@@ -566,9 +577,9 @@ def _narrow_bias_max(ctrl, bias_max_v=120.5, breakdown_v=112.0):
 
 
 def _railed_dip():
-    """Air at 200 C and a dip from 64.25 s, the third scan stretch's first
-    tick (the scan begins at 64.2 s): the first two begin on ticks whose
-    window reads not ready."""
+    """Air at 200 C and a dip from 64.25 s, the third scanning stretch's
+    first tick (the scan begins at 64.2 s): the first two begin on ticks
+    whose window reads not ready."""
     scenario = _custom([200.0, 200.0], 70.0, housing_c=22.0)
     scenario.laser_dips = [(64.25, 0.5, 0.2)]
     return scenario
@@ -579,7 +590,20 @@ def _railed_dip():
     # counts from 20.15 s)
     (_lab_dip(20.25), None, lambda s: s.reason == "unstable" and 0 < s.dwell_ms < 450),
     # a dip just under the 5 % threshold: the stretch runs through it
-    (_lab_dip(20.25, 0.0495), None, lambda s: s.first < 405 < s.end),
+    (_lab_dip(20.25, 0.0495), None, lambda s: not s.stabilizing and s.first < 405 < s.end),
+    # a dip in the 10 s warm-up: the stretch runs through the unstable
+    # windows, nothing aborts, and the scan begins once the last dipped
+    # sample (5.45 s) leaves the window, at 15.5 s instead of 10.1 s
+    (_lab_dip(5.0), None, lambda s: s.stabilizing and s.reason == "stable" and s.end == 310),
+    # the run ends in the warm-up
+    (make_scenario("lab", duration_s=5.0, seed=1), None,
+     lambda s: s.stabilizing and s.reason == "end" and s.end == 100),
+    # the dip starts on the second commit's tick, at 64.15 s, which checks
+    # no stability; the next tick enters LASER_STABILIZING in the commit's
+    # period with the window kept, and waits for the last dipped sample
+    # (64.6 s) to leave it
+    (_lab_dip(64.14), None,
+     lambda s: s.stabilizing and s.after_commit and (s.first, s.end) == (1284, 1493)),
     # its first tick is step 2's command tick, at 11.6 s (on the command
     # tick of step 13 the window is not full, so that dip aborts a tick later)
     (_lab_dip(11.59), None, lambda s: s.reason == "unstable" and s.pending),
@@ -597,28 +621,30 @@ def _railed_dip():
     # before the third scan's stretch and leaves the rail inside it, where
     # the integrator it reset at the rail sets the tick it leaves on
     (_custom([200.0, 200.0, -300.0, -300.0], 120.0, housing_c=22.0), _narrow_bias_max,
-     lambda s: s.entered_railed and not s.railed),
+     lambda s: not s.stabilizing and s.entered_railed and not s.railed),
     # channel 0's breakdown 1 V lower: its bias sits 1 V under channel 3's
     (make_scenario("lab", duration_s=60.0, seed=1),
      lambda ctrl: _narrow_bias_max(ctrl, 130.0, 111.0), lambda s: s.reason == "storing"),
     # the housing cools through 20 C in the third scan: the heater turns on
-    (_custom([-20.0, -20.0], 120.0, housing_c=20.5), None, lambda s: s.heater_toggled),
+    (_custom([-20.0, -20.0], 120.0, housing_c=20.5), None,
+     lambda s: not s.stabilizing and s.heater_toggled),
     (_custom([-20.0, -20.0], 120.0, housing_c=20.5, package_c=-20.0), None,
-     lambda s: s.heater_toggled),
+     lambda s: not s.stabilizing and s.heater_toggled),
     (make_scenario("lab", duration_s=25.0, seed=1), None,
-     lambda s: s.reason == "end" and s.end == 500),
+     lambda s: not s.stabilizing and s.reason == "end" and s.end == 500),
     # the first commit is at 37.1 s, the run's last tick
     (make_scenario("lab", duration_s=37.15, seed=1), None,
      lambda s: s.reason == "storing" and s.end == 742),
     # some scan starts in the period of the commit before it
-    (make_scenario("lab", seed=1), None, lambda s: s.after_commit),
-], ids=["dip-mid-dwell", "dip-under-threshold", "dip-on-step-command", "bias-rail",
+    (make_scenario("lab", seed=1), None, lambda s: not s.stabilizing and s.after_commit),
+], ids=["dip-mid-dwell", "dip-under-threshold", "dip-in-warm-up", "ends-in-warm-up",
+        "stabilizing-after-commit", "dip-on-step-command", "bias-rail",
         "railed-dip-on-entry", "leaves-rail",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
         "ends-after-commit", "after-storing"])
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_run):
     run = _matches_reference(engine_run, scenario, prepare)
-    assert any(case(s) for s in run.scans), run.scans
+    assert any(case(s) for s in run.operating), run.operating
 
 
 @pytest.mark.parametrize("scenario, prepare", [
@@ -628,7 +654,7 @@ def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_
 ], ids=["lab", "leo-4500", "bias-rail"])
 def test_counting_ticks_run_only_in_scan_stretches(scenario, prepare):
     # the per-tick path raises on a counting tick, so a run that ends and
-    # fits its scans took every count in a scan stretch
+    # fits its scans took every count in an operating stretch
     engine = SimulationEngine(scenario)
     if prepare is not None:
         prepare(engine.ctrl)
@@ -637,16 +663,17 @@ def test_counting_ticks_run_only_in_scan_stretches(scenario, prepare):
 
 
 def test_per_tick_path_raises_on_a_counting_tick(monkeypatch):
-    # a scan stretch that samples the laser and hands every tick back leaves
-    # the counting ticks to the per-tick path, which refuses the first
+    # an operating stretch that only samples a steady laser and hands every
+    # tick back leaves the counting ticks to the per-tick path, which
+    # refuses the first
     def sample_only(self, k, env_temp):
-        laser_mw = self._laser_power(k * scenarios.TICK_S, True)
-        self.ctrl.monitor.add_sample(k * TICK_MS / 1000.0, laser_mw)
-        return k, laser_mw
+        self._last_laser_mw = scenarios.LASER_MW
+        self.ctrl.monitor.add_sample(k * TICK_MS / 1000.0, scenarios.LASER_MW)
+        return k
 
-    monkeypatch.setattr(SimulationEngine, "_scan_stretch", sample_only)
+    monkeypatch.setattr(SimulationEngine, "_operating_stretch", sample_only)
     engine = SimulationEngine(make_scenario("lab", duration_s=60.0, seed=1))
-    with pytest.raises(RuntimeError, match="counts outside a scan stretch"):
+    with pytest.raises(RuntimeError, match="counts outside the operating stretch"):
         engine.run()
     assert engine.ctrl.mode is Mode.SCANNING and engine.ctrl.dwell_remaining_ms == 400
 
@@ -655,7 +682,8 @@ def test_scan_stretch_fills_blocks_matches_per_tick_path(monkeypatch, engine_run
     # 7-record blocks fill inside the stretches, and scans straddle them
     monkeypatch.setattr(scenarios, "PENDING_RECORDS", 7)
     run = _matches_reference(engine_run, _lab_dip(20.25))
-    assert any(s.wrote_block for s in run.scans), run.scans
+    assert any(not s.stabilizing and s.wrote_block for s in run.operating), run.operating
+    assert any(s.stabilizing and s.wrote_block for s in run.operating), run.operating
 
 
 # the session's pinned runs (conftest.py) by scenario, duration and seed
@@ -674,16 +702,27 @@ def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
     assert (run.scenario.name, run.scenario.seed) == (name, seed)
     assert_same_run(run, reference_run(run.scenario))
     if duration_s == 3000.0:  # heating throughout, in idle stretches to the end
-        assert not run.scans and run.idle[-1].end == round(duration_s * 1000) // TICK_MS
+        assert not run.operating and run.idle[-1].end == round(duration_s * 1000) // TICK_MS
         return
-    assert {s.reason for s in run.scans} >= {"storing"}
+    assert {s.reason for s in run.operating} >= {"stable", "storing"}
     if name != "lab":  # the heater toggles inside scans
-        assert any(s.heater_toggled for s in run.scans)
+        assert any(not s.stabilizing and s.heater_toggled for s in run.operating)
+
+
+@pytest.mark.parametrize("fixture, decisions", [
+    ("lab_480s_run", dict(init=1, laser_stabilizing=18, storing=17)),
+    ("leo_wrapped_run", dict(init=1, heating=74, laser_stabilizing=130, storing=129)),
+])
+def test_per_tick_path_decides_only_handed_back_ticks(fixture, decisions, request):
+    # the controller decides the first tick and each idle stretch's first
+    # tick; of the laser-on ticks only each scan's first and its commit
+    # tick, the operating stretch running every other
+    assert request.getfixturevalue(fixture).decisions == decisions
 
 
 def test_lab_dip_run_matches_per_tick_path(lab_dip_run):
     assert_same_run(lab_dip_run, reference_run(lab_dip_run.scenario))
-    assert [s.reason for s in lab_dip_run.scans].count("unstable") == 1
+    assert [s.reason for s in lab_dip_run.operating].count("unstable") == 1
 
 
 # channel 0's rail and breakdown: a narrow range rails it, and another
@@ -708,7 +747,7 @@ def _rail_round_trip(draw):
     return [hot, hot, cold, cold], duration_s, housing_c, None, (bias_max_v, breakdown_v)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     run=st.tuples(
         st.lists(st.floats(-100.0, 150.0), min_size=2, max_size=4),

@@ -389,19 +389,26 @@ class FlightController:
     def active_channels(self) -> tuple[int, int]:
         return PAIR_CHANNELS[self.pair]
 
-    def held_gate(self) -> Gate | None:
-        """The gate decision that holds the controller idle, or None.
-
-        In HEATING or WAIT_COOL, where the laser is off, a tick whose sensed
-        housing temperature gets this decision from `thermal_gate` keeps
-        the mode and changes nothing but the heater command, and every
-        such tick after the first returns equal commands and changes
-        nothing at all.
+    def hold(self) -> tuple[float, bool, int | None] | None:
+        """`(bound_c, below, until_ms)`: every tick whose sensed housing
+        temperature is below `bound_c` (above it if not `below`), before
+        `until_ms` (None: at any time), returns `Commands(mode,
+        heater_watts, pair=pair)` and changes no field. HEATING holds below
+        the gate, WAIT_COOL above it, and FAULT_HOLD before its end while
+        the idle heater rule keeps its command: at or below 22 C with the
+        heater on, at or above 20 C with it off. The laser is off in all
+        three. None in any other mode or heater state.
         """
-        if self.mode is Mode.HEATING:
-            return Gate.HEAT
-        if self.mode is Mode.WAIT_COOL:
-            return Gate.WAIT_COOL
+        on, off = self.heater_watts == thermal_power.HEATER_CAP_IDLE_W, self.heater_watts == 0.0
+        if self.mode is Mode.HEATING and on:
+            return GATE_MIN_C, True, None
+        if self.mode is Mode.WAIT_COOL and off:
+            return GATE_MAX_C, False, None
+        if self.mode is Mode.FAULT_HOLD and (on or off):
+            # the heater rule's bounds are inclusive: the float just beyond each
+            bound = (math.nextafter(thermal_power.HEATER_OFF_ABOVE_C, math.inf) if on
+                     else math.nextafter(thermal_power.HEATER_ON_BELOW_C, -math.inf))
+            return bound, on, self.fault_until_ms
         return None
 
     def _enter_gate(self, sensors: Sensors) -> None:
@@ -440,7 +447,8 @@ class FlightController:
         """The rest of a tick whose laser reading the monitor already holds:
         run the state machine, step the active bias loops, and return the
         commands. The engine calls it on the laser-on ticks its operating
-        stretch hands back, and `tick` on its laser-off ticks."""
+        stretch hands back, and `tick` on the laser-off ticks no `hold`
+        admits."""
         cmd = Commands(mode=self.mode, scan_id=0, pair=self.pair)
 
         if self.mode is Mode.INIT:

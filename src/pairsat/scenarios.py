@@ -8,28 +8,29 @@ flight controller at a fixed 50 ms tick against device models and records
 summary. Identical scenarios, seed included, produce byte-identical flash
 output.
 
-Most ticks run in one of two stretches, which repeat the arithmetic of a
-tick through the controller and the device models, in its order, on local
-variables. An idle stretch runs while the thermal gate holds the controller
-idle, laser off; it steps only the housing and package nodes. The operating
-stretch runs while the laser is on; it draws the laser reading and inlines
-the laser monitor, the SCANNING branch of the controller, the heater rule,
-both bias loops, the counts and the LC pair's settle timer, and in
-LASER_STABILIZING runs the same tick with the scan steps switched off. Each
-leaves where the controller has a decision to make: the gate, a stable
-window before a scan, an unstable one during it, a commit. The per-tick
-path decides those ticks and runs the laser-off ticks outside the idle
-stretches; it draws no random number and raises if a tick it runs would
-count. The tests compare every run with a reference engine that steps each
-tick through the controller and the device models, with no cache, stretch
-or block, and require the same flash and summary bit for bit.
+The operating stretch runs every laser-on tick but those the controller
+decides. It repeats the arithmetic of a tick through the controller and the
+device models, in its order, on local variables: it draws the laser reading
+and inlines the laser monitor, the SCANNING branch of the controller, the
+heater rule, both bias loops, the counts and the LC pair's settle timer, and
+in LASER_STABILIZING runs the same tick with the scan steps switched off. It
+hands back a stable window before a scan, an unstable one during it and a
+commit. The per-tick path decides those ticks and every laser-off tick that
+the controller does not hold; it draws no random number and raises if a
+tick would count. `_advance` then runs the decided tick and every later tick
+that `FlightController.hold` admits: heating below the gate, waiting to cool
+above it, and a fault hold up to its end while the heater keeps its command.
+A held tick steps only the housing and package nodes. The tests compare
+every run with a reference engine that steps each tick through the
+controller and the device models, with no cache, stretch, hold or block,
+and require the same flash and summary bit for bit.
 
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
 step, pair, LC mV), summed counts and flags, and the unrounded housing
 temperature, laser power and two biases sampled at the top of the next
-period. The per-tick path logs one period at a time; an idle stretch logs
-one row for all the periods it holds, which differ only in temperature.
+period. `_close_period` logs one period at a time; a hold logs one row for
+all the periods it holds, which differ only in temperature.
 A full block, and the last one, becomes a `RECORD_DTYPE` table column by
 column (`telemetry.fixed_point`, `telemetry.centi_c`), passes the one range
 check (`telemetry.table_from_rows`) and is written with one
@@ -49,9 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, GATE_MAX_C, GATE_MIN_C,
-                         PAIR_CHANNELS, POWER_STATES, Commands, FlightController, Gate, Mode,
-                         Sensors, thermal_gate)
+from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, PAIR_CHANNELS, POWER_STATES,
+                         Commands, FlightController, Mode, Sensors)
 from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
     command_voltage, default_calibration, step_settle
 from .physics import SourceParams, reference_efficiency
@@ -567,7 +567,7 @@ class SimulationEngine:
             return
         # ints and floats in one float64 array: every int field is below 2**53
         raw = np.array(self._rows)
-        if len(raw) < n:  # an idle stretch's row stands for many periods
+        if len(raw) < n:  # a hold's row stands for many periods
             raw = np.repeat(raw, self._repeats, axis=0)
         first = self._written
         wide = np.empty((n, len(telemetry.RECORD_DTYPE.names) - 1), dtype=np.int64)
@@ -603,57 +603,48 @@ class SimulationEngine:
             flags |= telemetry.FLAG_BIAS_RAILED
         return flags
 
-    def _idle_stretch(self, k: int, env_temp: memoryview) -> int:
-        """Advance from tick k while the thermal gate holds the controller idle.
+    def _advance(self, k: int, cmd: Commands, env_temp: memoryview) -> int:
+        """Advance tick k, whose commands `cmd` the controller has just
+        given and `_last_cmd` holds, then every later tick that
+        `FlightController.hold` admits by its start-of-tick temperature and
+        time; return the first tick not advanced.
 
-        Entered at the top of tick k, after its period check, when the
-        housing temperature gets the gate `held_gate` names and the LCs
-        are settled. Tick k runs the controller as usual. Each later tick
-        whose start-of-tick temperature keeps that gate would return equal
-        commands, draw no random numbers and step no LC or bias loop, so
-        it advances only the housing node (`housing_step` inlined, in its
-        operation order), the package node and the temperature extremes,
-        and checks the gate as one comparison with its threshold.
-        The first period it closes goes through `_close_period`; every later
-        one holds the same record but for its temperature, so it appends
-        only that, and one row with a repeat count stands for them all.
-        Returns the first tick not advanced, with the controller, the open
-        period and the engine as the per-tick path leaves them.
+        Each tick steps the housing node (`housing_step` inlined, in its
+        operation order), the package node and their extremes; tick k also
+        puts its flags in the open period and its draw in the peak power,
+        which a held tick repeats. The first period closed after tick k goes
+        through `_close_period`; each later one differs only in temperature,
+        so it appends only that, under one row with a repeat count. The LC
+        settle timer counts down over all the ticks at once. After a held
+        tick the last commands are the held ones and the laser reads 0.
         """
-        ctrl, params = self.ctrl, self.thermal_params
-        gate = ctrl.held_gate()
-        cmd = ctrl.tick(Sensors(
-            time_ms=k * TICK_MS,
-            housing_temp_c=self.housing_temp_c,
-            laser_power_mw=0.0,  # held idle, the laser is off
-            lc_settled=True,
-        ))
-        self._idle_cmd = cmd
-        self._last_laser_mw = 0.0
+        ctrl, params, first = self.ctrl, self.thermal_params, k
         flags = self._tick_flags(cmd)
         self._flags |= flags
-        ch1, ch2 = controller.PAIR_CHANNELS[cmd.pair]
-        loops = ctrl.bias_loops
-        held_row = (cmd.scan_id, cmd.step, cmd.pair, self.lc.signal_mv, self.lc.idler_mv,
-                    0, 0, 0, flags, 0.0, loops[ch1].bias, loops[ch2].bias)
-        # periods logged with only their temperature, for held_row to stand
-        # for; -1 until the stretch closes its first period
-        held = -1
-        temps = self._temps
         total, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
         if total > self._max_power:
             self._max_power = total
+        # without a hold, tick k alone
+        bound, below, until_ms = ctrl.hold() or (0.0, True, (k + 1) * TICK_MS)
+        n_ticks = self.n_ticks
+        end = n_ticks if until_ms is None else min(n_ticks, -(-until_ms // TICK_MS))
+        held_cmd = Commands(ctrl.mode, ctrl.heater_watts, pair=ctrl.pair)
+        ch1, ch2 = controller.PAIR_CHANNELS[ctrl.pair]
+        loops = ctrl.bias_loops
+        held_row = (0, 0, ctrl.pair, self.lc.signal_mv, self.lc.idler_mv,
+                    0, 0, 0, flags, 0.0, loops[ch1].bias, loops[ch2].bias)
+        # periods logged with only their temperature, for held_row to stand
+        # for; -1 until the first period closes
+        held = -1
+        temps = self._temps
         # `thermal_power.housing_step`, term for term: heat in, then the flow
         heat_in = cmd.heater_watts + dissipation
         conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
-        # the gate holds while the temperature stays beyond its threshold
-        heating = gate is Gate.HEAT
         temp = self.housing_temp_c
         pkg_temp = self.package_temp
         package = self.scenario.package
         h_min, h_max = self._housing_min, self._housing_max
         p_min, p_max = self._package_min, self._package_max
-        n_ticks = self.n_ticks
         while True:
             air_temp = env_temp[k]
             ext = air_temp if package is None else pkg_temp
@@ -669,14 +660,16 @@ class SimulationEngine:
                 if pkg_temp > p_max:
                     p_max = pkg_temp
             k += 1
-            if k == n_ticks or not (temp < GATE_MIN_C if heating else temp > GATE_MAX_C):
+            if k >= end or not (temp < bound if below else temp > bound):
                 break
             if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
                 continue
             # a new period starts
-            if held < 0:  # the period the stretch entered may hold counts or a commit
+            if held < 0:  # the period of tick k may hold counts or a commit
                 self.housing_temp_c = temp
-                self._close_period(cmd)
+                if k > first + 1:  # it ends on a held tick
+                    self._last_cmd, self._last_laser_mw = held_cmd, 0.0
+                self._close_period(self._last_cmd)
                 self._flags = flags
                 held = 0
             else:
@@ -690,6 +683,10 @@ class SimulationEngine:
         if held > 0:
             self._rows.append(held_row)
             self._repeats.append(held)
+        if k > first + 1:
+            self._last_cmd, self._last_laser_mw = held_cmd, 0.0
+        if not self.lc.settled:
+            self.lc = step_settle(self.lc, TICK_MS * (k - first))
         self.housing_temp_c = temp
         self.package_temp = pkg_temp
         self._housing_min, self._housing_max = h_min, h_max
@@ -930,7 +927,7 @@ class SimulationEngine:
             loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1
             loop_2.bias, loop_2.integrator, loop_2.railed = b2, i2, railed_2
             self.lc = LcState(sig_mv, idler_mv, settle)
-            self._idle_cmd = Commands(ctrl.mode, hw, scan_id=scan_id, step=cmd_step, pair=pair)
+            self._last_cmd = Commands(ctrl.mode, hw, scan_id=scan_id, step=cmd_step, pair=pair)
             self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags
             self._count_ctx, self._commit_ctx = count_ctx, commit_ctx
             self._last_laser_mw = laser_mw
@@ -969,7 +966,7 @@ class SimulationEngine:
         self._command_ms: int | None = None
         self._settle_ms: set[int] = set()
         self._last_laser_mw = 0.0
-        self._idle_cmd = Commands(mode=Mode.INIT)
+        self._last_cmd = Commands(mode=Mode.INIT)
         self._draw_cache: dict[tuple, tuple[float, float]] = {}
         self._max_power = 0.0
         self._housing_min = self._housing_max = self.housing_temp_c
@@ -980,12 +977,8 @@ class SimulationEngine:
         k = 0
         while k < n_ticks:
             if k and k * TICK_MS % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
-                self._close_period(self._idle_cmd)
+                self._close_period(self._last_cmd)
 
-            gate = ctrl.held_gate()
-            if gate is not None and self.lc.settled and thermal_gate(self.housing_temp_c) is gate:
-                k = self._idle_stretch(k, env_temp)
-                continue
             laser_on = ctrl.laser_on
             if laser_on:  # on to a tick to decide, its reading in the monitor
                 k = self._operating_stretch(k, env_temp)
@@ -994,9 +987,6 @@ class SimulationEngine:
             else:
                 self._last_laser_mw = 0.0
             t_ms = k * TICK_MS
-            air_temp = env_temp[k]
-            housing_ext = air_temp if scen.package is None else self.package_temp
-
             sensors = Sensors(
                 time_ms=t_ms,
                 housing_temp_c=self.housing_temp_c,
@@ -1004,8 +994,7 @@ class SimulationEngine:
                 lc_settled=self.lc.settled,
             )
             prev_mode = ctrl.mode
-            cmd = ctrl.decide(sensors) if laser_on else ctrl.tick(sensors)
-            self._idle_cmd = cmd
+            cmd = self._last_cmd = ctrl.decide(sensors) if laser_on else ctrl.tick(sensors)
             if cmd.mode is not prev_mode:
                 self._mode_history.append((t_ms, cmd.mode.value))
 
@@ -1028,29 +1017,9 @@ class SimulationEngine:
                 self._committed.append((cmd.scan_id, self._scan_start_ms, t_ms,
                                         float(env_alt[k]), self._settle_ms))
 
-            self._flags |= self._tick_flags(cmd)
+            k = self._advance(k, cmd, env_temp)
 
-            if not self.lc.settled:
-                self.lc = step_settle(self.lc, TICK_MS)
-
-            total, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
-            temp = self.housing_temp_c = thermal_power.housing_step(
-                self.thermal_params, self.housing_temp_c, cmd.heater_watts,
-                dissipation, housing_ext, TICK_S)
-            if total > self._max_power:
-                self._max_power = total
-            if temp < self._housing_min:
-                self._housing_min = temp
-            if temp > self._housing_max:
-                self._housing_max = temp
-
-            if scen.package is not None:
-                self.package_temp = scen.package.step(self.package_temp, air_temp, TICK_S)
-                self._package_min = min(self._package_min, self.package_temp)
-                self._package_max = max(self._package_max, self.package_temp)
-            k += 1
-
-        self._close_period(self._idle_cmd)
+        self._close_period(self._last_cmd)
         self._write_block()
 
         summary = RunSummary(

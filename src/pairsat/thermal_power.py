@@ -95,10 +95,10 @@ def housing_step(
 ) -> float:
     """The housing temperature after one explicit Euler step of `dt`.
 
-    `step_thermal` and the engine's per-tick path call it. The engine's
-    idle and operating stretches (`SimulationEngine._idle_stretch`,
-    `_operating_stretch`) inline the same expression, in the same operation
-    order, so every tick rounds the same way.
+    `step_thermal` and the tests' reference engine call it. The engine
+    inlines the same expression, in the same operation order, in
+    `SimulationEngine._advance` and `_operating_stretch`, so every tick
+    rounds the same way.
     """
     flow = (
         heater_watts

@@ -1,6 +1,6 @@
 """Engine runs shared across the test modules: a runner that logs every
-stretch the engine takes and counts the controller's decisions, and the
-pinned scenarios, each simulated once per session through it."""
+hold and stretch the engine takes and counts the controller's decisions,
+and the pinned scenarios, each simulated once per session through it."""
 
 import dataclasses
 from collections import Counter
@@ -8,19 +8,21 @@ from typing import NamedTuple
 
 import pytest
 
-from pairsat.controller import FlightController, Gate, Mode
-from pairsat.scenarios import RunSummary, Scenario, SimulationEngine, make_scenario
+from pairsat.controller import FlightController, Mode
+from pairsat.scenarios import TICK_MS, RunSummary, Scenario, SimulationEngine, make_scenario
 from pairsat.telemetry import FlashImage
 
 
 @dataclasses.dataclass(frozen=True)
-class IdleStretch:
-    """One idle stretch as taken."""
+class Hold:
+    """One run of held ticks as advanced, after the decided tick before it."""
 
-    first: int  # the tick it entered on
-    end: int  # the first tick it did not advance
-    gate: Gate  # the gate decision it held
-    after_storing: bool  # entered on the tick after a commit
+    first: int  # the decided tick; the held ticks are first + 1 .. end - 1
+    end: int  # the first tick not advanced
+    mode: Mode  # the mode held
+    heater_on: bool  # the heater held on
+    exit: str  # "band" (the temperature left it), "until" (`fault_until_ms`) or "end"
+    on_commit: bool  # the decided tick commits a scan
 
 
 # the exit that hands a tick back, by the mode the tick is in
@@ -47,27 +49,31 @@ class OperatingStretch:
 class LoggedRun(NamedTuple):
     flash: FlashImage
     summary: RunSummary
-    idle: list[IdleStretch]
+    holds: list[Hold]
     operating: list[OperatingStretch]
     # `FlightController.decide` calls by the mode the controller was in:
-    # the ticks the per-tick path ran, and each idle stretch's first tick
+    # the ticks the per-tick path ran
     decisions: Counter
     scenario: Scenario
 
 
 def run_logged(scenario, prepare=None) -> LoggedRun:
     """Run the scenario on the engine, `prepare` applied to its controller
-    first; log each idle and operating stretch the run takes, and count the
+    first; log each hold and operating stretch the run takes, and count the
     controller's decisions by mode."""
-    idle, operating, decisions = [], [], Counter()
-    idle_stretch = SimulationEngine._idle_stretch
+    holds, operating, decisions = [], [], Counter()
+    advance = SimulationEngine._advance
     operating_stretch = SimulationEngine._operating_stretch
     decide = FlightController.decide
 
-    def logged_idle(self, k, env_temp):
-        gate, after_storing = self.ctrl.held_gate(), self._idle_cmd.commit_scan
-        end = idle_stretch(self, k, env_temp)
-        idle.append(IdleStretch(k, end, gate, after_storing))
+    def logged_advance(self, k, cmd, env_temp):
+        ctrl = self.ctrl
+        end = advance(self, k, cmd, env_temp)
+        if end > k + 1:
+            until = ctrl.fault_until_ms if ctrl.mode is Mode.FAULT_HOLD else None
+            how = ("end" if end == self.n_ticks
+                   else "until" if until is not None and end * TICK_MS >= until else "band")
+            holds.append(Hold(k, end, ctrl.mode, ctrl.heater_watts > 0, how, cmd.commit_scan))
         return end
 
     def logged_operating(self, k, env_temp):
@@ -93,11 +99,11 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
     if prepare is not None:
         prepare(engine.ctrl)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SimulationEngine, "_idle_stretch", logged_idle)
+        mp.setattr(SimulationEngine, "_advance", logged_advance)
         mp.setattr(SimulationEngine, "_operating_stretch", logged_operating)
         mp.setattr(FlightController, "decide", counted_decide)
         flash, summary = engine.run()
-    return LoggedRun(flash, summary, idle, operating, decisions, scenario)
+    return LoggedRun(flash, summary, holds, operating, decisions, scenario)
 
 
 @pytest.fixture(scope="session")
@@ -126,8 +132,8 @@ def leo_run():
 
 @pytest.fixture(scope="session")
 def leo_wrapped_run():
-    """Leo 7500 s wraps the ring, and each heating stretch in it starts
-    right after a scan."""
+    """Leo 7500 s wraps the ring, and each heating hold in it starts on a
+    scan's commit tick."""
     return run_logged(make_scenario("leo", duration_s=7500.0, seed=3))
 
 

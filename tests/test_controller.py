@@ -37,6 +37,7 @@ from pairsat.controller import (
 )
 from pairsat.lc_optics import SETTLE_TIME_MS, angle_from_voltage, default_calibration
 from pairsat.physics import ApdParams, SourceParams, avalanche_amplitude
+from pairsat.thermal_power import HEATER_CAP_IDLE_W, HEATER_CAP_OPERATING_W
 
 
 def test_thermal_gate_window():
@@ -445,3 +446,101 @@ def test_commands_while_heating_have_no_scan():
     assert cmd.scan_id == 0
     assert cmd.lc_signal_mv is None
     assert not cmd.counting
+
+
+def _fields(ctrl):
+    """Every controller field, the monitor's and the bias loops' among them,
+    as values that compare equal while nothing changes."""
+    fields = {name: value.copy() if isinstance(value, (list, dict)) else value
+              for name, value in vars(ctrl).items()}
+    monitor = ctrl.monitor
+    fields["monitor"] = (list(monitor.samples), monitor.sorted_powers.copy(),
+                         monitor.last_dropped_s)
+    fields["bias_loops"] = [(loop.bias, loop.integrator, loop.railed) for loop in ctrl.bias_loops]
+    return fields
+
+
+HOLD_UNTIL_MS = 30_000
+
+
+def _holding(mode, heater_watts):
+    """A controller in `mode` with the heater at `heater_watts`, on pair 2-3
+    and with a fault hold ending at HOLD_UNTIL_MS."""
+    ctrl = FlightController()
+    ctrl.mode, ctrl.heater_watts, ctrl.pair = mode, heater_watts, PAIR_2_3
+    if mode is Mode.FAULT_HOLD:
+        ctrl.fault_until_ms = HOLD_UNTIL_MS
+    return ctrl
+
+
+def _is_held(ctrl, sensors):
+    bound_c, below, until_ms = ctrl.hold()
+    temp = sensors.housing_temp_c
+    return ((temp < bound_c if below else temp > bound_c)
+            and (until_ms is None or sensors.time_ms < until_ms))
+
+
+# each bound of a hold, and the float beyond it on either side
+EDGE_TEMPS = [edge for bound in (20.0, 22.0, 30.0)
+              for edge in (math.nextafter(bound, -math.inf), bound,
+                           math.nextafter(bound, math.inf))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from([Mode.HEATING, Mode.WAIT_COOL, Mode.FAULT_HOLD]),
+    heater_watts=st.sampled_from([0.0, HEATER_CAP_IDLE_W]),
+    temp=st.floats(-60.0, 80.0) | st.sampled_from(EDGE_TEMPS),
+    t_ms=st.integers(0, 2 * HOLD_UNTIL_MS // TICK_MS).map(lambda k: k * TICK_MS),
+    power=st.floats(0.0, 10.0),
+    settled=st.booleans(),
+)
+def test_a_held_tick_changes_nothing_and_any_other_changes_the_mode_or_heater(
+        mode, heater_watts, temp, t_ms, power, settled):
+    ctrl = _holding(mode, heater_watts)
+    sensors = Sensors(time_ms=t_ms, housing_temp_c=temp, laser_power_mw=power,
+                      lc_settled=settled)
+    # HEATING holds only with the heater on, WAIT_COOL only with it off
+    if (mode, heater_watts) in [(Mode.HEATING, 0.0), (Mode.WAIT_COOL, HEATER_CAP_IDLE_W)]:
+        assert ctrl.hold() is None
+        held = False
+    else:
+        held = _is_held(ctrl, sensors)
+    before = _fields(ctrl)
+    cmd = ctrl.tick(sensors)
+    if held:
+        assert cmd == Commands(mode, heater_watts, pair=PAIR_2_3)
+        assert _fields(ctrl) == before
+    else:
+        assert (ctrl.mode, ctrl.heater_watts) != (mode, heater_watts)
+
+
+@pytest.mark.parametrize("mode, heater_watts, inside, beyond", [
+    (Mode.HEATING, HEATER_CAP_IDLE_W, math.nextafter(20.0, -math.inf), 20.0),
+    (Mode.WAIT_COOL, 0.0, math.nextafter(30.0, math.inf), 30.0),
+    (Mode.FAULT_HOLD, HEATER_CAP_IDLE_W, 22.0, math.nextafter(22.0, math.inf)),
+    (Mode.FAULT_HOLD, 0.0, 20.0, math.nextafter(20.0, -math.inf)),
+], ids=["heating", "wait-cool", "fault-hold-heater-on", "fault-hold-heater-off"])
+def test_a_hold_ends_on_the_first_float_across_its_bound(mode, heater_watts, inside, beyond):
+    for temp, held in [(inside, True), (beyond, False)]:
+        ctrl = _holding(mode, heater_watts)
+        sensors = sensors_at(0, temp=temp)
+        assert _is_held(ctrl, sensors) is held
+        ctrl.tick(sensors)
+        assert ((ctrl.mode, ctrl.heater_watts) == (mode, heater_watts)) is held
+
+
+@pytest.mark.parametrize("heater_watts", [0.0, HEATER_CAP_IDLE_W])
+def test_a_fault_hold_ends_on_the_tick_at_its_end(heater_watts):
+    for t_ms, held in [(HOLD_UNTIL_MS - TICK_MS, True), (HOLD_UNTIL_MS, False)]:
+        ctrl = _holding(Mode.FAULT_HOLD, heater_watts)
+        sensors = sensors_at(t_ms, temp=21.0)
+        assert _is_held(ctrl, sensors) is held
+        ctrl.tick(sensors)
+        assert (ctrl.mode is Mode.FAULT_HOLD) is held
+
+
+@pytest.mark.parametrize("mode", [Mode.INIT, *controller.OPERATING_MODES], ids=lambda m: m.value)
+@pytest.mark.parametrize("heater_watts", [0.0, HEATER_CAP_OPERATING_W, HEATER_CAP_IDLE_W])
+def test_no_hold_in_init_or_with_the_laser_on(mode, heater_watts):
+    assert _holding(mode, heater_watts).hold() is None

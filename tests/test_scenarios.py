@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pairsat import controller, scenarios, telemetry
 from pairsat.analysis import analyze_flash
-from pairsat.controller import Gate, Mode
+from pairsat.controller import Mode
 from pairsat.physics import REFERENCE_OVERVOLTS, ApdParams, SourceParams
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
@@ -353,7 +353,7 @@ def test_engine_checks_the_budget_of_every_new_draw():
     assert raised_ms // RECORD_PERIOD_MS * RECORD_PERIOD_MS == first_heater_ms
     # the draw that raised was not cached: it raises again
     with pytest.raises(BudgetError):
-        engine._draws(engine._idle_cmd.laser_on, engine._idle_cmd.heater_watts)
+        engine._draws(engine._last_cmd.laser_on, engine._last_cmd.heater_watts)
 
 
 def test_cold_start_heats_first():
@@ -433,9 +433,10 @@ def test_scenario_rejects_a_run_past_its_profile():
         make_scenario("balloon", duration_s=12000.0)
 
 
-def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
+def _custom(temps, duration_s, housing_c, package_c=None, seed=1, dips=()):
     """A custom scenario whose air temperature runs linearly through `temps`;
-    with `package_c` the housing sits in a package node starting there."""
+    with `package_c` the housing sits in a package node starting there, and
+    `dips` are its laser dips."""
     n = len(temps)
     profile = EnvironmentProfile(
         np.linspace(0.0, duration_s, n), np.array(temps, dtype=float),
@@ -444,6 +445,7 @@ def _custom(temps, duration_s, housing_c, package_c=None, seed=1):
     return Scenario(
         "custom", profile, duration_s, seed, initial_housing_c=housing_c,
         package=None if package_c is None else PackageNode(), initial_package_c=package_c,
+        laser_dips=list(dips),
     )
 
 
@@ -475,32 +477,58 @@ def cold_start():
 
 
 @pytest.mark.parametrize("kwargs, case", [
-    # cooled below 20 C during the first scan: heating from the tick after
-    # STORING to the end of the run
+    # cooled below 20 C during the first scan: heating from the commit tick
+    # to the end of the run
     (dict(temps=[-100, -100], duration_s=120.0, housing_c=20.3),
-     lambda s, n: s.gate is Gate.HEAT and s.after_storing and s.end == n),
+     lambda s, n: s.mode is Mode.HEATING and s.on_commit and s.exit == "end"),
     # warmed above 30 C during the first scan: waiting to cool likewise
     (dict(temps=[200, 200], duration_s=120.0, housing_c=29.5),
-     lambda s, n: s.gate is Gate.WAIT_COOL and s.after_storing and s.end == n),
+     lambda s, n: s.mode is Mode.WAIT_COOL and s.on_commit and s.exit == "end"),
     # heating inside a package node until the gate opens on a record boundary
     (dict(temps=[-50, -50], duration_s=60.0, housing_c=19.9, package_c=0.0),
-     lambda s, n: s.gate is Gate.HEAT and _ends_on_period_boundary(s.end, n)),
-    # heating that starts mid-period and ends mid-run, then three scans
+     lambda s, n: s.mode is Mode.HEATING and _ends_on_period_boundary(s.end, n)),
+    # heating whose first held tick is mid-period, ending mid-run, then three scans
     (dict(temps=[-200, 250, -200], duration_s=200.0, housing_c=19.0),
-     lambda s, n: s.first * TICK_MS % RECORD_PERIOD_MS and 0 < s.end < n),
-], ids=["heating-after-storing", "wait-cool-after-storing", "package-node", "gate-opens"])
+     lambda s, n: (s.first + 1) * TICK_MS % RECORD_PERIOD_MS and s.exit == "band"),
+    # a dip aborts the first scan at 15 s; the housing cools through 20 C
+    # at 35.9 s in the fault hold, whose heater turns on, and the hold
+    # resumes to its end at 45 s, into HEATING for the rest of the run, so
+    # the second dip, at 80 s, meets the laser off
+    (dict(temps=[-20, -20], duration_s=150.0, housing_c=20.3,
+          dips=[(15.0, 0.5, 0.3), (80.0, 0.5, 0.3)]),
+     lambda s, n: (s.mode is Mode.FAULT_HOLD and not s.heater_on and s.exit == "band"
+                   and s.end == 718)),
+    # a dip aborts the first scan at 20 s, and the run ends in the fault hold
+    (dict(temps=[22, 22], duration_s=40.0, housing_c=22.0, dips=[(20.0, 1.0, 0.2)]),
+     lambda s, n: s.mode is Mode.FAULT_HOLD and s.exit == "end"),
+], ids=["heating-after-storing", "wait-cool-after-storing", "package-node", "gate-opens",
+        "fault-hold-heater-toggle", "ends-in-fault-hold"])
 def test_idle_stretch_cases_match_per_tick_path(kwargs, case, engine_run):
     scenario = _custom(**kwargs)
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
     run = _matches_reference(engine_run, scenario)
-    assert any(case(s, n_ticks) for s in run.idle), run.idle
+    assert any(case(s, n_ticks) for s in run.holds), run.holds
+
+
+@pytest.mark.parametrize("duration_s, settle_ms", [(11.0, 150), (20.0, 0)])
+def test_a_fault_hold_runs_the_lc_settle_timer_down(duration_s, settle_ms):
+    # a dip from 10.9 s aborts the first scan at 10.95 s, 100 ms after step
+    # 1's command, and the run ends on that tick or inside the fault hold
+    # after it; no record carries the timer, so no reference comparison
+    # sees it
+    scenario = make_scenario("lab", duration_s=duration_s, seed=7)
+    scenario.laser_dips = [(10.9, 0.5, 0.2)]
+    engine = SimulationEngine(scenario)
+    _, summary = engine.run()
+    assert summary.mode_history[-1] == (10_950, "fault_hold")
+    assert engine.lc.settle_remaining_ms == settle_ms
 
 
 def test_idle_stretch_above_the_temperature_clamp_matches_per_tick_path(engine_run):
     # waiting to cool in 600 C air from 325 C: the housing passes the
     # +327.67 C that the temp_centi_c field clamps to
     run = _matches_reference(engine_run, _custom([600.0, 600.0], 120.0, housing_c=325.0))
-    assert [(s.gate, s.end) for s in run.idle] == [(Gate.WAIT_COOL, 2400)]
+    assert [(s.mode, s.end) for s in run.holds] == [(Mode.WAIT_COOL, 2400)]
     assert run.summary.housing_temp_max_c > 327.67
 
 
@@ -514,7 +542,7 @@ def test_idle_stretch_across_blocks_and_the_ring_wrap_matches_per_tick_path(
     run = engine_run(scenario)
     assert_same_run(run, reference)
     periods = [(s.first * TICK_MS // RECORD_PERIOD_MS, s.end * TICK_MS // RECORD_PERIOD_MS)
-               for s in run.idle]
+               for s in run.holds]
     assert any(first < telemetry.SECTOR_CAPACITY < end and first // pending < end // pending
                for first, end in periods), periods
 
@@ -701,8 +729,9 @@ def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
     run = request.getfixturevalue(PINNED_RUNS[name, duration_s, seed])
     assert (run.scenario.name, run.scenario.seed) == (name, seed)
     assert_same_run(run, reference_run(run.scenario))
-    if duration_s == 3000.0:  # heating throughout, in idle stretches to the end
-        assert not run.operating and run.idle[-1].end == round(duration_s * 1000) // TICK_MS
+    if duration_s == 3000.0:  # heating throughout, in one hold to the end
+        assert not run.operating
+        assert [(s.mode, s.exit) for s in run.holds] == [(Mode.HEATING, "end")]
         return
     assert {s.reason for s in run.operating} >= {"stable", "storing"}
     if name != "lab":  # the heater toggles inside scans
@@ -711,18 +740,23 @@ def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
 
 @pytest.mark.parametrize("fixture, decisions", [
     ("lab_480s_run", dict(init=1, laser_stabilizing=18, storing=17)),
-    ("leo_wrapped_run", dict(init=1, heating=74, laser_stabilizing=130, storing=129)),
+    ("leo_wrapped_run", dict(init=1, heating=37, laser_stabilizing=130, storing=129)),
+    ("lab_dip_run", dict(init=1, laser_stabilizing=4, scanning=1, fault_hold=1, storing=2)),
+    ("leo_cold_run", dict(init=1)),
 ])
 def test_per_tick_path_decides_only_handed_back_ticks(fixture, decisions, request):
-    # the controller decides the first tick and each idle stretch's first
-    # tick; of the laser-on ticks only each scan's first and its commit
-    # tick, the operating stretch running every other
+    # the controller decides the first tick and the tick after each hold;
+    # of the laser-on ticks only each scan's first, an aborting tick and
+    # each commit tick, the operating stretch running every other
     assert request.getfixturevalue(fixture).decisions == decisions
 
 
 def test_lab_dip_run_matches_per_tick_path(lab_dip_run):
     assert_same_run(lab_dip_run, reference_run(lab_dip_run.scenario))
     assert [s.reason for s in lab_dip_run.operating].count("unstable") == 1
+    # the fault hold runs from the aborting tick to its end, 30 s later
+    assert [(s.mode, s.exit, s.end - s.first) for s in lab_dip_run.holds] == [
+        (Mode.FAULT_HOLD, "until", 600)]
 
 
 # channel 0's rail and breakdown: a narrow range rails it, and another

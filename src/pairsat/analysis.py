@@ -4,18 +4,21 @@ The coincidence rate versus analyzer angle is modeled as
 
     r(theta) = A * (1 + v * cos(2*theta - phi)) / 2 + b
 
-and fitted by a damped Gauss-Newton iteration with an analytic Jacobian,
-a batch of scans at a time (`fit_sinusoids`, used by the flight engine and
-by `analyze_flash`), each row bit for bit as a fit of that row alone.
-The four parameters are not independently identifiable (only the offset
-A/2 + b, the amplitude A*v/2, and the phase are), so the visibility is
-reported as the contrast of the fitted curve, v*A/(A + 2*b), which is
-invariant along the degenerate direction. The raw fitted v is kept
-alongside for diagnostics.
+whose four parameters are not independently identifiable: only the offset
+c0 = A/2 + b, the amplitude A*v/2 and the phase are. The same curve is
+c0 + c1*cos(2*theta) + c2*sin(2*theta), linear in (c0, c1, c2), so the fit
+is the exact least-squares solution of each scan's 3x3 normal equations, a
+batch of scans in one stacked solve (`fit_sinusoids`, used by the flight
+engine and by `analyze_flash`), each row bit for bit as a fit of that row
+alone. With h = hypot(c1, c2) the fit reports the visibility, the contrast
+h/c0 of the fitted curve; the phase atan2(c2, c1); the amplitude 2h, the
+curve's peak-to-peak; and the baseline c0 - h, its minimum, so that
+(amplitude, 1, phase, baseline) redraws the curve.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -30,8 +33,6 @@ from .lc_optics import LcCalibration, angle_from_voltage, default_calibration
 _FLIGHT_SCAN = ScanConfig()
 
 HEALTH_CSV = "flash_health.csv"
-MAX_ITERATIONS = 200
-STEP_TOLERANCE = 1e-8
 
 
 @dataclass
@@ -66,7 +67,6 @@ class FitResult:
     baseline: float
     rms_residual: float
     converged: bool
-    raw_v: float = 0.0
 
 
 def visibility(max_rate: float, min_rate: float) -> float:
@@ -96,24 +96,6 @@ def _model(angles: np.ndarray, p: np.ndarray) -> np.ndarray:
     return amp * (1.0 + v * np.cos(2.0 * angles - phi)) / 2.0 + base
 
 
-def _sse(angles: np.ndarray, rates: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-row sum of squared residuals, each the `r @ r` of that row."""
-    r = _model(angles, p) - rates
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-
-
-def _canonical(p: np.ndarray) -> np.ndarray:
-    amp, v, phi, base = p
-    if amp < 0:
-        base += amp
-        amp = -amp
-        phi += math.pi
-    if v < 0:
-        v = -v
-        phi += math.pi
-    return np.array([amp, v, phi % (2.0 * math.pi), base])
-
-
 def _check_fit_inputs(angles: np.ndarray, rates: np.ndarray) -> None:
     if angles.shape[-1] < 6:
         raise ValueError("need at least 6 points")
@@ -121,53 +103,43 @@ def _check_fit_inputs(angles: np.ndarray, rates: np.ndarray) -> None:
         raise ValueError("points must span more than pi of analyzer angle")
     if angles.shape != rates.shape:
         raise ValueError("angles and rates must have equal length")
-    with np.errstate(over="ignore"):  # the damping floor squares a scan's largest |rate|
+    with np.errstate(over="ignore"):  # the rms residual squares a scan's residuals
         if not (np.isfinite(angles).all() and np.isfinite(np.abs(rates).max(axis=-1) ** 2).all()):
             raise ValueError("angles, rates and each scan's largest |rate| squared must be finite")
 
 
-def _result_from(p: np.ndarray, angles: np.ndarray, rates: np.ndarray,
-                 converged: bool) -> FitResult:
-    amp, v, phi, base = _canonical(p)
-    resid = _model(angles, np.array([amp, v, phi, base])) - rates
-    rms = float(np.sqrt(np.mean(resid**2)))
-    denom = amp + 2.0 * base
-    vis = v * amp / denom if denom != 0 else 0.0
-    return FitResult(
-        amplitude=float(amp),
-        visibility=float(vis),
-        phase_rad=float(phi),
-        baseline=float(base),
-        rms_residual=rms,
-        converged=converged,
-        raw_v=float(v),
-    )
-
-
-def _solve(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Steps of the damped systems (k, 4, 4), in one stacked solve; a
-    singular system's step is NaN, which no trial accepts."""
-    try:
-        return np.linalg.solve(systems, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        if len(systems) == 1:
-            return np.full((1, 4), np.nan)
-        return np.concatenate([_solve(a[None], b[None]) for a, b in zip(systems, rhs)])
+def _results(coef: np.ndarray, angles: np.ndarray, rates: np.ndarray) -> list[FitResult]:
+    """The fit of each row from its coefficients (c0, c1, c2) of
+    c0 + c1*cos(2*theta) + c2*sin(2*theta); NaN coefficients are a fit that
+    did not converge."""
+    c0, c1, c2 = coef.T
+    converged = ~np.isnan(coef).any(axis=1)
+    half = np.hypot(c1, c2)
+    params = np.stack([2.0 * half, np.ones_like(half),
+                       np.arctan2(c2, c1) % (2.0 * math.pi), c0 - half], axis=1)
+    rms = np.sqrt(np.mean((_model(angles, params) - rates) ** 2, axis=-1))
+    vis = np.divide(half, c0, out=np.zeros_like(c0), where=c0 != 0)
+    return [
+        FitResult(amp, v, phi, base, r, ok)
+        for (amp, _, phi, base), v, r, ok
+        in zip(params.tolist(), vis.tolist(), rms.tolist(), converged.tolist())
+    ]
 
 
 def fit_sinusoids(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> list[FitResult]:
-    """Damped Gauss-Newton least-squares fits of the coincidence sinusoid,
-    one per row of (n, m) analyzer angles and accidental-corrected rates,
-    each row at least 6 points spanning more than pi.
+    """Least-squares fits of the coincidence sinusoid, one per row of
+    (n, m) analyzer angles and accidental-corrected rates, each row at
+    least 6 points spanning more than pi.
 
-    Initialization is coarse: amplitude from max - min, phase from the
-    discrete argmax, baseline zero. A row stops when its relative step
-    drops below 1e-8, when 60 damping tries find no improving step (its
-    iterate is then a numerical optimum, and converged) or after 200
-    iterations. Every product, sum and solve a row sees is the one a fit
-    of that row alone computes, so its result does not depend on the other
-    rows. ``visibility`` is the contrast of the fitted curve and may
-    exceed 1 under noise (flagged by value, not clamped).
+    The model is linear in c0 + c1*cos(2*theta) + c2*sin(2*theta), so the
+    fit is exact: each row's 3x3 normal equations, summed a row at a time,
+    are solved in one stacked solve. A row whose system is singular (its
+    angles all a multiple of pi apart, say) reads NaN and not converged;
+    a flat row reads amplitude 0 at its one rate. Every sum and solve a
+    row sees is the one a fit of that row alone computes, so its result
+    does not depend on the other rows. ``visibility`` is the contrast of
+    the fitted curve and may exceed 1 under noise (flagged by value, not
+    clamped).
     """
     angles = np.asarray(angles_rad, dtype=float)
     rates = np.asarray(corrected_rates, dtype=float)
@@ -175,58 +147,21 @@ def fit_sinusoids(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> list[F
         raise ValueError("angles and rates must be (scans, points) arrays")
     _check_fit_inputs(angles, rates)
 
-    ymax, ymin = rates.max(axis=1), rates.min(axis=1)
-    # the damping floor 1e-12 * scale**2, in Python floats as a fit of one row did
-    floor = 1e-12 * np.array([max(abs(hi), abs(lo)) ** 2
-                              for hi, lo in zip(ymax.tolist(), ymin.tolist())])
-    total = ymax + ymin
-    v0 = np.divide(ymax - ymin, np.abs(total), out=np.ones_like(total), where=total != 0)
-    peak = angles[np.arange(len(angles)), np.argmax(rates, axis=1)]
-    p = np.stack([ymax - ymin, v0, (2.0 * peak) % (2.0 * math.pi), np.zeros_like(v0)], axis=1)
-    flat = ymax == ymin
-    best = _sse(angles, rates, p)
-    lam = np.full(len(angles), 1e-3)
-    converged = flat.copy()
-    diagonal = np.arange(4)
-    for _ in range(MAX_ITERATIONS):
-        rows = np.flatnonzero(~converged)
-        if len(rows) == 0:
-            break
-        a, y = angles[rows], rates[rows]
-        amp, v, phi, base = p[rows].T[..., None]
-        c = np.cos(2.0 * a - phi)
-        s = np.sin(2.0 * a - phi)
-        resid = amp * (1.0 + v * c) / 2.0 + base - y
-        jac = np.stack([(1.0 + v * c) / 2.0, amp * c / 2.0, amp * v * s / 2.0,
-                        np.ones_like(a)], axis=-1)
-        jac_t = jac.transpose(0, 2, 1)
-        jtj = jac_t @ jac
-        neg_grad = -(jac_t @ resid[..., None])
-        damp = np.zeros_like(jtj)
-        damp[:, diagonal, diagonal] = np.maximum(jtj[:, diagonal, diagonal], floor[rows, None])
-        pending = np.ones(len(rows), bool)  # per row of `rows`: no step accepted yet
-        for _try in range(60):
-            t = np.flatnonzero(pending)
-            if len(t) == 0:
-                break
-            r = rows[t]
-            step = _solve(jtj[t] + lam[r, None, None] * damp[t], neg_grad[t])
-            trial = _sse(angles[r], rates[r], p[r] + step)
-            better = trial < best[r]
-            lam[r[~better]] *= 10.0
-            t, r, step = t[better], r[better], step[better]
-            rel = np.max(np.abs(step) / (np.abs(p[r]) + 1e-12), axis=1)
-            p[r] = p[r] + step
-            best[r] = trial[better]
-            lam[r] = np.maximum(lam[r] * 0.3, 1e-12)
-            pending[t] = False
-            converged[r[rel < STEP_TOLERANCE]] = True
-        converged[rows[pending]] = True  # no improving direction left at this precision
-    return [
-        FitResult(0.0, 0.0, 0.0, float(ymax[i]), 0.0, True, 0.0) if flat[i]
-        else _result_from(p[i], angles[i], rates[i], bool(converged[i]))
-        for i in range(len(angles))
-    ]
+    design = np.stack([np.ones_like(angles), np.cos(2.0 * angles), np.sin(2.0 * angles)], axis=1)
+    normal = (design[:, :, None, :] * design[:, None, :, :]).sum(axis=-1)
+    rhs = (design * rates[:, None, :]).sum(axis=-1)[..., None]
+    try:
+        coef = np.linalg.solve(normal, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # some row is singular: solve one row at a time
+        coef = np.full(rhs.shape[:2], np.nan)
+        for i in range(len(normal)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                coef[i] = np.linalg.solve(normal[i : i + 1], rhs[i : i + 1])[0, :, 0]
+    fits = _results(coef, angles, rates)
+    ymax = rates.max(axis=1)
+    for i in np.flatnonzero(ymax == rates.min(axis=1)).tolist():
+        fits[i] = FitResult(0.0, 0.0, 0.0, float(ymax[i]), 0.0, True)
+    return fits
 
 
 def fit_sinusoid(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult:
@@ -239,7 +174,7 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
     """Exhaustive lattice search over (A, v, phi, b), refined once.
 
     Test-only reference implementation: slower and coarser than the
-    iterative fit, but with no convergence assumptions to trust.
+    closed-form fit, but with no algebra to trust.
     """
     angles = np.asarray(angles_rad, dtype=float)
     rates = np.asarray(corrected_rates, dtype=float)
@@ -247,7 +182,7 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
 
     ymax, ymin = float(rates.max()), float(rates.min())
     if ymax == ymin:
-        return FitResult(0.0, 0.0, 0.0, ymax, 0.0, True, 0.0)
+        return FitResult(0.0, 0.0, 0.0, ymax, 0.0, True)
     spread = ymax - ymin
 
     grids = {
@@ -257,7 +192,6 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
         "base": np.linspace(ymin - 0.5 * spread, ymax, 9),
     }
     best_p = None
-    best_sse = math.inf
     for _pass in range(2):
         mesh = np.meshgrid(*grids.values(), indexing="ij")
         params = np.stack([m.ravel() for m in mesh], axis=1)
@@ -266,15 +200,16 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
             + params[:, 3:4]
         )
         sse = ((curves - rates[None, :]) ** 2).sum(axis=1)
-        i = int(np.argmin(sse))
-        best_p = params[i]
-        best_sse = float(sse[i])
+        best_p = params[int(np.argmin(sse))]
         refined = {}
         for j, (name, grid) in enumerate(grids.items()):
             spacing = grid[1] - grid[0]
             refined[name] = np.linspace(best_p[j] - spacing, best_p[j] + spacing, len(grid))
         grids = refined
-    return _result_from(np.array(best_p), angles, rates, True)
+    amp, v, phi, base = best_p
+    half = amp * v / 2.0
+    return _results(np.array([[amp / 2.0 + base, half * math.cos(phi), half * math.sin(phi)]]),
+                    angles[None], rates[None])[0]
 
 
 def _commit_pairs(table: np.ndarray) -> dict[int, int]:
@@ -385,30 +320,26 @@ def analyze_flash(
     summary_rows = []
     if scans:
         angles = np.stack([scan.angles_rad for scan in scans.values()])
+        raw = np.stack([scan.coinc_raw / scan.dwell_s for scan in scans.values()])
         corrected = np.stack([correct_accidentals(scan, window_s) for scan in scans.values()])
         fits = fit_sinusoids(angles, corrected)
         curves = _model(angles, np.array([
-            [fit.amplitude, fit.raw_v, fit.phase_rad, fit.baseline] for fit in fits
+            [fit.amplitude, 1.0, fit.phase_rad, fit.baseline] for fit in fits
         ]))
-    for i, (scan_id, scan) in enumerate(scans.items()):
-        fit = fits[i]
-        with open(os.path.join(out_dir, f"scan_{scan_id:05d}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["angle_rad", "raw_rate_hz", "corrected_rate_hz", "fit_rate_hz"])
-            raw = scan.coinc_raw / scan.dwell_s
-            for j in range(len(scan.angles_rad)):
-                w.writerow([
-                    f"{scan.angles_rad[j]:.6f}", f"{raw[j]:.3f}",
-                    f"{corrected[i, j]:.3f}", f"{curves[i, j]:.3f}",
-                ])
-        summary_rows.append({
-            "scan_id": scan_id,
-            "pair": scan.pair,
-            "visibility": fit.visibility,
-            "phase_rad": fit.phase_rad,
-            "rms_residual": fit.rms_residual,
-            "converged": fit.converged,
-        })
+        for (scan_id, scan), fit, *steps in zip(scans.items(), fits, angles, raw, corrected, curves):
+            with open(os.path.join(out_dir, f"scan_{scan_id:05d}.csv"), "w", newline="") as fh:
+                fh.write("angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n" + "".join([
+                    f"{a:.6f},{r:.3f},{c:.3f},{f:.3f}\r\n"
+                    for a, r, c, f in zip(*(column.tolist() for column in steps))
+                ]))
+            summary_rows.append({
+                "scan_id": scan_id,
+                "pair": scan.pair,
+                "visibility": fit.visibility,
+                "phase_rad": fit.phase_rad,
+                "rms_residual": fit.rms_residual,
+                "converged": fit.converged,
+            })
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["scan_id", "pair", "visibility", "phase_rad", "rms_residual", "converged"])

@@ -411,7 +411,6 @@ class ScanSummary:
     t_start_ms: int
     t_commit_ms: int
     visibility: float
-    raw_v: float
     phase_rad: float
     rms_residual: float
     converged: bool
@@ -1062,7 +1061,7 @@ class SimulationEngine:
         return [
             ScanSummary(
                 scan_id=scan_id, pair=scan.pair, t_start_ms=start_ms, t_commit_ms=commit_ms,
-                visibility=fit.visibility, raw_v=fit.raw_v, phase_rad=fit.phase_rad,
+                visibility=fit.visibility, phase_rad=fit.phase_rad,
                 rms_residual=fit.rms_residual, converged=fit.converged,
                 altitude_m=altitude, settle_ms_values=tuple(sorted(settle_ms)),
             )
@@ -1082,11 +1081,11 @@ def summary_to_csv(summary: RunSummary, path: str) -> None:
         w = csv.writer(fh)
         w.writerow([
             "scan_id", "pair", "t_start_ms", "t_commit_ms", "visibility",
-            "raw_v", "phase_rad", "rms_residual", "converged", "altitude_m",
+            "phase_rad", "rms_residual", "converged", "altitude_m",
         ])
         for s in summary.scans:
             w.writerow([
                 s.scan_id, s.pair, s.t_start_ms, s.t_commit_ms,
-                f"{s.visibility:.6f}", f"{s.raw_v:.6f}", f"{s.phase_rad:.6f}",
+                f"{s.visibility:.6f}", f"{s.phase_rad:.6f}",
                 f"{s.rms_residual:.3f}", int(s.converged), f"{s.altitude_m:.1f}",
             ])

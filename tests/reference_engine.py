@@ -11,8 +11,10 @@ It advances the flight controller one 50 ms tick at a time through
   loops, and `sample_counts`;
 - each 125 ms period as one `TelemetryRecord`, `encode`d and copied into
   its ring slot of both sectors;
-- each committed scan as one `fit_sinusoid` of the per-step count sums kept
-  here, tick by tick.
+- each committed scan as one `fit_sinusoid`, the closed-form least-squares
+  fit of one scan, of the per-step count sums kept here, tick by tick; its
+  `ScanSummary` carries the fit's visibility, phase, residual and
+  convergence, as the engine's does.
 
 It shares with the engine only the controller, the device models, the
 record codec and the fit; it calls no `SimulationEngine` method and none of
@@ -176,7 +178,7 @@ def reference_run(scenario, prepare=None):
                            correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S))
         scans.append(ScanSummary(
             scan_id=scan_id, pair=pair, t_start_ms=start_ms, t_commit_ms=commit_ms,
-            visibility=fit.visibility, raw_v=fit.raw_v, phase_rad=fit.phase_rad,
+            visibility=fit.visibility, phase_rad=fit.phase_rad,
             rms_residual=fit.rms_residual, converged=fit.converged, altitude_m=altitude_m,
             settle_ms_values=tuple(sorted(settle)),
         ))

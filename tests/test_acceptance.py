@@ -199,7 +199,7 @@ def test_criterion_11_fit_vs_oracle():
         oracle = analysis.fit_oracle(angles, rates)
 
         def sse(r):
-            p = np.array([r.amplitude, r.raw_v, r.phase_rad, r.baseline])
+            p = np.array([r.amplitude, 1.0, r.phase_rad, r.baseline])
             return float(np.sum((analysis._model(angles, p) - rates) ** 2))
 
         assert sse(fit) <= sse(oracle) * (1.0 + 1e-6) + 1e-9, trial
@@ -242,6 +242,21 @@ def test_golden_flash_digests(lab_pair, leo_cold_run, leo_run, leo_wrapped_run, 
     assert _flash_digest(leo_cold_run.flash) == "ff94306b49a011d9"  # seed 5
     flash, _ = run_simulation(make_scenario("leo", duration_s=3000.0, seed=3))
     assert _flash_digest(flash) == "ff94306b49a011d9"
+
+
+def test_golden_analysis_digest(leo_wrapped_run, tmp_path):
+    """Pinned ground output of the wrapped leo 7500 s, seed 3 flash: the
+    first 16 hex digits of the SHA-256 over the sorted file names that
+    `analyze_flash` writes, each name's UTF-8 bytes followed by the file's
+    bytes. It holds every scan CSV, the summary and the flash health."""
+    path = tmp_path / "flash.bin"
+    telemetry.save_image(leo_wrapped_run.flash, str(path))
+    out = tmp_path / "out"
+    analysis.analyze_flash(str(path), str(out))
+    digest = hashlib.sha256()
+    for name in sorted(p.name for p in out.iterdir()):
+        digest.update(name.encode() + (out / name).read_bytes())
+    assert digest.hexdigest()[:16] == "6a9881c37d61bc4f"
 
 
 def test_wrap_cut_scan_is_dropped_as_partial(balloon_run, tmp_path):

@@ -167,7 +167,7 @@ def test_fit_never_loses_to_grid_oracle():
         oracle = fit_oracle(angles, rates)
 
         def sse(r):
-            params = np.array([r.amplitude, r.raw_v, r.phase_rad, r.baseline])
+            params = np.array([r.amplitude, 1.0, r.phase_rad, r.baseline])
             resid = rates - analysis._model(angles, params)
             return float(resid @ resid)
 
@@ -178,78 +178,29 @@ def test_fit_never_loses_to_grid_oracle():
 def test_reported_visibility_accounts_for_baseline():
     angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
     # half the flat background moved into b: reported contrast must match
-    # the observable (max-min)/(max+min) of the curve, not the raw v
+    # the observable (max-min)/(max+min) of the curve
     rates = model(angles, 2000.0, 0.9, 0.3, 500.0)
     fit = fit_sinusoid(angles, rates)
     # curve extrema: A*(1 +/- v)/2 + b -> contrast 1800/3000
     assert fit.visibility == pytest.approx(0.6, abs=1e-6)
-    assert fit.visibility < fit.raw_v  # flat background dilutes the contrast
+    # amplitude is the curve's peak-to-peak, baseline its minimum
+    assert fit.amplitude == pytest.approx(1800.0, rel=1e-12)
+    assert fit.baseline == pytest.approx(600.0, rel=1e-12)
+    redrawn = analysis._model(angles, np.array([fit.amplitude, 1.0, fit.phase_rad, fit.baseline]))
+    np.testing.assert_allclose(redrawn, rates, rtol=1e-12)
 
 
-def fit_reference(angles_rad, corrected_rates):
-    """The damped Gauss-Newton loop of one scan, which `fit_sinusoids` runs
-    on every row at once; kept as its reference. Returns the fit, how it
-    stopped ("flat", "tolerance", "no_step" after 60 damping tries, or
-    "cap" after 200 iterations), and whether a damped system was singular.
-    """
-    angles = np.asarray(angles_rad, dtype=float)
-    rates = np.asarray(corrected_rates, dtype=float)
-    ymax, ymin = float(rates.max()), float(rates.min())
-    if ymax == ymin:
-        return FitResult(0.0, 0.0, 0.0, ymax, 0.0, True, 0.0), "flat", False
-    scale = max(abs(ymax), abs(ymin))
-    total = ymax + ymin
-    p = np.array([
-        ymax - ymin,
-        (ymax - ymin) / abs(total) if total != 0 else 1.0,
-        (2.0 * angles[int(np.argmax(rates))]) % (2.0 * math.pi),
-        0.0,
-    ])
-
-    def sse(q):
-        r = analysis._model(angles, q) - rates
-        return float(r @ r)
-
-    best = sse(p)
-    lam = 1e-3
-    singular = False
-    stop = "cap"
-    for _ in range(analysis.MAX_ITERATIONS):
-        amp, v, phi, base = p
-        c = np.cos(2.0 * angles - phi)
-        s = np.sin(2.0 * angles - phi)
-        resid = amp * (1.0 + v * c) / 2.0 + base - rates
-        jac = np.column_stack([
-            (1.0 + v * c) / 2.0, amp * c / 2.0, amp * v * s / 2.0, np.ones_like(angles),
-        ])
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        accepted = False
-        for _try in range(60):
-            damp = np.diag(np.maximum(np.diag(jtj), 1e-12 * scale**2))
-            try:
-                step = np.linalg.solve(jtj + lam * damp, -grad)
-            except np.linalg.LinAlgError:
-                singular = True
-                lam *= 10.0
-                continue
-            trial = sse(p + step)
-            if trial < best:
-                rel = float(np.max(np.abs(step) / (np.abs(p) + 1e-12)))
-                p = p + step
-                best = trial
-                lam = max(lam * 0.3, 1e-12)
-                accepted = True
-                if rel < analysis.STEP_TOLERANCE:
-                    stop = "tolerance"
-                break
-            lam *= 10.0
-        if not accepted:
-            stop = "no_step"
-            break
-        if stop == "tolerance":
-            break
-    return analysis._result_from(p, angles, rates, stop != "cap"), stop, singular
+def test_fit_does_not_depend_on_the_rate_scale():
+    # a clean curve at any scale whose largest rate squared is finite; a
+    # power of two scales every sum exactly, so the fit is the same bits
+    unscaled = fit_sinusoid(FIT_ANGLES, FIT_RATES)
+    for scale in (1.0, 2.0**50, 1e15, 1e-165):
+        fit = fit_sinusoid(FIT_ANGLES, FIT_RATES * scale)
+        assert fit.converged, scale
+        assert abs(fit.visibility - 0.9) < 1e-12, scale
+        assert abs(fit.phase_rad - 1.0) < 1e-12, scale
+    fit = fit_sinusoid(FIT_ANGLES, FIT_RATES * 2.0**50)
+    assert (fit.visibility, fit.phase_rad) == (unscaled.visibility, unscaled.phase_rad)
 
 
 def fit_bits(fit):
@@ -278,8 +229,29 @@ def fit_row(rng, kind, scale, m):
     return angles, rates * scale
 
 
-# at a scale of 1e15 a fit runs into the 200-iteration cap, and at 1e-165
-# its damped systems underflow to singular ones
+def assert_matches_lstsq(fit, angles, rates):
+    """The fit agrees with an independent least-squares solve on the
+    (m, 3) design within 1e-9 of the rates' scale, carried through the
+    visibility's quotient by the offset and the phase's by the half
+    amplitude: a clean row's fit within a few 1e-9 relative, a row whose
+    offset or sinusoid vanishes to its rounding within that rounding."""
+    design = np.column_stack([np.ones_like(angles), np.cos(2.0 * angles), np.sin(2.0 * angles)])
+    coef = np.linalg.lstsq(design, rates, rcond=None)[0]
+    c0, c1, c2 = coef.tolist()
+    half = math.hypot(c1, c2)
+    tol = 1e-9 * float(np.abs(rates).max())
+    if c0 != 0.0:  # an offset of exactly 0 leaves the visibility unbounded
+        vis = half / c0
+        assert abs(fit.visibility - vis) <= tol * (1.0 + abs(vis)) / abs(c0)
+    phase = math.atan2(c2, c1) % (2.0 * math.pi)
+    rms = math.sqrt(float(np.mean((design @ coef - rates) ** 2)))
+    assert abs((fit.phase_rad - phase + math.pi) % (2.0 * math.pi) - math.pi) * half <= tol
+    assert abs(fit.rms_residual - rms) <= tol
+    assert fit.converged
+
+
+# scales from 1e-165 to 1e15: the damped iteration that this fit replaced
+# stopped unconverged at 1e15 and misread the phase at 1e-165
 ROW_KINDS = st.sampled_from(["curve", "curve", "noise", "flat", "coarse"])
 ROW_SCALES = st.sampled_from([1.0, 1.0, 3431.0, -1e3, 1e15, 1e-165])
 
@@ -288,29 +260,46 @@ ROW_SCALES = st.sampled_from([1.0, 1.0, 3431.0, -1e3, 1e15, 1e-165])
 @given(st.integers(6, 50), st.lists(st.tuples(ROW_KINDS, ROW_SCALES), min_size=1, max_size=64),
        st.integers(0, 2**32 - 1))
 def test_batched_fit_matches_scalar_reference(m, rows, seed):
+    # each row of a batch is its one-row fit bit for bit, and a flat row
+    # aside, the least-squares fit of an independent solver
     rng = np.random.default_rng(seed)
     angles, rates = map(np.array, zip(*(fit_row(rng, kind, scale, m) for kind, scale in rows)))
     fits = fit_sinusoids(angles, rates)
     assert [fit_bits(f) for f in fits] == [
-        fit_bits(fit_reference(a, r)[0]) for a, r in zip(angles, rates)
+        fit_bits(fit_sinusoid(a, r)) for a, r in zip(angles, rates)
     ]
+    for fit, a, r in zip(fits, angles, rates):
+        if r.min() == r.max():
+            assert fit == FitResult(0.0, 0.0, 0.0, float(r[0]), 0.0, True)
+        else:
+            assert_matches_lstsq(fit, a, r)
 
 
 def test_batched_fit_covers_every_stop():
-    # one batch holding a row that stops each way, and rows whose damped
-    # systems are singular: each row equals its fit alone and the reference
+    # one batch holding flat rows, solved rows and a singular row: the
+    # angles 0, 0, 0, pi, pi and 2 pi give cos(2 theta) = 1 at every point,
+    # so the normal equations are singular and the stacked solve raises
     rng = np.random.default_rng(29)
-    rows = [fit_row(rng, kind, scale, 36) for kind, scale in (
+    rows = [fit_row(rng, kind, scale, 6) for kind, scale in (
         ("curve", 1.0), ("noise", 1.0), ("flat", 1.0), ("curve", 1e15),
         ("curve", 1e-165), ("noise", 1e-165), ("coarse", 3431.0), ("curve", -1e3),
     ) for _ in range(4)]
+    singular = np.array([0.0, 0.0, 0.0, math.pi, math.pi, 2.0 * math.pi])
+    rows.insert(5, (singular, np.arange(6.0)))
     angles, rates = map(np.array, zip(*rows))
-    references = [fit_reference(a, r) for a, r in zip(angles, rates)]
-    assert {stop for _, stop, _ in references} == {"flat", "tolerance", "no_step", "cap"}
-    assert any(singular for _, _, singular in references)
-    expected = [fit_bits(fit) for fit, _, _ in references]
-    assert [fit_bits(f) for f in fit_sinusoids(angles, rates)] == expected
-    assert [fit_bits(fit_sinusoid(a, r)) for a, r in zip(angles, rates)] == expected
+    design = np.stack([np.ones(6), np.cos(2.0 * singular), np.sin(2.0 * singular)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(design @ design.T, np.ones(3))
+    fits = fit_sinusoids(angles, rates)
+    alone = [fit_sinusoid(a, r) for a, r in zip(angles, rates)]
+    assert [fit_bits(f) for f in fits] == [fit_bits(f) for f in alone]
+    assert not fits[5].converged and math.isnan(fits[5].visibility)
+    others = fits[:5] + fits[6:]
+    assert [fit_bits(f) for f in others] == [
+        fit_bits(f) for f in fit_sinusoids(np.delete(angles, 5, 0), np.delete(rates, 5, 0))
+    ]
+    assert all(f.converged for f in others)
+    assert any(f.amplitude == 0.0 for f in others)  # the flat rows
     assert fit_sinusoids(np.empty((0, 36)), np.empty((0, 36))) == []
 
 

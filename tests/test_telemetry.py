@@ -4,7 +4,7 @@ from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsat import telemetry
@@ -159,6 +159,19 @@ def test_ring_wrap_at_capacity():
     assert decode(bytes(flash.sector_a[0:32])) == batch[1]
     assert decode(bytes(flash.sector_a[32:64])) == batch[2]
     assert flash.sector_a == flash.sector_b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.binary(min_size=RECORD_BYTES, max_size=RECORD_BYTES)
+                | st.sampled_from([bytes(RECORD_BYTES), b"\xff" * RECORD_BYTES]), max_size=33))
+@example([])
+@example([bytes(RECORD_BYTES)])
+@example([b"\xff" * RECORD_BYTES] * 2)
+def test_two_byte_crc_matches_bytewise_crc(rows):
+    # the column CRC takes two bytes per lookup: it must read as crc8, one
+    # byte at a time, for any count of rows, odd or even, 0 and 1 too
+    table = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), RECORD_BYTES)
+    assert telemetry._crc8_rows(table).tolist() == [crc8(row[:31]) for row in rows]
 
 
 def test_read_records_skips_blank_and_sorts():

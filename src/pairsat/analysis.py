@@ -290,13 +290,10 @@ def scan_data_from_records(
 
 
 def analyze_flash(
-    flash_path: str,
-    out_dir: str,
-    calibration: LcCalibration | None = None,
-    dwell_s: float = _FLIGHT_SCAN.dwell_s,
-    window_s: float = physics.COINCIDENCE_WINDOW_S,
+    flash_path: str, out_dir: str, dwell_s: float = _FLIGHT_SCAN.dwell_s
 ) -> list[dict]:
-    """Run the full pipeline on a flash image file.
+    """Run the full pipeline on a flash image file, through the flight's
+    LC calibration and coincidence window.
 
     Fits every complete scan in one `fit_sinusoids` call. Once the ring has
     wrapped (`FLAG_WRAPPED`), the scan of the oldest record left, if any,
@@ -307,7 +304,7 @@ def analyze_flash(
     read, the committed scans dropped as partial and those dropped for not
     fitting `dwell_s`); returns the summary rows.
     """
-    cal = calibration or default_calibration()
+    cal = default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
     table = read.rows
     grouped = table
@@ -321,17 +318,19 @@ def analyze_flash(
     if scans:
         angles = np.stack([scan.angles_rad for scan in scans.values()])
         raw = np.stack([scan.coinc_raw / scan.dwell_s for scan in scans.values()])
-        corrected = np.stack([correct_accidentals(scan, window_s) for scan in scans.values()])
+        corrected = np.stack([correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S)
+                              for scan in scans.values()])
         fits = fit_sinusoids(angles, corrected)
         curves = _model(angles, np.array([
             [fit.amplitude, 1.0, fit.phase_rad, fit.baseline] for fit in fits
         ]))
-        for (scan_id, scan), fit, *steps in zip(scans.items(), fits, angles, raw, corrected, curves):
+        # per scan one row of (angle, raw, corrected, fit) per step, in one format
+        steps = np.stack([angles, raw, corrected, curves], axis=-1).reshape(len(fits), -1)
+        step_format = "%.6f,%.3f,%.3f,%.3f\r\n" * angles.shape[1]
+        for (scan_id, scan), fit, values in zip(scans.items(), fits, steps):
             with open(os.path.join(out_dir, f"scan_{scan_id:05d}.csv"), "w", newline="") as fh:
-                fh.write("angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n" + "".join([
-                    f"{a:.6f},{r:.3f},{c:.3f},{f:.3f}\r\n"
-                    for a, r, c, f in zip(*(column.tolist() for column in steps))
-                ]))
+                fh.write("angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n"
+                         + step_format % tuple(values.tolist()))
             summary_rows.append({
                 "scan_id": scan_id,
                 "pair": scan.pair,

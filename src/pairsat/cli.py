@@ -19,7 +19,7 @@ import sys
 
 from . import analysis, scenarios, telemetry, thermal_power
 from .controller import IDLE_MODULES, OPERATING_MODULES, ScanConfig
-from .thermal_power import BudgetError, PowerLedger
+from .thermal_power import BudgetError
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -69,7 +69,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_powerbudget(_args: argparse.Namespace) -> int:
-    ledger = PowerLedger()
     print("module draws:")
     for name, watts in sorted(thermal_power.MODULE_DRAWS_W.items()):
         print(f"  {name:24s} {watts:.2f} W")
@@ -81,17 +80,16 @@ def _cmd_powerbudget(_args: argparse.Namespace) -> int:
     ]
     print("worst-case totals:")
     for label, active, heater, mode in cases:
-        total = thermal_power.total_power(ledger, active, heater, mode)
+        total = thermal_power.total_power(active, heater, mode)
         print(f"  {label:24s} {total:.2f} W")
     print(f"budget: {thermal_power.POWER_BUDGET_W:.2f} W")
     return 0
 
 
 def _cmd_linkbudget(args: argparse.Namespace) -> int:
-    budget = telemetry.LinkBudget(args.volume)
-    seconds = telemetry.downlink_time(budget)
+    seconds = telemetry.downlink_time(args.volume)
     print(
-        f"{args.volume} bytes at {budget.rate_bytes_per_s:.0f} B/s: "
+        f"{args.volume} bytes at {telemetry.LINK_RATE_BYTES_PER_S:.0f} B/s: "
         f"{seconds:.1f} s"
     )
     return 0

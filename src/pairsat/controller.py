@@ -98,13 +98,17 @@ class LaserMonitor:
     Beside the time-ordered samples it keeps the same window's powers in
     ascending order, so the median and both extremes are read off by index.
     The window is full when its oldest sample lies one window before the
-    newest, or when the sample it dropped last since the last `clear` lies
-    more than one window before the newest, both to 1e-9. The second test
-    serves jittered sample times, where the oldest kept sample rarely lies
-    exactly one window back. Rounding of `t_s - window_s` can drop a sample
-    exactly one window back; the 1e-9 keeps such a drop from counting, so
-    on an exact tick grid the window is full on the same ticks as by the
-    span test alone.
+    newest, to 1e-9, so that a span of exactly one window reads full however
+    its subtraction rounds. Rounding of `t_s - window_s` can also drop a
+    sample that lies exactly one window back; the window then fills a
+    sample later.
+
+    That one rule is enough in flight: the controller samples every
+    laser-on tick, on the exact 50 ms grid, with no gap since the last
+    `clear`, and the window is a whole number of ticks. So once a sample
+    has been dropped, the oldest one kept lies one window back. With sample
+    times off such a grid, the kept samples can span less than a window
+    after a drop, and the window then does not read full.
 
     It is the one flight timer still on float seconds: the LC settle timer
     counts whole milliseconds. The engine's operating stretch
@@ -119,28 +123,21 @@ class LaserMonitor:
         self.threshold = threshold
         self.samples: deque[tuple[float, float]] = deque()
         self.sorted_powers: list[float] = []
-        self.last_dropped_s: float | None = None
 
     def add_sample(self, t_s: float, power_mw: float) -> None:
         self.samples.append((t_s, power_mw))
         insort(self.sorted_powers, power_mw)
         while self.samples and self.samples[0][0] < t_s - self.window_s:
-            self.last_dropped_s, old = self.samples.popleft()
+            _, old = self.samples.popleft()
             del self.sorted_powers[bisect_left(self.sorted_powers, old)]
 
     def clear(self) -> None:
         self.samples.clear()
         self.sorted_powers.clear()
-        self.last_dropped_s = None
 
     def ready(self) -> bool:
-        if len(self.samples) < 2:
-            return False
-        newest = self.samples[-1][0]
-        dropped = self.last_dropped_s
-        if dropped is not None and newest - dropped > self.window_s + 1e-9:
-            return True
-        return newest - self.samples[0][0] >= self.window_s - 1e-9
+        samples = self.samples
+        return len(samples) >= 2 and samples[-1][0] - samples[0][0] >= self.window_s - 1e-9
 
 
 def laser_stable(monitor: LaserMonitor) -> bool | None:
@@ -261,13 +258,9 @@ class OpticalBench:
     """Device bundle seen by the scan routine."""
 
     source: SourceParams = field(default_factory=SourceParams)
-    calibration: LcCalibration = None  # filled in __post_init__
+    calibration: LcCalibration = field(default_factory=default_calibration)
     pair: int = PAIR_1_4
     apd_factors: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        if self.calibration is None:
-            self.calibration = default_calibration()
 
 
 def analyzer_pair_rate(bench: OpticalBench, analyzer_angle_rad: float) -> float:
@@ -446,9 +439,10 @@ class FlightController:
     def decide(self, sensors: Sensors) -> Commands:
         """The rest of a tick whose laser reading the monitor already holds:
         run the state machine, step the active bias loops, and return the
-        commands. The engine calls it on the laser-on ticks its operating
-        stretch hands back, and `tick` on the laser-off ticks no `hold`
-        admits."""
+        commands. With the laser off there is no reading, and `tick` is this
+        call. The engine calls it on every tick it decides: the laser-on
+        ticks its operating stretch hands back, and the laser-off ticks no
+        `hold` admits."""
         cmd = Commands(mode=self.mode, scan_id=0, pair=self.pair)
 
         if self.mode is Mode.INIT:

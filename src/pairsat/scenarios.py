@@ -2,7 +2,10 @@
 
 A scenario is an environment time series (temperature, pressure, altitude,
 acceleration) plus source ground truth and a seed; its run may not outlast
-the profile's last sample. The engine advances the
+the profile's last sample. With a start temperature for the insulated
+package (`initial_package_c`), the housing sits in the package node, whose
+heat capacity, conductance and payload heat are module constants
+(`package_step`); without one, in the profile's air. The engine advances the
 flight controller at a fixed 50 ms tick against device models and records
 8 Hz telemetry into redundant flash, returning the flash image and a run
 summary. Identical scenarios, seed included, produce byte-identical flash
@@ -56,9 +59,9 @@ from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltag
     command_voltage, default_calibration, step_settle
 from .physics import SourceParams, reference_efficiency
 from .telemetry import FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_HEATER_ON, FLAG_LASER_ON, \
-    FlashImage, TelemetryRecord
+    FlashImage
 from .thermal_power import (HEATER_CAP_OPERATING_W, HEATER_OFF_ABOVE_C, HEATER_ON_BELOW_C,
-                            PowerLedger, ThermalParams)
+                            HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C)
 
 TICK_MS = controller.TICK_MS
 TICK_S = controller.TICK_S
@@ -161,23 +164,19 @@ def thermal_vac_profile(duration_s: float) -> EnvironmentProfile:
     )
 
 
-@dataclass
-class PackageNode:
-    """Thermal node of the insulated payload package around the housing.
+# The thermal node of the insulated payload package around the housing. For
+# the balloon flight the published boundary condition is the internal
+# package temperature, so the profile's air temperature is reverse-shaped
+# through this node and the simulation re-integrates it forward.
+PACKAGE_HEAT_CAPACITY_J_PER_C = 1500.0
+PACKAGE_CONDUCTANCE_W_PER_C = 0.4
+PACKAGE_PAYLOAD_W = 1.3
 
-    For the balloon flight the published boundary condition is the internal
-    package temperature, so the profile's air temperature is reverse-shaped
-    through this node and the simulation re-integrates it forward.
-    """
 
-    heat_capacity_j_per_c: float = 1500.0
-    conductance_w_per_c: float = 0.4
-    payload_watts: float = 1.3
-
-    def step(self, temp_c: float, air_temp_c: float, dt: float) -> float:
-        """The package temperature after one explicit Euler step of `dt`."""
-        flow = self.payload_watts + self.conductance_w_per_c * (air_temp_c - temp_c)
-        return temp_c + dt * flow / self.heat_capacity_j_per_c
+def package_step(temp_c: float, air_temp_c: float, dt: float) -> float:
+    """The package temperature after one explicit Euler step of `dt`."""
+    flow = PACKAGE_PAYLOAD_W + PACKAGE_CONDUCTANCE_W_PER_C * (air_temp_c - temp_c)
+    return temp_c + dt * flow / PACKAGE_HEAT_CAPACITY_J_PER_C
 
 
 BALLOON_GROUND_S = 900.0  # pre-release activation period
@@ -227,17 +226,16 @@ def balloon_flight_times() -> tuple[float, float, float]:
     return BALLOON_GROUND_S, t_burst, float(ts[-1])
 
 
-def balloon_profile(package: PackageNode | None = None) -> EnvironmentProfile:
+def balloon_profile() -> EnvironmentProfile:
     """Full stratospheric flight profile.
 
     Altitude: ground hold, 5 m/s ascent to the 35.5 km ceiling, burst,
     drag-limited descent, landing plus a short ground tail. Acceleration
     is 1 g with spike samples of 20 g at burst and 23 g at landing.
     Pressure follows an exponential atmosphere. The air temperature is
-    constructed so that the package node reproduces the internal
-    temperature control points exactly (see PackageNode).
+    constructed so that the package node (`package_step`) reproduces the
+    internal temperature control points exactly.
     """
-    pkg = package or PackageNode()
     t_release, t_burst, t_land = balloon_flight_times()
     t_end = t_land + 400.0
 
@@ -274,7 +272,8 @@ def balloon_profile(package: PackageNode | None = None) -> EnvironmentProfile:
     # reverse-shape the air temperature through the package node
     T_pkg = package_curve(t)
     dT_pkg = package_slope(t)
-    air = T_pkg + (pkg.heat_capacity_j_per_c * dT_pkg - pkg.payload_watts) / pkg.conductance_w_per_c
+    air = T_pkg + (PACKAGE_HEAT_CAPACITY_J_PER_C * dT_pkg - PACKAGE_PAYLOAD_W) \
+        / PACKAGE_CONDUCTANCE_W_PER_C
 
     return EnvironmentProfile(
         t_s=t,
@@ -309,8 +308,6 @@ def load_profile_csv(path: str) -> EnvironmentProfile:
                 raise ValueError(f"line {lineno}: time not strictly increasing")
             for c, v in zip(cols, vals):
                 c.append(v)
-    if len(cols[0]) < 2:
-        raise ValueError("profile needs at least 2 samples")
     return EnvironmentProfile(*(np.array(c) for c in cols))
 
 
@@ -336,7 +333,7 @@ class Scenario:
     seed: int = 1
     source: SourceParams = field(default_factory=SourceParams)
     initial_housing_c: float = 22.0
-    package: PackageNode | None = None
+    # the package node's start temperature; None: no package node
     initial_package_c: float | None = None
     laser_dips: list[tuple[float, float, float]] = field(default_factory=list)
 
@@ -346,10 +343,6 @@ class Scenario:
         if self.duration_s > self.profile.duration_s:
             raise ValueError(f"duration {self.duration_s} s runs past the profile, "
                              f"which ends at {self.profile.duration_s} s")
-        # one without the other would pin the housing's outside temperature
-        # (start temperature, no node) or drop the node (node, no start)
-        if (self.package is None) != (self.initial_package_c is None):
-            raise ValueError("package and initial_package_c must be given together")
 
 
 def make_scenario(
@@ -382,8 +375,7 @@ def make_scenario(
             initial_housing_c=20.0,
         )
     if name == "balloon":
-        pkg = PackageNode()
-        profile = balloon_profile(pkg)
+        profile = balloon_profile()
         dur = profile.duration_s if duration_s is None else duration_s
         return Scenario(
             "balloon",
@@ -392,7 +384,6 @@ def make_scenario(
             seed,
             source=SourceParams(true_visibility=0.93),
             initial_housing_c=12.0,
-            package=pkg,
             initial_package_c=float(_BALLOON_PACKAGE_KNOTS[0][1]),
         )
     if name == "custom":
@@ -451,9 +442,7 @@ class SimulationEngine:
         if self.n_ticks == 0:
             raise ValueError(f"duration {scenario.duration_s} s is under one {TICK_MS} ms tick")
         self._check_record_fields()
-        self.thermal_params = ThermalParams()
         self.housing_temp_c = scenario.initial_housing_c
-        self.ledger = PowerLedger()
         self.flash = FlashImage()
         self.lc = LcState()
         # analyzer pair rate per (pair, signal mV), filled on first use
@@ -473,7 +462,7 @@ class SimulationEngine:
         """
         duration_s = self.scenario.duration_s
         last_ms = (self.n_ticks - 1) * TICK_MS // RECORD_PERIOD_MS * RECORD_PERIOD_MS
-        max_ms = TelemetryRecord._RANGES["time_ms"][1]
+        max_ms = telemetry.RANGES["time_ms"][1]
         if last_ms > max_ms:
             raise ValueError(
                 f"duration {duration_s} s: last record time_ms {last_ms} "
@@ -484,7 +473,7 @@ class SimulationEngine:
         cfg = self.ctrl.config
         min_scan_s = min(cfg.n_steps * (SETTLE_TIME_MS / 1000 + cfg.dwell_s),
                          controller.FAULT_HOLD_S)
-        max_id = TelemetryRecord._RANGES["scan_id"][1]
+        max_id = telemetry.RANGES["scan_id"][1]
         if duration_s > max_id * min_scan_s:
             raise ValueError(
                 f"duration {duration_s} s could use more scan ids than the "
@@ -502,7 +491,7 @@ class SimulationEngine:
                                           src.singles_rate_idler_hz * gain,
                                           physics.COINCIDENCE_WINDOW_S))
         counts = rate * -(-RECORD_PERIOD_MS // TICK_MS) * TICK_S
-        max_counts = TelemetryRecord._RANGES["coinc_raw"][1]
+        max_counts = telemetry.RANGES["coinc_raw"][1]
         if counts > max_counts:
             raise ValueError(f"peak raw coincidence rate {rate:.0f}/s could put {counts:.0f} "
                              f"counts in one record, over the u16 coinc_raw field ({max_counts})")
@@ -528,8 +517,8 @@ class SimulationEngine:
         if draws is None:
             modules, heater_mode = POWER_STATES[laser_on]
             draws = self._draw_cache[key] = (
-                thermal_power.total_power(self.ledger, modules, heater_watts, heater_mode),
-                thermal_power.internal_dissipation(self.thermal_params, modules),
+                thermal_power.total_power(modules, heater_watts, heater_mode),
+                thermal_power.internal_dissipation(modules),
             )
         return draws
 
@@ -617,7 +606,7 @@ class SimulationEngine:
         settle timer counts down over all the ticks at once. After a held
         tick the last commands are the held ones and the laser reads 0.
         """
-        ctrl, params, first = self.ctrl, self.thermal_params, k
+        ctrl, first = self.ctrl, k
         flags = self._tick_flags(cmd)
         self._flags |= flags
         total, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
@@ -638,22 +627,21 @@ class SimulationEngine:
         temps = self._temps
         # `thermal_power.housing_step`, term for term: heat in, then the flow
         heat_in = cmd.heater_watts + dissipation
-        conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
+        conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
         temp = self.housing_temp_c
-        pkg_temp = self.package_temp
-        package = self.scenario.package
+        pkg_temp = self.package_temp  # None: no package node
         h_min, h_max = self._housing_min, self._housing_max
         p_min, p_max = self._package_min, self._package_max
         while True:
             air_temp = env_temp[k]
-            ext = air_temp if package is None else pkg_temp
+            ext = air_temp if pkg_temp is None else pkg_temp
             temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
             if temp < h_min:
                 h_min = temp
             if temp > h_max:
                 h_max = temp
-            if package is not None:
-                pkg_temp = package.step(pkg_temp, air_temp, TICK_S)
+            if pkg_temp is not None:
+                pkg_temp = package_step(pkg_temp, air_temp, TICK_S)
                 if pkg_temp < p_min:
                     p_min = pkg_temp
                 if pkg_temp > p_max:
@@ -699,8 +687,9 @@ class SimulationEngine:
         Entered at the top of tick k, after its period check, whenever the
         laser is on. Each tick does on locals, in the order of a tick
         through the controller and the device models and with their
-        arithmetic: the laser draw and its dips; the monitor's sample and
-        stability test (`LaserMonitor.add_sample`, `laser_stable`); in
+        arithmetic: the laser draw and its dips; the monitor's sample, its
+        one fullness test, by the span of the kept samples, and its
+        stability test (`LaserMonitor.add_sample`, `ready`, `laser_stable`); in
         SCANNING the SCANNING branch of `FlightController.decide` (step
         command, settle wait or counting tick) and the engine's LC commands;
         the operating heater rule (`heater_command`); both PI bias steps
@@ -708,7 +697,8 @@ class SimulationEngine:
         (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
         the analyzer part from `_pair_rate`) and three Poisson draws
         (`physics.sample_counts`); the tick flags; the LC pair's settle
-        timer (`step_settle`); the housing and package steps; and the period
+        timer (`step_settle`); the housing step (`housing_step`) and, with a
+        package node, the package step (`package_step`); and the period
         close (`_close_period`). A LASER_STABILIZING tick is the same tick
         with the scan steps switched off; its commands carry scan id 0 and
         step 0. The draw cache is looked up only when the heater toggles,
@@ -725,10 +715,9 @@ class SimulationEngine:
         """
         ctrl, poisson, normal = self.ctrl, self.rng.poisson, self.rng.standard_normal
         monitor = ctrl.monitor
-        samples, powers, dropped = monitor.samples, monitor.sorted_powers, monitor.last_dropped_s
+        samples, powers = monitor.samples, monitor.sorted_powers
         window_s, threshold = monitor.window_s, monitor.threshold
-        # `LaserMonitor.ready`'s two tests, their bounds as it computes them
-        full_after_drop, full_span = window_s + 1e-9, window_s - 1e-9
+        full_span = window_s - 1e-9  # `LaserMonitor.ready`'s bound, as it computes it
         dips = self.scenario.laser_dips
         mode_history, settle_ms = self._mode_history, self._settle_ms
         scanning, storing = ctrl.mode is Mode.SCANNING, False
@@ -756,10 +745,8 @@ class SimulationEngine:
         setpoint = BIAS_SETPOINT
         b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
         railed_1, railed_2 = loop_1.railed, loop_2.railed
-        params = self.thermal_params
-        conductance, capacity = params.conductance_w_per_c, params.heat_capacity_j_per_c
+        conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
         temp, pkg_temp = self.housing_temp_c, self.package_temp
-        package = self.scenario.package
         h_min, h_max = self._housing_min, self._housing_max
         p_min, p_max = self._package_min, self._package_max
         s1, s2, coinc, flags = self._s1, self._s2, self._coinc, self._flags
@@ -778,13 +765,11 @@ class SimulationEngine:
                 samples.append((t_s, laser_mw))
                 insort(powers, laser_mw)
                 while samples and samples[0][0] < t_s - window_s:
-                    dropped, old = samples.popleft()
-                    del powers[bisect_left(powers, old)]
+                    del powers[bisect_left(powers, samples.popleft()[1])]
                 if storing:
                     return k
                 n = len(powers)
-                if n >= 2 and (dropped is not None and t_s - dropped > full_after_drop
-                               or t_s - samples[0][0] >= full_span):
+                if n >= 2 and t_s - samples[0][0] >= full_span:
                     mid = n // 2
                     med = powers[mid] if n % 2 else (powers[mid - 1] + powers[mid]) / 2
                     stable = med > 0 and max(powers[-1] - med, med - powers[0]) / med <= threshold
@@ -888,14 +873,14 @@ class SimulationEngine:
                     if total > self._max_power:
                         self._max_power = total
                 air_temp = env_temp[k]
-                ext = air_temp if package is None else pkg_temp
+                ext = air_temp if pkg_temp is None else pkg_temp
                 temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
                 if temp < h_min:
                     h_min = temp
                 if temp > h_max:
                     h_max = temp
-                if package is not None:
-                    pkg_temp = package.step(pkg_temp, air_temp, TICK_S)
+                if pkg_temp is not None:
+                    pkg_temp = package_step(pkg_temp, air_temp, TICK_S)
                     if pkg_temp < p_min:
                         p_min = pkg_temp
                     if pkg_temp > p_max:
@@ -920,7 +905,6 @@ class SimulationEngine:
                 if len(temps) == PENDING_RECORDS:
                     self._write_block()
         finally:
-            monitor.last_dropped_s = dropped
             ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command = step, dwell, pending
             ctrl.heater_watts = hw
             loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1
@@ -978,8 +962,7 @@ class SimulationEngine:
             if k and k * TICK_MS % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
                 self._close_period(self._last_cmd)
 
-            laser_on = ctrl.laser_on
-            if laser_on:  # on to a tick to decide, its reading in the monitor
+            if ctrl.laser_on:  # on to a tick to decide, its reading in the monitor
                 k = self._operating_stretch(k, env_temp)
                 if k == n_ticks:
                     break
@@ -993,7 +976,7 @@ class SimulationEngine:
                 lc_settled=self.lc.settled,
             )
             prev_mode = ctrl.mode
-            cmd = self._last_cmd = ctrl.decide(sensors) if laser_on else ctrl.tick(sensors)
+            cmd = self._last_cmd = ctrl.decide(sensors)
             if cmd.mode is not prev_mode:
                 self._mode_history.append((t_ms, cmd.mode.value))
 

@@ -27,12 +27,13 @@ self-identifying.
 
 Records are written in batches (`write_redundant`), each batch already a
 `RECORD_DTYPE` table, a structured dtype with the same layout as the
-record. Row tuples, or the integer columns of the engine's pending block
-(scaled and rounded by `fixed_point` and `centi_c`), become such a table in
-`table_from_rows`, the one place where field values are checked against the
-record's ranges. The writer computes the CRC column with the same
-column-wise CRC-8 as the read below and copies the rows into consecutive
-ring slots of both sectors.
+record. Each field's range (`RANGES`) is that of its column's integer
+type, so a table cannot carry an out-of-range value. Row tuples, or the
+integer columns of the engine's pending block (scaled and rounded by
+`fixed_point` and `centi_c`), become such a table in `table_from_rows`, the
+one place where a table's field values are checked against those ranges.
+The writer computes the CRC column with the same column-wise CRC-8 as the
+read below and copies the rows into consecutive ring slots of both sectors.
 
 The ground side reads the whole ring at once (`read_records`): each sector
 is viewed as a (32768, 32) byte array, and the CRC-8 runs over a whole
@@ -118,25 +119,8 @@ class TelemetryRecord:
     bias_2_decivolt: int = 0
     flags: int = FLAG_PRESENT
 
-    _RANGES = {
-        "time_ms": (0, 2**32 - 1),
-        "scan_id": (0, 2**16 - 1),
-        "step": (0, 2**8 - 1),
-        "pair_sel": (0, 2**8 - 1),
-        "lc_signal_mv": (0, 2**16 - 1),
-        "lc_idler_mv": (0, 2**16 - 1),
-        "singles_1": (0, 2**32 - 1),
-        "singles_2": (0, 2**32 - 1),
-        "coinc_raw": (0, 2**16 - 1),
-        "temp_centi_c": (-(2**15), 2**15 - 1),
-        "laser_power_10uw": (0, 2**16 - 1),
-        "bias_1_decivolt": (0, 2**16 - 1),
-        "bias_2_decivolt": (0, 2**16 - 1),
-        "flags": (0, 2**8 - 1),
-    }
-
     def validate(self) -> None:
-        for name, (lo, hi) in self._RANGES.items():
+        for name, (lo, hi) in RANGES.items():
             v = getattr(self, name)
             if not lo <= v <= hi:
                 raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
@@ -192,14 +176,9 @@ RECORD_DTYPE = np.dtype([
 ])
 assert RECORD_DTYPE.itemsize == RECORD_BYTES
 _FIELD_NAMES = RECORD_DTYPE.names[:-1]
-# Each column's integer type holds exactly its field's range, so a
-# RECORD_DTYPE table cannot carry an out-of-range value: the ranges are
-# checked where rows become a table.
-assert all(
-    (np.iinfo(RECORD_DTYPE[name]).min, np.iinfo(RECORD_DTYPE[name]).max)
-    == TelemetryRecord._RANGES[name]
-    for name in _FIELD_NAMES
-)
+# (lowest, highest) value of each record field: its column's integer type
+RANGES = {name: (np.iinfo(RECORD_DTYPE[name]).min, np.iinfo(RECORD_DTYPE[name]).max)
+          for name in _FIELD_NAMES}
 
 
 @dataclass(frozen=True)
@@ -267,8 +246,8 @@ def table_from_rows(rows: list[tuple[int, ...]] | np.ndarray) -> np.ndarray:
 
     The rows are a list of tuples, or an (n, 14) integer array, as the
     engine's recorder builds a pending block column by column. Raises
-    ValueError for a value outside its field's range in
-    `TelemetryRecord._RANGES`, naming the field, or for a non-integer value.
+    ValueError for a value outside its field's range in `RANGES`, naming
+    the field, or for a non-integer value.
     """
     table = np.zeros(len(rows), dtype=RECORD_DTYPE)
     if len(rows) == 0:
@@ -281,7 +260,7 @@ def table_from_rows(rows: list[tuple[int, ...]] | np.ndarray) -> np.ndarray:
         )
     for j, name in enumerate(_FIELD_NAMES):
         column = wide[:, j]
-        lo, hi = TelemetryRecord._RANGES[name]
+        lo, hi = RANGES[name]
         bad = (column < lo) | (column > hi)
         if bad.any():
             raise ValueError(f"{name}={column[bad][0]} outside [{lo}, {hi}]")
@@ -367,17 +346,12 @@ def load_image(path: str) -> FlashImage:
     )
 
 
-@dataclass
-class LinkBudget:
-    volume_bytes: float
-    rate_bytes_per_s: float = 1250.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rate_bytes_per_s < math.inf:
-            raise ValueError(f"rate must be finite and positive, got {self.rate_bytes_per_s}")
-        if not 0 <= self.volume_bytes < math.inf:
-            raise ValueError(f"volume must be finite and nonnegative, got {self.volume_bytes}")
+# the downlink's data rate
+LINK_RATE_BYTES_PER_S = 1250.0
 
 
-def downlink_time(budget: LinkBudget) -> float:
-    return budget.volume_bytes / budget.rate_bytes_per_s
+def downlink_time(volume_bytes: float) -> float:
+    """Seconds to downlink `volume_bytes` at `LINK_RATE_BYTES_PER_S`."""
+    if not 0 <= volume_bytes < math.inf:
+        raise ValueError(f"volume must be finite and nonnegative, got {volume_bytes}")
+    return volume_bytes / LINK_RATE_BYTES_PER_S

@@ -3,11 +3,15 @@
 One thermal node with Newton coupling to the environment, heated by a
 bang-bang heater and by the dissipation of whichever electronics are
 active. The power ledger enforces the 2 W bus budget at all times.
+
+The payload is one fixed build: one housing, one set of modules and one
+bus. Its heat capacity, conductance, module draws, dissipation shares and
+budget are module constants, which the functions read when called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Iterable
 
 # electrical draws per module, watts
@@ -25,6 +29,10 @@ POWER_BUDGET_W = 2.0
 HEATER_ON_BELOW_C = 20.0
 HEATER_OFF_ABOVE_C = 22.0
 
+# the optical housing node
+HOUSING_HEAT_CAPACITY_J_PER_C = 225.0
+HOUSING_CONDUCTANCE_W_PER_C = 0.05
+
 # share of each module's draw that heats the optical housing node; the
 # controller board and most of the laser driver dump heat elsewhere
 DEFAULT_DISSIPATION_W = {
@@ -40,19 +48,6 @@ class BudgetError(Exception):
 
 
 @dataclass
-class ThermalParams:
-    heat_capacity_j_per_c: float = 225.0
-    conductance_w_per_c: float = 0.05
-    dissipation_map: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_DISSIPATION_W)
-    )
-
-    def __post_init__(self) -> None:
-        if self.heat_capacity_j_per_c <= 0 or self.conductance_w_per_c <= 0:
-            raise ValueError("heat capacity and conductance must be positive")
-
-
-@dataclass
 class ThermalState:
     housing_temp_c: float
     heater_watts: float = 0.0
@@ -62,14 +57,13 @@ class ThermalState:
             raise ValueError("heater_watts outside [0, idle cap]")
 
 
-def internal_dissipation(params: ThermalParams, active: Collection[str]) -> float:
+def internal_dissipation(active: Collection[str]) -> float:
     """Housing heat of the active modules, summed in the dissipation map's
     order so that the float sum does not depend on the order of `active`."""
-    return sum(w for m, w in params.dissipation_map.items() if m in active)
+    return sum(w for m, w in DEFAULT_DISSIPATION_W.items() if m in active)
 
 
 def step_thermal(
-    params: ThermalParams,
     state: ThermalState,
     external_temp_c: float,
     dt: float,
@@ -79,21 +73,22 @@ def step_thermal(
     if dt <= 0:
         raise ValueError("dt must be positive")
     temp = housing_step(
-        params, state.housing_temp_c, state.heater_watts,
-        internal_dissipation(params, active), external_temp_c, dt,
+        state.housing_temp_c, state.heater_watts,
+        internal_dissipation(active), external_temp_c, dt,
     )
     return ThermalState(housing_temp_c=temp, heater_watts=state.heater_watts)
 
 
 def housing_step(
-    params: ThermalParams,
     housing_temp_c: float,
     heater_watts: float,
     dissipation_w: float,
     external_temp_c: float,
     dt: float,
 ) -> float:
-    """The housing temperature after one explicit Euler step of `dt`.
+    """The housing temperature after one explicit Euler step of `dt`: the
+    heat in, less the flow out through `HOUSING_CONDUCTANCE_W_PER_C`, over
+    `HOUSING_HEAT_CAPACITY_J_PER_C`.
 
     `step_thermal` and the tests' reference engine call it. The engine
     inlines the same expression, in the same operation order, in
@@ -103,9 +98,9 @@ def housing_step(
     flow = (
         heater_watts
         + dissipation_w
-        - params.conductance_w_per_c * (housing_temp_c - external_temp_c)
+        - HOUSING_CONDUCTANCE_W_PER_C * (housing_temp_c - external_temp_c)
     )
-    return housing_temp_c + dt * flow / params.heat_capacity_j_per_c
+    return housing_temp_c + dt * flow / HOUSING_HEAT_CAPACITY_J_PER_C
 
 
 def heater_cap(mode: str) -> float:
@@ -131,32 +126,23 @@ def heater_command(housing_temp_c: float, mode: str, previous_watts: float = 0.0
     return cap if previous_watts > 0.0 else 0.0
 
 
-@dataclass
-class PowerLedger:
-    draws_w: dict[str, float] = field(default_factory=lambda: dict(MODULE_DRAWS_W))
-    budget_w: float = POWER_BUDGET_W
+def total_power(active: Iterable[str], heater_watts: float, mode: str) -> float:
+    """Exact sum of the heater power and the active modules' draws
+    (`MODULE_DRAWS_W`), added in the order of `active`.
 
-
-def total_power(
-    ledger: PowerLedger,
-    active: Iterable[str],
-    heater_watts: float,
-    mode: str | None = None,
-) -> float:
-    """Exact sum of active module draws plus heater power.
-
-    Raises BudgetError beyond the 2 W budget; exactly 2.0 W is allowed.
+    Raises ValueError for a heater over the cap of its heater `mode`, and
+    BudgetError beyond `POWER_BUDGET_W`; exactly 2.0 W is allowed.
     """
     if heater_watts < 0:
         raise ValueError("heater_watts must be nonnegative")
-    if mode is not None and heater_watts > heater_cap(mode) + 1e-12:
+    if heater_watts > heater_cap(mode) + 1e-12:
         raise ValueError(f"heater {heater_watts} W exceeds the {mode} cap")
     total = heater_watts
     for m in active:
         try:
-            total += ledger.draws_w[m]
+            total += MODULE_DRAWS_W[m]
         except KeyError:
             raise ValueError(f"unknown module {m!r} in active set") from None
-    if total > ledger.budget_w + 1e-9:
-        raise BudgetError(f"total draw {total:.3f} W exceeds {ledger.budget_w} W budget")
+    if total > POWER_BUDGET_W + 1e-9:
+        raise BudgetError(f"total draw {total:.3f} W exceeds {POWER_BUDGET_W} W budget")
     return total

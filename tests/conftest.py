@@ -44,6 +44,8 @@ class OperatingStretch:
     heater_toggled: bool
     pending: bool  # a step command is due
     dwell_ms: int
+    # a period it closed counted coincidences, as many as its idler singles
+    coinc_at_idler_singles: bool
 
 
 class LoggedRun(NamedTuple):
@@ -80,15 +82,20 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
         ctrl = self.ctrl
         stabilizing = ctrl.mode is Mode.LASER_STABILIZING
         after_commit = self._commit_ctx is not None
-        written, watts = self._written, ctrl.heater_watts
+        written, watts, rows = self._written, ctrl.heater_watts, len(self._rows)
         entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
         end = operating_stretch(self, k, env_temp)
+        # the periods it closed into the pending block, those before a block
+        # write among them only if it wrote none
+        closed = self._rows[rows:] if self._written == written else self._rows
         reason = "end" if end == self.n_ticks else EXITS[ctrl.mode]
         railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
         operating.append(OperatingStretch(
             k, end, reason, stabilizing, after_commit, entered_railed, railed,
             self._written > written, ctrl.heater_watts != watts,
-            ctrl.pending_command, ctrl.dwell_remaining_ms))
+            ctrl.pending_command, ctrl.dwell_remaining_ms,
+            # a pending row's coincidences and idler singles
+            any(0 < row[7] == row[6] for row in closed)))
         return end
 
     def counted_decide(self, sensors):

@@ -32,7 +32,8 @@ from pairsat.controller import (PAIR_CHANNELS, POWER_STATES, FlightController, M
                                 OpticalBench, Sensors, bench_rates)
 from pairsat.lc_optics import LcState, angle_from_voltage, command_voltage, default_calibration, \
     step_settle
-from pairsat.scenarios import LASER_MW, LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary
+from pairsat.scenarios import LASER_MW, LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, \
+    package_step
 from pairsat.telemetry import (FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_FAULT_HOLD, FLAG_HEATER_ON,
                                FLAG_LASER_ON, FLAG_PRESENT, FLAG_SCAN_COMMIT, FLAG_WRAPPED,
                                RECORD_BYTES, RECORD_PERIOD_MS, SECTOR_CAPACITY, TelemetryRecord)
@@ -48,14 +49,13 @@ def reference_run(scenario, prepare=None):
     if prepare is not None:
         prepare(ctrl)
     loops = ctrl.bias_loops
-    thermal, ledger = thermal_power.ThermalParams(), thermal_power.PowerLedger()
     flash = telemetry.FlashImage()
-    package = scenario.package
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
     tick_s = np.arange(n_ticks) * TICK_S
     air = np.interp(tick_s, scenario.profile.t_s, scenario.profile.temp_c).tolist()
     altitude = np.interp(tick_s, scenario.profile.t_s, scenario.profile.altitude_m).tolist()
 
+    # the package node's temperature; None: no package node
     temp, package_temp = scenario.initial_housing_c, scenario.initial_package_c
     housing_range, package_range = [temp, temp], [package_temp, package_temp]
     max_power, aborted = 0.0, 0
@@ -155,13 +155,13 @@ def reference_run(scenario, prepare=None):
 
         modules, heater_mode = POWER_STATES[cmd.laser_on]
         max_power = max(max_power, thermal_power.total_power(
-            ledger, modules, cmd.heater_watts, heater_mode))
+            modules, cmd.heater_watts, heater_mode))
         temp = thermal_power.housing_step(
-            thermal, temp, cmd.heater_watts, thermal_power.internal_dissipation(thermal, modules),
-            air[k] if package is None else package_temp, TICK_S)
+            temp, cmd.heater_watts, thermal_power.internal_dissipation(modules),
+            air[k] if package_temp is None else package_temp, TICK_S)
         housing_range = [min(housing_range[0], temp), max(housing_range[1], temp)]
-        if package is not None:
-            package_temp = package.step(package_temp, air[k], TICK_S)
+        if package_temp is not None:
+            package_temp = package_step(package_temp, air[k], TICK_S)
             package_range = [min(package_range[0], package_temp),
                              max(package_range[1], package_temp)]
     close_period(cmd)

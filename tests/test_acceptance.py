@@ -23,7 +23,6 @@ from pairsat.controller import (
 )
 from pairsat.physics import SourceParams
 from pairsat.scenarios import balloon_flight_times, make_scenario, run_simulation
-from pairsat.thermal_power import PowerLedger
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +103,8 @@ def test_criterion_05_overlap():
 
 
 def test_criterion_06_power_ledger(lab_pair, leo_run, balloon_run):
-    ledger = PowerLedger()
-    assert thermal_power.total_power(ledger, OPERATING_MODULES, 0.0) == 1.3
-    assert thermal_power.total_power(ledger, IDLE_MODULES, 1.7, "idle") == 2.0
+    assert thermal_power.total_power(OPERATING_MODULES, 0.0, "operating") == 1.3
+    assert thermal_power.total_power(IDLE_MODULES, 1.7, "idle") == 2.0
     for summary in (lab_pair[0][1], lab_pair[1][1], leo_run[1], balloon_run[1]):
         assert summary.max_total_power_w <= 2.0 + 1e-9, summary.scenario
     print("[06] power ledger: PASS")
@@ -138,9 +136,8 @@ def test_criterion_09_storage_downlink(lab_pair):
     flash, summary = lab_pair[0]
     volume = summary.records_written * telemetry.RECORD_BYTES
     assert 120_000 <= volume <= 131_072, volume
-    budget = telemetry.LinkBudget(131072.0)
-    assert budget.rate_bytes_per_s == 1250.0
-    assert telemetry.downlink_time(budget) == pytest.approx(104.9, abs=0.05)
+    assert telemetry.LINK_RATE_BYTES_PER_S == 1250.0
+    assert telemetry.downlink_time(131072.0) == pytest.approx(104.9, abs=0.05)
     assert bytes(flash.sector_a) == bytes(flash.sector_b)
 
     rng = np.random.default_rng(99)

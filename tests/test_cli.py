@@ -144,7 +144,7 @@ def test_powerbudget_violation_exit_code(monkeypatch, capsys):
 
 def test_linkbudget_matches_library(capsys):
     volume = 2 * telemetry.SECTOR_BYTES
-    expected = telemetry.downlink_time(telemetry.LinkBudget(volume))
+    expected = telemetry.downlink_time(volume)
     rc = run_cli("linkbudget", "--volume", str(volume))
     assert rc == 0
     assert f"{expected:.1f} s" in capsys.readouterr().out

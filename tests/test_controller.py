@@ -115,25 +115,17 @@ def test_laser_stable_matches_median_reference(window_s, threshold, samples, jit
                                                clear_before):
     mon = LaserMonitor(window_s=window_s, threshold=threshold)
     t_ms = 0
-    since_clear = []
     for i, (grid_ms, jitter_ms, power) in enumerate(samples):
         if i in clear_before:
             mon.clear()
-            since_clear = []
         t_ms += jitter_ms if jitter else grid_ms
         mon.add_sample(t_ms / 1000.0, power)
-        since_clear.append(t_ms / 1000.0)
         assert mon.sorted_powers == sorted(p for _, p in mon.samples)
-        # Full once the kept samples span the window, or once the sample
-        # dropped last lies more than a window back; with jittered times the
-        # kept span alone rarely reaches the window.
+        # full once the kept samples span the window; with jittered times
+        # they rarely do
         kept = [t for t, _ in mon.samples]
-        dropped = since_clear[: len(since_clear) - len(kept)]
-        newest = since_clear[-1]
-        assert mon.ready() == (len(kept) >= 2 and (
-            newest - kept[0] >= window_s - 1e-9
-            or (bool(dropped) and newest - dropped[-1] > window_s + 1e-9)
-        ))
+        assert kept[-1] == t_ms / 1000.0
+        assert mon.ready() == (len(kept) >= 2 and kept[-1] - kept[0] >= window_s - 1e-9)
         if not mon.ready():
             assert laser_stable(mon) is None
             continue
@@ -146,6 +138,33 @@ def test_laser_stable_matches_median_reference(window_s, threshold, samples, jit
         for mon.threshold in thresholds:
             expected = deviation is not None and deviation <= mon.threshold
             assert laser_stable(mon) is expected
+
+
+def test_on_the_tick_grid_the_span_rule_alone_decides_fullness():
+    # The engine samples every laser-on tick on the 50 ms grid, from the
+    # clear that turned the laser on. Cleared at each tick offset of one
+    # 10 s window, and fed three windows of ticks, the monitor's span rule
+    # reads full on the same ticks as the span rule together with a second
+    # rule, full once the sample dropped last lies more than a window back:
+    # on this grid the second rule never decides alone.
+    window_s = 10.0
+    mon = LaserMonitor(window_s=window_s)
+    ticks_after_a_drop = 0
+    for offset in range(200):
+        mon.clear()
+        since_clear = []
+        for k in range(offset, offset + 600):
+            t_s = k * 50 / 1000
+            mon.add_sample(t_s, 9.0)
+            since_clear.append(t_s)
+            n_kept = len(mon.samples)
+            span = n_kept >= 2 and t_s - mon.samples[0][0] >= window_s - 1e-9
+            after_drop = (n_kept >= 2 and len(since_clear) > n_kept
+                          and t_s - since_clear[-n_kept - 1] > window_s + 1e-9)
+            ticks_after_a_drop += after_drop
+            assert mon.ready() == span == (span or after_drop), (offset, k)
+    # the drop rule held on more than half the 120 000 ticks, never alone
+    assert ticks_after_a_drop > 60_000
 
 
 def test_bias_step_holds_at_setpoint():
@@ -454,8 +473,7 @@ def _fields(ctrl):
     fields = {name: value.copy() if isinstance(value, (list, dict)) else value
               for name, value in vars(ctrl).items()}
     monitor = ctrl.monitor
-    fields["monitor"] = (list(monitor.samples), monitor.sorted_powers.copy(),
-                         monitor.last_dropped_s)
+    fields["monitor"] = (list(monitor.samples), monitor.sorted_powers.copy())
     fields["bias_loops"] = [(loop.bias, loop.integrator, loop.railed) for loop in ctrl.bias_loops]
     return fields
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsat import controller, scenarios, telemetry
+from pairsat import controller, scenarios, telemetry, thermal_power
 from pairsat.analysis import analyze_flash
 from pairsat.controller import Mode
 from pairsat.physics import REFERENCE_OVERVOLTS, ApdParams, SourceParams
@@ -17,11 +17,13 @@ from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
     BALLOON_GROUND_ALT_M,
+    PACKAGE_CONDUCTANCE_W_PER_C,
+    PACKAGE_HEAT_CAPACITY_J_PER_C,
+    PACKAGE_PAYLOAD_W,
     RECORD_PERIOD_MS,
     SEA_LEVEL_PRESSURE_MBAR,
     TICK_MS,
     EnvironmentProfile,
-    PackageNode,
     Scenario,
     SimulationEngine,
     balloon_flight_times,
@@ -34,7 +36,7 @@ from pairsat.scenarios import (
     save_profile_csv,
     thermal_vac_profile,
 )
-from pairsat.thermal_power import BudgetError, PowerLedger
+from pairsat.thermal_power import BudgetError
 from reference_engine import assert_same_run, reference_run
 
 
@@ -96,16 +98,15 @@ def test_balloon_profile_shape():
 def test_balloon_package_node_reproduces_knots():
     # forward-integrate the package node against the profile's air
     # temperature; it must land back on the internal control points
-    pkg = PackageNode()
-    p = balloon_profile(pkg)
+    p = balloon_profile()
     dt = 1.0
     temp = 12.0
     trace = {0.0: temp}
     t = 0.0
     while t < p.duration_s:
         air = float(np.interp(t, p.t_s, p.temp_c))
-        flow = pkg.conductance_w_per_c * (air - temp) + pkg.payload_watts
-        temp += flow * dt / pkg.heat_capacity_j_per_c
+        flow = PACKAGE_CONDUCTANCE_W_PER_C * (air - temp) + PACKAGE_PAYLOAD_W
+        temp += flow * dt / PACKAGE_HEAT_CAPACITY_J_PER_C
         t += dt
         trace[round(t, 6)] = temp
     for knot_t, knot_T in [(900.0, 12.0), (3200.0, 1.2), (6000.0, 7.5), (7900.0, 8.0)]:
@@ -190,7 +191,6 @@ def test_make_scenario_variants(tmp_path):
     assert leo.profile.temp_c[0] == pytest.approx(-5.0)
 
     balloon = make_scenario("balloon")
-    assert balloon.package is not None
     assert balloon.initial_package_c == 12.0
     assert balloon.source.true_visibility == 0.93
     assert balloon.duration_s == pytest.approx(9610.0)
@@ -333,7 +333,7 @@ class TestLabRun:
         assert bytes(flash.sector_a) != bytes(flash2.sector_a)
 
 
-def test_engine_checks_the_budget_of_every_new_draw():
+def test_engine_checks_the_budget_of_every_new_draw(monkeypatch):
     # a cold room: the housing cools through 20 C mid-scan, and the heater's
     # first tick draws 2.0 W after some 1 300 cached ticks at 1.3 W
     def cold_room() -> Scenario:
@@ -345,7 +345,7 @@ def test_engine_checks_the_budget_of_every_new_draw():
     rows = telemetry.read_records(flash, as_table=True).rows
     first_heater_ms = rows["time_ms"][(rows["flags"] & telemetry.FLAG_HEATER_ON) != 0][0]
     engine = SimulationEngine(cold_room())
-    engine.ledger = PowerLedger(budget_w=1.5)
+    monkeypatch.setattr(thermal_power, "POWER_BUDGET_W", 1.5)
     with pytest.raises(BudgetError, match="2.000 W"):
         engine.run()
     assert engine.ctrl.heater_watts > 0.0 and engine.ctrl.mode is Mode.SCANNING
@@ -414,14 +414,6 @@ def test_pooled_visibility_is_unbiased():
     assert float(np.std(vals)) < 0.02
 
 
-@pytest.mark.parametrize("kwargs", [dict(initial_package_c=25.0), dict(package=PackageNode())])
-def test_scenario_rejects_half_configured_package_node(kwargs):
-    # a start temperature without a node used to hold the housing's outside
-    # temperature at it (25 C in -40 C air); a node without one was ignored
-    with pytest.raises(ValueError, match="package and initial_package_c"):
-        Scenario("custom", lab_profile(60.0), 60.0, **kwargs)
-
-
 def test_scenario_rejects_a_run_past_its_profile():
     # a run up to the last sample is accepted; one past it used to hold the
     # last sample silently
@@ -444,8 +436,7 @@ def _custom(temps, duration_s, housing_c, package_c=None, seed=1, dips=()):
     )
     return Scenario(
         "custom", profile, duration_s, seed, initial_housing_c=housing_c,
-        package=None if package_c is None else PackageNode(), initial_package_c=package_c,
-        laser_dips=list(dips),
+        initial_package_c=package_c, laser_dips=list(dips),
     )
 
 
@@ -466,6 +457,13 @@ def _matches_reference(engine_run, scenario, prepare=None):
 
 def _ends_on_period_boundary(end, n_ticks):
     return end < n_ticks and end * TICK_MS % RECORD_PERIOD_MS < TICK_MS
+
+
+def _periods_held(hold):
+    """The periods a hold logs with only their temperature: those that start
+    on its held ticks, but the first, which closes the decided tick's."""
+    starts = sum(k * TICK_MS % RECORD_PERIOD_MS < TICK_MS for k in range(hold.first + 1, hold.end))
+    return max(0, starts - 1)
 
 
 @pytest.fixture(scope="module")
@@ -501,8 +499,13 @@ def cold_start():
     # a dip aborts the first scan at 20 s, and the run ends in the fault hold
     (dict(temps=[22, 22], duration_s=40.0, housing_c=22.0, dips=[(20.0, 1.0, 0.2)]),
      lambda s, n: s.mode is Mode.FAULT_HOLD and s.exit == "end"),
+    # heating from the first tick reaches the gate on tick 7, a scan follows:
+    # the hold closes tick 0's period on tick 3, and logs tick 5's with
+    # only its temperature
+    (dict(temps=[22, 22], duration_s=40.0, housing_c=19.9972),
+     lambda s, n: s.mode is Mode.HEATING and s.exit == "band" and _periods_held(s) == 1),
 ], ids=["heating-after-storing", "wait-cool-after-storing", "package-node", "gate-opens",
-        "fault-hold-heater-toggle", "ends-in-fault-hold"])
+        "fault-hold-heater-toggle", "ends-in-fault-hold", "one-held-period"])
 def test_idle_stretch_cases_match_per_tick_path(kwargs, case, engine_run):
     scenario = _custom(**kwargs)
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
@@ -596,12 +599,22 @@ def _lab_dip(t0_s, frac=0.2):
     return scenario
 
 
-def _narrow_bias_max(ctrl, bias_max_v=120.5, breakdown_v=112.0):
+def _narrow_bias_max(ctrl, bias_max_v=120.5, breakdown_v=112.0, channel=0):
     # channel 0 needs 120.5 V near 22.9 C, which the housing in 200 C air
-    # passes some 20 s in, during the first scan, on channel 0's pair
-    loop = ctrl.bias_loops[0]
+    # passes some 20 s in, during the first scan, on channel 0's pair; so
+    # does channel 3, that pair's idler channel
+    loop = ctrl.bias_loops[channel]
     loop.params = dataclasses.replace(loop.params, bias_max_v=bias_max_v,
                                       breakdown_volts_at_25c=breakdown_v)
+
+
+def _idler_starved():
+    """Lab 60 s, seed 1, with 1 000 idler singles per second: below the
+    pair rate near the peak of the scan, so the coincidences of a tick are
+    clamped by its idler singles."""
+    scenario = make_scenario("lab", duration_s=60.0, seed=1)
+    scenario.source = SourceParams(singles_rate_idler_hz=1000.0)
+    return scenario
 
 
 def _railed_dip():
@@ -640,6 +653,10 @@ def _railed_dip():
     # its exit
     (_custom([200.0, 200.0], 60.0, housing_c=22.0), _narrow_bias_max,
      lambda s: s.railed and s.reason == "storing" and s.end - s.first == 539),
+    # the same with channel 3 narrowed: the pair's idler loop rails alone
+    (_custom([200.0, 200.0], 60.0, housing_c=22.0),
+     lambda ctrl: _narrow_bias_max(ctrl, channel=3),
+     lambda s: s.railed and s.reason == "storing" and s.end - s.first == 539),
     # channel 0 railed within seconds, and a dip on a stretch's first tick:
     # the stretch returns before any bias step, and the fault hold after it
     # steps no loop, so its records carry the rail the stretch entered with
@@ -665,11 +682,12 @@ def _railed_dip():
      lambda s: s.reason == "storing" and s.end == 742),
     # some scan starts in the period of the commit before it
     (make_scenario("lab", seed=1), None, lambda s: not s.stabilizing and s.after_commit),
+    (_idler_starved(), None, lambda s: not s.stabilizing and s.coinc_at_idler_singles),
 ], ids=["dip-mid-dwell", "dip-under-threshold", "dip-in-warm-up", "ends-in-warm-up",
-        "stabilizing-after-commit", "dip-on-step-command", "bias-rail",
+        "stabilizing-after-commit", "dip-on-step-command", "bias-rail", "idler-bias-rail",
         "railed-dip-on-entry", "leaves-rail",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
-        "ends-after-commit", "after-storing"])
+        "ends-after-commit", "after-storing", "coinc-clamped-by-idler"])
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_run):
     run = _matches_reference(engine_run, scenario, prepare)
     assert any(case(s) for s in run.operating), run.operating

@@ -16,8 +16,8 @@ from pairsat.telemetry import (
     SECTOR_BYTES,
     SECTOR_CAPACITY,
     CorruptRecordError,
+    RANGES,
     FlashImage,
-    LinkBudget,
     TelemetryRecord,
     centi_c,
     crc8,
@@ -216,13 +216,11 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_downlink_time():
-    assert downlink_time(LinkBudget(131072)) == pytest.approx(104.8576)
-    assert downlink_time(LinkBudget(0)) == 0.0
-    assert downlink_time(LinkBudget(1250)) == 1.0
+    assert downlink_time(131072) == pytest.approx(104.8576)
+    assert downlink_time(0) == 0.0
+    assert downlink_time(1250) == 1.0
     with pytest.raises(ValueError):
-        LinkBudget(-1)
-    with pytest.raises(ValueError):
-        LinkBudget(100, rate_bytes_per_s=0)
+        downlink_time(-1)
 
 
 def test_commit_flag_round_trips():
@@ -259,7 +257,7 @@ def field_values(lo, hi):
 
 RECORD_FIELDS = {
     name: field_values(lo, hi)
-    for name, (lo, hi) in TelemetryRecord._RANGES.items() if name != "time_ms"
+    for name, (lo, hi) in RANGES.items() if name != "time_ms"
 }
 
 
@@ -332,7 +330,7 @@ RECORDS_AT_EDGES = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(RECORDS_AT_EDGES, st.sampled_from(sorted(TelemetryRecord._RANGES)))
+@given(RECORDS_AT_EDGES, st.sampled_from(sorted(RANGES)))
 def test_round_trip_at_field_range_edges(records, outside):
     for r in records:
         assert decode(encode(r)) == r
@@ -347,7 +345,7 @@ def test_round_trip_at_field_range_edges(records, outside):
     assert read_records(flash) == in_time_order
     assert (health.valid_a, health.blank) == (len(records), SECTOR_CAPACITY - len(records))
     r = records[0]
-    lo, hi = TelemetryRecord._RANGES[outside]
+    lo, hi = RANGES[outside]
     for bad in (lo - 1, hi + 1):
         with pytest.raises(ValueError):
             encode(TelemetryRecord(**{**asdict(r), outside: bad}))
@@ -382,7 +380,7 @@ def record_batches(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(record_batches(), st.sampled_from(sorted(TelemetryRecord._RANGES)))
+@given(record_batches(), st.sampled_from(sorted(RANGES)))
 def test_batched_writer_matches_per_record_encode(batches, outside):
     start, batches = batches
     written = [r for batch in batches for r in batch]
@@ -418,7 +416,7 @@ def test_batched_writer_matches_per_record_encode(batches, outside):
     # integer, fails where its rows become a table and writes nothing; the
     # writer takes nothing but a RECORD_DTYPE table
     before = (bytes(flash.sector_a), bytes(flash.sector_b), flash.cursor)
-    lo, hi = TelemetryRecord._RANGES[outside]
+    lo, hi = RANGES[outside]
     for bad in (lo - 1, hi + 1, lo + 0.5):
         batch = [astuple(written[0] if written else make_record()),
                  astuple(make_record(**{outside: bad}))]

@@ -9,8 +9,6 @@ from pairsat.thermal_power import (
     MODULE_DRAWS_W,
     POWER_BUDGET_W,
     BudgetError,
-    PowerLedger,
-    ThermalParams,
     ThermalState,
     heater_cap,
     heater_command,
@@ -32,19 +30,18 @@ def test_module_draw_sum_is_exact():
 
 
 def test_total_power_examples():
-    ledger = PowerLedger()
-    assert total_power(ledger, OPERATING, 0.0) == 1.3
-    assert total_power(ledger, IDLE, 1.7, "idle") == 2.0
-    assert total_power(ledger, OPERATING, 0.7, "operating") == 2.0
+    assert total_power(OPERATING, 0.0, "operating") == 1.3
+    assert total_power(IDLE, 1.7, "idle") == 2.0
+    assert total_power(OPERATING, 0.7, "operating") == 2.0
 
 
 def test_budget_violation_raises():
-    ledger = PowerLedger()
+    # within the idle heater cap, over the budget
     with pytest.raises(BudgetError):
-        total_power(ledger, OPERATING, 0.8)
+        total_power(OPERATING, 0.8, "idle")
     # heater above the mode cap is rejected even when under budget
     with pytest.raises(ValueError):
-        total_power(ledger, IDLE, 0.8, "operating")
+        total_power(IDLE, 0.8, "operating")
 
 
 def test_heater_caps():
@@ -79,22 +76,20 @@ def test_heater_no_chatter_on_ramp():
 
 
 def test_thermal_equilibrium_and_cooling():
-    params = ThermalParams()
     state = ThermalState(housing_temp_c=10.0, heater_watts=0.0)
-    after = step_thermal(params, state, 10.0, 1.0)
+    after = step_thermal(state, 10.0, 1.0)
     assert after.housing_temp_c == 10.0
 
     warm = ThermalState(housing_temp_c=30.0, heater_watts=0.0)
-    cooled = step_thermal(params, warm, 10.0, 1.0)
+    cooled = step_thermal(warm, 10.0, 1.0)
     assert cooled.housing_temp_c < 30.0
 
 
 def test_thermal_steady_state_offset():
     # 0.7 W against 0.05 W/C conductance settles 14 C above ambient
-    params = ThermalParams()
     state = ThermalState(housing_temp_c=0.0, heater_watts=0.7)
     for _ in range(400000):
-        state = step_thermal(params, state, 0.0, 1.0)
+        state = step_thermal(state, 0.0, 1.0)
     assert state.housing_temp_c == pytest.approx(14.0, abs=1e-6)
 
 
@@ -103,17 +98,16 @@ def test_internal_dissipation_map():
     # order) the active modules come in
     order = list(DEFAULT_DISSIPATION_W)
     for active in (OPERATING, order, order[::-1]):
-        assert internal_dissipation(ThermalParams(), active) == 0.3
-    assert internal_dissipation(ThermalParams(), IDLE) == pytest.approx(0.0)
+        assert internal_dissipation(active) == 0.3
+    assert internal_dissipation(IDLE) == pytest.approx(0.0)
     assert DEFAULT_DISSIPATION_W["apds"] == 0.15
 
 
 def test_dissipation_warms_housing():
-    params = ThermalParams()
     idle = ThermalState(housing_temp_c=20.0, heater_watts=0.0)
     active = ThermalState(housing_temp_c=20.0, heater_watts=0.0)
-    idle = step_thermal(params, idle, 20.0, 10.0)
-    active = step_thermal(params, active, 20.0, 10.0, active=OPERATING)
+    idle = step_thermal(idle, 20.0, 10.0)
+    active = step_thermal(active, 20.0, 10.0, active=OPERATING)
     assert active.housing_temp_c > idle.housing_temp_c
 
 

@@ -16,7 +16,6 @@ with it the detection efficiency, stays constant.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,11 +91,56 @@ def thermal_gate(housing_temp_c: float) -> Gate:
     return Gate.PROCEED
 
 
-class LaserMonitor:
-    """Sliding window of pump-power samples for the stability check.
+# no power lies in it, and it certifies nothing
+EMPTY_BAND = (math.inf, -math.inf)
 
-    Beside the time-ordered samples it keeps the same window's powers in
-    ascending order, so the median and both extremes are read off by index.
+
+def band_certifies(lo: float, hi: float, threshold: float) -> bool:
+    """Does every window whose powers all lie in [lo, hi] read stable at
+    `threshold`, by `laser_stable`'s exact median rule and its rounding?
+
+    It holds when 0 < lo <= hi < 2**1023, threshold >= 0 and
+    `2 * (hi - lo) <= min(threshold, 1) * lo`. Proof, with c = min(threshold,
+    1) and fl() the rounded operation:
+
+    - fl(c * lo) <= lo, so fl(hi - lo) <= lo / 2; then the real hi - lo is at
+      most lo (else it would round to lo or more), so hi <= 2 lo and by
+      Sterbenz fl(hi - lo) = hi - lo <= lo / 2.
+    - The median lies in [lo, hi]: an odd window's is one of its powers, an
+      even one's is fl(fl(a + b) / 2) for a, b in [lo, hi], and rounding is
+      monotone with 2 lo and 2 hi representable (hi < 2**1023: the sum
+      cannot overflow).
+    - Any two floats in [lo, hi] lie within a factor 2 of each other, so
+      both `hi_w - med` and `med - lo_w` are exact (Sterbenz), and their
+      maximum D is at most hi - lo.
+    - Rounding is monotone, so the tested fl(D / med) is at most fl((hi - lo)
+      / lo). If fl(c * lo) = 0, then hi = lo and D = 0 <= threshold. If
+      c * lo rounds to a normal float, 2 (hi - lo) <= c lo (1 + 2**-53), so
+      (hi - lo) / lo < c; if to a nonzero subnormal, fl(c * lo) <= 2 c lo,
+      so (hi - lo) / lo <= c. Either way the quotient rounds to at most c,
+      and c <= threshold.
+
+    A NaN anywhere, a negative threshold, an empty band and lo <= 0 do not
+    certify: `threshold >= 0` matters for a threshold such as -5e-324,
+    whose product with a small lo rounds to -0.0.
+    """
+    return (0.0 < lo <= hi < 2.0**1023 and threshold >= 0.0
+            and 2.0 * (hi - lo) <= min(threshold, 1.0) * lo)
+
+
+def band_around(median: float, threshold: float) -> tuple[float, float]:
+    """The band `laser_stable` centres on a stable window's median: a
+    half-width of min(threshold, 1) / 8 of it, a quarter of what
+    `band_certifies` admits, so that the noise of later powers stays inside
+    and the band certifies with room for its rounding."""
+    half = min(threshold, 1.0) / 8.0 * median
+    return median - half, median + half
+
+
+class LaserMonitor:
+    """Sliding window of pump-power samples for the stability check, with a
+    band certificate that spares the median while the power holds still.
+
     The window is full when its oldest sample lies one window before the
     newest, to 1e-9, so that a span of exactly one window reads full however
     its subtraction rounds. Rounding of `t_s - window_s` can also drop a
@@ -110,11 +154,23 @@ class LaserMonitor:
     times off such a grid, the kept samples can span less than a window
     after a drop, and the window then does not read full.
 
+    `band` is an interval of powers, `EMPTY_BAND` at first, and
+    `outside_t` a time no later sample lies outside it: each sample
+    outside the band moves it to the sample's time, `clear` resets it. With
+    sample times that never decrease, `outside_t < oldest kept time` means
+    every kept power lies in the band, and a band that `band_certifies`
+    then makes the window stable with no median (`laser_stable`). A stable
+    exact reading re-centres the band on its median (`band_around`). The
+    band is never needed for exactness: any band that certifies is sound,
+    and a later `outside_t` than the true one only sends more readings to
+    the median.
+
     It is the one flight timer still on float seconds: the LC settle timer
     counts whole milliseconds. The engine's operating stretch
     (`SimulationEngine._operating_stretch`) inlines `add_sample`, `ready`
-    and `laser_stable` on this deque and sorted list for every laser-on
-    tick; a change to either rule changes that copy too.
+    and the band test of `laser_stable` for every laser-on tick, and calls
+    `laser_stable` itself for a median; a change to these rules changes
+    that copy too.
     """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
@@ -122,18 +178,20 @@ class LaserMonitor:
         self.window_s = window_s
         self.threshold = threshold
         self.samples: deque[tuple[float, float]] = deque()
-        self.sorted_powers: list[float] = []
+        self.band = EMPTY_BAND
+        self.outside_t = -math.inf
 
     def add_sample(self, t_s: float, power_mw: float) -> None:
         self.samples.append((t_s, power_mw))
-        insort(self.sorted_powers, power_mw)
+        lo, hi = self.band
+        if not lo <= power_mw <= hi:
+            self.outside_t = t_s
         while self.samples and self.samples[0][0] < t_s - self.window_s:
-            _, old = self.samples.popleft()
-            del self.sorted_powers[bisect_left(self.sorted_powers, old)]
+            self.samples.popleft()
 
     def clear(self) -> None:
         self.samples.clear()
-        self.sorted_powers.clear()
+        self.outside_t = -math.inf
 
     def ready(self) -> bool:
         samples = self.samples
@@ -144,19 +202,30 @@ def laser_stable(monitor: LaserMonitor) -> bool | None:
     """True/False once the window is full; None while samples are missing.
 
     Stable means no power deviates from the window median by more than
-    `threshold` times the median. The largest deviation is at one end of
-    the sorted window, because rounded subtraction is monotone; an even
-    window's median is the mean of its two middle powers, as np.median
-    computes it.
+    `threshold` times the median. While every kept power lies in a band
+    that `band_certifies`, that holds with no median. Otherwise the median
+    is read from the sorted window: the largest deviation is at one end of
+    it, because rounded subtraction is monotone, and an even window's
+    median is the mean of its two middle powers, as np.median computes it.
+    A stable exact reading re-centres the band on that median and finds
+    the newest kept power outside it.
     """
     if not monitor.ready():
         return None
-    powers = monitor.sorted_powers
+    samples = monitor.samples
+    if monitor.outside_t < samples[0][0] and band_certifies(*monitor.band, monitor.threshold):
+        return True
+    powers = sorted(p for _, p in samples)
     mid = len(powers) // 2
     med = powers[mid] if len(powers) % 2 else (powers[mid - 1] + powers[mid]) / 2
     if med <= 0:
         return False
-    return max(powers[-1] - med, med - powers[0]) / med <= monitor.threshold
+    stable = max(powers[-1] - med, med - powers[0]) / med <= monitor.threshold
+    if stable:
+        monitor.band = lo, hi = band_around(med, monitor.threshold)
+        monitor.outside_t = max((t for t, p in samples if not lo <= p <= hi),
+                                default=-math.inf)
+    return stable
 
 
 def apd_bias_step(

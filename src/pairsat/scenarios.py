@@ -14,16 +14,18 @@ output.
 The operating stretch runs every laser-on tick but those the controller
 decides. It repeats the arithmetic of a tick through the controller and the
 device models, in its order, on local variables: it draws the laser reading
-and inlines the laser monitor, the SCANNING branch of the controller, the
-heater rule, both bias loops, the counts and the LC pair's settle timer, and
-in LASER_STABILIZING runs the same tick with the scan steps switched off. It
-hands back a stable window before a scan, an unstable one during it and a
-commit. The per-tick path decides those ticks and every laser-off tick that
-the controller does not hold; it draws no random number and raises if a
-tick would count. `_advance` then runs the decided tick and every later tick
-that `FlightController.hold` admits: heating below the gate, waiting to cool
-above it, and a fault hold up to its end while the heater keeps its command.
-A held tick steps only the housing and package nodes. The tests compare
+and inlines the laser monitor's window and band test (the median is taken
+only by `laser_stable`, while a power outside the band is in the window),
+the SCANNING branch of the controller, the heater rule, both bias loops, the
+counts and the LC pair's settle timer, and in LASER_STABILIZING runs the
+same tick with the scan steps switched off. It hands back a stable window
+before a scan, an unstable one during it and a commit. The per-tick path
+decides those ticks and every laser-off tick that the controller does not
+hold; it draws no random number and raises if a tick would count.
+`_advance` then runs the decided tick and every later tick that
+`FlightController.hold` admits: heating below the gate, waiting to cool
+above it, and a fault hold up to its end while the heater keeps its
+command. A held tick steps only the housing and package nodes. The tests compare
 every run with a reference engine that steps each tick through the
 controller and the device models, with no cache, stretch, hold or block,
 and require the same flash and summary bit for bit.
@@ -47,14 +49,14 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, PAIR_CHANNELS, POWER_STATES,
-                         Commands, FlightController, Mode, Sensors)
+from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, EMPTY_BAND, PAIR_CHANNELS,
+                         POWER_STATES, Commands, FlightController, Mode, Sensors, band_certifies,
+                         laser_stable)
 from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
     command_voltage, default_calibration, step_settle
 from .physics import SourceParams, reference_efficiency
@@ -689,7 +691,11 @@ class SimulationEngine:
         through the controller and the device models and with their
         arithmetic: the laser draw and its dips; the monitor's sample, its
         one fullness test, by the span of the kept samples, and its
-        stability test (`LaserMonitor.add_sample`, `ready`, `laser_stable`); in
+        stability test (`LaserMonitor.add_sample`, `ready`, `laser_stable`):
+        one comparison per tick against the monitor's band while it
+        certifies (the empty band otherwise), so that a full window whose
+        kept powers all lie in it is stable, and for any other full window
+        a call of `laser_stable`, whose median may re-centre the band; in
         SCANNING the SCANNING branch of `FlightController.decide` (step
         command, settle wait or counting tick) and the engine's LC commands;
         the operating heater rule (`heater_command`); both PI bias steps
@@ -711,13 +717,16 @@ class SimulationEngine:
         full window that reads stable in LASER_STABILIZING (the scan
         begins) or unstable in SCANNING (it aborts), and every STORING
         tick. Every local is written back on the way out, also when a draw
-        raises.
+        raises, the band test's `outside_t` among them.
         """
         ctrl, poisson, normal = self.ctrl, self.rng.poisson, self.rng.standard_normal
         monitor = ctrl.monitor
-        samples, powers = monitor.samples, monitor.sorted_powers
-        window_s, threshold = monitor.window_s, monitor.threshold
+        samples, window_s, threshold = monitor.samples, monitor.window_s, monitor.threshold
         full_span = window_s - 1e-9  # `LaserMonitor.ready`'s bound, as it computes it
+        # the monitor's band while it certifies, else the empty band, which
+        # sends every full window to `laser_stable`
+        band_lo, band_hi = monitor.band if band_certifies(*monitor.band, threshold) else EMPTY_BAND
+        out_t = monitor.outside_t
         dips = self.scenario.laser_dips
         mode_history, settle_ms = self._mode_history, self._settle_ms
         scanning, storing = ctrl.mode is Mode.SCANNING, False
@@ -763,16 +772,22 @@ class SimulationEngine:
                         laser_mw *= 1.0 - frac
                 t_s = t_ms / 1000.0
                 samples.append((t_s, laser_mw))
-                insort(powers, laser_mw)
+                if not band_lo <= laser_mw <= band_hi:
+                    out_t = t_s
                 while samples and samples[0][0] < t_s - window_s:
-                    del powers[bisect_left(powers, samples.popleft()[1])]
+                    samples.popleft()
                 if storing:
                     return k
-                n = len(powers)
-                if n >= 2 and t_s - samples[0][0] >= full_span:
-                    mid = n // 2
-                    med = powers[mid] if n % 2 else (powers[mid - 1] + powers[mid]) / 2
-                    stable = med > 0 and max(powers[-1] - med, med - powers[0]) / med <= threshold
+                oldest = samples[0][0]
+                if t_s - oldest >= full_span and len(samples) >= 2:
+                    if out_t < oldest:  # every kept power in a band that certifies
+                        stable = True
+                    else:  # the exact median
+                        monitor.outside_t = out_t
+                        stable = laser_stable(monitor)
+                        band_lo, band_hi = (monitor.band if band_certifies(*monitor.band, threshold)
+                                            else EMPTY_BAND)
+                        out_t = monitor.outside_t
                     if stable is not scanning:  # a scan begins, or aborts
                         return k
 
@@ -848,11 +863,14 @@ class SimulationEngine:
                     if rate_1 < 0 or rate_2 < 0:
                         raise ValueError("rates and window must be nonnegative")
                     rate_c = pair_rate * f1 * f2 + rate_1 * rate_2 * window
-                    n1 = int(poisson(rate_1 * TICK_S))
-                    n2 = int(poisson(rate_2 * TICK_S))
+                    # a scalar draw is a Python int; `min` only where a
+                    # singles count binds the coincidences
+                    n1 = poisson(rate_1 * TICK_S)
+                    n2 = poisson(rate_2 * TICK_S)
+                    c = poisson(rate_c * TICK_S)
                     s1 += n1
                     s2 += n2
-                    coinc += min(int(poisson(rate_c * TICK_S)), n1, n2)
+                    coinc += c if c <= n1 and c <= n2 else min(c, n1, n2)
                     flags |= FLAG_COUNTING
                     if count_ctx is None:
                         count_ctx = (scan_id, cmd_step, pair, sig_mv, idler_mv)
@@ -905,6 +923,7 @@ class SimulationEngine:
                 if len(temps) == PENDING_RECORDS:
                     self._write_block()
         finally:
+            monitor.outside_t = out_t
             ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command = step, dwell, pending
             ctrl.heater_watts = hw
             loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1

@@ -93,6 +93,9 @@ _CRC8_LUT = np.array(_CRC8_TABLE, dtype=np.uint8)
 # state 0, so a word XORed with the state (< 256) indexes the next state;
 # built from uint8 arrays, as int64 temporaries raise the import's peak memory
 _CRC8_WORD_LUT = _CRC8_LUT[_CRC8_LUT[None, :] ^ np.arange(256, dtype=np.uint8)[:, None]].ravel()
+# the same entries as the state's own type, so that a lookup can write the
+# state in place
+_CRC8_WORD_LUT16 = _CRC8_WORD_LUT.astype(np.uint16)
 
 
 def crc8(data: bytes) -> int:
@@ -201,7 +204,10 @@ def _crc8_rows(rows: np.ndarray) -> np.ndarray:
     words = rows.view("<u2")
     crc = np.zeros(len(rows), dtype=np.uint16)
     for j in range(RECORD_BYTES // 2 - 1):
-        crc = _CRC8_WORD_LUT[crc ^ words[:, j]]
+        np.bitwise_xor(crc, words[:, j], out=crc)
+        # every uint16 indexes the 65 536 entries, so "clip" never clips;
+        # unlike "raise" it writes `out` unbuffered
+        _CRC8_WORD_LUT16.take(crc, out=crc, mode="clip")
     return _CRC8_LUT[crc ^ rows[:, RECORD_BYTES - 2]]
 
 
@@ -261,8 +267,8 @@ def table_from_rows(rows: list[tuple[int, ...]] | np.ndarray) -> np.ndarray:
     for j, name in enumerate(_FIELD_NAMES):
         column = wide[:, j]
         lo, hi = RANGES[name]
-        bad = (column < lo) | (column > hi)
-        if bad.any():
+        if column.min() < lo or column.max() > hi:
+            bad = (column < lo) | (column > hi)
             raise ValueError(f"{name}={column[bad][0]} outside [{lo}, {hi}]")
         table[name] = column
     return table
@@ -288,8 +294,9 @@ def write_redundant(flash: FlashImage, table: np.ndarray) -> FlashImage:
     # up to the sector's end, then on from slot 0
     head, tail = kept[: SECTOR_CAPACITY - slot], kept[SECTOR_CAPACITY - slot :]
     for sector in (flash.sector_a, flash.sector_b):
-        sector[slot * RECORD_BYTES : (slot + len(head)) * RECORD_BYTES] = head.tobytes()
-        sector[: len(tail) * RECORD_BYTES] = tail.tobytes()
+        slots = _slots(sector)
+        slots[slot : slot + len(head)] = head
+        slots[: len(tail)] = tail
     flash.cursor += len(rows)
     return flash
 

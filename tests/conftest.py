@@ -46,6 +46,7 @@ class OperatingStretch:
     dwell_ms: int
     # a period it closed counted coincidences, as many as its idler singles
     coinc_at_idler_singles: bool
+    band: tuple[float, float]  # the laser monitor's band at exit
 
 
 class LoggedRun(NamedTuple):
@@ -95,7 +96,7 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
             self._written > written, ctrl.heater_watts != watts,
             ctrl.pending_command, ctrl.dwell_remaining_ms,
             # a pending row's coincidences and idler singles
-            any(0 < row[7] == row[6] for row in closed)))
+            any(0 < row[7] == row[6] for row in closed), ctrl.monitor.band))
         return end
 
     def counted_decide(self, sensors):

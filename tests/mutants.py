@@ -1,0 +1,167 @@
+"""Mutants of the engine's inlined copies and of the laser monitor, and a
+runner that shows the tests kill each one.
+
+    python tests/mutants.py
+
+A mutant replaces one piece of text, which occurs once, in one source file.
+For each mutant the runner copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory, applies the mutant there and runs `test_controller.py`,
+`test_scenarios.py` and `test_acceptance.py` with `-x`; the mutant is killed
+when that run fails, and the runner prints the first failing test (and the
+expected one, if another). It exits 1 when a mutant survives or no longer
+applies.
+
+The engine's speed comes from inlined copies of the controller and the
+device models, and the reference engine (`reference_engine.py`) keeps those
+copies honest. It shares `LaserMonitor` with the engine, so a wrong band
+certificate is killed only by the tests of the certificate's proof.
+`EQUIVALENT` lists mutants that change the output of no tested run, with
+the reason; they are only checked to apply. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# the controller's tests first: they take seconds, and hold the tests of the
+# certificate's proof
+TEST_FILES = ["tests/test_controller.py", "tests/test_scenarios.py", "tests/test_acceptance.py"]
+SCENARIOS = "src/pairsat/scenarios.py"
+CONTROLLER = "src/pairsat/controller.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    killer: str  # a test that kills it: part of its pytest id, or the reason it cannot be killed
+
+
+MUTANTS = [
+    # the operating stretch no longer notes a power outside the band, so
+    # a dip reads certified
+    Mutant("stretch-forgets-outside-power", SCENARIOS,
+           "                    out_t = t_s\n", "                    pass\n",
+           "test_laser_dip_aborts_and_retries"),
+    # the stretch certifies a window whose oldest power lies outside the band
+    Mutant("stretch-certifies-oldest-outside", SCENARIOS,
+           "if out_t < oldest:", "if out_t <= oldest:", "stabilizing-after-commit"),
+    # so does `laser_stable`, which the per-tick path and the reference call;
+    # the `stabilizing-after-commit` case kills it too, should the random
+    # search of the median property test miss
+    Mutant("monitor-certifies-oldest-outside", CONTROLLER,
+           "if monitor.outside_t < samples[0][0]", "if monitor.outside_t <= samples[0][0]",
+           "test_laser_stable_matches_median_reference"),
+    # a threshold of -5e-324 times a small lo rounds to -0.0, and a
+    # zero-width band would certify a window the median rule reads unstable
+    Mutant("certificate-without-threshold-sign", CONTROLLER,
+           " and threshold >= 0.0\n", "\n", "test_band_certifies_rejects"),
+    # no band certifies, so every full window takes the median: the output
+    # holds, but the lab run is about a fifth slower
+    Mutant("band-too-wide-to-certify", CONTROLLER,
+           "min(threshold, 1.0) / 8.0 * median", "min(threshold, 1.0) / 2.0 * median",
+           "test_band_around_certifies"),
+    # a railed idler loop no longer flags its records
+    Mutant("railed-flag-from-signal-loop-only", SCENARIOS,
+           "if railed_1 or railed_2:", "if railed_1:", "idler-bias-rail"),
+    # a hold that ends after exactly one temperature-only period drops its row
+    Mutant("one-held-period-dropped", SCENARIOS,
+           "        if held > 0:\n", "        if held > 1:\n", "one-held-period"),
+    # the coincidences are no longer clamped by the idler singles
+    Mutant("coinc-clamp-without-idler", SCENARIOS,
+           "min(c, n1, n2)", "min(c, n1)", "coinc-clamped-by-idler"),
+]
+
+EQUIVALENT = [
+    Mutant("recentre-on-unstable-reading", CONTROLLER,
+           "    if stable:\n        monitor.band", "    if True:\n        monitor.band",
+           "any band that certifies is sound; only which readings take the median changes"),
+    Mutant("heater-on-at-20-c", SCENARIOS,
+           "if temp < HEATER_ON_BELOW_C:", "if temp <= HEATER_ON_BELOW_C:",
+           "no tested run puts the housing at exactly 20.0 C on a laser-on tick"),
+    Mutant("period-context-from-last-counting-tick", SCENARIOS,
+           "                    if count_ctx is None:\n                        count_ctx =",
+           "                    if True:\n                        count_ctx =",
+           "no step changes inside a counting period, so its last counting tick's "
+           "context equals its first's"),
+]
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Apply the mutant to the tree at `root`; raise if its text does not
+    occur exactly once."""
+    path = root / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def first_failure(output: str) -> str | None:
+    """The id of the first failing test in pytest's short summary."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split()[1]
+    return None
+
+
+def run(mutant: Mutant) -> bool:
+    """Run the tests on a copy of the tree with the mutant applied; True
+    when they fail."""
+    with tempfile.TemporaryDirectory(prefix="pairsat-mutant-") as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+        shutil.copytree(ROOT / "src", root / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", root / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", root)
+        apply(mutant, root)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TEST_FILES],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True,
+        )
+        elapsed = time.perf_counter() - start
+    killer = first_failure(proc.stdout)
+    if proc.returncode == 0:
+        print(f"SURVIVED {mutant.name} ({elapsed:.0f} s)")
+        return False
+    if killer is None:  # a collection or usage error kills nothing
+        print(f"ERROR    {mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
+        return False
+    note = "" if mutant.killer in killer else f" (expected {mutant.killer})"
+    print(f"killed   {mutant.name} by {killer}{note} ({elapsed:.0f} s)")
+    return True
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:  # every mutant still applies
+        root = Path(tmp)
+        for mutant in MUTANTS + EQUIVALENT:
+            (root / mutant.file).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(ROOT / mutant.file, root / mutant.file)
+            try:
+                apply(mutant, root)
+            except ValueError as exc:
+                print(f"STALE    {exc}")
+                ok = False
+    for mutant in EQUIVALENT:
+        print(f"equal    {mutant.name}: {mutant.killer}")
+    for mutant in MUTANTS:
+        ok = run(mutant) and ok
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -86,10 +86,17 @@ def _reference_deviation(monitor):
     return max(abs(p - med) for p in powers) / med
 
 
-# a few exact values repeat often (equal powers, the 5 % band edges, a 20 %
-# dip, a dead laser); the rest are arbitrary finite powers
+# the edges of the band a stable 9 mW window at 5 % re-centres on, and the
+# float beyond each edge on either side
+_BAND_EDGES = [edge for bound in controller.band_around(9.0, 0.05)
+               for edge in (math.nextafter(bound, -math.inf), bound,
+                            math.nextafter(bound, math.inf))]
+
+# a few exact values repeat often (equal powers, the 5 % threshold's edges,
+# the band's edges, a 20 % dip, a dead laser); the rest are arbitrary finite
+# powers
 _powers = st.one_of(
-    st.sampled_from([9.0, 9.0 * 0.95, 9.0 * 1.05, 9.0 * 0.8, 0.0]),
+    st.sampled_from([9.0, 9.0 * 0.95, 9.0 * 1.05, 9.0 * 0.8, 0.0, *_BAND_EDGES]),
     st.floats(8.0, 10.0),
     st.floats(-1e300, 1e300, allow_nan=False),
 )
@@ -120,7 +127,6 @@ def test_laser_stable_matches_median_reference(window_s, threshold, samples, jit
             mon.clear()
         t_ms += jitter_ms if jitter else grid_ms
         mon.add_sample(t_ms / 1000.0, power)
-        assert mon.sorted_powers == sorted(p for _, p in mon.samples)
         # full once the kept samples span the window; with jittered times
         # they rarely do
         kept = [t for t, _ in mon.samples]
@@ -138,6 +144,80 @@ def test_laser_stable_matches_median_reference(window_s, threshold, samples, jit
         for mon.threshold in thresholds:
             expected = deviation is not None and deviation <= mon.threshold
             assert laser_stable(mon) is expected
+
+
+@pytest.mark.parametrize("lo, hi, threshold", [
+    (9.0, 9.0, -5e-324),  # the float below 0
+    (0.25, 0.25, -5e-324),  # its product with lo rounds to -0.0
+    (9.0, 9.0, -0.01),
+    (9.0, 9.0, math.nan),
+    (math.nan, 9.0, 0.05),
+    (9.0, math.nan, 0.05),
+    (0.0, 0.0, 0.05),
+    (-1.0, -1.0, 0.05),
+    (9.0, math.inf, 0.05),
+    (math.inf, math.inf, 0.05),
+    (*controller.EMPTY_BAND, 0.05),
+    (9.0, 8.0, 0.05),  # hi below lo: empty
+    # equal powers this large sum to inf, so an even window's median is inf
+    (2.0**1023, 2.0**1023, 0.05),
+    (9.0, 9.0 * 1.026, 0.05),  # wider than the bound
+])
+def test_band_certifies_rejects(lo, hi, threshold):
+    assert not controller.band_certifies(lo, hi, threshold)
+
+
+@pytest.mark.parametrize("median, threshold", [
+    (9.0, 0.05), (9.0, 0.0), (5e-324, 0.05), (1e-310, 0.3), (1e300, 1.0), (1e300, 7.0),
+    (math.nextafter(2.0**1023 / 1.2, 0.0), 0.05),
+])
+def test_band_around_certifies(median, threshold):
+    lo, hi = controller.band_around(median, threshold)
+    assert lo <= median <= hi
+    assert controller.band_certifies(lo, hi, threshold)
+    if threshold == 0.0:  # a zero-width band: equal powers only
+        assert lo == hi == median
+
+
+def _oracle_stable(powers, threshold):
+    """The stability rule as a plain np.median and largest deviation."""
+    med = float(np.median(powers))
+    return med > 0 and max(abs(p - med) for p in powers) / med <= threshold
+
+
+@st.composite
+def _certified_window(draw):
+    """(threshold, lo, hi, powers): a band that certifies, either the band
+    around a median or the widest band from its lo that certifies, and a
+    window of powers in it, its edges and the floats just inside them often."""
+    threshold = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 1.0, 5e-324]))
+    median = draw(st.floats(5e-324, 1e300) | st.sampled_from([9.0, 5e-324, 1e-310]))
+    if draw(st.booleans()):
+        lo, hi = controller.band_around(median, threshold)
+    else:
+        lo, hi = median, median + min(threshold, 1.0) * median / 2
+        while not controller.band_certifies(lo, hi, threshold):
+            hi = math.nextafter(hi, -math.inf)
+        assert not controller.band_certifies(lo, math.nextafter(hi, math.inf), threshold)
+    assert controller.band_certifies(lo, hi, threshold)
+    edges = [lo, hi, min(math.nextafter(lo, math.inf), hi), max(math.nextafter(hi, -math.inf), lo)]
+    powers = draw(st.lists(st.sampled_from(edges) | st.floats(lo, hi), min_size=2, max_size=40))
+    return threshold, lo, hi, powers
+
+
+@settings(max_examples=500, deadline=None)
+@given(window=_certified_window())
+def test_a_certified_band_holds_only_stable_windows(window):
+    # the certificate's proof, against a median taken without the monitor
+    threshold, lo, hi, powers = window
+    assert _oracle_stable(powers, threshold)
+    # and the monitor, holding that band, reads the same without a median
+    mon = LaserMonitor(window_s=len(powers) - 1, threshold=threshold)
+    mon.band = lo, hi
+    for t_s, power in enumerate(powers):
+        mon.add_sample(float(t_s), power)
+    assert mon.outside_t == -math.inf
+    assert laser_stable(mon) is True
 
 
 def test_on_the_tick_grid_the_span_rule_alone_decides_fullness():
@@ -473,7 +553,7 @@ def _fields(ctrl):
     fields = {name: value.copy() if isinstance(value, (list, dict)) else value
               for name, value in vars(ctrl).items()}
     monitor = ctrl.monitor
-    fields["monitor"] = (list(monitor.samples), monitor.sorted_powers.copy())
+    fields["monitor"] = (list(monitor.samples), monitor.band, monitor.outside_t)
     fields["bias_loops"] = [(loop.bias, loop.integrator, loop.railed) for loop in ctrl.bias_loops]
     return fields
 

@@ -693,6 +693,22 @@ def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_
     assert any(case(s) for s in run.operating), run.operating
 
 
+def test_a_laser_step_longer_than_the_window_recentres_the_band(engine_run):
+    # a 3 % step from 20.25 s to 35.25 s, under the 5 % threshold and longer
+    # than the 10 s window: nothing aborts, and the monitor's band, centred
+    # on the nominal power after the warm-up, re-centres on the stepped power
+    # inside the step (the first scan's stretch ends at 37.1 s with the
+    # stepped power the window's median) and back on the nominal power after
+    # it (the second scan's, at 64.15 s)
+    scenario = make_scenario("lab", duration_s=120.0, seed=7)
+    scenario.laser_dips = [(20.25, 15.0, 0.03)]
+    run = _matches_reference(engine_run, scenario)
+    assert run.summary.aborted_scans == 0 and len(run.summary.scans) == 4
+    levels = [round((lo + hi) / 2 / scenarios.LASER_MW, 2) for lo, hi in
+              (s.band for s in run.operating)]
+    assert levels[:4] == [1.0, 0.97, 0.97, 1.0], run.operating
+
+
 @pytest.mark.parametrize("scenario, prepare", [
     (make_scenario("lab", seed=1), None),
     (make_scenario("leo", 4500.0, 3), None),

@@ -422,9 +422,9 @@ class FlightController:
     response at the sensed housing temperature.
     """
 
-    def __init__(self, calibration: LcCalibration | None = None):
+    def __init__(self):
         self.config = ScanConfig()
-        self.calibration = calibration or default_calibration()
+        self.calibration = default_calibration()
         apd = ApdParams()
         self.mode = Mode.INIT
         self.pair = PAIR_1_4

@@ -1,15 +1,16 @@
 """Environment profiles and the end-to-end simulation engine.
 
 A scenario is an environment time series (temperature, pressure, altitude,
-acceleration) plus source ground truth and a seed; its run may not outlast
-the profile's last sample. With a start temperature for the insulated
+acceleration) plus source ground truth and a seed; its profile must cover
+the run, from 0 s to its end. With a start temperature for the insulated
 package (`initial_package_c`), the housing sits in the package node, whose
 heat capacity, conductance and payload heat are module constants
-(`package_step`); without one, in the profile's air. The engine advances the
-flight controller at a fixed 50 ms tick against device models and records
-8 Hz telemetry into redundant flash, returning the flash image and a run
-summary. Identical scenarios, seed included, produce byte-identical flash
-output.
+(`package_step`); without one, in the profile's air. The package never
+depends on the housing, so `boundary_temps` steps it once per run. The
+engine advances the flight controller at a fixed 50 ms tick against device
+models and records 8 Hz telemetry into redundant flash, returning the flash
+image and a run summary. Identical scenarios, seed included, produce
+byte-identical flash output.
 
 The operating stretch runs every laser-on tick but those the controller
 decides. It repeats the arithmetic of a tick through the controller and the
@@ -25,7 +26,7 @@ hold; it draws no random number and raises if a tick would count.
 `_advance` then runs the decided tick and every later tick that
 `FlightController.hold` admits: heating below the gate, waiting to cool
 above it, and a fault hold up to its end while the heater keeps its
-command. A held tick steps only the housing and package nodes. The tests compare
+command. A held tick steps only the housing node. The tests compare
 every run with a reference engine that steps each tick through the
 controller and the device models, with no cache, stretch, hold or block,
 and require the same flash and summary bit for bit.
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +60,7 @@ from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, EMPTY_BAND, PAIR_CHANN
                          POWER_STATES, Commands, FlightController, Mode, Sensors, band_certifies,
                          laser_stable)
 from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
-    command_voltage, default_calibration, step_settle
+    command_voltage, step_settle
 from .physics import SourceParams, reference_efficiency
 from .telemetry import FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_HEATER_ON, FLAG_LASER_ON, \
     FlashImage
@@ -345,6 +347,28 @@ class Scenario:
         if self.duration_s > self.profile.duration_s:
             raise ValueError(f"duration {self.duration_s} s runs past the profile, "
                              f"which ends at {self.profile.duration_s} s")
+        if self.profile.t_s[0] > 0:
+            raise ValueError(f"profile starts at {self.profile.t_s[0]} s, after the run at 0 s")
+
+
+def boundary_temps(scenario: Scenario,
+                   air_c: np.ndarray) -> tuple[memoryview, float | None, float | None]:
+    """Per tick of a run with air temperature `air_c`, the temperature the
+    housing exchanges heat with at the top of the tick, as a memoryview (an
+    index gives a Python float; no float object is kept per tick); and the
+    package's lowest and highest temperature, None without a package node.
+
+    Without one that is the air. With one it is the package, started at
+    `initial_package_c` and stepped once a tick by `package_step`; the
+    extremes count the last step, and `min` and `max` keep the first of
+    equal values (-0.0, 0.0), as a running `<` does.
+    """
+    if scenario.initial_package_c is None:
+        return memoryview(air_c), None, None
+    temps = array("d", [scenario.initial_package_c])
+    for air in memoryview(air_c):
+        temps.append(package_step(temps[-1], air, TICK_S))
+    return memoryview(temps[:-1]), min(temps), max(temps)
 
 
 def make_scenario(
@@ -438,8 +462,7 @@ class SimulationEngine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.rng = np.random.default_rng(scenario.seed)
-        self.calibration = default_calibration()
-        self.ctrl = FlightController(calibration=self.calibration)
+        self.ctrl = FlightController()
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
         if self.n_ticks == 0:
             raise ValueError(f"duration {scenario.duration_s} s is under one {TICK_MS} ms tick")
@@ -449,9 +472,8 @@ class SimulationEngine:
         self.lc = LcState()
         # analyzer pair rate per (pair, signal mV), filled on first use
         self._pair_rates: dict[tuple[int, int], float] = {}
-        self.package_temp = scenario.initial_package_c
         self._benches = [
-            controller.OpticalBench(source=scenario.source, calibration=self.calibration, pair=p)
+            controller.OpticalBench(scenario.source, self.ctrl.calibration, pair=p)
             for p in (controller.PAIR_1_4, controller.PAIR_2_3)
         ]
 
@@ -503,7 +525,7 @@ class SimulationEngine:
         key = (pair, mv)
         pair_rate = self._pair_rates.get(key)
         if pair_rate is None:
-            angle = angle_from_voltage(self.calibration, mv / 1000.0)
+            angle = angle_from_voltage(self.ctrl.calibration, mv / 1000.0)
             pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(
                 self._benches[pair], angle)
         return pair_rate
@@ -524,16 +546,17 @@ class SimulationEngine:
             )
         return draws
 
-    def _close_period(self, cmd: Commands) -> None:
+    def _close_period(self) -> None:
         """Log the open period's record into the pending block, at the top
         of the next period's first tick, and open the next period.
 
         The context is the period's first counting tick's, else its commit
-        tick's, else that of `cmd`, the last commands. The temperature,
-        laser power and biases are the values at this moment.
+        tick's, else that of `_last_cmd`, the last commands. The
+        temperature, laser power and biases are the values at this moment.
         """
         ctx = self._count_ctx or self._commit_ctx
         if ctx is None:
+            cmd = self._last_cmd
             ctx = (cmd.scan_id, cmd.step, cmd.pair, self.lc.signal_mv, self.lc.idler_mv)
         ch1, ch2 = controller.PAIR_CHANNELS[ctx[2]]
         loops = self.ctrl.bias_loops
@@ -550,7 +573,8 @@ class SimulationEngine:
         """Write the pending block as one `RECORD_DTYPE` table, and keep its
         counting and commit rows for `_fit_scans`.
 
-        Row i of the block is period `_written + i`.
+        Row i of the block is period `flash.cursor + i`, the cursor before
+        the write.
         """
         n = len(self._temps)
         if n == 0:
@@ -559,7 +583,7 @@ class SimulationEngine:
         raw = np.array(self._rows)
         if len(raw) < n:  # a hold's row stands for many periods
             raw = np.repeat(raw, self._repeats, axis=0)
-        first = self._written
+        first = self.flash.cursor
         wide = np.empty((n, len(telemetry.RECORD_DTYPE.names) - 1), dtype=np.int64)
         wide[:, 0] = np.arange(first, first + n) * RECORD_PERIOD_MS
         wide[:, 1:9] = raw[:, :8]  # scan id, step, pair, LC mV, counts
@@ -571,7 +595,6 @@ class SimulationEngine:
         wide[:, 13] = flags
         table = telemetry.table_from_rows(wide)
         telemetry.write_redundant(self.flash, table)
-        self._written += n
         self._temps.clear()
         self._rows.clear()
         self._repeats.clear()
@@ -593,20 +616,21 @@ class SimulationEngine:
             flags |= telemetry.FLAG_BIAS_RAILED
         return flags
 
-    def _advance(self, k: int, cmd: Commands, env_temp: memoryview) -> int:
+    def _advance(self, k: int, cmd: Commands, ext_temp: memoryview) -> int:
         """Advance tick k, whose commands `cmd` the controller has just
         given and `_last_cmd` holds, then every later tick that
         `FlightController.hold` admits by its start-of-tick temperature and
         time; return the first tick not advanced.
 
-        Each tick steps the housing node (`housing_step` inlined, in its
-        operation order), the package node and their extremes; tick k also
-        puts its flags in the open period and its draw in the peak power,
-        which a held tick repeats. The first period closed after tick k goes
-        through `_close_period`; each later one differs only in temperature,
-        so it appends only that, under one row with a repeat count. The LC
-        settle timer counts down over all the ticks at once. After a held
-        tick the last commands are the held ones and the laser reads 0.
+        Each tick steps the housing node against `ext_temp`, the series of
+        `boundary_temps` (`housing_step` inlined, in its operation order),
+        and its extremes; tick k also puts its flags in the open period and
+        its draw in the peak power, which a held tick repeats. The first
+        period closed after tick k goes through `_close_period`; each later
+        one differs only in temperature, so it appends only that, under one
+        row with a repeat count. The LC settle timer counts down over all
+        the ticks at once. After a held tick the last commands are the held
+        ones and the laser reads 0.
         """
         ctrl, first = self.ctrl, k
         flags = self._tick_flags(cmd)
@@ -631,23 +655,13 @@ class SimulationEngine:
         heat_in = cmd.heater_watts + dissipation
         conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
         temp = self.housing_temp_c
-        pkg_temp = self.package_temp  # None: no package node
         h_min, h_max = self._housing_min, self._housing_max
-        p_min, p_max = self._package_min, self._package_max
         while True:
-            air_temp = env_temp[k]
-            ext = air_temp if pkg_temp is None else pkg_temp
-            temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
+            temp = temp + TICK_S * (heat_in - conductance * (temp - ext_temp[k])) / capacity
             if temp < h_min:
                 h_min = temp
             if temp > h_max:
                 h_max = temp
-            if pkg_temp is not None:
-                pkg_temp = package_step(pkg_temp, air_temp, TICK_S)
-                if pkg_temp < p_min:
-                    p_min = pkg_temp
-                if pkg_temp > p_max:
-                    p_max = pkg_temp
             k += 1
             if k >= end or not (temp < bound if below else temp > bound):
                 break
@@ -658,7 +672,7 @@ class SimulationEngine:
                 self.housing_temp_c = temp
                 if k > first + 1:  # it ends on a held tick
                     self._last_cmd, self._last_laser_mw = held_cmd, 0.0
-                self._close_period(self._last_cmd)
+                self._close_period()
                 self._flags = flags
                 held = 0
             else:
@@ -677,12 +691,10 @@ class SimulationEngine:
         if not self.lc.settled:
             self.lc = step_settle(self.lc, TICK_MS * (k - first))
         self.housing_temp_c = temp
-        self.package_temp = pkg_temp
         self._housing_min, self._housing_max = h_min, h_max
-        self._package_min, self._package_max = p_min, p_max
         return k
 
-    def _operating_stretch(self, k: int, env_temp: memoryview) -> int:
+    def _operating_stretch(self, k: int, ext_temp: memoryview) -> int:
         """Advance from tick k while the laser is on, up to the next tick
         the controller has to decide.
 
@@ -703,9 +715,9 @@ class SimulationEngine:
         (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
         the analyzer part from `_pair_rate`) and three Poisson draws
         (`physics.sample_counts`); the tick flags; the LC pair's settle
-        timer (`step_settle`); the housing step (`housing_step`) and, with a
-        package node, the package step (`package_step`); and the period
-        close (`_close_period`). A LASER_STABILIZING tick is the same tick
+        timer (`step_settle`); the housing step (`housing_step`) against
+        `ext_temp`, the series of `boundary_temps`; and the period close
+        (`_close_period`). A LASER_STABILIZING tick is the same tick
         with the scan steps switched off; its commands carry scan id 0 and
         step 0. The draw cache is looked up only when the heater toggles,
         and the reference efficiencies are checked on entry. Neither a
@@ -755,9 +767,8 @@ class SimulationEngine:
         b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
         railed_1, railed_2 = loop_1.railed, loop_2.railed
         conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
-        temp, pkg_temp = self.housing_temp_c, self.package_temp
+        temp = self.housing_temp_c
         h_min, h_max = self._housing_min, self._housing_max
-        p_min, p_max = self._package_min, self._package_max
         s1, s2, coinc, flags = self._s1, self._s2, self._coinc, self._flags
         count_ctx, commit_ctx = self._count_ctx, self._commit_ctx
         laser_mw = self._last_laser_mw
@@ -890,19 +901,11 @@ class SimulationEngine:
                     heat_in, drawn_hw = hw + dissipation, hw
                     if total > self._max_power:
                         self._max_power = total
-                air_temp = env_temp[k]
-                ext = air_temp if pkg_temp is None else pkg_temp
-                temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
+                temp = temp + TICK_S * (heat_in - conductance * (temp - ext_temp[k])) / capacity
                 if temp < h_min:
                     h_min = temp
                 if temp > h_max:
                     h_max = temp
-                if pkg_temp is not None:
-                    pkg_temp = package_step(pkg_temp, air_temp, TICK_S)
-                    if pkg_temp < p_min:
-                        p_min = pkg_temp
-                    if pkg_temp > p_max:
-                        p_max = pkg_temp
 
                 k += 1
                 if k == n_ticks:
@@ -933,18 +936,14 @@ class SimulationEngine:
             self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags
             self._count_ctx, self._commit_ctx = count_ctx, commit_ctx
             self._last_laser_mw = laser_mw
-            self.housing_temp_c, self.package_temp = temp, pkg_temp
+            self.housing_temp_c = temp
             self._housing_min, self._housing_max = h_min, h_max
-            self._package_min, self._package_max = p_min, p_max
 
     def run(self) -> tuple[FlashImage, RunSummary]:
-        scen = self.scenario
+        scen, profile = self.scenario, self.scenario.profile
         n_ticks = self.n_ticks
-        tick_times = np.arange(n_ticks) * (TICK_MS / 1000.0)
-        # indexing a memoryview gives a Python float, as fast as a list and
-        # without a float object per tick
-        env_temp = memoryview(np.interp(tick_times, scen.profile.t_s, scen.profile.temp_c))
-        env_alt = np.interp(tick_times, scen.profile.t_s, scen.profile.altitude_m)
+        air = np.interp(np.arange(n_ticks) * TICK_S, profile.t_s, profile.temp_c)
+        ext_temp, package_min, package_max = boundary_temps(scen, air)
 
         aborted = 0
         # the pending block: per record its start-of-next-period housing
@@ -953,7 +952,6 @@ class SimulationEngine:
         self._temps: list[float] = []
         self._rows: list[tuple] = []
         self._repeats: list[int] = []
-        self._written = 0  # records written to flash
         # the open period's summed counts, flags and context
         self._s1 = self._s2 = self._coinc = self._flags = 0
         self._count_ctx: tuple[int, ...] | None = None
@@ -972,17 +970,16 @@ class SimulationEngine:
         self._draw_cache: dict[tuple, tuple[float, float]] = {}
         self._max_power = 0.0
         self._housing_min = self._housing_max = self.housing_temp_c
-        self._package_min = self._package_max = self.package_temp
         self._mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
         ctrl = self.ctrl
 
         k = 0
         while k < n_ticks:
             if k and k * TICK_MS % RECORD_PERIOD_MS < TICK_MS:  # a new period starts
-                self._close_period(self._last_cmd)
+                self._close_period()
 
             if ctrl.laser_on:  # on to a tick to decide, its reading in the monitor
-                k = self._operating_stretch(k, env_temp)
+                k = self._operating_stretch(k, ext_temp)
                 if k == n_ticks:
                     break
             else:
@@ -1015,12 +1012,14 @@ class SimulationEngine:
                 self._flags |= telemetry.FLAG_SCAN_COMMIT
                 self._commit_ctx = (cmd.scan_id, cmd.step, cmd.pair,
                                     self.lc.signal_mv, self.lc.idler_mv)
-                self._committed.append((cmd.scan_id, self._scan_start_ms, t_ms,
-                                        float(env_alt[k]), self._settle_ms))
+                # k * TICK_S is the tick's time as the air series takes it
+                altitude = float(np.interp(k * TICK_S, profile.t_s, profile.altitude_m))
+                self._committed.append((cmd.scan_id, self._scan_start_ms, t_ms, altitude,
+                                        self._settle_ms))
 
-            k = self._advance(k, cmd, env_temp)
+            k = self._advance(k, cmd, ext_temp)
 
-        self._close_period(self._last_cmd)
+        self._close_period()
         self._write_block()
 
         summary = RunSummary(
@@ -1029,12 +1028,12 @@ class SimulationEngine:
             duration_s=scen.duration_s,
             scans=self._fit_scans(),
             aborted_scans=aborted,
-            records_written=self._written,
+            records_written=self.flash.cursor,
             max_total_power_w=self._max_power,
             housing_temp_min_c=self._housing_min,
             housing_temp_max_c=self._housing_max,
-            package_temp_min_c=self._package_min,
-            package_temp_max_c=self._package_max,
+            package_temp_min_c=package_min,
+            package_temp_max_c=package_max,
             mode_history=self._mode_history,
             laser_activations=list(ctrl.laser_activations),
         )
@@ -1052,7 +1051,7 @@ class SimulationEngine:
         if not self._committed:
             return []
         grouped, _ = analysis.scan_data_from_records(
-            np.concatenate(self._scan_rows), self.calibration, self.ctrl.config.dwell_s)
+            np.concatenate(self._scan_rows), self.ctrl.calibration, self.ctrl.config.dwell_s)
         metas = self._committed
         scans = [grouped[meta[0]] for meta in metas]
         fits = analysis.fit_sinusoids(

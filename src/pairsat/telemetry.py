@@ -90,12 +90,11 @@ def _crc8_table() -> list[int]:
 _CRC8_TABLE = _crc8_table()
 _CRC8_LUT = np.array(_CRC8_TABLE, dtype=np.uint8)
 # two bytes per lookup: entry b0 | b1 << 8 is the CRC after b0 then b1 from
-# state 0, so a word XORed with the state (< 256) indexes the next state;
-# built from uint8 arrays, as int64 temporaries raise the import's peak memory
-_CRC8_WORD_LUT = _CRC8_LUT[_CRC8_LUT[None, :] ^ np.arange(256, dtype=np.uint8)[:, None]].ravel()
-# the same entries as the state's own type, so that a lookup can write the
-# state in place
-_CRC8_WORD_LUT16 = _CRC8_WORD_LUT.astype(np.uint16)
+# state 0, so a word XORed with the state (< 256) indexes the next state; in
+# the state's own type, so a lookup writes the state in place, and indexed by
+# uint8 arrays, as int64 temporaries raise the import's peak memory
+_CRC8_WORD_LUT16 = _CRC8_LUT.astype(np.uint16)[
+    _CRC8_LUT[None, :] ^ np.arange(256, dtype=np.uint8)[:, None]].ravel()
 
 
 def crc8(data: bytes) -> int:

@@ -92,8 +92,8 @@ def housing_step(
 
     `step_thermal` and the tests' reference engine call it. The engine
     inlines the same expression, in the same operation order, in
-    `SimulationEngine._advance` and `_operating_stretch`, so every tick
-    rounds the same way.
+    `SimulationEngine._advance` and `_operating_stretch`, against the series
+    of `scenarios.boundary_temps`, so every tick rounds the same way.
     """
     flow = (
         heater_watts

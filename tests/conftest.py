@@ -69,9 +69,9 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
     operating_stretch = SimulationEngine._operating_stretch
     decide = FlightController.decide
 
-    def logged_advance(self, k, cmd, env_temp):
+    def logged_advance(self, k, cmd, ext_temp):
         ctrl = self.ctrl
-        end = advance(self, k, cmd, env_temp)
+        end = advance(self, k, cmd, ext_temp)
         if end > k + 1:
             until = ctrl.fault_until_ms if ctrl.mode is Mode.FAULT_HOLD else None
             how = ("end" if end == self.n_ticks
@@ -79,21 +79,21 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
             holds.append(Hold(k, end, ctrl.mode, ctrl.heater_watts > 0, how, cmd.commit_scan))
         return end
 
-    def logged_operating(self, k, env_temp):
+    def logged_operating(self, k, ext_temp):
         ctrl = self.ctrl
         stabilizing = ctrl.mode is Mode.LASER_STABILIZING
         after_commit = self._commit_ctx is not None
-        written, watts, rows = self._written, ctrl.heater_watts, len(self._rows)
+        written, watts, rows = self.flash.cursor, ctrl.heater_watts, len(self._rows)
         entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        end = operating_stretch(self, k, env_temp)
+        end = operating_stretch(self, k, ext_temp)
         # the periods it closed into the pending block, those before a block
         # write among them only if it wrote none
-        closed = self._rows[rows:] if self._written == written else self._rows
+        closed = self._rows[rows:] if self.flash.cursor == written else self._rows
         reason = "end" if end == self.n_ticks else EXITS[ctrl.mode]
         railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
         operating.append(OperatingStretch(
             k, end, reason, stabilizing, after_commit, entered_railed, railed,
-            self._written > written, ctrl.heater_watts != watts,
+            self.flash.cursor > written, ctrl.heater_watts != watts,
             ctrl.pending_command, ctrl.dwell_remaining_ms,
             # a pending row's coincidences and idler singles
             any(0 < row[7] == row[6] for row in closed), ctrl.monitor.band))

@@ -1,5 +1,5 @@
-"""Mutants of the engine's inlined copies and of the laser monitor, and a
-runner that shows the tests kill each one.
+"""Mutants of the engine's inlined copies, of the boundary series and of
+the laser monitor, and a runner that shows the tests kill each one.
 
     python tests/mutants.py
 
@@ -79,6 +79,13 @@ MUTANTS = [
     # the coincidences are no longer clamped by the idler singles
     Mutant("coinc-clamp-without-idler", SCENARIOS,
            "min(c, n1, n2)", "min(c, n1)", "coinc-clamped-by-idler"),
+    # the package extremes leave out the last step, the coldest of a package
+    # that cools throughout
+    Mutant("package-extremes-without-last-step", SCENARIOS,
+           "min(temps), max(temps)", "min(temps[:-1]), max(temps[:-1])", "package-node"),
+    # the housing meets the package temperature of the tick after
+    Mutant("boundary-series-a-tick-late", SCENARIOS,
+           "memoryview(temps[:-1])", "memoryview(temps[1:])", "package-node"),
 ]
 
 EQUIVALENT = [

@@ -30,8 +30,7 @@ from pairsat import physics, telemetry, thermal_power
 from pairsat.analysis import ScanData, correct_accidentals, fit_sinusoid
 from pairsat.controller import (PAIR_CHANNELS, POWER_STATES, FlightController, Mode,
                                 OpticalBench, Sensors, bench_rates)
-from pairsat.lc_optics import LcState, angle_from_voltage, command_voltage, default_calibration, \
-    step_settle
+from pairsat.lc_optics import LcState, angle_from_voltage, command_voltage, step_settle
 from pairsat.scenarios import LASER_MW, LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, \
     package_step
 from pairsat.telemetry import (FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_FAULT_HOLD, FLAG_HEATER_ON,
@@ -44,8 +43,8 @@ def reference_run(scenario, prepare=None):
     controller before the first tick. Returns the flash image and the run
     summary, as `run_simulation` does."""
     rng = np.random.default_rng(scenario.seed)
-    calibration = default_calibration()
-    ctrl = FlightController(calibration=calibration)
+    ctrl = FlightController()
+    calibration = ctrl.calibration
     if prepare is not None:
         prepare(ctrl)
     loops = ctrl.bias_loops

@@ -191,6 +191,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                            f"0,20,0,0,1\n75,{value},0,0,1\n150,20,0,0,1\n")
         cases.append((["simulate", "--scenario", "custom", "--profile", os.fspath(profile),
                        "--duration", "150"], "temp_c", value))
+    # a profile that starts after the run, whose first sample the run used
+    # to hold for every tick before it
+    late = tmp_path / "late.csv"
+    late.write_text("t_s,temp_c,pressure_mbar,altitude_m,accel_g\n100,20,0,0,1\n700,20,0,0,1\n")
+    cases.append((["simulate", "--scenario", "custom", "--profile", os.fspath(late),
+                   "--duration", "600"], "profile starts at", "100"))
     for argv, name, value in cases:
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err

@@ -423,6 +423,13 @@ def test_scenario_rejects_a_run_past_its_profile():
     end_s = balloon_profile().duration_s
     with pytest.raises(ValueError, match=f"duration 12000.0 s .* ends at {end_s} s"):
         make_scenario("balloon", duration_s=12000.0)
+    # nor may it start before the profile, which used to hold its first
+    # sample for every tick before it
+    ones = np.ones(2)
+    Scenario("custom", EnvironmentProfile(np.array([-5.0, 60.0]), ones, ones, ones, ones), 60.0)
+    late = EnvironmentProfile(np.array([100.0, 700.0]), ones, ones, ones, ones)
+    with pytest.raises(ValueError, match=r"profile starts at 100\.0 s, after the run at 0 s"):
+        Scenario("custom", late, 600.0)
 
 
 def _custom(temps, duration_s, housing_c, package_c=None, seed=1, dips=()):
@@ -728,7 +735,7 @@ def test_per_tick_path_raises_on_a_counting_tick(monkeypatch):
     # an operating stretch that only samples a steady laser and hands every
     # tick back leaves the counting ticks to the per-tick path, which
     # refuses the first
-    def sample_only(self, k, env_temp):
+    def sample_only(self, k, ext_temp):
         self._last_laser_mw = scenarios.LASER_MW
         self.ctrl.monitor.add_sample(k * TICK_MS / 1000.0, scenarios.LASER_MW)
         return k

@@ -37,9 +37,12 @@ step, pair, LC mV), summed counts and flags, and the unrounded housing
 temperature, laser power and two biases sampled at the top of the next
 period. `_close_period` logs one period at a time; a hold logs one row for
 all the periods it holds, which differ only in temperature.
-A full block, and the last one, becomes a `RECORD_DTYPE` table column by
-column (`telemetry.fixed_point`, `telemetry.centi_c`), passes the one range
-check (`telemetry.table_from_rows`) and is written with one
+A full block, and the last one, becomes a `RECORD_DTYPE` table from its
+logged rows: each is converted column by column (`telemetry.fixed_point`)
+and passes the one range check (`telemetry.table_from_rows`) once, however
+many periods it stands for. The 32-byte rows are then repeated by their
+counts, and each record gets only its own time, clamped temperature
+(`telemetry.centi_c`) and wrap flag. The block is written with one
 `telemetry.write_redundant`. Each block's counting and commit rows are kept;
 after the last record the flight scans are grouped once through the ground
 grouping (`analysis.scan_data_from_records`) and fitted in one batch
@@ -573,27 +576,30 @@ class SimulationEngine:
         """Write the pending block as one `RECORD_DTYPE` table, and keep its
         counting and commit rows for `_fit_scans`.
 
-        Row i of the block is period `flash.cursor + i`, the cursor before
-        the write.
+        Record i of the block is period `flash.cursor + i`, the cursor
+        before the write. Each logged row is converted and range-checked
+        once, whether it stands for one period or a hold's many; its
+        records then differ only in time, temperature and the wrap flag.
         """
         n = len(self._temps)
         if n == 0:
             return
         # ints and floats in one float64 array: every int field is below 2**53
-        raw = np.array(self._rows)
-        if len(raw) < n:  # a hold's row stands for many periods
-            raw = np.repeat(raw, self._repeats, axis=0)
-        first = self.flash.cursor
-        wide = np.empty((n, len(telemetry.RECORD_DTYPE.names) - 1), dtype=np.int64)
-        wide[:, 0] = np.arange(first, first + n) * RECORD_PERIOD_MS
+        raw = np.array(self._rows, dtype=np.float64)
+        # one row per logged row; time and temperature stay 0 until its records fill them
+        wide = np.zeros((len(raw), len(telemetry.RECORD_DTYPE.names) - 1), dtype=np.int64)
         wide[:, 1:9] = raw[:, :8]  # scan id, step, pair, LC mV, counts
-        wide[:, 9] = telemetry.centi_c(np.array(self._temps))
         wide[:, 10] = telemetry.fixed_point(raw[:, 9], 100)  # mW in 10 uW
         wide[:, 11:13] = telemetry.fixed_point(raw[:, 10:12], 10)  # V in 0.1 V
-        flags = raw[:, 8].astype(np.int64) | telemetry.FLAG_PRESENT
-        flags[max(0, telemetry.SECTOR_CAPACITY - first):] |= telemetry.FLAG_WRAPPED
-        wide[:, 13] = flags
-        table = telemetry.table_from_rows(wide)
+        wide[:, 13] = raw[:, 8].astype(np.int64) | telemetry.FLAG_PRESENT
+        table = np.repeat(telemetry.table_from_rows(wide), self._repeats)
+        # the per-record fields need no second check: `_check_record_fields`
+        # bounds the run's last time_ms, `centi_c` clamps the temperature,
+        # and the wrap flag is one bit of the checked flags byte
+        first = self.flash.cursor
+        table["time_ms"] = np.arange(first, first + n) * RECORD_PERIOD_MS
+        table["temp_centi_c"] = telemetry.centi_c(np.array(self._temps))
+        table["flags"][max(0, telemetry.SECTOR_CAPACITY - first):] |= telemetry.FLAG_WRAPPED
         telemetry.write_redundant(self.flash, table)
         self._temps.clear()
         self._rows.clear()

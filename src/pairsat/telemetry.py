@@ -32,19 +32,25 @@ type, so a table cannot carry an out-of-range value. Row tuples, or the
 integer columns of the engine's pending block (scaled and rounded by
 `fixed_point` and `centi_c`), become such a table in `table_from_rows`, the
 one place where a table's field values are checked against those ranges.
-The writer computes the CRC column with the same column-wise CRC-8 as the
-read below and copies the rows into consecutive ring slots of both sectors.
+The writer takes one C-contiguous byte copy of the table's rows, strided
+views included, and never writes into the table it is given. It computes
+the CRC column into that copy, with the same column-wise CRC-8 as the read
+below, and copies the rows into consecutive ring slots of both sectors.
 
 The ground side reads the whole ring at once (`read_records`): each sector
 is viewed as a (32768, 32) byte array, and the CRC-8 runs over a whole
 column of slots at a time, as 15 lookups of two bytes each in a 65 536-entry
 table and one of byte 30 in the 256-entry table. Every slot takes its
 sector-A row when that passes, else its sector-B row. Slots that pass in
-neither sector are dropped. The surviving rows are viewed as
-`RECORD_DTYPE` and put in time order. Ground analysis keeps them as that
+neither sector are dropped. The kept slots' sector-A byte rows are gathered,
+the repaired ones overwritten from sector B, and the rows put in time order
+by a stable sort of their `time_ms` bytes, so ties keep slot order; only
+then are they viewed as `RECORD_DTYPE`. Ground analysis keeps them as that
 table (`as_table=True` gives a `RecordTable`, which also counts the slots
 by outcome in `FlashHealth`); the list of `TelemetryRecord` that the read
 gives by default stays for the benchmark, which compares and times it.
+`load_image` reads each sector of a saved image straight into its own
+bytearray.
 """
 
 from __future__ import annotations
@@ -165,8 +171,10 @@ def decode(data: bytes) -> TelemetryRecord:
 class FlashImage:
     """Two redundant ring-buffer sectors of 32-byte record slots."""
 
-    sector_a: bytearray = field(default_factory=lambda: bytearray(b"\xff" * SECTOR_BYTES))
-    sector_b: bytearray = field(default_factory=lambda: bytearray(b"\xff" * SECTOR_BYTES))
+    # erased flash reads 0xFF; repeating a one-byte bytearray builds it
+    # without a sector-sized bytes temporary
+    sector_a: bytearray = field(default_factory=lambda: bytearray(b"\xff") * SECTOR_BYTES)
+    sector_b: bytearray = field(default_factory=lambda: bytearray(b"\xff") * SECTOR_BYTES)
     cursor: int = 0  # total records ever written; slot = cursor % capacity
 
 
@@ -277,8 +285,9 @@ def write_redundant(flash: FlashImage, table: np.ndarray) -> FlashImage:
     """Append a `RECORD_DTYPE` table to both sectors identically, wrapping
     when full.
 
-    The table's CRC column is recomputed, over the whole batch a byte column
-    at a time; row i goes to slot (cursor + i) mod capacity, so of a batch
+    The CRC column is computed into a byte copy of the rows, over the whole
+    batch a byte column at a time, and the table itself is left as it is;
+    row i goes to slot (cursor + i) mod capacity, so of a batch
     longer than the ring only the last `SECTOR_CAPACITY` rows remain. The
     cursor advances by the batch length. Raises TypeError for anything but
     a `RECORD_DTYPE` array.
@@ -286,7 +295,9 @@ def write_redundant(flash: FlashImage, table: np.ndarray) -> FlashImage:
     if not isinstance(table, np.ndarray) or table.dtype != RECORD_DTYPE:
         got = getattr(table, "dtype", type(table).__name__)
         raise TypeError(f"records must be a RECORD_DTYPE table, got {got}")
-    rows = np.array(table).view(np.uint8).reshape(len(table), RECORD_BYTES)
+    # one C-contiguous byte copy of the rows, strided tables too: a
+    # structured copy would go field by field
+    rows = table[:, None].view(np.uint8).copy()
     rows[:, -1] = _crc8_rows(rows)
     kept = rows[-SECTOR_CAPACITY:]
     slot = (flash.cursor + len(rows) - len(kept)) % SECTOR_CAPACITY
@@ -321,9 +332,12 @@ def read_records(
     blank = int(((a[lost] == 0xFF).all(axis=1) & (b[lost] == 0xFF).all(axis=1)).sum())
     keep = ok_a.copy()
     keep[repaired] = True
-    rows = np.where(ok_a[:, None], a, b)[keep]
-    table = rows.view(RECORD_DTYPE).reshape(-1)
-    table = table[np.argsort(table["time_ms"], kind="stable")]
+    kept = np.flatnonzero(keep)
+    rows = a[kept]
+    rows[np.searchsorted(kept, repaired)] = b[repaired]
+    # byte rows in time order, ties in slot order, viewed as records once
+    order = np.argsort(rows[:, :4].view("<u4")[:, 0], kind="stable")
+    table = rows[order].view(RECORD_DTYPE).reshape(-1)
     if not as_table:
         return [TelemetryRecord(*row[:-1]) for row in table.tolist()]
     health = FlashHealth(
@@ -342,14 +356,13 @@ def save_image(flash: FlashImage, path: str) -> None:
 
 
 def load_image(path: str) -> FlashImage:
+    """Read a `save_image` file: each sector straight into its own bytearray."""
+    flash = FlashImage(sector_a=bytearray(SECTOR_BYTES), sector_b=bytearray(SECTOR_BYTES))
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) != 2 * SECTOR_BYTES:
-        raise ValueError(f"flash image must be {2 * SECTOR_BYTES} bytes, got {len(blob)}")
-    return FlashImage(
-        sector_a=bytearray(blob[:SECTOR_BYTES]),
-        sector_b=bytearray(blob[SECTOR_BYTES:]),
-    )
+        size = fh.readinto(flash.sector_a) + fh.readinto(flash.sector_b) + len(fh.read())
+    if size != 2 * SECTOR_BYTES:
+        raise ValueError(f"flash image must be {2 * SECTOR_BYTES} bytes, got {size}")
+    return flash
 
 
 # the downlink's data rate

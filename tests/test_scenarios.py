@@ -268,6 +268,82 @@ def test_engine_rejects_zero_reference_efficiency(monkeypatch):
         SimulationEngine(make_scenario("lab", duration_s=1.0))
 
 
+# a hand-filled pending block: (row, repeat count, housing temperature of
+# each period); a row holds scan id, step, pair, LC mV, counts, flags, laser
+# mW and the two biases, as the recorder logs them
+PENDING_BLOCK = [
+    ((3, 5, 1, 4200, 1800, 18000, 16500, 210, telemetry.FLAG_COUNTING, 9.00049, 115.04, 116.96),
+     1, [22.005]),
+    ((3, 6, 1, 4400, 1800, 0, 0, 0, telemetry.FLAG_SCAN_COMMIT, 8.99951, 115.05, 116.95),
+     1, [400.0]),
+    ((0, 0, 0, 0, 0, 0, 0, 0, telemetry.FLAG_HEATER_ON, 0.0, 110.0, 110.25),
+     5, [-1000.0, 19.995, -0.004999, 0.015, 327.675]),
+    ((4, 0, 0, 3100, 900, 17000, 15000, 180, telemetry.FLAG_COUNTING, 9.1, 110.0, 110.25),
+     1, [20.0]),
+    ((0, 0, 1, 3100, 900, 0, 0, 0, telemetry.FLAG_FAULT_HOLD, 0.0, 125.0, 125.0),
+     3, [21.125, 21.135, -327.685]),
+]
+
+
+def _fill_pending_block(engine, block, cursor):
+    engine.flash.cursor = cursor
+    engine._rows = [row for row, _, _ in block]
+    engine._repeats = [len(temps) for _, _, temps in block]
+    engine._temps = [t for _, _, temps in block for t in temps]
+    engine._scan_rows = []
+
+
+def test_block_write_matches_a_table_built_record_by_record():
+    # the ring's first wrap, at cursor SECTOR_CAPACITY, falls on the third
+    # period of the first held row
+    engine = SimulationEngine(make_scenario("lab", duration_s=60.0))
+    first = telemetry.SECTOR_CAPACITY - 4
+    _fill_pending_block(engine, PENDING_BLOCK, first)
+    engine._write_block()
+    # reference: every row expanded into its records, each converted with the
+    # scalar `round`, then one table
+    records = []
+    for row, _, temps in PENDING_BLOCK:
+        *context, flags, laser_mw, bias_1, bias_2 = row
+        for temp in temps:
+            i = first + len(records)
+            wrapped = telemetry.FLAG_WRAPPED if i >= telemetry.SECTOR_CAPACITY else 0
+            records.append((i * RECORD_PERIOD_MS, *context,
+                            int(round(max(-327.68, min(327.67, temp)) * 100)),
+                            round(laser_mw * 100), round(bias_1 * 10), round(bias_2 * 10),
+                            flags | telemetry.FLAG_PRESENT | wrapped))
+    expected = telemetry.FlashImage(cursor=first)
+    table = telemetry.table_from_rows(records)
+    telemetry.write_redundant(expected, table)
+    assert engine.flash.cursor == expected.cursor == first + 11
+    assert engine.flash.sector_a == expected.sector_a
+    assert engine.flash.sector_b == expected.sector_b
+    counted = (table["flags"] & (telemetry.FLAG_COUNTING | telemetry.FLAG_SCAN_COMMIT)) != 0
+    [kept] = engine._scan_rows
+    assert kept.tobytes() == table[counted].tobytes() and len(kept) == 3
+    assert engine._rows == engine._repeats == engine._temps == []
+
+
+@pytest.mark.parametrize("field, index, value", [
+    ("bias_1_decivolt", 10, 6553.6),
+    ("bias_2_decivolt", 11, -0.06),
+    ("laser_power_10uw", 9, 655.36),
+    ("laser_power_10uw", 9, math.nan),
+])
+@pytest.mark.parametrize("bad_row", [0, 2])  # a single row, a held row
+def test_block_write_rejects_a_logged_value_outside_its_field(field, index, value, bad_row):
+    engine = SimulationEngine(make_scenario("lab", duration_s=60.0))
+    block = list(PENDING_BLOCK)
+    row, repeats, temps = block[bad_row]
+    block[bad_row] = (row[:index] + (value,) + row[index + 1:], repeats, temps)
+    _fill_pending_block(engine, block, 7)
+    before = bytes(engine.flash.sector_a), bytes(engine.flash.sector_b)
+    with pytest.raises(ValueError, match=field):
+        engine._write_block()
+    assert (bytes(engine.flash.sector_a), bytes(engine.flash.sector_b)) == before
+    assert engine.flash.cursor == 7 and engine._scan_rows == []
+
+
 @pytest.fixture(scope="module")
 def lab_run():
     """One 120 s bench run, shared across the checks below."""

@@ -141,11 +141,28 @@ def test_flags_are_distinct_bits():
 
 def test_write_redundant_mirrors_sectors():
     flash = FlashImage()
-    write_redundant(flash, table_of([make_record(i) for i in range(10)]))
+    table = table_of([make_record(i) for i in range(10)])
+    # the writer computes the CRC column in its own copy of the rows
+    table["crc8"] = np.arange(0xA0, 0xAA)
+    before = table.tobytes()
+    write_redundant(flash, table)
+    assert table.tobytes() == before
     assert flash.sector_a == flash.sector_b
     assert flash.cursor == 10
     start = flash.sector_a[:32]
     assert decode(bytes(start)) == make_record(0)
+
+
+@pytest.mark.parametrize("view", [np.s_[::2], np.s_[::-3], np.s_[1:5]])
+def test_write_redundant_takes_strided_views(view):
+    # a view writes the slots its contiguous copy writes
+    table = table_of([make_record(i) for i in range(10)])
+    flashes = FlashImage(cursor=SECTOR_CAPACITY - 2), FlashImage(cursor=SECTOR_CAPACITY - 2)
+    write_redundant(flashes[0], table[view])
+    write_redundant(flashes[1], table[view].copy())
+    assert flashes[0].cursor == flashes[1].cursor == SECTOR_CAPACITY - 2 + len(table[view])
+    assert flashes[0].sector_a == flashes[1].sector_a == flashes[0].sector_b
+    assert flashes[0].sector_b == flashes[1].sector_b
 
 
 def test_ring_wrap_at_capacity():
@@ -213,6 +230,21 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.sector_a == flash.sector_a
     assert loaded.sector_b == flash.sector_b
     assert [r.time_ms for r in read_records(loaded)] == [i * 125 for i in range(17)]
+    # the benchmark damages sector A of a loaded image in place, and
+    # repairs from sector B
+    for sector in (loaded.sector_a, loaded.sector_b):
+        assert type(sector) is bytearray and len(sector) == SECTOR_BYTES
+    loaded.sector_a[RECORD_BYTES + 5] ^= 0x10
+    assert loaded.sector_b == flash.sector_b
+    assert read_records(loaded) == [make_record(i) for i in range(17)]
+
+
+@pytest.mark.parametrize("size", [2 * SECTOR_BYTES - 1, 2 * SECTOR_BYTES + 1, SECTOR_BYTES, 0])
+def test_load_image_names_a_wrong_size(tmp_path, size):
+    path = tmp_path / "flash.bin"
+    path.write_bytes(b"\xff" * size)
+    with pytest.raises(ValueError, match=f"got {size}$"):
+        load_image(str(path))
 
 
 def test_downlink_time():

@@ -31,6 +31,7 @@ from .controller import ScanConfig
 from .lc_optics import LcCalibration, angle_from_voltage, default_calibration
 
 _FLIGHT_SCAN = ScanConfig()
+_ROW = np.dtype((np.void, telemetry.RECORD_BYTES))
 
 HEALTH_CSV = "flash_health.csv"
 
@@ -212,6 +213,12 @@ def fit_oracle(angles_rad: np.ndarray, corrected_rates: np.ndarray) -> FitResult
                     angles[None], rates[None])[0]
 
 
+def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """`table[index]`, gathered as whole 32-byte rows: a structured
+    gather copies field by field."""
+    return table.view(_ROW)[index].view(table.dtype)
+
+
 def _commit_pairs(table: np.ndarray) -> dict[int, int]:
     """Nonzero scan id carrying a commit marker -> pair_sel of its last
     commit record, ascending by id."""
@@ -248,11 +255,13 @@ def scan_data_from_records(
     if not 0 < dwell_s < math.inf:
         raise ValueError(f"dwell must be finite and positive, got {dwell_s} s")
     pairs = _commit_pairs(table)
-    rows = table[np.isin(table["scan_id"], list(pairs))
-                 & ((table["flags"] & telemetry.FLAG_COUNTING) != 0)]
-    if len(rows) == 0:
+    index = np.flatnonzero(np.isin(table["scan_id"], list(pairs))
+                           & ((table["flags"] & telemetry.FLAG_COUNTING) != 0))
+    if len(index) == 0:
         return {}, 0
-    rows = rows[np.lexsort((rows["step"], rows["scan_id"]))]  # stable: order kept per step
+    # stable: order kept per step
+    index = index[np.lexsort((table["step"][index], table["scan_id"][index]))]
+    rows = _take_rows(table, index)
     scan_id, step = rows["scan_id"], rows["step"]
     starts = np.flatnonzero(np.r_[True, (scan_id[1:] != scan_id[:-1]) | (step[1:] != step[:-1])])
     last = np.r_[starts[1:], len(rows)] - 1
@@ -309,7 +318,7 @@ def analyze_flash(
     table = read.rows
     grouped = table
     if len(table) and table["scan_id"][0] and (table["flags"] & telemetry.FLAG_WRAPPED).any():
-        grouped = table[table["scan_id"] != table["scan_id"][0]]
+        grouped = _take_rows(table, table["scan_id"] != table["scan_id"][0])
     scans, mismatched = scan_data_from_records(grouped, cal, dwell_s)
     partial = len(_commit_pairs(table)) - len(scans) - mismatched
     os.makedirs(out_dir, exist_ok=True)

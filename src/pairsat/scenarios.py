@@ -26,8 +26,12 @@ hold; it draws no random number and raises if a tick would count.
 `_advance` then runs the decided tick and every later tick that
 `FlightController.hold` admits: heating below the gate, waiting to cool
 above it, and a fault hold up to its end while the heater keeps its
-command. A held tick steps only the housing node. The tests compare
-every run with a reference engine that steps each tick through the
+command. A held tick steps only the housing node: the hold iterates over
+the boundary series, beside a cycle of which ticks open a record period
+(`NEXT_STARTS_PERIOD`), so a held tick tests its temperature bound, and
+only a tick that opens a period tests whether the hold has reached its
+end. The run's generator is built on the laser's first draw. The tests
+compare every run with a reference engine that steps each tick through the
 controller and the device models, with no cache, stretch, hold or block,
 and require the same flash and summary bit for bit.
 
@@ -55,6 +59,8 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count, cycle, islice
 
 import numpy as np
 
@@ -76,6 +82,11 @@ RECORD_PERIOD_MS = telemetry.RECORD_PERIOD_MS
 # records held in the pending block before one batched flash write: 512 s
 # of telemetry
 PENDING_RECORDS = 4096
+# ticks and periods line up again every PERIOD_TICKS ticks; entry j says
+# whether tick j + 1, mod PERIOD_TICKS, opens a record period
+PERIOD_TICKS = math.lcm(TICK_MS, RECORD_PERIOD_MS) // TICK_MS
+NEXT_STARTS_PERIOD = tuple((j + 1) * TICK_MS % RECORD_PERIOD_MS < TICK_MS
+                           for j in range(PERIOD_TICKS))
 
 # pump laser power, mW: nominal, and the relative standard deviation of its noise
 LASER_MW = 9.0
@@ -459,12 +470,21 @@ class RunSummary:
         return [s.visibility for s in self.scans]
 
 
+def _check_bias(bias: float, bias_min: float, bias_max: float) -> None:
+    """The bias range checks of `physics.avalanche_amplitude` and then
+    `controller.apd_bias_step`: raise the first one's error that `bias`
+    fails."""
+    if not 0.0 <= bias <= bias_max:
+        raise ValueError(f"bias {bias} outside [0, {bias_max}]")
+    if bias < bias_min:
+        raise ValueError(f"bias {bias} outside [{bias_min}, {bias_max}]")
+
+
 class SimulationEngine:
     """Deterministic 50 ms tick loop wiring controller, devices, and storage."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.rng = np.random.default_rng(scenario.seed)
         self.ctrl = FlightController()
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
         if self.n_ticks == 0:
@@ -479,6 +499,12 @@ class SimulationEngine:
             controller.OpticalBench(scenario.source, self.ctrl.calibration, pair=p)
             for p in (controller.PAIR_1_4, controller.PAIR_2_3)
         ]
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The run's generator, built when the laser first draws, so that a
+        run whose laser never turns on never imports `numpy.random`."""
+        return np.random.default_rng(self.scenario.seed)
 
     def _check_record_fields(self) -> None:
         """Reject a run whose records would overflow a fixed-width field,
@@ -598,7 +624,7 @@ class SimulationEngine:
         # and the wrap flag is one bit of the checked flags byte
         first = self.flash.cursor
         table["time_ms"] = np.arange(first, first + n) * RECORD_PERIOD_MS
-        table["temp_centi_c"] = telemetry.centi_c(np.array(self._temps))
+        table["temp_centi_c"] = telemetry.centi_c(np.array(self._temps, dtype=np.float64))
         table["flags"][max(0, telemetry.SECTOR_CAPACITY - first):] |= telemetry.FLAG_WRAPPED
         telemetry.write_redundant(self.flash, table)
         self._temps.clear()
@@ -630,13 +656,17 @@ class SimulationEngine:
 
         Each tick steps the housing node against `ext_temp`, the series of
         `boundary_temps` (`housing_step` inlined, in its operation order),
-        and its extremes; tick k also puts its flags in the open period and
-        its draw in the peak power, which a held tick repeats. The first
-        period closed after tick k goes through `_close_period`; each later
-        one differs only in temperature, so it appends only that, under one
-        row with a repeat count. The LC settle timer counts down over all
-        the ticks at once. After a held tick the last commands are the held
-        ones and the laser reads 0.
+        its extremes and its temperature bound. The loop walks the series
+        beside a cycle of `NEXT_STARTS_PERIOD` rather than indexing them, so
+        only a tick whose successor opens a period compares that successor
+        with `end`, the first tick the hold may not advance. Tick k also
+        puts its flags in the open period and its draw in the peak power,
+        which a held tick repeats. The first period closed after tick k
+        goes through `_close_period`; each later one differs only in
+        temperature, so it appends only that, under one row with a repeat
+        count. The LC settle timer counts down over all the ticks at once.
+        After a held tick the last commands are the held ones and the laser
+        reads 0.
         """
         ctrl, first = self.ctrl, k
         flags = self._tick_flags(cmd)
@@ -662,16 +692,18 @@ class SimulationEngine:
         conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
         temp = self.housing_temp_c
         h_min, h_max = self._housing_min, self._housing_max
-        while True:
-            temp = temp + TICK_S * (heat_in - conductance * (temp - ext_temp[k])) / capacity
+        # k is the tick after the one just stepped, `start` whether k opens a
+        # period; the slice stops the loop at `end`
+        starts = islice(cycle(NEXT_STARTS_PERIOD), k % PERIOD_TICKS, None)
+        for k, ext, start in zip(count(k + 1), ext_temp[k:end], starts):
+            temp = temp + TICK_S * (heat_in - conductance * (temp - ext)) / capacity
             if temp < h_min:
                 h_min = temp
             if temp > h_max:
                 h_max = temp
-            k += 1
-            if k >= end or not (temp < bound if below else temp > bound):
+            if not (temp < bound if below else temp > bound):
                 break
-            if k * TICK_MS % RECORD_PERIOD_MS >= TICK_MS:
+            if not start or k == end:
                 continue
             # a new period starts
             if held < 0:  # the period of tick k may hold counts or a commit
@@ -767,6 +799,11 @@ class SimulationEngine:
         bd25_2, tc_2, gain_2 = (p2.breakdown_volts_at_25c, p2.breakdown_tempco_v_per_c,
                                 p2.amplitude_gain_per_overvolt)
         min_1, max_1, min_2, max_2 = p1.bias_min_v, p1.bias_max_v, p2.bias_min_v, p2.bias_max_v
+        # a bias in [lo, max] passes both range checks of a step; any other
+        # goes to `_check_bias`, which raises the error they raise, if any
+        lo_1, lo_2 = max(min_1, 0.0), max(min_2, 0.0)
+        rail_lo_1, rail_hi_1 = min_1 + 1e-9, max_1 - 1e-9
+        rail_lo_2, rail_hi_2 = min_2 + 1e-9, max_2 - 1e-9
         curve_1, curve_2 = p1.efficiency_sat_curve, p2.efficiency_sat_curve
         ref_1, ref_2 = reference_efficiency(p1), reference_efficiency(p2)
         setpoint = BIAS_SETPOINT
@@ -784,14 +821,16 @@ class SimulationEngine:
             while True:
                 t_ms = k * TICK_MS
                 laser_mw = LASER_MW * (1.0 + LASER_NOISE * normal())
-                for t0, dur, frac in dips:
-                    if t0 <= k * TICK_S < t0 + dur:
-                        laser_mw *= 1.0 - frac
+                if dips:
+                    for t0, dur, frac in dips:
+                        if t0 <= k * TICK_S < t0 + dur:
+                            laser_mw *= 1.0 - frac
                 t_s = t_ms / 1000.0
                 samples.append((t_s, laser_mw))
                 if not band_lo <= laser_mw <= band_hi:
                     out_t = t_s
-                while samples and samples[0][0] < t_s - window_s:
+                horizon = t_s - window_s
+                while samples and samples[0][0] < horizon:
                     samples.popleft()
                 if storing:
                     return k
@@ -835,11 +874,10 @@ class SimulationEngine:
                 else:
                     hw = HEATER_CAP_OPERATING_W if hw > 0.0 else 0.0
 
-                bd1 = bd25_1 + tc_1 * (temp - 25.0)
-                if not 0.0 <= b1 <= max_1:
-                    raise ValueError(f"bias {b1} outside [0, {max_1}]")
-                if b1 < min_1:
-                    raise ValueError(f"bias {b1} outside [{min_1}, {max_1}]")
+                above_25 = temp - 25.0
+                bd1 = bd25_1 + tc_1 * above_25
+                if not lo_1 <= b1 <= max_1:
+                    _check_bias(b1, min_1, max_1)
                 over = b1 - bd1
                 err = (setpoint - gain_1 * (over if over > 0.0 else 0.0)) / setpoint
                 trial = i1 + err
@@ -850,13 +888,11 @@ class SimulationEngine:
                     b1, i1 = min_1, 0.0
                 else:
                     b1, i1 = bias, trial
-                railed_1 = b1 <= min_1 + 1e-9 or b1 >= max_1 - 1e-9
+                railed_1 = b1 <= rail_lo_1 or b1 >= rail_hi_1
 
-                bd2 = bd25_2 + tc_2 * (temp - 25.0)
-                if not 0.0 <= b2 <= max_2:
-                    raise ValueError(f"bias {b2} outside [0, {max_2}]")
-                if b2 < min_2:
-                    raise ValueError(f"bias {b2} outside [{min_2}, {max_2}]")
+                bd2 = bd25_2 + tc_2 * above_25
+                if not lo_2 <= b2 <= max_2:
+                    _check_bias(b2, min_2, max_2)
                 over = b2 - bd2
                 err = (setpoint - gain_2 * (over if over > 0.0 else 0.0)) / setpoint
                 trial = i2 + err
@@ -867,7 +903,7 @@ class SimulationEngine:
                     b2, i2 = min_2, 0.0
                 else:
                     b2, i2 = bias, trial
-                railed_2 = b2 <= min_2 + 1e-9 or b2 >= max_2 - 1e-9
+                railed_2 = b2 <= rail_lo_2 or b2 >= rail_hi_2
 
                 if counting:
                     if pair_rate is None:

@@ -189,6 +189,8 @@ _FIELD_NAMES = RECORD_DTYPE.names[:-1]
 # (lowest, highest) value of each record field: its column's integer type
 RANGES = {name: (np.iinfo(RECORD_DTYPE[name]).min, np.iinfo(RECORD_DTYPE[name]).max)
           for name in _FIELD_NAMES}
+# the same bounds as one int64 array each, in field order
+_LO, _HI = np.array(list(RANGES.values()), dtype=np.int64).T
 
 
 @dataclass(frozen=True)
@@ -271,13 +273,15 @@ def table_from_rows(rows: list[tuple[int, ...]] | np.ndarray) -> np.ndarray:
             f"records need {len(_FIELD_NAMES)} integer fields within their ranges, "
             f"got {wide.dtype} rows of shape {wide.shape[1:]}"
         )
+    # one min and one max per column; only a failing column is searched
+    failing = (wide.min(axis=0) < _LO) | (wide.max(axis=0) > _HI)
+    if failing.any():
+        j = int(np.argmax(failing))
+        name, (lo, hi), column = _FIELD_NAMES[j], RANGES[_FIELD_NAMES[j]], wide[:, j]
+        bad = (column < lo) | (column > hi)
+        raise ValueError(f"{name}={column[bad][0]} outside [{lo}, {hi}]")
     for j, name in enumerate(_FIELD_NAMES):
-        column = wide[:, j]
-        lo, hi = RANGES[name]
-        if column.min() < lo or column.max() > hi:
-            bad = (column < lo) | (column > hi)
-            raise ValueError(f"{name}={column[bad][0]} outside [{lo}, {hi}]")
-        table[name] = column
+        table[name] = wide[:, j]
     return table
 
 

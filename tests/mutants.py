@@ -1,5 +1,6 @@
-"""Mutants of the engine's inlined copies, of the boundary series and of
-the laser monitor, and a runner that shows the tests kill each one.
+"""Mutants of the engine's inlined copies, of the boundary series and the
+hold's walk over it, and of the laser monitor, and a runner that shows the
+tests kill each one.
 
     python tests/mutants.py
 
@@ -86,6 +87,13 @@ MUTANTS = [
     # the housing meets the package temperature of the tick after
     Mutant("boundary-series-a-tick-late", SCENARIOS,
            "memoryview(temps[:-1])", "memoryview(temps[1:])", "package-node"),
+    # a hold reads its period starts one tick early
+    Mutant("hold-period-phase-off-by-one", SCENARIOS,
+           "k % PERIOD_TICKS", "(k + 1) % PERIOD_TICKS", "heating-after-storing"),
+    # a hold that reaches its end on a period's first tick closes that
+    # period, and the tick loop closes it again: one record too many
+    Mutant("hold-closes-a-period-at-run-end", SCENARIOS,
+           "if not start or k == end:", "if not start:", "heating-after-storing"),
 ]
 
 EQUIVALENT = [

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -594,6 +596,36 @@ def test_idle_stretch_cases_match_per_tick_path(kwargs, case, engine_run):
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
     run = _matches_reference(engine_run, scenario)
     assert any(case(s, n_ticks) for s in run.holds), run.holds
+
+
+def test_next_starts_period_marks_each_tick_before_a_period_start():
+    assert scenarios.PERIOD_TICKS == 5
+    for k in range(1000):
+        assert scenarios.NEXT_STARTS_PERIOD[k % scenarios.PERIOD_TICKS] == (
+            (k + 1) * TICK_MS % RECORD_PERIOD_MS < TICK_MS), k
+
+
+@pytest.mark.parametrize("duration_s", [300.0, 300.05, 300.1, 300.15, 300.2])
+def test_a_hold_meets_the_run_end_on_every_tick_phase(duration_s, engine_run):
+    # 6 000 to 6 004 ticks: the run ends inside the cold start's heating
+    # hold on each of the five ticks of a period cycle, on a period's first
+    # tick at 6 000 and 6 003
+    run = _matches_reference(engine_run, make_scenario("leo", duration_s))
+    assert [(s.mode, s.first, s.exit) for s in run.holds] == [(Mode.HEATING, 0, "end")]
+
+
+def test_a_run_whose_laser_stays_off_never_imports_numpy_random():
+    # the engine builds its generator on the laser's first draw
+    script = """
+import sys
+from pairsat.scenarios import make_scenario, run_simulation
+_, summary = run_simulation(make_scenario("leo", 300))
+assert not summary.laser_activations
+assert "numpy.random" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("duration_s, settle_ms", [(11.0, 150), (20.0, 0)])

@@ -38,19 +38,22 @@ HEALTH_CSV = "flash_health.csv"
 
 @dataclass
 class ScanData:
-    """Per-step counts of one completed scan, keyed by analyzer angle."""
+    """Per-step counts of one completed scan, keyed by analyzer angle, or of
+    a batch of scans: then each per-step array is (scans, steps), one row
+    per scan, and `pair` holds one value per scan."""
 
     angles_rad: np.ndarray
     dwell_s: float
     singles_1: np.ndarray
     singles_2: np.ndarray
     coinc_raw: np.ndarray
-    pair: int = 0  # detector pair, 0 = 1&4, 1 = 2&3
+    pair: int | np.ndarray = 0  # detector pair, 0 = 1&4, 1 = 2&3
 
     def __post_init__(self) -> None:
-        n = len(self.angles_rad)
-        if not (len(self.singles_1) == len(self.singles_2) == len(self.coinc_raw) == n):
-            raise ValueError("all per-step arrays must have equal length")
+        shape = np.shape(self.angles_rad)
+        if not (np.shape(self.singles_1) == np.shape(self.singles_2)
+                == np.shape(self.coinc_raw) == shape):
+            raise ValueError("all per-step arrays must have equal shape")
         if self.dwell_s <= 0:
             raise ValueError("dwell must be positive")
         if np.any(self.angles_rad < 0) or np.any(self.angles_rad > 2 * math.pi):
@@ -78,7 +81,8 @@ def visibility(max_rate: float, min_rate: float) -> float:
 
 
 def correct_accidentals(scan: ScanData, window_s: float) -> np.ndarray:
-    """Per-step corrected rates: raw rate minus the singles-product accidental.
+    """Per-step corrected rates of a scan, or of each scan of a batch: raw
+    rate minus the singles-product accidental.
 
     Estimator is unbiased, so negative values are preserved rather than
     clamped.
@@ -219,26 +223,24 @@ def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return table.view(_ROW)[index].view(table.dtype)
 
 
-def _commit_pairs(table: np.ndarray) -> dict[int, int]:
-    """Nonzero scan id carrying a commit marker -> pair_sel of its last
-    commit record, ascending by id."""
+def _commit_pairs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero scan ids carrying a commit marker, ascending, and the
+    pair_sel of each one's last commit record."""
     commits = table[((table["flags"] & telemetry.FLAG_SCAN_COMMIT) != 0)
                     & (table["scan_id"] != 0)][::-1]
     ids, last = np.unique(commits["scan_id"], return_index=True)
-    return dict(zip(ids.tolist(), commits["pair_sel"][last].tolist()))
+    return ids, commits["pair_sel"][last]
 
 
 def scan_data_from_records(
-    table: np.ndarray,
-    calibration: LcCalibration,
-    dwell_s: float = _FLIGHT_SCAN.dwell_s,
-) -> tuple[dict[int, ScanData], int]:
-    """Group flash records into per-scan step data.
+    table: np.ndarray, calibration: LcCalibration, dwell_s: float
+) -> tuple[list[int], ScanData, int]:
+    """Group flash records into the step data of a batch of scans.
 
     `table` is a `telemetry.RECORD_DTYPE` table, as the `rows` of
     `telemetry.read_records(flash, as_table=True)`; a dwell that is not
     finite and positive raises ValueError naming it. Only complete scans
-    are returned: a scan with a commit marker whose counting records cover
+    are kept: a scan with a commit marker whose counting records cover
     exactly the steps 0..n_steps-1 of the flight `ScanConfig`. Records of
     aborted scans stay in the flash but are dropped here, and so are
     partial scans, such as a committed scan whose first steps the ring wrap
@@ -249,16 +251,19 @@ def scan_data_from_records(
     contribute zero), the analyzer angle is recomputed from the drive
     voltage of the step's last record, in the order given, through the
     same calibration the flight code used, and the pair is that of the
-    scan's last commit record. Returns the scans by id, ascending, and the
+    scan's last commit record. Returns the kept scans' ids, ascending; one
+    `ScanData` holding them as a batch, row i the scan of id i; and the
     number dropped for the dwell.
     """
     if not 0 < dwell_s < math.inf:
         raise ValueError(f"dwell must be finite and positive, got {dwell_s} s")
-    pairs = _commit_pairs(table)
-    index = np.flatnonzero(np.isin(table["scan_id"], list(pairs))
+    n = _FLIGHT_SCAN.n_steps
+    commit_ids, pairs = _commit_pairs(table)
+    index = np.flatnonzero(np.isin(table["scan_id"], commit_ids)
                            & ((table["flags"] & telemetry.FLAG_COUNTING) != 0))
     if len(index) == 0:
-        return {}, 0
+        none = np.zeros((0, n), np.int64)
+        return [], ScanData(none.astype(float), dwell_s, none, none, none, pairs[:0]), 0
     # stable: order kept per step
     index = index[np.lexsort((table["step"][index], table["scan_id"][index]))]
     rows = _take_rows(table, index)
@@ -268,7 +273,6 @@ def scan_data_from_records(
 
     # Per (scan, step) group; a scan is complete when its groups are n_steps
     # distinct steps running from 0 to n_steps - 1.
-    n = _FLIGHT_SCAN.n_steps
     group_scan, group_step = scan_id[starts], step[starts]
     scan_starts = np.flatnonzero(np.r_[True, group_scan[1:] != group_scan[:-1]])
     n_groups = np.diff(np.r_[scan_starts, len(starts)])
@@ -286,16 +290,13 @@ def scan_data_from_records(
     def summed(name: str) -> np.ndarray:
         return per_step(np.add.reduceat(rows[name].astype(np.int64), starts))
 
-    angles = angle_from_voltage(calibration, per_step(rows["lc_signal_mv"][last]) / 1000.0)
-    scans = {
-        sid: ScanData(angles_rad=a, dwell_s=dwell_s, singles_1=s1, singles_2=s2,
-                      coinc_raw=c, pair=pairs[sid])
-        for sid, a, s1, s2, c in zip(
-            group_scan[scan_starts][kept].tolist(), angles,
-            summed("singles_1"), summed("singles_2"), summed("coinc_raw"),
-        )
-    }
-    return scans, int(np.count_nonzero(complete & ~fits_dwell))
+    ids = group_scan[scan_starts][kept]
+    scans = ScanData(
+        angles_rad=angle_from_voltage(calibration, per_step(rows["lc_signal_mv"][last]) / 1000.0),
+        dwell_s=dwell_s, singles_1=summed("singles_1"), singles_2=summed("singles_2"),
+        coinc_raw=summed("coinc_raw"), pair=pairs[np.searchsorted(commit_ids, ids)],
+    )
+    return ids.tolist(), scans, int(np.count_nonzero(complete & ~fits_dwell))
 
 
 def analyze_flash(
@@ -307,11 +308,13 @@ def analyze_flash(
     Fits every complete scan in one `fit_sinusoids` call. Once the ring has
     wrapped (`FLAG_WRAPPED`), the scan of the oldest record left, if any,
     is partial: the wrap may have overwritten its first records, also where
-    the steps left still look complete. Writes one CSV per scan (angle, raw
-    rate, corrected rate, fit curve), a summary CSV (scan_id, pair,
-    visibility, phase, residual) and a flash-health CSV (slot counts of the
-    read, the committed scans dropped as partial and those dropped for not
-    fitting `dwell_s`); returns the summary rows.
+    the steps left still look complete. Writes three CSVs, each replaced
+    whole: `scans.csv`, every step of every fitted scan as one row (scan_id,
+    step, angle, raw rate, corrected rate, fit curve), only its header when
+    no scan is fitted; `summary.csv` (scan_id, pair, visibility, phase,
+    residual); and `flash_health.csv` (slot counts of the read, the
+    committed scans dropped as partial and those dropped for not fitting
+    `dwell_s`). Returns the summary rows.
     """
     cal = default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
@@ -319,35 +322,30 @@ def analyze_flash(
     grouped = table
     if len(table) and table["scan_id"][0] and (table["flags"] & telemetry.FLAG_WRAPPED).any():
         grouped = _take_rows(table, table["scan_id"] != table["scan_id"][0])
-    scans, mismatched = scan_data_from_records(grouped, cal, dwell_s)
-    partial = len(_commit_pairs(table)) - len(scans) - mismatched
+    ids, scans, mismatched = scan_data_from_records(grouped, cal, dwell_s)
+    partial = len(_commit_pairs(table)[0]) - len(ids) - mismatched
     os.makedirs(out_dir, exist_ok=True)
 
-    summary_rows = []
-    if scans:
-        angles = np.stack([scan.angles_rad for scan in scans.values()])
-        raw = np.stack([scan.coinc_raw / scan.dwell_s for scan in scans.values()])
-        corrected = np.stack([correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S)
-                              for scan in scans.values()])
-        fits = fit_sinusoids(angles, corrected)
-        curves = _model(angles, np.array([
-            [fit.amplitude, 1.0, fit.phase_rad, fit.baseline] for fit in fits
-        ]))
-        # per scan one row of (angle, raw, corrected, fit) per step, in one format
-        steps = np.stack([angles, raw, corrected, curves], axis=-1).reshape(len(fits), -1)
-        step_format = "%.6f,%.3f,%.3f,%.3f\r\n" * angles.shape[1]
-        for (scan_id, scan), fit, values in zip(scans.items(), fits, steps):
-            with open(os.path.join(out_dir, f"scan_{scan_id:05d}.csv"), "w", newline="") as fh:
-                fh.write("angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n"
-                         + step_format % tuple(values.tolist()))
-            summary_rows.append({
-                "scan_id": scan_id,
-                "pair": scan.pair,
-                "visibility": fit.visibility,
-                "phase_rad": fit.phase_rad,
-                "rms_residual": fit.rms_residual,
-                "converged": fit.converged,
-            })
+    angles = scans.angles_rad
+    corrected = correct_accidentals(scans, physics.COINCIDENCE_WINDOW_S)
+    fits = fit_sinusoids(angles, corrected)
+    curves = _model(angles, np.reshape([
+        [fit.amplitude, 1.0, fit.phase_rad, fit.baseline] for fit in fits
+    ], (-1, 4)))
+    # per scan one row of (scan_id, step, angle, raw, corrected, fit) per
+    # step, in one format
+    columns = np.broadcast_arrays(np.array(ids)[:, None], np.arange(angles.shape[1]), angles,
+                                  scans.coinc_raw / scans.dwell_s, corrected, curves)
+    step_format = "%d,%d,%.6f,%.3f,%.3f,%.3f\r\n" * angles.shape[1]
+    with open(os.path.join(out_dir, "scans.csv"), "w", newline="") as fh:
+        fh.write("scan_id,step,angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n")
+        for values in np.stack(columns, axis=-1):
+            fh.write(step_format % tuple(values.ravel().tolist()))
+    summary_rows = [
+        {"scan_id": scan_id, "pair": pair, "visibility": fit.visibility,
+         "phase_rad": fit.phase_rad, "rms_residual": fit.rms_residual, "converged": fit.converged}
+        for scan_id, pair, fit in zip(ids, scans.pair.tolist(), fits)
+    ]
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["scan_id", "pair", "visibility", "phase_rad", "rms_residual", "converged"])

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 simulate    run a scenario and write the flash image / scan summary
-analyze     turn a flash image back into per-scan CSVs and fit results
+analyze     turn a flash image back into step, fit and flash-health CSVs
 powerbudget print the module power ledger and worst-case totals
 linkbudget  downlink time for a given telemetry volume
 

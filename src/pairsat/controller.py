@@ -233,7 +233,7 @@ def apd_bias_step(
     measured_amplitude: float,
     setpoint: float,
     current_bias: float,
-    integrator: float = 0.0,
+    integrator: float,
 ) -> tuple[float, float]:
     """One PI iteration of the constant-amplitude bias feedback.
 

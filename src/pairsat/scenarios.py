@@ -1088,28 +1088,27 @@ class SimulationEngine:
 
         The grouping drops the rows of an aborted attempt, whose id has no
         commit marker, and those of a scan the run ended in; scan ids are
-        never reused, so no scan's rows mix with another's.
+        never reused, so no scan's rows mix with another's, and the grouped
+        ids are the committed ones, ascending.
         """
         if not self._committed:
             return []
-        grouped, _ = analysis.scan_data_from_records(
+        ids, scans, _ = analysis.scan_data_from_records(
             np.concatenate(self._scan_rows), self.ctrl.calibration, self.ctrl.config.dwell_s)
         metas = self._committed
-        scans = [grouped[meta[0]] for meta in metas]
+        if ids != [meta[0] for meta in metas]:
+            raise RuntimeError(f"committed scans {[meta[0] for meta in metas]} grouped as {ids}")
         fits = analysis.fit_sinusoids(
-            np.stack([scan.angles_rad for scan in scans]),
-            np.stack([analysis.correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S)
-                      for scan in scans]),
-        )
+            scans.angles_rad, analysis.correct_accidentals(scans, physics.COINCIDENCE_WINDOW_S))
         return [
             ScanSummary(
-                scan_id=scan_id, pair=scan.pair, t_start_ms=start_ms, t_commit_ms=commit_ms,
+                scan_id=scan_id, pair=pair, t_start_ms=start_ms, t_commit_ms=commit_ms,
                 visibility=fit.visibility, phase_rad=fit.phase_rad,
                 rms_residual=fit.rms_residual, converged=fit.converged,
                 altitude_m=altitude, settle_ms_values=tuple(sorted(settle_ms)),
             )
-            for (scan_id, start_ms, commit_ms, altitude, settle_ms), scan, fit
-            in zip(metas, scans, fits)
+            for (scan_id, start_ms, commit_ms, altitude, settle_ms), pair, fit
+            in zip(metas, scans.pair.tolist(), fits)
         ]
 
 

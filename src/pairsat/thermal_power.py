@@ -111,7 +111,7 @@ def heater_cap(mode: str) -> float:
     raise ValueError(f"unknown heater mode {mode!r}")
 
 
-def heater_command(housing_temp_c: float, mode: str, previous_watts: float = 0.0) -> float:
+def heater_command(housing_temp_c: float, mode: str, previous_watts: float) -> float:
     """Bang-bang heater with hysteresis.
 
     Full allowed power below the lower threshold, zero above the upper one,

@@ -7,6 +7,7 @@ comparisons share, so the whole gate stays under a minute.
 """
 
 import csv
+import dataclasses
 import hashlib
 import math
 
@@ -245,7 +246,7 @@ def test_golden_analysis_digest(leo_wrapped_run, tmp_path):
     """Pinned ground output of the wrapped leo 7500 s, seed 3 flash: the
     first 16 hex digits of the SHA-256 over the sorted file names that
     `analyze_flash` writes, each name's UTF-8 bytes followed by the file's
-    bytes. It holds every scan CSV, the summary and the flash health."""
+    bytes. It holds the scans, the summary and the flash-health CSVs."""
     path = tmp_path / "flash.bin"
     telemetry.save_image(leo_wrapped_run.flash, str(path))
     out = tmp_path / "out"
@@ -253,7 +254,35 @@ def test_golden_analysis_digest(leo_wrapped_run, tmp_path):
     digest = hashlib.sha256()
     for name in sorted(p.name for p in out.iterdir()):
         digest.update(name.encode() + (out / name).read_bytes())
-    assert digest.hexdigest()[:16] == "6a9881c37d61bc4f"
+    assert digest.hexdigest()[:16] == "7196652ef78950a8"
+
+
+# what the controller alone decides: these record columns and every
+# summary field but the seed and each scan's fitted values. The counts, the
+# laser power and the CRCs move with the seed
+CONTROL_COLUMNS = ("time_ms", "scan_id", "step", "pair_sel", "lc_signal_mv", "lc_idler_mv",
+                   "temp_centi_c", "bias_1_decivolt", "bias_2_decivolt", "flags")
+FITTED = ("visibility", "phase_rad", "rms_residual", "converged")
+
+
+def test_control_side_does_not_depend_on_the_seed(lab_480s_run, leo_run):
+    """Photon counts never feed back into control, so two seeds of one
+    scenario write the same control columns and summary."""
+    for run, other in ((lab_480s_run, make_scenario("lab", seed=2)),
+                       (leo_run, make_scenario("leo", duration_s=4500.0, seed=4))):
+        runs = [run[:2], run_simulation(other)]
+        tables = [telemetry.read_records(flash, as_table=True).rows for flash, _ in runs]
+        for name in CONTROL_COLUMNS:
+            assert np.array_equal(tables[0][name], tables[1][name]), (other.name, name)
+        assert not np.array_equal(tables[0]["coinc_raw"], tables[1]["coinc_raw"])
+        control = [
+            {**dataclasses.asdict(summary), "seed": None, "scans": [
+                {k: v for k, v in dataclasses.asdict(scan).items() if k not in FITTED}
+                for scan in summary.scans]}
+            for _, summary in runs
+        ]
+        assert control[0] == control[1], other.name
+    print("seed independence of the control side: PASS")
 
 
 def test_wrap_cut_scan_is_dropped_as_partial(balloon_run, tmp_path):

@@ -21,6 +21,7 @@ from pairsat.analysis import (
     visibility,
 )
 from pairsat.lc_optics import angle_from_voltage, default_calibration, voltage_for_angle
+from pairsat.scenarios import make_scenario, run_simulation
 
 
 def table_of(records):
@@ -68,6 +69,20 @@ def test_correct_accidentals_limits():
         coinc_raw=np.zeros(7, dtype=int), **base,
     )
     assert correct_accidentals(faint, 9e-9)[0] < 0.0
+
+
+def test_scan_data_takes_a_batch():
+    # one scan per row, checked and corrected as each scan alone is
+    rng = np.random.default_rng(5)
+    angles = np.tile(np.linspace(0.0, 6.0, 7), (3, 1))
+    s1, s2, c = rng.integers(0, 400000, (3, 3, 7))
+    corrected = correct_accidentals(ScanData(angles, 0.45, s1, s2, c, np.array([0, 1, 0])), 9e-9)
+    for row in range(3):
+        alone = correct_accidentals(ScanData(angles[row], 0.45, s1[row], s2[row], c[row]), 9e-9)
+        assert corrected[row].tobytes() == alone.tobytes()
+    # as many scans in each array, but not as many steps
+    with pytest.raises(ValueError, match="equal shape"):
+        ScanData(angles, 0.45, s1[:, :6], s2, c)
 
 
 def test_correction_scale_invariance():
@@ -333,10 +348,10 @@ def test_scan_grouping_drops_uncommitted():
     counts = [(1000, 900, 50)] * 36
     recs = make_flight_records(1, 0, angles, counts, committed=True)
     recs += make_flight_records(2, 1, angles, counts, committed=False)
-    scans, mismatched = scan_data_from_records(table_of(recs), default_calibration())
-    assert list(scans) == [1]
+    ids, scans, mismatched = scan_data_from_records(table_of(recs), default_calibration(), 0.45)
+    assert ids == [1]
     assert mismatched == 0
-    assert len(scans[1].angles_rad) == 36
+    assert scans.angles_rad.shape == (1, 36)
 
 
 def test_scan_grouping_sums_split_steps():
@@ -352,9 +367,10 @@ def test_scan_grouping_sums_split_steps():
         lc_signal_mv=dup.lc_signal_mv, singles_1=11, singles_2=9, coinc_raw=2,
         flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
     ))
-    scans, _ = scan_data_from_records(table_of(recs), cal)
-    assert scans[3].singles_1[0] == 111
-    assert scans[3].coinc_raw[0] == 7
+    ids, scans, _ = scan_data_from_records(table_of(recs), cal, 0.45)
+    assert ids == [3]
+    assert scans.singles_1[0, 0] == 111
+    assert scans.coinc_raw[0, 0] == 7
 
 
 def test_scan_grouping_checks_the_dwell():
@@ -367,13 +383,13 @@ def test_scan_grouping_checks_the_dwell():
     # one step of scan 6 is a record short
     short = make_flight_records(6, 1, angles, counts)
     recs += short[:40] + short[41:]
-    scans, mismatched = scan_data_from_records(table_of(recs), default_calibration())
-    assert list(scans) == [1, 2]
+    ids, _, mismatched = scan_data_from_records(table_of(recs), default_calibration(), 0.45)
+    assert ids == [1, 2]
     assert mismatched == 4
     # the records fit other dwells: 1 record per step is a 0.125 s dwell
-    scans, mismatched = scan_data_from_records(table_of(recs), default_calibration(),
-                                               dwell_s=0.125)
-    assert list(scans) == [5]
+    ids, _, mismatched = scan_data_from_records(table_of(recs), default_calibration(),
+                                                dwell_s=0.125)
+    assert ids == [5]
     assert mismatched == 5
 
 
@@ -408,10 +424,45 @@ def test_analyze_flash_pipeline(tmp_path):
     rows = analysis.analyze_flash(str(path), str(tmp_path / "out"), dwell_s=dwell)
     assert [(r["scan_id"], r["pair"]) for r in rows] == [(1, 0), (2, 1), (3, 0)]
     assert (tmp_path / "out" / "summary.csv").exists()
-    assert (tmp_path / "out" / "scan_00001.csv").exists()
-    lines = (tmp_path / "out" / "scan_00002.csv").read_text().strip().splitlines()
-    assert lines[0] == "angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz"
-    assert len(lines) == 37
+    with open(tmp_path / "out" / "scans.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == ["scan_id", "step", "angle_rad", "raw_rate_hz", "corrected_rate_hz",
+                        "fit_rate_hz"]
+    # each scan's 36 steps, in order
+    assert [(int(row[0]), int(row[1])) for row in lines[1:]] == [
+        (scan_id, step) for scan_id in (1, 2, 3) for step in range(36)]
+
+
+def test_analyze_writes_the_same_three_files(lab_480s_run, tmp_path):
+    # a re-run into one directory replaces every file: after a lab 480 s
+    # flash (17 scans), a lab 120 s one (4 scans) leaves only its own
+    out = tmp_path / "out"
+    lab_480s, lab_120s = str(tmp_path / "lab480.bin"), str(tmp_path / "lab120.bin")
+    telemetry.save_image(lab_480s_run.flash, lab_480s)
+    telemetry.save_image(run_simulation(make_scenario("lab", duration_s=120.0, seed=1))[0],
+                         lab_120s)
+    assert len(analysis.analyze_flash(lab_480s, str(out))) == 17
+    rows = analysis.analyze_flash(lab_120s, str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["flash_health.csv", "scans.csv", "summary.csv"]
+    with open(out / "summary.csv", newline="") as fh:
+        ids = [int(row["scan_id"]) for row in csv.DictReader(fh)]
+    assert ids == [row["scan_id"] for row in rows] and len(ids) == 4
+    with open(out / "scans.csv", newline="") as fh:
+        steps = [(int(row["scan_id"]), int(row["step"])) for row in csv.DictReader(fh)]
+    assert steps == [(scan_id, step) for scan_id in ids for step in range(36)]
+
+    # no committed scan, or none whole: the header alone
+    angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
+    cut = make_flight_records(2, 1, angles, [(360000, 330000, 2000)] * 36)[25 * 4:]
+    for records in ([], cut):
+        flash = telemetry.FlashImage()
+        if records:
+            telemetry.write_redundant(flash, table_of(records))
+        telemetry.save_image(flash, str(tmp_path / "flash.bin"))
+        assert analysis.analyze_flash(str(tmp_path / "flash.bin"), str(out)) == []
+        assert (out / "scans.csv").read_bytes() == (
+            b"scan_id,step,angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n")
+        assert len(list(out.iterdir())) == 3
 
 
 def test_scan_grouping_drops_partial_scans(tmp_path):
@@ -428,9 +479,9 @@ def test_scan_grouping_drops_partial_scans(tmp_path):
     # calibration (a u16 field holds up to 65535 mV) cannot stop the analysis
     bad = [replace(r, lc_signal_mv=9000) if r.step == 30 else r
            for r in make_flight_records(4, 1, angles, counts)[25 * 4:]]
-    scans, mismatched = scan_data_from_records(table_of(whole + cut + gap + bad),
-                                              default_calibration())
-    assert list(scans) == [1]
+    ids, _, mismatched = scan_data_from_records(table_of(whole + cut + gap + bad),
+                                                default_calibration(), 0.45)
+    assert ids == [1]
     assert mismatched == 0
 
     flash = telemetry.FlashImage()
@@ -571,14 +622,18 @@ def test_table_grouping_matches_dict_reference(records):
     # 1 or 2 counting records per step fit a 0.125 s dwell
     cal = default_calibration()
     expected, expected_mismatched = dict_grouping(records, cal, dwell_s=0.125)
-    got, mismatched = scan_data_from_records(table_of(records), cal, dwell_s=0.125)
-    assert list(got) == list(expected)
+    ids, got, mismatched = scan_data_from_records(table_of(records), cal, dwell_s=0.125)
+    assert ids == list(expected)
     assert mismatched == expected_mismatched
-    for scan_id, scan in got.items():
+    # the batch holds the kept scans as rows, in the order of their ids
+    assert got.pair.shape == (len(ids),)
+    for name in ("angles_rad", "singles_1", "singles_2", "coinc_raw"):
+        assert getattr(got, name).shape == (len(ids), 36)
+    for row, scan_id in enumerate(ids):
         ref = expected[scan_id]
-        assert scan.angles_rad.tobytes() == ref.angles_rad.tobytes()
-        assert (scan.dwell_s, scan.pair) == (ref.dwell_s, ref.pair)
+        assert got.angles_rad[row].tobytes() == ref.angles_rad.tobytes()
+        assert (got.dwell_s, got.pair[row]) == (ref.dwell_s, ref.pair)
         for name in ("singles_1", "singles_2", "coinc_raw"):
-            assert getattr(scan, name).dtype == getattr(ref, name).dtype
-            assert np.array_equal(getattr(scan, name), getattr(ref, name))
+            assert getattr(got, name)[row].dtype == getattr(ref, name).dtype
+            assert np.array_equal(getattr(got, name)[row], getattr(ref, name))
 

@@ -66,8 +66,9 @@ def test_analyze_round_trip(tmp_path, capsys):
     assert [r["pair"] for r in rows] == ["0", "1", "0", "1"]
     for row in rows:
         assert 0.9 < float(row["visibility"]) < 1.0
-    scan_files = sorted(f for f in os.listdir(out_dir) if f.startswith("scan_"))
-    assert len(scan_files) == 4
+    with open(os.path.join(out_dir, "scans.csv"), newline="") as fh:
+        steps = list(csv.DictReader(fh))
+    assert len({row["scan_id"] for row in steps}) == 4
 
     # 0.9 s of dwell would span 8 or 9 records per step; the flight's 0.45 s
     # spans 4 or 5, so every scan is dropped and the analysis fails

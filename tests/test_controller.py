@@ -252,7 +252,7 @@ def test_bias_step_holds_at_setpoint():
     bias = 122.0  # 10 V overvoltage gives amplitude exactly at setpoint
     measured = avalanche_amplitude(p, bias, 25.0)
     assert measured == pytest.approx(BIAS_SETPOINT)
-    new_bias, integ = apd_bias_step(p, measured, BIAS_SETPOINT, bias)
+    new_bias, integ = apd_bias_step(p, measured, BIAS_SETPOINT, bias, 0.0)
     assert new_bias == pytest.approx(bias)
     assert integ == pytest.approx(0.0)
 
@@ -264,7 +264,7 @@ def test_bias_step_clamps_at_rail():
     bias, _ = apd_bias_step(p, 5.0, BIAS_SETPOINT, 100.1, integrator=-50.0)
     assert bias == 100.0
     with pytest.raises(ValueError):
-        apd_bias_step(p, 1.0, BIAS_SETPOINT, 99.0)
+        apd_bias_step(p, 1.0, BIAS_SETPOINT, 99.0, 0.0)
 
 
 def test_bias_loop_converges_within_50_steps():

@@ -478,6 +478,21 @@ def test_run_ending_on_a_commit_tick_reports_the_scan():
     assert short.scans == full.scans[:1]
 
 
+def test_flight_fit_refuses_a_grouping_other_than_the_committed_scans():
+    # the flight fits its scans through the ground grouping of its own rows,
+    # which must keep exactly the scans the run committed, in order
+    engine = SimulationEngine(make_scenario("lab", duration_s=120.0, seed=1))
+    _, summary = engine.run()
+    assert [s.scan_id for s in summary.scans] == [1, 2, 3, 4]
+    committed, rows = engine._committed, engine._scan_rows
+    cases = [(committed[1:], rows), (committed[::-1], rows),
+             (committed, [block[block["scan_id"] != 2] for block in rows])]
+    for metas, scan_rows in cases:
+        engine._committed, engine._scan_rows = metas, scan_rows
+        with pytest.raises(RuntimeError, match="grouped as"):
+            engine._fit_scans()
+
+
 def test_pooled_visibility_is_unbiased():
     # the fitted visibility over many independent runs must straddle the
     # configured source contrast, not sit off to one side

@@ -52,9 +52,9 @@ def test_heater_caps():
 
 
 def test_heater_command_band():
-    assert heater_command(15.0, "idle") == 1.7
-    assert heater_command(15.0, "operating") == 0.7
-    assert heater_command(25.0, "operating") == 0.0
+    assert heater_command(15.0, "idle", 0.0) == 1.7
+    assert heater_command(15.0, "operating", 0.0) == 0.7
+    assert heater_command(25.0, "operating", 0.0) == 0.0
     # inside the band the previous command holds
     assert heater_command(21.0, "idle", previous_watts=1.7) == 1.7
     assert heater_command(21.0, "idle", previous_watts=0.0) == 0.0

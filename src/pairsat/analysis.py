@@ -54,6 +54,9 @@ class ScanData:
         if not (np.shape(self.singles_1) == np.shape(self.singles_2)
                 == np.shape(self.coinc_raw) == shape):
             raise ValueError("all per-step arrays must have equal shape")
+        if np.shape(self.pair) != shape[:-1]:
+            raise ValueError(f"pair must have shape {shape[:-1]}, one value per scan, "
+                             f"got {np.shape(self.pair)}")
         if self.dwell_s <= 0:
             raise ValueError("dwell must be positive")
         if np.any(self.angles_rad < 0) or np.any(self.angles_rad > 2 * math.pi):

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import analysis, scenarios, telemetry, thermal_power
-from .controller import IDLE_MODULES, OPERATING_MODULES, ScanConfig
+from .controller import ScanConfig
 from .thermal_power import BudgetError
 
 
@@ -55,12 +55,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, analysis.HEALTH_CSV), newline="") as fh:
         health = next(csv.DictReader(fh))
     print("flash health: " + ", ".join(f"{k} {v}" for k, v in health.items()))
-    for row in rows:
-        print(
-            f"scan {row['scan_id']} pair {row['pair']}: "
-            f"visibility {row['visibility']:.4f} "
-            f"phase {row['phase_rad']:.4f} rms {row['rms_residual']:.1f}"
-        )
     if health["dwell_mismatch_scans_dropped"] != "0":
         print(f"error: {health['dwell_mismatch_scans_dropped']} committed scans have steps "
               f"of other record counts than a dwell of {args.dwell} s spans", file=sys.stderr)
@@ -72,16 +66,14 @@ def _cmd_powerbudget(_args: argparse.Namespace) -> int:
     print("module draws:")
     for name, watts in sorted(thermal_power.MODULE_DRAWS_W.items()):
         print(f"  {name:24s} {watts:.2f} W")
-    cases = [
-        ("operating, heater off", OPERATING_MODULES, 0.0, "operating"),
-        ("operating, heater max", OPERATING_MODULES, thermal_power.HEATER_CAP_OPERATING_W, "operating"),
-        ("idle, heater off", IDLE_MODULES, 0.0, "idle"),
-        ("idle, heater max", IDLE_MODULES, thermal_power.HEATER_CAP_IDLE_W, "idle"),
-    ]
     print("worst-case totals:")
-    for label, active, heater, mode in cases:
-        total = thermal_power.total_power(active, heater, mode)
-        print(f"  {label:24s} {total:.2f} W")
+    for label, laser_on, heater in (
+        ("operating, heater off", True, 0.0),
+        ("operating, heater max", True, thermal_power.HEATER_CAP_OPERATING_W),
+        ("idle, heater off", False, 0.0),
+        ("idle, heater max", False, thermal_power.HEATER_CAP_IDLE_W),
+    ):
+        print(f"  {label:24s} {thermal_power.total_power(laser_on, heater):.2f} W")
     print(f"budget: {thermal_power.POWER_BUDGET_W:.2f} W")
     return 0
 

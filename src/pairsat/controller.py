@@ -47,11 +47,6 @@ PAIR_2_3 = 1
 # detector channel indices (signal-arm APD, idler-arm APD) per pair
 PAIR_CHANNELS = {PAIR_1_4: (0, 3), PAIR_2_3: (1, 2)}
 
-OPERATING_MODULES = frozenset(
-    {"apds", "laser_driver", "controller_and_memory", "liquid_crystal"}
-)
-IDLE_MODULES = frozenset({"controller_and_memory"})
-
 
 class Mode(Enum):
     INIT = "init"
@@ -66,8 +61,6 @@ class Mode(Enum):
 # The laser runs in exactly these modes, which power the operating modules.
 # Tuples: membership tests identity first, where a set hashes enum members in Python.
 OPERATING_MODES = (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
-# (active modules, heater mode) by whether the laser is on
-POWER_STATES = {False: (IDLE_MODULES, "idle"), True: (OPERATING_MODULES, "operating")}
 HEAT_ALLOWED_MODES = tuple(mode for mode in Mode if mode is not Mode.WAIT_COOL)
 
 
@@ -389,8 +382,8 @@ class Sensors:
 
 @dataclass(slots=True)
 class Commands:
-    """One tick's commands. The laser, and with it the active modules and
-    the heater mode (`POWER_STATES`), follow from the mode the tick ends in."""
+    """One tick's commands. The laser follows from the mode the tick ends
+    in, and the power ledger (`thermal_power`) from the laser."""
 
     mode: Mode
     heater_watts: float = 0.0
@@ -407,10 +400,6 @@ class Commands:
     @property
     def laser_on(self) -> bool:
         return self.mode in OPERATING_MODES
-
-    @property
-    def heater_mode(self) -> str:
-        return POWER_STATES[self.laser_on][1]
 
 
 class FlightController:
@@ -575,7 +564,7 @@ class FlightController:
         cmd.mode = self.mode
         if self.mode in HEAT_ALLOWED_MODES:
             self.heater_watts = thermal_power.heater_command(
-                sensors.housing_temp_c, cmd.heater_mode, self.heater_watts
+                sensors.housing_temp_c, cmd.laser_on, self.heater_watts
             )
         else:
             self.heater_watts = 0.0

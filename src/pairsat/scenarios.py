@@ -65,9 +65,8 @@ from itertools import count, cycle, islice
 import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, EMPTY_BAND, PAIR_CHANNELS,
-                         POWER_STATES, Commands, FlightController, Mode, Sensors, band_certifies,
-                         laser_stable)
+from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, EMPTY_BAND, PAIR_CHANNELS, Commands,
+                         FlightController, Mode, Sensors, band_certifies, laser_stable)
 from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
     command_voltage, step_settle
 from .physics import SourceParams, reference_efficiency
@@ -561,17 +560,16 @@ class SimulationEngine:
 
     def _draws(self, laser_on: bool, heater_watts: float) -> tuple[float, float]:
         """A tick's bus draw (`thermal_power.total_power`) and housing heat
-        (`internal_dissipation`), cached per run by whether the laser is on,
-        which sets the modules and heater mode, and the heater power. Only
-        results that returned are kept, so a key that raises raises every
-        time it comes up."""
+        (`internal_dissipation`), cached per run by whether the laser is on
+        and the heater power. Every tick's draw comes through here, and
+        only results that returned are kept: a key that raises raises every
+        time it comes up, and the largest cached draw is the run's peak."""
         key = (laser_on, heater_watts)
         draws = self._draw_cache.get(key)
         if draws is None:
-            modules, heater_mode = POWER_STATES[laser_on]
             draws = self._draw_cache[key] = (
-                thermal_power.total_power(modules, heater_watts, heater_mode),
-                thermal_power.internal_dissipation(modules),
+                thermal_power.total_power(laser_on, heater_watts),
+                thermal_power.internal_dissipation(laser_on),
             )
         return draws
 
@@ -660,8 +658,8 @@ class SimulationEngine:
         beside a cycle of `NEXT_STARTS_PERIOD` rather than indexing them, so
         only a tick whose successor opens a period compares that successor
         with `end`, the first tick the hold may not advance. Tick k also
-        puts its flags in the open period and its draw in the peak power,
-        which a held tick repeats. The first period closed after tick k
+        puts its flags in the open period and draws through `_draws`, and
+        a held tick repeats both. The first period closed after tick k
         goes through `_close_period`; each later one differs only in
         temperature, so it appends only that, under one row with a repeat
         count. The LC settle timer counts down over all the ticks at once.
@@ -671,9 +669,7 @@ class SimulationEngine:
         ctrl, first = self.ctrl, k
         flags = self._tick_flags(cmd)
         self._flags |= flags
-        total, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
-        if total > self._max_power:
-            self._max_power = total
+        _, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
         # without a hold, tick k alone
         bound, below, until_ms = ctrl.hold() or (0.0, True, (k + 1) * TICK_MS)
         n_ticks = self.n_ticks
@@ -939,10 +935,7 @@ class SimulationEngine:
                     settle = max(0, settle - TICK_MS)
 
                 if hw != drawn_hw:
-                    total, dissipation = self._draws(True, hw)
-                    heat_in, drawn_hw = hw + dissipation, hw
-                    if total > self._max_power:
-                        self._max_power = total
+                    heat_in, drawn_hw = hw + self._draws(True, hw)[1], hw
                 temp = temp + TICK_S * (heat_in - conductance * (temp - ext_temp[k])) / capacity
                 if temp < h_min:
                     h_min = temp
@@ -1010,7 +1003,6 @@ class SimulationEngine:
         self._last_laser_mw = 0.0
         self._last_cmd = Commands(mode=Mode.INIT)
         self._draw_cache: dict[tuple, tuple[float, float]] = {}
-        self._max_power = 0.0
         self._housing_min = self._housing_max = self.housing_temp_c
         self._mode_history: list[tuple[int, str]] = [(0, self.ctrl.mode.value)]
         ctrl = self.ctrl
@@ -1071,7 +1063,7 @@ class SimulationEngine:
             scans=self._fit_scans(),
             aborted_scans=aborted,
             records_written=self.flash.cursor,
-            max_total_power_w=self._max_power,
+            max_total_power_w=max(total for total, _ in self._draw_cache.values()),
             housing_temp_min_c=self._housing_min,
             housing_temp_max_c=self._housing_max,
             package_temp_min_c=package_min,

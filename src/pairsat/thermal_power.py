@@ -1,18 +1,22 @@
 """Lumped thermal model of the optical housing and the electrical power ledger.
 
 One thermal node with Newton coupling to the environment, heated by a
-bang-bang heater and by the dissipation of whichever electronics are
-active. The power ledger enforces the 2 W bus budget at all times.
+bang-bang heater and by the dissipation of the powered electronics. The
+power ledger enforces the 2 W bus budget at all times.
+
+The laser bit is the ledger's one input: with the laser on every module is
+powered (`OPERATING_MODULES`) and the heater is capped at
+`HEATER_CAP_OPERATING_W`; with it off only the controller is
+(`IDLE_MODULES`), under `HEATER_CAP_IDLE_W`.
 
 The payload is one fixed build: one housing, one set of modules and one
-bus. Its heat capacity, conductance, module draws, dissipation shares and
-budget are module constants, which the functions read when called.
+bus. Its heat capacity, conductance, module draws, dissipation shares, caps
+and budget are module constants, which the functions read when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
 
 # electrical draws per module, watts
 MODULE_DRAWS_W = {
@@ -21,6 +25,9 @@ MODULE_DRAWS_W = {
     "controller_and_memory": 0.3,
     "liquid_crystal": 0.05,
 }
+# the modules powered with the laser on, and with it off
+OPERATING_MODULES = frozenset(MODULE_DRAWS_W)
+IDLE_MODULES = frozenset({"controller_and_memory"})
 
 HEATER_CAP_OPERATING_W = 0.7
 HEATER_CAP_IDLE_W = 1.7
@@ -57,24 +64,25 @@ class ThermalState:
             raise ValueError("heater_watts outside [0, idle cap]")
 
 
-def internal_dissipation(active: Collection[str]) -> float:
-    """Housing heat of the active modules, summed in the dissipation map's
-    order so that the float sum does not depend on the order of `active`."""
-    return sum(w for m, w in DEFAULT_DISSIPATION_W.items() if m in active)
+def internal_dissipation(laser_on: bool) -> float:
+    """Housing heat of the modules powered with the laser on or off, summed
+    in the dissipation map's order."""
+    modules = OPERATING_MODULES if laser_on else IDLE_MODULES
+    return sum(w for m, w in DEFAULT_DISSIPATION_W.items() if m in modules)
 
 
 def step_thermal(
     state: ThermalState,
     external_temp_c: float,
     dt: float,
-    active: Collection[str] = (),
+    laser_on: bool = False,
 ) -> ThermalState:
     """One explicit Euler step of the housing node."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     temp = housing_step(
         state.housing_temp_c, state.heater_watts,
-        internal_dissipation(active), external_temp_c, dt,
+        internal_dissipation(laser_on), external_temp_c, dt,
     )
     return ThermalState(housing_temp_c=temp, heater_watts=state.heater_watts)
 
@@ -103,22 +111,18 @@ def housing_step(
     return housing_temp_c + dt * flow / HOUSING_HEAT_CAPACITY_J_PER_C
 
 
-def heater_cap(mode: str) -> float:
-    if mode == "operating":
-        return HEATER_CAP_OPERATING_W
-    if mode == "idle":
-        return HEATER_CAP_IDLE_W
-    raise ValueError(f"unknown heater mode {mode!r}")
+def heater_cap(laser_on: bool) -> float:
+    return HEATER_CAP_OPERATING_W if laser_on else HEATER_CAP_IDLE_W
 
 
-def heater_command(housing_temp_c: float, mode: str, previous_watts: float) -> float:
+def heater_command(housing_temp_c: float, laser_on: bool, previous_watts: float) -> float:
     """Bang-bang heater with hysteresis.
 
     Full allowed power below the lower threshold, zero above the upper one,
-    and the previous on/off decision held in between (re-capped if the mode
-    changed).
+    and the previous on/off decision held in between (re-capped if the laser
+    switched).
     """
-    cap = heater_cap(mode)
+    cap = heater_cap(laser_on)
     if housing_temp_c < HEATER_ON_BELOW_C:
         return cap
     if housing_temp_c > HEATER_OFF_ABOVE_C:
@@ -126,23 +130,23 @@ def heater_command(housing_temp_c: float, mode: str, previous_watts: float) -> f
     return cap if previous_watts > 0.0 else 0.0
 
 
-def total_power(active: Iterable[str], heater_watts: float, mode: str) -> float:
-    """Exact sum of the heater power and the active modules' draws
-    (`MODULE_DRAWS_W`), added in the order of `active`.
+def total_power(laser_on: bool, heater_watts: float) -> float:
+    """Exact sum of the heater power and the draws (`MODULE_DRAWS_W`) of the
+    modules powered with the laser on or off, added in the draw map's order.
 
-    Raises ValueError for a heater over the cap of its heater `mode`, and
+    Raises ValueError for a heater over the cap of that laser state, and
     BudgetError beyond `POWER_BUDGET_W`; exactly 2.0 W is allowed.
     """
     if heater_watts < 0:
         raise ValueError("heater_watts must be nonnegative")
-    if heater_watts > heater_cap(mode) + 1e-12:
-        raise ValueError(f"heater {heater_watts} W exceeds the {mode} cap")
+    cap = heater_cap(laser_on)
+    if heater_watts > cap + 1e-12:
+        raise ValueError(f"heater {heater_watts} W exceeds its {cap} W cap")
+    modules = OPERATING_MODULES if laser_on else IDLE_MODULES
     total = heater_watts
-    for m in active:
-        try:
-            total += MODULE_DRAWS_W[m]
-        except KeyError:
-            raise ValueError(f"unknown module {m!r} in active set") from None
+    for m, w in MODULE_DRAWS_W.items():
+        if m in modules:
+            total += w
     if total > POWER_BUDGET_W + 1e-9:
         raise BudgetError(f"total draw {total:.3f} W exceeds {POWER_BUDGET_W} W budget")
     return total

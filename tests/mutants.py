@@ -1,6 +1,6 @@
 """Mutants of the engine's inlined copies, of the boundary series and the
-hold's walk over it, and of the laser monitor, and a runner that shows the
-tests kill each one.
+hold's walk over it, of the laser monitor and of the power ledger, and a
+runner that shows the tests kill each one.
 
     python tests/mutants.py
 
@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_FILES = ["tests/test_controller.py", "tests/test_scenarios.py", "tests/test_acceptance.py"]
 SCENARIOS = "src/pairsat/scenarios.py"
 CONTROLLER = "src/pairsat/controller.py"
+THERMAL_POWER = "src/pairsat/thermal_power.py"
 
 
 class Mutant(NamedTuple):
@@ -94,6 +95,13 @@ MUTANTS = [
     # period, and the tick loop closes it again: one record too many
     Mutant("hold-closes-a-period-at-run-end", SCENARIOS,
            "if not start or k == end:", "if not start:", "heating-after-storing"),
+    # the ledger sums the other laser state's modules: the laser-on draw
+    # reads 0.3 W, and a heating tick 3.0 W over the budget. Criterion 06
+    # kills it too, but its file runs last
+    Mutant("ledger-sums-the-other-module-set", THERMAL_POWER,
+           "modules = OPERATING_MODULES if laser_on else IDLE_MODULES\n    total",
+           "modules = IDLE_MODULES if laser_on else OPERATING_MODULES\n    total",
+           "test_laser_and_power_state_follow_the_mode"),
 ]
 
 EQUIVALENT = [

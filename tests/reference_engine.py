@@ -28,14 +28,15 @@ import numpy as np
 
 from pairsat import physics, telemetry, thermal_power
 from pairsat.analysis import ScanData, correct_accidentals, fit_sinusoid
-from pairsat.controller import (PAIR_CHANNELS, POWER_STATES, FlightController, Mode,
-                                OpticalBench, Sensors, bench_rates)
+from pairsat.controller import (PAIR_CHANNELS, FlightController, Mode, OpticalBench, Sensors,
+                                bench_rates)
 from pairsat.lc_optics import LcState, angle_from_voltage, command_voltage, step_settle
 from pairsat.scenarios import LASER_MW, LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, \
     package_step
 from pairsat.telemetry import (FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_FAULT_HOLD, FLAG_HEATER_ON,
                                FLAG_LASER_ON, FLAG_PRESENT, FLAG_SCAN_COMMIT, FLAG_WRAPPED,
-                               RECORD_BYTES, RECORD_PERIOD_MS, SECTOR_CAPACITY, TelemetryRecord)
+                               RECORD_BYTES, RECORD_DTYPE, RECORD_PERIOD_MS, SECTOR_CAPACITY,
+                               TelemetryRecord)
 
 
 def reference_run(scenario, prepare=None):
@@ -152,11 +153,9 @@ def reference_run(scenario, prepare=None):
             flags |= FLAG_BIAS_RAILED
         lc = step_settle(lc, TICK_MS)
 
-        modules, heater_mode = POWER_STATES[cmd.laser_on]
-        max_power = max(max_power, thermal_power.total_power(
-            modules, cmd.heater_watts, heater_mode))
+        max_power = max(max_power, thermal_power.total_power(cmd.laser_on, cmd.heater_watts))
         temp = thermal_power.housing_step(
-            temp, cmd.heater_watts, thermal_power.internal_dissipation(modules),
+            temp, cmd.heater_watts, thermal_power.internal_dissipation(cmd.laser_on),
             air[k] if package_temp is None else package_temp, TICK_S)
         housing_range = [min(housing_range[0], temp), max(housing_range[1], temp)]
         if package_temp is not None:
@@ -192,13 +191,27 @@ def reference_run(scenario, prepare=None):
     return flash, summary
 
 
+def first_record_difference(sector, reference):
+    """Where a flash sector first differs from a reference one: the record
+    slot, its first differing field and the two values; None when the
+    sectors are equal."""
+    if sector == reference:
+        return None
+    rows, ref_rows = (np.frombuffer(s, dtype=RECORD_DTYPE) for s in (sector, reference))
+    slot = int(np.flatnonzero(rows != ref_rows)[0])
+    field = next(name for name in RECORD_DTYPE.names if rows[name][slot] != ref_rows[name][slot])
+    return f"slot {slot} field {field}: {rows[field][slot]} != {ref_rows[field][slot]}"
+
+
 def assert_same_run(run, reference):
     """Equal flash images and `RunSummary` fields, floats bit for bit; `run`
-    starts with the flash and the summary."""
+    starts with the flash and the summary. A sector that differs fails with
+    its first differing record slot and field."""
     (flash, summary), (ref_flash, ref_summary) = run[:2], reference
     assert flash.cursor == ref_flash.cursor
-    assert flash.sector_a == ref_flash.sector_a
-    assert flash.sector_b == ref_flash.sector_b
+    for name in ("sector_a", "sector_b"):
+        difference = first_record_difference(getattr(flash, name), getattr(ref_flash, name))
+        assert difference is None, f"{name}: {difference}"
     for f in dataclasses.fields(RunSummary):
         # repr tells floats apart bit for bit
         assert repr(getattr(summary, f.name)) == repr(getattr(ref_summary, f.name)), f.name

@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from pairsat import analysis, physics, telemetry, thermal_power
-from pairsat.controller import (
-    IDLE_MODULES,
-    OPERATING_MODULES,
-    OpticalBench,
-    ScanConfig,
-    run_scan,
-)
+from pairsat.controller import OpticalBench, ScanConfig, run_scan
 from pairsat.physics import SourceParams
 from pairsat.scenarios import balloon_flight_times, make_scenario, run_simulation
 
@@ -104,8 +98,9 @@ def test_criterion_05_overlap():
 
 
 def test_criterion_06_power_ledger(lab_pair, leo_run, balloon_run):
-    assert thermal_power.total_power(OPERATING_MODULES, 0.0, "operating") == 1.3
-    assert thermal_power.total_power(IDLE_MODULES, 1.7, "idle") == 2.0
+    # laser on, heater off; laser off, heater at its cap
+    assert thermal_power.total_power(True, 0.0) == 1.3
+    assert thermal_power.total_power(False, 1.7) == 2.0
     for summary in (lab_pair[0][1], lab_pair[1][1], leo_run[1], balloon_run[1]):
         assert summary.max_total_power_w <= 2.0 + 1e-9, summary.scenario
     print("[06] power ledger: PASS")
@@ -240,6 +235,46 @@ def test_golden_flash_digests(lab_pair, leo_cold_run, leo_run, leo_wrapped_run, 
     assert _flash_digest(leo_cold_run.flash) == "ff94306b49a011d9"  # seed 5
     flash, _ = run_simulation(make_scenario("leo", duration_s=3000.0, seed=3))
     assert _flash_digest(flash) == "ff94306b49a011d9"
+
+
+# the read table's columns, in groups: the control side (the context, the
+# temperature, the biases and the flags) and the two that move with the seed
+COLUMN_GROUPS = {
+    "context": ("time_ms", "scan_id", "step", "pair_sel", "lc_signal_mv", "lc_idler_mv"),
+    "temperature": ("temp_centi_c",),
+    "biases": ("bias_1_decivolt", "bias_2_decivolt"),
+    "flags": ("flags",),
+    "laser_power": ("laser_power_10uw",),
+    "counts": ("singles_1", "singles_2", "coinc_raw"),
+}
+GOLDEN_COLUMN_GROUPS = {
+    "lab_480s_run": ("5c19aa85ca7b95a6", "4f5459b073257237", "95c8be27a7792d68",
+                     "eacf6a11912de2f6", "0ae752c6ea797a38", "be32af3ab4e36559"),
+    "leo_run": ("caddfe298874e585", "8334fd219478b0cf", "2bf468cf4a981f22",
+                "d70a74d0296d6f2a", "35dab5727f37c097", "a2a0b17fb6bebead"),
+    "leo_wrapped_run": ("c981ce22c1eb91c8", "1fcbb582855b7d0c", "ffd55d5401b73c6c",
+                        "48e395a9af5ca34e", "8695ccca924fc53c", "5ace4c8587e40583"),
+    "balloon_run": ("2111e7bffcb9ec76", "5418ad85e349ec5c", "43c9ab92c14ef0ed",
+                    "3a4c47ddac9d88ed", "8a8575099b5b284c", "6391da7b95514d61"),
+    "leo_cold_run": ("4e89d6bfb6494409", "92c64419208111c1", "9216bc3e3a0a2430",
+                     "e2c78eb87915d8ba", "bb918147fe10391b", "dd046ccaee01de36"),
+}
+
+
+@pytest.mark.parametrize("run", list(GOLDEN_COLUMN_GROUPS))
+def test_golden_column_group_digests(run, request):
+    """Pinned columns of each golden run's read table, by group: the first
+    16 hex digits of sha256 over the group's columns, each as its
+    little-endian bytes in time order. Where a flash digest moves, these
+    name the columns that moved with it."""
+    rows = telemetry.read_records(request.getfixturevalue(run).flash, as_table=True).rows
+    digests = {}
+    for group, columns in COLUMN_GROUPS.items():
+        digest = hashlib.sha256()
+        for name in columns:
+            digest.update(rows[name].tobytes())
+        digests[group] = digest.hexdigest()[:16]
+    assert digests == dict(zip(COLUMN_GROUPS, GOLDEN_COLUMN_GROUPS[run], strict=True))
 
 
 def test_golden_analysis_digest(leo_wrapped_run, tmp_path):

@@ -83,6 +83,12 @@ def test_scan_data_takes_a_batch():
     # as many scans in each array, but not as many steps
     with pytest.raises(ValueError, match="equal shape"):
         ScanData(angles, 0.45, s1[:, :6], s2, c)
+    # one pair per scan: neither a scalar nor too few values for 3 scans
+    for pair in (0, np.array([0, 1])):
+        with pytest.raises(ValueError, match="one value per scan"):
+            ScanData(angles, 0.45, s1, s2, c, pair)
+    with pytest.raises(ValueError, match="one value per scan"):
+        ScanData(angles[0], 0.45, s1[0], s2[0], c[0], np.array([0]))
 
 
 def test_correction_scale_invariance():

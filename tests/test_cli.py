@@ -59,6 +59,8 @@ def test_analyze_round_trip(tmp_path, capsys):
     assert (f"flash health: valid_a {written}, repaired_from_b 0, doubly_corrupt 0, "
             f"blank {telemetry.SECTOR_CAPACITY - written}, partial_scans_dropped 0, "
             "dwell_mismatch_scans_dropped 0") in text
+    # the per-scan fits are in summary.csv, not on stdout
+    assert not [line for line in text.splitlines() if line.startswith("scan ")]
 
     with open(os.path.join(out_dir, "summary.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -11,12 +11,9 @@ from pairsat import controller
 from pairsat.controller import (
     BIAS_SETPOINT,
     FAULT_HOLD_S,
-    IDLE_MODULES,
-    OPERATING_MODULES,
     PAIR_1_4,
     PAIR_2_3,
     PAIR_CHANNELS,
-    POWER_STATES,
     TICK_MS,
     ApdBiasLoop,
     Commands,
@@ -37,7 +34,7 @@ from pairsat.controller import (
 )
 from pairsat.lc_optics import SETTLE_TIME_MS, angle_from_voltage, default_calibration
 from pairsat.physics import ApdParams, SourceParams, avalanche_amplitude
-from pairsat.thermal_power import HEATER_CAP_IDLE_W, HEATER_CAP_OPERATING_W
+from pairsat.thermal_power import HEATER_CAP_IDLE_W, HEATER_CAP_OPERATING_W, heater_cap, total_power
 
 
 def test_thermal_gate_window():
@@ -462,8 +459,9 @@ def test_laser_and_power_state_follow_the_mode(mode):
     operating = mode in (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
     cmd = Commands(mode)
     assert cmd.laser_on is operating
-    assert POWER_STATES[cmd.laser_on][0] == (OPERATING_MODULES if operating else IDLE_MODULES)
-    assert cmd.heater_mode == ("operating" if operating else "idle")
+    # the laser sets the draw and the heater cap
+    assert total_power(cmd.laser_on, 0.0) == (1.3 if operating else 0.3)
+    assert heater_cap(cmd.laser_on) == (HEATER_CAP_OPERATING_W if operating else HEATER_CAP_IDLE_W)
     ctrl = FlightController()
     ctrl.mode = mode
     assert ctrl.laser_on is operating

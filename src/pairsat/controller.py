@@ -61,27 +61,20 @@ class Mode(Enum):
 # The laser runs in exactly these modes, which power the operating modules.
 # Tuples: membership tests identity first, where a set hashes enum members in Python.
 OPERATING_MODES = (Mode.LASER_STABILIZING, Mode.SCANNING, Mode.STORING)
-HEAT_ALLOWED_MODES = tuple(mode for mode in Mode if mode is not Mode.WAIT_COOL)
-
-
-class Gate(Enum):
-    PROCEED = "proceed"
-    WAIT_COOL = "wait_cool"
-    HEAT = "heat"
-
 
 # housing temperatures that admit laser operation, inclusive
 GATE_MIN_C = 20.0
 GATE_MAX_C = 30.0
 
 
-def thermal_gate(housing_temp_c: float) -> Gate:
-    """Admission decision for laser operation: GATE_MIN_C..GATE_MAX_C inclusive."""
+def thermal_gate(housing_temp_c: float) -> Mode:
+    """The mode the thermal gate admits: LASER_STABILIZING from GATE_MIN_C
+    to GATE_MAX_C inclusive, HEATING below, WAIT_COOL above."""
     if housing_temp_c > GATE_MAX_C:
-        return Gate.WAIT_COOL
+        return Mode.WAIT_COOL
     if housing_temp_c < GATE_MIN_C:
-        return Gate.HEAT
-    return Gate.PROCEED
+        return Mode.HEATING
+    return Mode.LASER_STABILIZING
 
 
 # no power lies in it, and it certifies nothing
@@ -288,6 +281,11 @@ class ScanConfig:
             raise ValueError("n_steps must be >= 1")
         if self.n_steps * (SETTLE_TIME_MS / 1000 + self.dwell_s) >= 30.0:
             raise ValueError("scan would exceed the 30 s collection limit")
+        # the controller counts a dwell down in whole ticks from its milliseconds
+        dwell_ms = round(self.dwell_s * 1000) if math.isfinite(self.dwell_s) else 0
+        if dwell_ms <= 0 or dwell_ms % TICK_MS:
+            raise ValueError(f"dwell_s {self.dwell_s} is not a positive whole number of "
+                             f"{TICK_MS} ms ticks")
 
 
 def scan_voltages(config: ScanConfig, cal: LcCalibration) -> list[int]:
@@ -440,41 +438,35 @@ class FlightController:
     def active_channels(self) -> tuple[int, int]:
         return PAIR_CHANNELS[self.pair]
 
-    def hold(self) -> tuple[float, bool, int | None] | None:
-        """`(bound_c, below, until_ms)`: every tick whose sensed housing
-        temperature is below `bound_c` (above it if not `below`), before
-        `until_ms` (None: at any time), returns `Commands(mode,
-        heater_watts, pair=pair)` and changes no field. HEATING holds below
-        the gate, WAIT_COOL above it, and FAULT_HOLD before its end while
-        the idle heater rule keeps its command: at or below 22 C with the
-        heater on, at or above 20 C with it off. The laser is off in all
-        three. None in any other mode or heater state.
+    def hold(self) -> tuple[float, bool] | None:
+        """`(bound_c, below)`: every tick whose sensed housing temperature
+        is below `bound_c` (above it if not `below`) returns
+        `Commands(mode, heater_watts, pair=pair)` and changes no field, at
+        any time. HEATING holds below the gate with the heater on, WAIT_COOL
+        above it with the heater off; the laser is off in both. None in any
+        other mode or heater state: the engine decides those ticks one at a
+        time, a fault hold's among them.
         """
-        on, off = self.heater_watts == thermal_power.HEATER_CAP_IDLE_W, self.heater_watts == 0.0
-        if self.mode is Mode.HEATING and on:
-            return GATE_MIN_C, True, None
-        if self.mode is Mode.WAIT_COOL and off:
-            return GATE_MAX_C, False, None
-        if self.mode is Mode.FAULT_HOLD and (on or off):
-            # the heater rule's bounds are inclusive: the float just beyond each
-            bound = (math.nextafter(thermal_power.HEATER_OFF_ABOVE_C, math.inf) if on
-                     else math.nextafter(thermal_power.HEATER_ON_BELOW_C, -math.inf))
-            return bound, on, self.fault_until_ms
+        if self.mode is Mode.HEATING and self.heater_watts == thermal_power.HEATER_CAP_IDLE_W:
+            return GATE_MIN_C, True
+        if self.mode is Mode.WAIT_COOL and self.heater_watts == 0.0:
+            return GATE_MAX_C, False
         return None
 
     def _enter_gate(self, sensors: Sensors) -> None:
-        """Leave for the mode the thermal gate admits. The laser's state is
-        read from the mode left, so this runs before the mode changes: from
-        STORING the laser stays on and its monitor window is kept."""
-        gate = thermal_gate(sensors.housing_temp_c)
-        if gate is Gate.PROCEED:
-            if not self.laser_on:  # the laser turns on
-                self.monitor.clear()
-                self.laser_activations.append((sensors.time_ms, sensors.housing_temp_c))
-            self.mode = Mode.LASER_STABILIZING
-        else:  # the laser is or turns off
+        """Leave for the mode the thermal gate admits, unless it admits the
+        mode already in. The laser's state is read from the mode left, so
+        this runs before the mode changes: from STORING the laser stays on
+        and its monitor window is kept."""
+        mode = thermal_gate(sensors.housing_temp_c)
+        if mode is self.mode:
+            return
+        if mode is not Mode.LASER_STABILIZING:  # the laser is or turns off
             self.monitor.clear()
-            self.mode = Mode.HEATING if gate is Gate.HEAT else Mode.WAIT_COOL
+        elif not self.laser_on:  # the laser turns on
+            self.monitor.clear()
+            self.laser_activations.append((sensors.time_ms, sensors.housing_temp_c))
+        self.mode = mode
 
     def _begin_scan(self, cmd: Commands) -> None:
         self.mode = Mode.SCANNING
@@ -500,19 +492,14 @@ class FlightController:
         commands. With the laser off there is no reading, and `tick` is this
         call. The engine calls it on every tick it decides: the laser-on
         ticks its operating stretch hands back, and the laser-off ticks no
-        `hold` admits."""
+        `hold` admits, each tick of a fault hold among them. INIT, HEATING
+        and WAIT_COOL are left once the gate admits another mode (never
+        INIT: it is left on the first tick), FAULT_HOLD on its first tick
+        at or after `fault_until_ms`."""
         cmd = Commands(mode=self.mode, scan_id=0, pair=self.pair)
 
-        if self.mode is Mode.INIT:
+        if self.mode in (Mode.INIT, Mode.HEATING, Mode.WAIT_COOL):
             self._enter_gate(sensors)
-
-        elif self.mode is Mode.HEATING:
-            if thermal_gate(sensors.housing_temp_c) is not Gate.HEAT:
-                self._enter_gate(sensors)
-
-        elif self.mode is Mode.WAIT_COOL:
-            if thermal_gate(sensors.housing_temp_c) is not Gate.WAIT_COOL:
-                self._enter_gate(sensors)
 
         elif self.mode is Mode.FAULT_HOLD:
             if self.fault_until_ms is not None and sensors.time_ms >= self.fault_until_ms:
@@ -562,7 +549,7 @@ class FlightController:
 
         # command synthesis for the state we ended the tick in
         cmd.mode = self.mode
-        if self.mode in HEAT_ALLOWED_MODES:
+        if self.mode is not Mode.WAIT_COOL:
             self.heater_watts = thermal_power.heater_command(
                 sensors.housing_temp_c, cmd.laser_on, self.heater_watts
             )

@@ -22,18 +22,17 @@ counts and the LC pair's settle timer, and in LASER_STABILIZING runs the
 same tick with the scan steps switched off. It hands back a stable window
 before a scan, an unstable one during it and a commit. The per-tick path
 decides those ticks and every laser-off tick that the controller does not
-hold; it draws no random number and raises if a tick would count.
-`_advance` then runs the decided tick and every later tick that
-`FlightController.hold` admits: heating below the gate, waiting to cool
-above it, and a fault hold up to its end while the heater keeps its
-command. A held tick steps only the housing node: the hold iterates over
-the boundary series, beside a cycle of which ticks open a record period
-(`NEXT_STARTS_PERIOD`), so a held tick tests its temperature bound, and
-only a tick that opens a period tests whether the hold has reached its
-end. The run's generator is built on the laser's first draw. The tests
-compare every run with a reference engine that steps each tick through the
-controller and the device models, with no cache, stretch, hold or block,
-and require the same flash and summary bit for bit.
+hold, each tick of a fault hold among them; it draws no random number and
+raises if a tick would count. `_advance` then runs the decided tick and
+every later tick that `FlightController.hold` admits: heating below the
+gate and waiting to cool above it. A held tick steps only the housing
+node: the hold iterates over the boundary series, beside a cycle of which
+ticks open a record period (`NEXT_STARTS_PERIOD`), so a held tick tests its
+temperature bound, and only a tick that opens a period tests whether the
+run has reached its end. The run's generator is built on the laser's first
+draw. The tests compare every run with a reference engine that steps each
+tick through the controller and the device models, with no cache, stretch,
+hold or block, and require the same flash and summary bit for bit.
 
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
@@ -649,31 +648,30 @@ class SimulationEngine:
     def _advance(self, k: int, cmd: Commands, ext_temp: memoryview) -> int:
         """Advance tick k, whose commands `cmd` the controller has just
         given and `_last_cmd` holds, then every later tick that
-        `FlightController.hold` admits by its start-of-tick temperature and
-        time; return the first tick not advanced.
+        `FlightController.hold` admits by its start-of-tick temperature;
+        return the first tick not advanced.
 
         Each tick steps the housing node against `ext_temp`, the series of
         `boundary_temps` (`housing_step` inlined, in its operation order),
         its extremes and its temperature bound. The loop walks the series
         beside a cycle of `NEXT_STARTS_PERIOD` rather than indexing them, so
         only a tick whose successor opens a period compares that successor
-        with `end`, the first tick the hold may not advance. Tick k also
-        puts its flags in the open period and draws through `_draws`, and
-        a held tick repeats both. The first period closed after tick k
-        goes through `_close_period`; each later one differs only in
-        temperature, so it appends only that, under one row with a repeat
-        count. The LC settle timer counts down over all the ticks at once.
-        After a held tick the last commands are the held ones and the laser
-        reads 0.
+        with `end`: the end of the run under a hold, k + 1 without one.
+        Tick k also puts its flags in the open period and draws through
+        `_draws`, and a held tick repeats both. The first period closed
+        after tick k goes through `_close_period`; each later one differs
+        only in temperature, so it appends only that, under one row with a
+        repeat count. The LC settle timer counts down over all the ticks at
+        once. After a held tick the last commands are the held ones and the
+        laser reads 0.
         """
         ctrl, first = self.ctrl, k
         flags = self._tick_flags(cmd)
         self._flags |= flags
         _, dissipation = self._draws(cmd.laser_on, cmd.heater_watts)
-        # without a hold, tick k alone
-        bound, below, until_ms = ctrl.hold() or (0.0, True, (k + 1) * TICK_MS)
-        n_ticks = self.n_ticks
-        end = n_ticks if until_ms is None else min(n_ticks, -(-until_ms // TICK_MS))
+        hold = ctrl.hold()
+        bound, below = hold or (0.0, True)
+        end = self.n_ticks if hold else k + 1  # without a hold, tick k alone
         held_cmd = Commands(ctrl.mode, ctrl.heater_watts, pair=ctrl.pair)
         ch1, ch2 = controller.PAIR_CHANNELS[ctrl.pair]
         loops = ctrl.bias_loops

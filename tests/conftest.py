@@ -1,6 +1,7 @@
 """Engine runs shared across the test modules: a runner that logs every
 hold and stretch the engine takes and counts the controller's decisions,
-and the pinned scenarios, each simulated once per session through it."""
+and the pinned scenarios, each simulated once per session through it; the
+lab dip scenario also once through the reference engine."""
 
 import dataclasses
 from collections import Counter
@@ -9,8 +10,9 @@ from typing import NamedTuple
 import pytest
 
 from pairsat.controller import FlightController, Mode
-from pairsat.scenarios import TICK_MS, RunSummary, Scenario, SimulationEngine, make_scenario
+from pairsat.scenarios import RunSummary, Scenario, SimulationEngine, make_scenario
 from pairsat.telemetry import FlashImage
+from reference_engine import reference_run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -21,7 +23,7 @@ class Hold:
     end: int  # the first tick not advanced
     mode: Mode  # the mode held
     heater_on: bool  # the heater held on
-    exit: str  # "band" (the temperature left it), "until" (`fault_until_ms`) or "end"
+    exit: str  # "band" (the temperature left it) or "end"
     on_commit: bool  # the decided tick commits a scan
 
 
@@ -73,9 +75,7 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
         ctrl = self.ctrl
         end = advance(self, k, cmd, ext_temp)
         if end > k + 1:
-            until = ctrl.fault_until_ms if ctrl.mode is Mode.FAULT_HOLD else None
-            how = ("end" if end == self.n_ticks
-                   else "until" if until is not None and end * TICK_MS >= until else "band")
+            how = "end" if end == self.n_ticks else "band"
             holds.append(Hold(k, end, ctrl.mode, ctrl.heater_watts > 0, how, cmd.commit_scan))
         return end
 
@@ -157,3 +157,9 @@ def lab_dip_run():
     scenario = make_scenario("lab", duration_s=120.0, seed=7)
     scenario.laser_dips = [(20.0, 1.0, 0.2)]
     return run_logged(scenario)
+
+
+@pytest.fixture(scope="session")
+def lab_dip_reference(lab_dip_run):
+    """The reference engine's run of `lab_dip_run`'s scenario."""
+    return reference_run(lab_dip_run.scenario)

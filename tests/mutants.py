@@ -4,13 +4,14 @@ runner that shows the tests kill each one.
 
     python tests/mutants.py
 
-A mutant replaces one piece of text, which occurs once, in one source file.
-For each mutant the runner copies `src/`, `tests/` and `pyproject.toml` to a
-temporary directory, applies the mutant there and runs `test_controller.py`,
-`test_scenarios.py` and `test_acceptance.py` with `-x`; the mutant is killed
-when that run fails, and the runner prints the first failing test (and the
-expected one, if another). It exits 1 when a mutant survives or no longer
-applies.
+A mutant replaces one piece of text, which occurs once, in one source file,
+and names the test that kills it. For each mutant the runner copies `src/`,
+`tests/` and `pyproject.toml` to a temporary directory, applies the mutant
+there and runs the tests of `test_controller.py`, `test_scenarios.py` and
+`test_acceptance.py` that `-k <killer>` selects, with `-x`; the mutant is
+killed when one of them fails, and the runner prints the first that did. It
+exits 1 when a mutant survives its named test, when the name selects no
+test, or when a mutant no longer applies.
 
 The engine's speed comes from inlined copies of the controller and the
 device models, and the reference engine (`reference_engine.py`) keeps those
@@ -32,8 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# the controller's tests first: they take seconds, and hold the tests of the
-# certificate's proof
+# the files the killers are selected from
 TEST_FILES = ["tests/test_controller.py", "tests/test_scenarios.py", "tests/test_acceptance.py"]
 SCENARIOS = "src/pairsat/scenarios.py"
 CONTROLLER = "src/pairsat/controller.py"
@@ -45,7 +45,9 @@ class Mutant(NamedTuple):
     file: str  # relative to the repository root
     old: str
     new: str
-    killer: str  # a test that kills it: part of its pytest id, or the reason it cannot be killed
+    # the test that kills it, as a `pytest -k` expression: part of its pytest
+    # id. For an equivalent mutant, the reason it cannot be killed
+    killer: str
 
 
 MUTANTS = [
@@ -96,12 +98,12 @@ MUTANTS = [
     Mutant("hold-closes-a-period-at-run-end", SCENARIOS,
            "if not start or k == end:", "if not start:", "heating-after-storing"),
     # the ledger sums the other laser state's modules: the laser-on draw
-    # reads 0.3 W, and a heating tick 3.0 W over the budget. Criterion 06
-    # kills it too, but its file runs last
+    # reads 0.3 W, and a heating tick 3.0 W over the budget, which stops the
+    # leo run of criterion 06 with a BudgetError
     Mutant("ledger-sums-the-other-module-set", THERMAL_POWER,
            "modules = OPERATING_MODULES if laser_on else IDLE_MODULES\n    total",
            "modules = IDLE_MODULES if laser_on else OPERATING_MODULES\n    total",
-           "test_laser_and_power_state_follow_the_mode"),
+           "test_criterion_06_power_ledger"),
 ]
 
 EQUIVALENT = [
@@ -139,8 +141,8 @@ def first_failure(output: str) -> str | None:
 
 
 def run(mutant: Mutant) -> bool:
-    """Run the tests on a copy of the tree with the mutant applied; True
-    when they fail."""
+    """Run the tests its killer selects on a copy of the tree with the
+    mutant applied; True when one of them fails."""
     with tempfile.TemporaryDirectory(prefix="pairsat-mutant-") as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
@@ -150,20 +152,23 @@ def run(mutant: Mutant) -> bool:
         apply(mutant, root)
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TEST_FILES],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "-k", mutant.killer, *TEST_FILES],
             cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True, text=True,
         )
         elapsed = time.perf_counter() - start
     killer = first_failure(proc.stdout)
     if proc.returncode == 0:
-        print(f"SURVIVED {mutant.name} ({elapsed:.0f} s)")
+        print(f"SURVIVED {mutant.name}: {mutant.killer} passes ({elapsed:.0f} s)")
         return False
-    if killer is None:  # a collection or usage error kills nothing
+    if proc.returncode == 5:
+        print(f"ERROR    {mutant.name}: -k {mutant.killer!r} selects no test")
+        return False
+    if proc.returncode != 1 or killer is None:  # a collection or usage error kills nothing
         print(f"ERROR    {mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
         return False
-    note = "" if mutant.killer in killer else f" (expected {mutant.killer})"
-    print(f"killed   {mutant.name} by {killer}{note} ({elapsed:.0f} s)")
+    print(f"killed   {mutant.name} by {killer} ({elapsed:.0f} s)")
     return True
 
 

@@ -18,7 +18,6 @@ from pairsat.controller import (
     ApdBiasLoop,
     Commands,
     FlightController,
-    Gate,
     LaserMonitor,
     Mode,
     OpticalBench,
@@ -38,11 +37,11 @@ from pairsat.thermal_power import HEATER_CAP_IDLE_W, HEATER_CAP_OPERATING_W, hea
 
 
 def test_thermal_gate_window():
-    assert thermal_gate(25.0) is Gate.PROCEED
-    assert thermal_gate(20.0) is Gate.PROCEED
-    assert thermal_gate(30.0) is Gate.PROCEED
-    assert thermal_gate(35.0) is Gate.WAIT_COOL
-    assert thermal_gate(15.0) is Gate.HEAT
+    assert thermal_gate(25.0) is Mode.LASER_STABILIZING
+    assert thermal_gate(20.0) is Mode.LASER_STABILIZING
+    assert thermal_gate(30.0) is Mode.LASER_STABILIZING
+    assert thermal_gate(35.0) is Mode.WAIT_COOL
+    assert thermal_gate(15.0) is Mode.HEATING
 
 
 def test_laser_monitor_readiness():
@@ -352,6 +351,11 @@ def test_scan_voltages_cover_revolution():
 def test_scan_config_time_budget():
     with pytest.raises(ValueError):
         ScanConfig(n_steps=40, dwell_s=0.45)  # 40 * 0.75 = 30 s, not < 30
+    # the controller counts a dwell down in whole 50 ms ticks: 0.47 s would
+    # never reach 0, and 0 or less would count nothing
+    for dwell_s in [0.47, 0.0, -0.1, math.nan]:
+        with pytest.raises(ValueError, match=f"dwell_s {dwell_s} "):
+            ScanConfig(dwell_s=dwell_s)
     cfg = ScanConfig()
     assert cfg.n_steps * (SETTLE_TIME_MS / 1000 + cfg.dwell_s) < 30.0
 
@@ -532,7 +536,7 @@ def test_laser_dip_aborts_scan_and_burns_id():
     while ctrl.mode is Mode.FAULT_HOLD:
         ctrl.tick(sensors_at(t))
         t += TICK_MS
-    assert t - hold_start >= FAULT_HOLD_S * 1000
+    assert t - hold_start == FAULT_HOLD_S * 1000
     retry, _ = run_to_first_commit(ctrl, t)
     assert retry.scan_id > aborted_id
 
@@ -560,8 +564,8 @@ HOLD_UNTIL_MS = 30_000
 
 
 def _holding(mode, heater_watts):
-    """A controller in `mode` with the heater at `heater_watts`, on pair 2-3
-    and with a fault hold ending at HOLD_UNTIL_MS."""
+    """A controller in `mode` with the heater at `heater_watts`, on pair 2-3;
+    in FAULT_HOLD, with the hold ending at HOLD_UNTIL_MS."""
     ctrl = FlightController()
     ctrl.mode, ctrl.heater_watts, ctrl.pair = mode, heater_watts, PAIR_2_3
     if mode is Mode.FAULT_HOLD:
@@ -570,21 +574,20 @@ def _holding(mode, heater_watts):
 
 
 def _is_held(ctrl, sensors):
-    bound_c, below, until_ms = ctrl.hold()
+    bound_c, below = ctrl.hold()
     temp = sensors.housing_temp_c
-    return ((temp < bound_c if below else temp > bound_c)
-            and (until_ms is None or sensors.time_ms < until_ms))
+    return temp < bound_c if below else temp > bound_c
 
 
 # each bound of a hold, and the float beyond it on either side
-EDGE_TEMPS = [edge for bound in (20.0, 22.0, 30.0)
+EDGE_TEMPS = [edge for bound in (20.0, 30.0)
               for edge in (math.nextafter(bound, -math.inf), bound,
                            math.nextafter(bound, math.inf))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    mode=st.sampled_from([Mode.HEATING, Mode.WAIT_COOL, Mode.FAULT_HOLD]),
+    mode=st.sampled_from([Mode.HEATING, Mode.WAIT_COOL]),
     heater_watts=st.sampled_from([0.0, HEATER_CAP_IDLE_W]),
     temp=st.floats(-60.0, 80.0) | st.sampled_from(EDGE_TEMPS),
     t_ms=st.integers(0, 2 * HOLD_UNTIL_MS // TICK_MS).map(lambda k: k * TICK_MS),
@@ -618,25 +621,27 @@ def test_a_held_tick_changes_nothing_and_any_other_changes_the_mode_or_heater(
     (Mode.FAULT_HOLD, 0.0, 20.0, math.nextafter(20.0, -math.inf)),
 ], ids=["heating", "wait-cool", "fault-hold-heater-on", "fault-hold-heater-off"])
 def test_a_hold_ends_on_the_first_float_across_its_bound(mode, heater_watts, inside, beyond):
+    # the engine decides a fault hold tick by tick, so its cases check only
+    # that the idle heater rule toggles on the first float across 22 C and 20 C
     for temp, held in [(inside, True), (beyond, False)]:
         ctrl = _holding(mode, heater_watts)
         sensors = sensors_at(0, temp=temp)
-        assert _is_held(ctrl, sensors) is held
+        if mode is not Mode.FAULT_HOLD:
+            assert _is_held(ctrl, sensors) is held
         ctrl.tick(sensors)
         assert ((ctrl.mode, ctrl.heater_watts) == (mode, heater_watts)) is held
 
 
 @pytest.mark.parametrize("heater_watts", [0.0, HEATER_CAP_IDLE_W])
 def test_a_fault_hold_ends_on_the_tick_at_its_end(heater_watts):
-    for t_ms, held in [(HOLD_UNTIL_MS - TICK_MS, True), (HOLD_UNTIL_MS, False)]:
+    for t_ms, kept in [(HOLD_UNTIL_MS - TICK_MS, True), (HOLD_UNTIL_MS, False)]:
         ctrl = _holding(Mode.FAULT_HOLD, heater_watts)
-        sensors = sensors_at(t_ms, temp=21.0)
-        assert _is_held(ctrl, sensors) is held
-        ctrl.tick(sensors)
-        assert (ctrl.mode is Mode.FAULT_HOLD) is held
+        ctrl.tick(sensors_at(t_ms, temp=21.0))
+        assert (ctrl.mode is Mode.FAULT_HOLD) is kept
 
 
-@pytest.mark.parametrize("mode", [Mode.INIT, *controller.OPERATING_MODES], ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", [Mode.INIT, Mode.FAULT_HOLD, *controller.OPERATING_MODES],
+                         ids=lambda m: m.value)
 @pytest.mark.parametrize("heater_watts", [0.0, HEATER_CAP_OPERATING_W, HEATER_CAP_IDLE_W])
 def test_no_hold_in_init_or_with_the_laser_on(mode, heater_watts):
     assert _holding(mode, heater_watts).hold() is None

@@ -456,7 +456,7 @@ def test_laser_dip_aborts_and_retries(lab_dip_run, tmp_path):
     assert "fault_hold" in modes
     hold_start = next(t for t, m in summary.mode_history if m == "fault_hold")
     resume = next(t for t, m in summary.mode_history if t > hold_start and m != "fault_hold")
-    assert resume - hold_start >= 30_000
+    assert (hold_start, resume) == (20_000, 50_000)
     for s in summary.scans:
         assert s.t_commit_ms - s.t_start_ms == 27000
     # the aborted attempt's records stay in the ring; the flight and the
@@ -559,6 +559,19 @@ def _ends_on_period_boundary(end, n_ticks):
     return end < n_ticks and end * TICK_MS % RECORD_PERIOD_MS < TICK_MS
 
 
+def _a_hold(case):
+    """A run case met by one of the run's holds that `case(hold, n_ticks)`
+    accepts."""
+    return lambda run, n: any(case(s, n) for s in run.holds)
+
+
+def _fault_hold_heater_flags(run):
+    """The heater flags of the run's fault-hold records."""
+    flags = telemetry.read_records(run.flash, as_table=True).rows["flags"]
+    fault_hold = (flags & telemetry.FLAG_FAULT_HOLD) != 0
+    return set((flags[fault_hold] & telemetry.FLAG_HEATER_ON).tolist())
+
+
 def _periods_held(hold):
     """The periods a hold logs with only their temperature: those that start
     on its held ticks, but the first, which closes the decided tick's."""
@@ -578,39 +591,42 @@ def cold_start():
     # cooled below 20 C during the first scan: heating from the commit tick
     # to the end of the run
     (dict(temps=[-100, -100], duration_s=120.0, housing_c=20.3),
-     lambda s, n: s.mode is Mode.HEATING and s.on_commit and s.exit == "end"),
+     _a_hold(lambda s, n: s.mode is Mode.HEATING and s.on_commit and s.exit == "end")),
     # warmed above 30 C during the first scan: waiting to cool likewise
     (dict(temps=[200, 200], duration_s=120.0, housing_c=29.5),
-     lambda s, n: s.mode is Mode.WAIT_COOL and s.on_commit and s.exit == "end"),
+     _a_hold(lambda s, n: s.mode is Mode.WAIT_COOL and s.on_commit and s.exit == "end")),
     # heating inside a package node until the gate opens on a record boundary
     (dict(temps=[-50, -50], duration_s=60.0, housing_c=19.9, package_c=0.0),
-     lambda s, n: s.mode is Mode.HEATING and _ends_on_period_boundary(s.end, n)),
+     _a_hold(lambda s, n: s.mode is Mode.HEATING and _ends_on_period_boundary(s.end, n))),
     # heating whose first held tick is mid-period, ending mid-run, then three scans
     (dict(temps=[-200, 250, -200], duration_s=200.0, housing_c=19.0),
-     lambda s, n: (s.first + 1) * TICK_MS % RECORD_PERIOD_MS and s.exit == "band"),
+     _a_hold(lambda s, n: (s.first + 1) * TICK_MS % RECORD_PERIOD_MS and s.exit == "band")),
     # a dip aborts the first scan at 15 s; the housing cools through 20 C
     # at 35.9 s in the fault hold, whose heater turns on, and the hold
     # resumes to its end at 45 s, into HEATING for the rest of the run, so
-    # the second dip, at 80 s, meets the laser off
+    # the second dip, at 80 s, meets the laser off: the hold's 600 ticks
+    # are decided one at a time, with the heater off and then on
     (dict(temps=[-20, -20], duration_s=150.0, housing_c=20.3,
           dips=[(15.0, 0.5, 0.3), (80.0, 0.5, 0.3)]),
-     lambda s, n: (s.mode is Mode.FAULT_HOLD and not s.heater_on and s.exit == "band"
-                   and s.end == 718)),
-    # a dip aborts the first scan at 20 s, and the run ends in the fault hold
+     lambda run, n: (run.decisions[Mode.FAULT_HOLD.value] == 600
+                     and _fault_hold_heater_flags(run) == {0, telemetry.FLAG_HEATER_ON})),
+    # a dip aborts the first scan at 20 s, and the run ends in the fault
+    # hold, after deciding its 399 ticks
     (dict(temps=[22, 22], duration_s=40.0, housing_c=22.0, dips=[(20.0, 1.0, 0.2)]),
-     lambda s, n: s.mode is Mode.FAULT_HOLD and s.exit == "end"),
+     lambda run, n: (run.decisions[Mode.FAULT_HOLD.value] == 399
+                     and run.summary.mode_history[-1] == (20_000, "fault_hold"))),
     # heating from the first tick reaches the gate on tick 7, a scan follows:
     # the hold closes tick 0's period on tick 3, and logs tick 5's with
     # only its temperature
     (dict(temps=[22, 22], duration_s=40.0, housing_c=19.9972),
-     lambda s, n: s.mode is Mode.HEATING and s.exit == "band" and _periods_held(s) == 1),
+     _a_hold(lambda s, n: s.mode is Mode.HEATING and s.exit == "band" and _periods_held(s) == 1)),
 ], ids=["heating-after-storing", "wait-cool-after-storing", "package-node", "gate-opens",
         "fault-hold-heater-toggle", "ends-in-fault-hold", "one-held-period"])
 def test_idle_stretch_cases_match_per_tick_path(kwargs, case, engine_run):
     scenario = _custom(**kwargs)
     n_ticks = round(scenario.duration_s * 1000) // TICK_MS
     run = _matches_reference(engine_run, scenario)
-    assert any(case(s, n_ticks) for s in run.holds), run.holds
+    assert case(run, n_ticks), (run.holds, run.decisions)
 
 
 def test_next_starts_period_marks_each_tick_before_a_period_start():
@@ -681,14 +697,15 @@ def test_idle_stretch_across_blocks_and_the_ring_wrap_matches_per_tick_path(
 
 
 @pytest.mark.parametrize("pending", [7, 1000])
-def test_block_size_changes_no_output(pending, monkeypatch, lab_dip_run, cold_start):
+def test_block_size_changes_no_output(pending, monkeypatch, lab_dip_run, lab_dip_reference,
+                                      cold_start):
     # where the pending blocks end changes no byte and no summary field:
     # scans and an aborted attempt straddle the 7-record blocks, so their
     # rows carry over into the next block's grouping, and the ring wraps
     # inside a block of either size
     dip = lab_dip_run.scenario
     monkeypatch.setattr(scenarios, "PENDING_RECORDS", pending)
-    for scenario, reference in [(dip, reference_run(dip)), cold_start]:
+    for scenario, reference in [(dip, lab_dip_reference), cold_start]:
         assert_same_run(run_simulation(scenario), reference)
     assert lab_dip_run.summary.aborted_scans == 1 and len(lab_dip_run.summary.scans) == 2
 
@@ -905,22 +922,24 @@ def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
 @pytest.mark.parametrize("fixture, decisions", [
     ("lab_480s_run", dict(init=1, laser_stabilizing=18, storing=17)),
     ("leo_wrapped_run", dict(init=1, heating=37, laser_stabilizing=130, storing=129)),
-    ("lab_dip_run", dict(init=1, laser_stabilizing=4, scanning=1, fault_hold=1, storing=2)),
+    ("lab_dip_run", dict(init=1, laser_stabilizing=4, scanning=1, fault_hold=600, storing=2)),
     ("leo_cold_run", dict(init=1)),
 ])
 def test_per_tick_path_decides_only_handed_back_ticks(fixture, decisions, request):
-    # the controller decides the first tick and the tick after each hold;
-    # of the laser-on ticks only each scan's first, an aborting tick and
-    # each commit tick, the operating stretch running every other
+    # the controller decides the first tick, the tick after each hold and
+    # each tick of a fault hold; of the laser-on ticks only each scan's
+    # first, an aborting tick and each commit tick, the operating stretch
+    # running every other
     assert request.getfixturevalue(fixture).decisions == decisions
 
 
-def test_lab_dip_run_matches_per_tick_path(lab_dip_run):
-    assert_same_run(lab_dip_run, reference_run(lab_dip_run.scenario))
+def test_lab_dip_run_matches_per_tick_path(lab_dip_run, lab_dip_reference):
+    assert_same_run(lab_dip_run, lab_dip_reference)
     assert [s.reason for s in lab_dip_run.operating].count("unstable") == 1
-    # the fault hold runs from the aborting tick to its end, 30 s later
-    assert [(s.mode, s.exit, s.end - s.first) for s in lab_dip_run.holds] == [
-        (Mode.FAULT_HOLD, "until", 600)]
+    # the 30 s fault hold after the aborting tick takes no hold: its 600
+    # ticks are decided one at a time
+    assert lab_dip_run.holds == []
+    assert lab_dip_run.decisions[Mode.FAULT_HOLD.value] == 600
 
 
 # channel 0's rail and breakdown: a narrow range rails it, and another

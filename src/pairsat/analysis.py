@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -302,6 +303,94 @@ def scan_data_from_records(
     return ids.tolist(), scans, int(np.count_nonzero(complete & ~fits_dwell))
 
 
+def _text_table(texts: list[str]) -> np.ndarray:
+    """The ASCII codes of each text as one row, padded with zeros to the
+    longest."""
+    table = np.array([text.encode() for text in texts], bytes)
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII codes, a zero code where there is no character: "0000" to
+    "9999", four to a uint32; the same without leading zeros, 0 blank; and
+    "0.000" to "9.999" after three zeros, eight to a uint64."""
+    n = np.arange(10000)[:, None]
+    padded = (n // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    bare = np.where(n >= [1000, 100, 10, 1], padded, 0).astype(np.uint8)
+    point = np.zeros((10000, 8), np.uint8)
+    point[:, 3], point[:, 4], point[:, 5:] = padded[:, 0], ord("."), padded[:, 1:]
+    return padded.view(np.uint32)[:, 0], bare.view(np.uint32)[:, 0], point.view(np.uint64)[:, 0]
+
+
+def _fixed3_text(values: np.ndarray, sep: str) -> np.ndarray:
+    """Each value's `"%.3f" % v` followed by `sep`, as ASCII codes along a
+    new last axis, padded with zero codes: a value's text is its nonzero
+    codes.
+
+    The digits are exact. `np.frexp` gives |v| = M * 2**(e - 53), M an
+    integer below 2**53, so 1000 |v| is M * 1000, which 64 bits hold,
+    shifted right by 53 - e; the remainder rounds half to even, as `%`
+    rounds the binary value. The sign is the sign bit, so -0.0 and a
+    negative that rounds to zero read -0.000. A value that is not finite,
+    or has |v| >= 2**52, where the shift is below 1, keeps `%`'s text.
+    """
+    values = np.asarray(values, dtype=float)
+    size = np.abs(values)
+    exact = size < 2.0**52  # False for nan and inf too
+    # below 2**-11 a value rounds to 0.000, and its shift would pass 63
+    mant, exp = np.frexp(np.where(exact & (size >= 2.0**-11), size, 0.0))
+    shift = (53 - exp).astype(np.uint64)
+    scaled = np.ldexp(mant, 53).astype(np.uint64) * np.uint64(1000)
+    whole = scaled >> shift
+    rest = scaled & ((np.uint64(1) << shift) - np.uint64(1))
+    half = np.uint64(1) << (shift - np.uint64(1))
+    up = (rest > half) | ((rest == half) & (whole % 2 == 1))
+    tens, last = np.divmod((whole + up).astype(np.int64), 10000)
+
+    # the units digit and the decimals, then four digits at a time to the
+    # left, the leading group bare and any group above it blank
+    padded, bare, point = _digit_tables()
+    codes = [point.take(last)[..., None].view(np.uint8),
+             np.broadcast_to(np.frombuffer(sep.encode(), np.uint8), values.shape + (len(sep),))]
+    while tens.any():
+        tens, group = np.divmod(tens, 10000)
+        codes.insert(0, np.where(tens > 0, padded.take(group), bare.take(group))[..., None]
+                     .view(np.uint8))
+    codes.insert(0, np.where(np.signbit(values), ord("-"), 0).astype(np.uint8)[..., None])
+    text = np.concatenate(codes, axis=-1)
+    if not exact.all():
+        other = _text_table(["%.3f%s" % (v, sep) for v in values[~exact].tolist()])
+        wider = max(other.shape[1] - text.shape[-1], 0)
+        text = np.pad(text, [(0, 0)] * values.ndim + [(0, wider)])
+        text[~exact] = 0
+        text[~exact, :other.shape[1]] = other
+    return text
+
+
+def _scans_csv_rows(ids: list[int], angles: np.ndarray, rates: list[np.ndarray]) -> bytes:
+    """The rows of `scans.csv` for the scans of `ids`: per scan, one row per
+    step of its id, the step, its angle and its three `rates`, each
+    (scans, steps) like `angles`.
+
+    One table holds the ASCII codes of every row, padded with zero codes,
+    and the rows are its bytes without the zeros. Each id, step and
+    distinct angle is formatted once with `%`, and the rates take
+    `_fixed3_text`'s exact digits, so the bytes are those of
+    "%d,%d,%.6f,%.3f,%.3f,%.3f\\r\\n" % row.
+    """
+    shape = angles.shape
+    bits, where = np.unique(np.ascontiguousarray(angles).view(np.int64), return_inverse=True)
+    columns = [
+        _text_table(["%d," % scan_id for scan_id in ids])[:, None],
+        _text_table(["%d," % step for step in range(shape[1])]),
+        _text_table(["%.6f," % a for a in bits.view(float).tolist()]).take(where.reshape(shape), 0),
+        *(_fixed3_text(r, sep) for r, sep in zip(rates, [",", ",", "\r\n"])),
+    ]
+    table = np.concatenate([np.broadcast_to(c, shape + c.shape[-1:]) for c in columns], axis=-1)
+    return table.tobytes().translate(None, b"\0")
+
+
 def analyze_flash(
     flash_path: str, out_dir: str, dwell_s: float = _FLIGHT_SCAN.dwell_s
 ) -> list[dict]:
@@ -314,10 +403,12 @@ def analyze_flash(
     the steps left still look complete. Writes three CSVs, each replaced
     whole: `scans.csv`, every step of every fitted scan as one row (scan_id,
     step, angle, raw rate, corrected rate, fit curve), only its header when
-    no scan is fitted; `summary.csv` (scan_id, pair, visibility, phase,
-    residual); and `flash_health.csv` (slot counts of the read, the
-    committed scans dropped as partial and those dropped for not fitting
-    `dwell_s`). Returns the summary rows.
+    no scan is fitted, its digits exact: byte for byte what Python's `%`
+    writes with "%d,%d,%.6f,%.3f,%.3f,%.3f\\r\\n", the rates' digits from
+    integer arithmetic on each float's binary value; `summary.csv`
+    (scan_id, pair, visibility, phase, residual); and `flash_health.csv`
+    (slot counts of the read, the committed scans dropped as partial and
+    those dropped for not fitting `dwell_s`). Returns the summary rows.
     """
     cal = default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
@@ -335,15 +426,10 @@ def analyze_flash(
     curves = _model(angles, np.reshape([
         [fit.amplitude, 1.0, fit.phase_rad, fit.baseline] for fit in fits
     ], (-1, 4)))
-    # per scan one row of (scan_id, step, angle, raw, corrected, fit) per
-    # step, in one format
-    columns = np.broadcast_arrays(np.array(ids)[:, None], np.arange(angles.shape[1]), angles,
-                                  scans.coinc_raw / scans.dwell_s, corrected, curves)
-    step_format = "%d,%d,%.6f,%.3f,%.3f,%.3f\r\n" * angles.shape[1]
-    with open(os.path.join(out_dir, "scans.csv"), "w", newline="") as fh:
-        fh.write("scan_id,step,angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n")
-        for values in np.stack(columns, axis=-1):
-            fh.write(step_format % tuple(values.ravel().tolist()))
+    rates = [scans.coinc_raw / scans.dwell_s, corrected, curves]
+    with open(os.path.join(out_dir, "scans.csv"), "wb") as fh:
+        fh.write(b"scan_id,step,angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n"
+                 + _scans_csv_rows(ids, angles, rates))
     summary_rows = [
         {"scan_id": scan_id, "pair": pair, "visibility": fit.visibility,
          "phase_rad": fit.phase_rad, "rms_residual": fit.rms_residual, "converged": fit.converged}

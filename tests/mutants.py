@@ -1,17 +1,17 @@
 """Mutants of the engine's inlined copies, of the boundary series and the
-hold's walk over it, of the laser monitor and of the power ledger, and a
-runner that shows the tests kill each one.
+hold's walk over it, of the laser monitor, of the power ledger and of the
+ground's rate digits, and a runner that shows the tests kill each one.
 
     python tests/mutants.py
 
 A mutant replaces one piece of text, which occurs once, in one source file,
 and names the test that kills it. For each mutant the runner copies `src/`,
 `tests/` and `pyproject.toml` to a temporary directory, applies the mutant
-there and runs the tests of `test_controller.py`, `test_scenarios.py` and
-`test_acceptance.py` that `-k <killer>` selects, with `-x`; the mutant is
-killed when one of them fails, and the runner prints the first that did. It
-exits 1 when a mutant survives its named test, when the name selects no
-test, or when a mutant no longer applies.
+there and runs the tests of `test_controller.py`, `test_scenarios.py`,
+`test_acceptance.py` and `test_analysis.py` that `-k <killer>` selects,
+with `-x`; the mutant is killed when one of them fails, and the runner
+prints the first that did. It exits 1 when a mutant survives its named
+test, when the name selects no test, or when a mutant no longer applies.
 
 The engine's speed comes from inlined copies of the controller and the
 device models, and the reference engine (`reference_engine.py`) keeps those
@@ -34,10 +34,12 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 # the files the killers are selected from
-TEST_FILES = ["tests/test_controller.py", "tests/test_scenarios.py", "tests/test_acceptance.py"]
+TEST_FILES = ["tests/test_controller.py", "tests/test_scenarios.py", "tests/test_acceptance.py",
+              "tests/test_analysis.py"]
 SCENARIOS = "src/pairsat/scenarios.py"
 CONTROLLER = "src/pairsat/controller.py"
 THERMAL_POWER = "src/pairsat/thermal_power.py"
+ANALYSIS = "src/pairsat/analysis.py"
 
 
 class Mutant(NamedTuple):
@@ -104,6 +106,13 @@ MUTANTS = [
            "modules = OPERATING_MODULES if laser_on else IDLE_MODULES\n    total",
            "modules = IDLE_MODULES if laser_on else OPERATING_MODULES\n    total",
            "test_criterion_06_power_ledger"),
+    # the rate digits round a tie half up: 0.0625 reads 0.063, where `%`
+    # writes 0.062
+    Mutant("rate-digits-round-half-up", ANALYSIS,
+           "(rest > half)", "(rest >= half)", "test_rate_text_is_exact"),
+    # the sign comes from v < 0, so -0.0 reads 0.000, where `%` writes -0.000
+    Mutant("rate-sign-without-signbit", ANALYSIS,
+           "np.signbit(values)", "values < 0", "test_rate_text_is_exact"),
 ]
 
 EQUIVALENT = [

@@ -471,6 +471,60 @@ def test_analyze_writes_the_same_three_files(lab_480s_run, tmp_path):
         assert len(list(out.iterdir())) == 3
 
 
+def rate_texts(values, sep):
+    """Each value's text from the rate-column renderer, as `str`."""
+    text = analysis._fixed3_text(np.asarray(values, dtype=float), sep)
+    return [row[row != 0].tobytes().decode() for row in text.reshape(-1, text.shape[-1])]
+
+
+def test_rate_text_is_exact():
+    # the digits of the rate columns equal "%.3f" % v byte for byte, on the
+    # values where a float-to-decimal shortcut goes wrong
+    rng = np.random.default_rng(29)
+    values = np.concatenate([
+        np.arange(-1023, 1024, 2) / 16,  # exact ties at the third decimal
+        np.arange(-4096, 4097) / 2048,
+        [0.0, -0.0, 5e-324, -5e-324, -1e-4, -4.9e-4, -2.0**-11, -0.0005, 0.0005],
+        [2.0**51 + 0.5, -(2.0**51 + 0.5)],
+        *(rng.standard_normal(500) * scale for scale in 10.0 ** np.arange(-3, 13)),
+    ])
+    for sep in (",", "\r\n"):
+        assert rate_texts(values, sep) == ["%.3f%s" % (v, sep) for v in values.tolist()]
+    # ties round half to even, as `%` rounds; the sign is the sign bit
+    assert rate_texts([0.0625, 0.1875, -0.0, -1e-4, 0.0], ",") == [
+        "0.062,", "0.188,", "-0.000,", "-0.000,", "0.000,"]
+    # a (scans, steps) batch keeps its shape, one text per value
+    batch = values[:36 * 50].reshape(50, 36)
+    assert analysis._fixed3_text(batch, ",").shape[:2] == (50, 36)
+    assert rate_texts(batch, ",") == ["%.3f," % v for v in batch.ravel().tolist()]
+
+
+def test_rate_text_keeps_percent_where_not_exact():
+    # not finite, or at least 2**52 in size: `%` writes the text, and the
+    # column's other values keep their exact digits
+    values = [0.0625, np.nan, np.inf, -np.inf, 2.0**60, -0.0, 2.0**52, -(2.0**52), 1e305]
+    texts = rate_texts(values, ",")
+    assert texts[:6] == ["0.062,", "nan,", "inf,", "-inf,", "1152921504606846976.000,", "-0.000,"]
+    assert texts == ["%.3f," % v for v in values]
+    assert rate_texts([np.nan], "\r\n") == ["nan\r\n"]
+
+
+def test_scans_csv_rows_are_the_percent_format():
+    # ids, steps and angles formatted once per distinct value; -0.0 and 0.0
+    # are distinct angles, as `%` writes them
+    rng = np.random.default_rng(7)
+    angles = np.resize([0.0, -0.0, 0.1, math.pi, 2 * math.pi], (3, 6))
+    rates = [rng.standard_normal((3, 6)) * 10.0 ** k for k in (2, 4, 6)]
+    ids = [4, 17, 65535]
+    expected = "".join(
+        "%d,%d,%.6f,%.3f,%.3f,%.3f\r\n" % (scan_id, step, angles[i, step],
+                                             *(r[i, step] for r in rates))
+        for i, scan_id in enumerate(ids) for step in range(6))
+    assert analysis._scans_csv_rows(ids, angles, rates) == expected.encode()
+    none = np.zeros((0, 36))
+    assert analysis._scans_csv_rows([], none, [none] * 3) == b""
+
+
 def test_scan_grouping_drops_partial_scans(tmp_path):
     angles = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
     counts = [(360000, 330000, 2000)] * 36

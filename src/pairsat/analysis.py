@@ -28,13 +28,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import physics, telemetry
-from .controller import ScanConfig
-from .lc_optics import LcCalibration, angle_from_voltage, default_calibration
+from .controller import FLIGHT_SCAN
+from .lc_optics import CALIBRATION, angle_from_voltage
 
-_FLIGHT_SCAN = ScanConfig()
 _ROW = np.dtype((np.void, telemetry.RECORD_BYTES))
 
 HEALTH_CSV = "flash_health.csv"
+
+
+def _check_dwell(dwell_s: float) -> None:
+    if not 0 < dwell_s < math.inf:
+        raise ValueError(f"dwell must be finite and positive, got {dwell_s} s")
 
 
 @dataclass
@@ -58,8 +62,7 @@ class ScanData:
         if np.shape(self.pair) != shape[:-1]:
             raise ValueError(f"pair must have shape {shape[:-1]}, one value per scan, "
                              f"got {np.shape(self.pair)}")
-        if self.dwell_s <= 0:
-            raise ValueError("dwell must be positive")
+        _check_dwell(self.dwell_s)
         if np.any(self.angles_rad < 0) or np.any(self.angles_rad > 2 * math.pi):
             raise ValueError("angles must lie in [0, 2*pi]")
         if min(self.singles_1.min(initial=0), self.singles_2.min(initial=0),
@@ -84,18 +87,18 @@ def visibility(max_rate: float, min_rate: float) -> float:
     return (max_rate - min_rate) / (max_rate + min_rate)
 
 
-def correct_accidentals(scan: ScanData, window_s: float) -> np.ndarray:
+def correct_accidentals(scan: ScanData) -> np.ndarray:
     """Per-step corrected rates of a scan, or of each scan of a batch: raw
-    rate minus the singles-product accidental.
+    rate minus the singles-product accidental in the flight's coincidence
+    window, `physics.COINCIDENCE_WINDOW_S`.
 
     Estimator is unbiased, so negative values are preserved rather than
     clamped.
     """
-    if scan.dwell_s <= 0:
-        raise ValueError("dwell must be positive")
     dwell = scan.dwell_s
+    _check_dwell(dwell)
     raw = scan.coinc_raw / dwell
-    acc = (scan.singles_1 / dwell) * (scan.singles_2 / dwell) * window_s
+    acc = (scan.singles_1 / dwell) * (scan.singles_2 / dwell) * physics.COINCIDENCE_WINDOW_S
     return raw - acc
 
 
@@ -236,16 +239,14 @@ def _commit_pairs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, commits["pair_sel"][last]
 
 
-def scan_data_from_records(
-    table: np.ndarray, calibration: LcCalibration, dwell_s: float
-) -> tuple[list[int], ScanData, int]:
+def scan_data_from_records(table: np.ndarray, dwell_s: float) -> tuple[list[int], ScanData, int]:
     """Group flash records into the step data of a batch of scans.
 
     `table` is a `telemetry.RECORD_DTYPE` table, as the `rows` of
     `telemetry.read_records(flash, as_table=True)`; a dwell that is not
     finite and positive raises ValueError naming it. Only complete scans
     are kept: a scan with a commit marker whose counting records cover
-    exactly the steps 0..n_steps-1 of the flight `ScanConfig`. Records of
+    exactly the steps 0..n_steps-1 of `controller.FLIGHT_SCAN`. Records of
     aborted scans stay in the flash but are dropped here, and so are
     partial scans, such as a committed scan whose first steps the ring wrap
     overwrote. A dwell of d counts over
@@ -254,15 +255,20 @@ def scan_data_from_records(
     Counts for a step are the sum over its record periods (settle periods
     contribute zero), the analyzer angle is recomputed from the drive
     voltage of the step's last record, in the order given, through the
-    same calibration the flight code used, and the pair is that of the
+    flight LC curve (`lc_optics.CALIBRATION`), and the pair is that of the
     scan's last commit record. Returns the kept scans' ids, ascending; one
     `ScanData` holding them as a batch, row i the scan of id i; and the
     number dropped for the dwell.
     """
-    if not 0 < dwell_s < math.inf:
-        raise ValueError(f"dwell must be finite and positive, got {dwell_s} s")
-    n = _FLIGHT_SCAN.n_steps
-    commit_ids, pairs = _commit_pairs(table)
+    return _group_scans(table, *_commit_pairs(table), dwell_s)
+
+
+def _group_scans(table: np.ndarray, commit_ids: np.ndarray, pairs: np.ndarray,
+                 dwell_s: float) -> tuple[list[int], ScanData, int]:
+    """`scan_data_from_records` of only the scans of `commit_ids`, all or
+    some of what `_commit_pairs` gives: no row of another id is read."""
+    _check_dwell(dwell_s)
+    n = FLIGHT_SCAN.n_steps
     index = np.flatnonzero(np.isin(table["scan_id"], commit_ids)
                            & ((table["flags"] & telemetry.FLAG_COUNTING) != 0))
     if len(index) == 0:
@@ -296,7 +302,7 @@ def scan_data_from_records(
 
     ids = group_scan[scan_starts][kept]
     scans = ScanData(
-        angles_rad=angle_from_voltage(calibration, per_step(rows["lc_signal_mv"][last]) / 1000.0),
+        angles_rad=angle_from_voltage(CALIBRATION, per_step(rows["lc_signal_mv"][last]) / 1000.0),
         dwell_s=dwell_s, singles_1=summed("singles_1"), singles_2=summed("singles_2"),
         coinc_raw=summed("coinc_raw"), pair=pairs[np.searchsorted(commit_ids, ids)],
     )
@@ -392,36 +398,36 @@ def _scans_csv_rows(ids: list[int], angles: np.ndarray, rates: list[np.ndarray])
 
 
 def analyze_flash(
-    flash_path: str, out_dir: str, dwell_s: float = _FLIGHT_SCAN.dwell_s
+    flash_path: str, out_dir: str, dwell_s: float = FLIGHT_SCAN.dwell_s
 ) -> list[dict]:
-    """Run the full pipeline on a flash image file, through the flight's
-    LC calibration and coincidence window.
+    """Run the full pipeline on a flash image file, as `scan_data_from_records`
+    groups it, with `controller.FLIGHT_SCAN`'s dwell by default.
 
     Fits every complete scan in one `fit_sinusoids` call. Once the ring has
     wrapped (`FLAG_WRAPPED`), the scan of the oldest record left, if any,
     is partial: the wrap may have overwritten its first records, also where
-    the steps left still look complete. Writes three CSVs, each replaced
-    whole: `scans.csv`, every step of every fitted scan as one row (scan_id,
-    step, angle, raw rate, corrected rate, fit curve), only its header when
-    no scan is fitted, its digits exact: byte for byte what Python's `%`
-    writes with "%d,%d,%.6f,%.3f,%.3f,%.3f\\r\\n", the rates' digits from
+    the steps left still look complete, so the grouping leaves out its id.
+    Writes three CSVs, each replaced whole: `scans.csv`, every step of every
+    fitted scan as one row (scan_id, step, angle, raw rate, corrected rate,
+    fit curve), only its header when no scan is fitted, its digits exact:
+    byte for byte what Python's `%` writes with
+    "%d,%d,%.6f,%.3f,%.3f,%.3f\\r\\n", the rates' digits from
     integer arithmetic on each float's binary value; `summary.csv`
     (scan_id, pair, visibility, phase, residual); and `flash_health.csv`
     (slot counts of the read, the committed scans dropped as partial and
     those dropped for not fitting `dwell_s`). Returns the summary rows.
     """
-    cal = default_calibration()
     read = telemetry.read_records(telemetry.load_image(flash_path), as_table=True)
     table = read.rows
-    grouped = table
-    if len(table) and table["scan_id"][0] and (table["flags"] & telemetry.FLAG_WRAPPED).any():
-        grouped = _take_rows(table, table["scan_id"] != table["scan_id"][0])
-    ids, scans, mismatched = scan_data_from_records(grouped, cal, dwell_s)
-    partial = len(_commit_pairs(table)[0]) - len(ids) - mismatched
+    cut = table["scan_id"][0] if (table["flags"] & telemetry.FLAG_WRAPPED).any() else 0
+    commit_ids, pairs = _commit_pairs(table)
+    kept = commit_ids != cut  # commit ids are nonzero
+    ids, scans, mismatched = _group_scans(table, commit_ids[kept], pairs[kept], dwell_s)
+    partial = len(commit_ids) - len(ids) - mismatched
     os.makedirs(out_dir, exist_ok=True)
 
     angles = scans.angles_rad
-    corrected = correct_accidentals(scans, physics.COINCIDENCE_WINDOW_S)
+    corrected = correct_accidentals(scans)
     fits = fit_sinusoids(angles, corrected)
     curves = _model(angles, np.reshape([
         [fit.amplitude, 1.0, fit.phase_rad, fit.baseline] for fit in fits

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import analysis, scenarios, telemetry, thermal_power
-from .controller import ScanConfig
+from .controller import FLIGHT_SCAN
 from .thermal_power import BudgetError
 
 
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="process a flash image into CSVs")
     ana.add_argument("--flash", required=True, help="flash image file")
     ana.add_argument("--out", required=True, help="output directory")
-    ana.add_argument("--dwell", type=float, default=ScanConfig().dwell_s,
+    ana.add_argument("--dwell", type=float, default=FLIGHT_SCAN.dwell_s,
                      help="dwell per step in seconds")
     ana.set_defaults(func=_cmd_analyze)
 

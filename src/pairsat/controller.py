@@ -23,8 +23,8 @@ from enum import Enum
 import numpy as np
 
 from . import physics, thermal_power
-from .lc_optics import (EXTINCTION_RATIO, SETTLE_TIME_MS, LcCalibration, angle_from_voltage,
-                        default_calibration, polarization_mixing, voltage_for_angle)
+from .lc_optics import (CALIBRATION, EXTINCTION_RATIO, SETTLE_TIME_MS, angle_from_voltage,
+                        polarization_mixing, voltage_for_angle)
 from .physics import ApdParams, CountSample, SourceParams
 
 TICK_S = 0.05
@@ -271,7 +271,7 @@ class ApdBiasLoop:
         return self.bias
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanConfig:
     n_steps: int = 36
     dwell_s: float = 0.45
@@ -288,20 +288,23 @@ class ScanConfig:
                              f"{TICK_MS} ms ticks")
 
 
-def scan_voltages(config: ScanConfig, cal: LcCalibration) -> list[int]:
-    """Integer-millivolt scan table spanning the full calibration range."""
-    volts = np.linspace(cal.v_min, cal.v_max, config.n_steps)
+def scan_voltages(config: ScanConfig) -> list[int]:
+    """Integer-millivolt scan table spanning the flight LC curve's range."""
+    volts = np.linspace(CALIBRATION.v_min, CALIBRATION.v_max, config.n_steps)
     return [int(round(v * 1000)) for v in volts]
 
 
-def idler_voltage_mv(pair: int, cal: LcCalibration) -> int:
-    """Idler LC setting for maximum transmission into the selected detector.
-
-    The two idler detectors sit on opposite ports of the polarizing
-    splitter, so the alternate pair analyzes the orthogonal projection.
-    """
-    target = math.pi / 2.0 if pair == PAIR_2_3 else 0.0
-    return int(round(voltage_for_angle(cal, target) * 1000))
+# the flight scan, its dwell in the whole milliseconds the controller counts
+# down, and its signal LC drive table, in mV
+FLIGHT_SCAN = ScanConfig()
+DWELL_MS = round(FLIGHT_SCAN.dwell_s * 1000)
+SCAN_VOLTAGES_MV = tuple(scan_voltages(FLIGHT_SCAN))
+# the idler LC setting in mV, indexed by pair, for maximum transmission into
+# the selected detector: the two idler detectors sit on opposite ports of the
+# polarizing splitter, so the alternate pair analyzes the orthogonal projection
+IDLER_VOLTAGES_MV = tuple(
+    int(round(voltage_for_angle(CALIBRATION, math.pi / 2.0 if pair == PAIR_2_3 else 0.0) * 1000))
+    for pair in (PAIR_1_4, PAIR_2_3))
 
 
 @dataclass
@@ -318,12 +321,11 @@ class OpticalBench:
     """Device bundle seen by the scan routine."""
 
     source: SourceParams = field(default_factory=SourceParams)
-    calibration: LcCalibration = field(default_factory=default_calibration)
     pair: int = PAIR_1_4
     apd_factors: tuple[float, float] = (1.0, 1.0)
 
 
-def analyzer_pair_rate(bench: OpticalBench, analyzer_angle_rad: float) -> float:
+def analyzer_pair_rate(source: SourceParams, pair: int, analyzer_angle_rad: float) -> float:
     """True-pair rate behind the analyzer at an angle, before detection.
 
     The alternate detector pair sees the orthogonal idler projection, which
@@ -331,9 +333,9 @@ def analyzer_pair_rate(bench: OpticalBench, analyzer_angle_rad: float) -> float:
     then mixes in a little of the orthogonal rate, compressing the contrast
     by (1 - 2*eps).
     """
-    theta = analyzer_angle_rad + (math.pi / 2.0 if bench.pair == PAIR_2_3 else 0.0)
-    true_par = physics.true_pair_rate(bench.source, theta)
-    true_orth = physics.true_pair_rate(bench.source, theta + math.pi / 2.0)
+    theta = analyzer_angle_rad + (math.pi / 2.0 if pair == PAIR_2_3 else 0.0)
+    true_par = physics.true_pair_rate(source, theta)
+    true_orth = physics.true_pair_rate(source, theta + math.pi / 2.0)
     return polarization_mixing(true_par, true_orth, EXTINCTION_RATIO)
 
 
@@ -343,7 +345,7 @@ def bench_rates(bench: OpticalBench, analyzer_angle_rad: float) -> tuple[float, 
     f1, f2 = bench.apd_factors
     s1 = bench.source.singles_rate_signal_hz * f1
     s2 = bench.source.singles_rate_idler_hz * f2
-    coinc = (analyzer_pair_rate(bench, analyzer_angle_rad) * f1 * f2
+    coinc = (analyzer_pair_rate(bench.source, bench.pair, analyzer_angle_rad) * f1 * f2
              + physics.accidental_rate(s1, s2, physics.COINCIDENCE_WINDOW_S))
     return s1, s2, coinc
 
@@ -356,12 +358,11 @@ def run_scan(
     Each step commands the next voltage, waits the full settling time, then
     integrates counts for the dwell.
     """
-    voltages = scan_voltages(config, devices.calibration)
     records: list[ScanRecord] = []
     elapsed = 0.0
-    for step, mv in enumerate(voltages):
+    for step, mv in enumerate(scan_voltages(config)):
         elapsed += SETTLE_TIME_MS / 1000
-        angle = angle_from_voltage(devices.calibration, mv / 1000.0)
+        angle = angle_from_voltage(CALIBRATION, mv / 1000.0)
         rates = bench_rates(devices, angle)
         counts = physics.sample_counts(rates, config.dwell_s, rng)
         elapsed += config.dwell_s
@@ -385,8 +386,8 @@ class Commands:
 
     mode: Mode
     heater_watts: float = 0.0
-    # a step command's signal LC voltage; the idler LC takes the pair's
-    # `FlightController.idler_voltages` with it
+    # a step command's signal LC voltage, from `SCAN_VOLTAGES_MV`; the idler
+    # LC takes the pair's `IDLER_VOLTAGES_MV` with it
     lc_signal_mv: int | None = None
     counting: bool = False
     commit_scan: bool = False
@@ -410,8 +411,6 @@ class FlightController:
     """
 
     def __init__(self):
-        self.config = ScanConfig()
-        self.calibration = default_calibration()
         apd = ApdParams()
         self.mode = Mode.INIT
         self.pair = PAIR_1_4
@@ -419,11 +418,6 @@ class FlightController:
         self.step_index = 0
         self.dwell_remaining_ms = 0
         self.pending_command = False
-        self.voltages = scan_voltages(self.config, self.calibration)
-        self.idler_voltages = {
-            pair: idler_voltage_mv(pair, self.calibration)
-            for pair in PAIR_CHANNELS
-        }
         self.monitor = LaserMonitor()
         self.heater_watts = 0.0
         self.fault_until_ms: int | None = None
@@ -476,9 +470,9 @@ class FlightController:
     def _emit_step_command(self, cmd: Commands) -> None:
         cmd.scan_id = self.scan_id
         cmd.step = self.step_index
-        cmd.lc_signal_mv = self.voltages[self.step_index]
+        cmd.lc_signal_mv = SCAN_VOLTAGES_MV[self.step_index]
         self.pending_command = False
-        self.dwell_remaining_ms = round(self.config.dwell_s * 1000)
+        self.dwell_remaining_ms = DWELL_MS
 
     def tick(self, sensors: Sensors) -> Commands:
         """Advance one 50 ms tick; returns the commands for this tick."""
@@ -531,7 +525,7 @@ class FlightController:
                 self.dwell_remaining_ms -= TICK_MS
                 if self.dwell_remaining_ms == 0:
                     self.step_index += 1
-                    if self.step_index >= self.config.n_steps:
+                    if self.step_index >= FLIGHT_SCAN.n_steps:
                         self.mode = Mode.STORING
                     else:
                         self.pending_command = True
@@ -542,7 +536,7 @@ class FlightController:
         elif self.mode is Mode.STORING:
             cmd.commit_scan = True
             cmd.scan_id = self.scan_id
-            cmd.step = self.config.n_steps - 1
+            cmd.step = FLIGHT_SCAN.n_steps - 1
             self.scan_id += 1
             self.pair = PAIR_2_3 if self.pair == PAIR_1_4 else PAIR_1_4
             self._enter_gate(sensors)

@@ -140,9 +140,6 @@ class LcCalibration:
         self.v_max = float(volts[-1])
         self._interp = MonotoneCubic(volts, angles)
 
-    def __repr__(self) -> str:
-        return f"LcCalibration({len(self.knots)} knots, {self.v_min}..{self.v_max} V)"
-
 
 def default_calibration() -> LcCalibration:
     """8-knot sigmoid-like curve over 0..8 V, steepest near mid-range."""
@@ -156,6 +153,10 @@ def default_calibration() -> LcCalibration:
     angles[0] = 0.0
     angles[-1] = TWO_PI
     return LcCalibration(list(zip(volts, angles)))
+
+
+# the flight LC curve, which the payload and the ground analysis share
+CALIBRATION = default_calibration()
 
 
 def angle_from_voltage(cal: LcCalibration, v: float | np.ndarray) -> float | np.ndarray:

@@ -64,9 +64,10 @@ from itertools import count, cycle, islice
 import numpy as np
 
 from . import analysis, controller, physics, telemetry, thermal_power
-from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, EMPTY_BAND, PAIR_CHANNELS, Commands,
+from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, DWELL_MS, EMPTY_BAND, FLIGHT_SCAN,
+                         IDLER_VOLTAGES_MV, PAIR_CHANNELS, SCAN_VOLTAGES_MV, Commands,
                          FlightController, Mode, Sensors, band_certifies, laser_stable)
-from .lc_optics import SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
+from .lc_optics import CALIBRATION, SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
     command_voltage, step_settle
 from .physics import SourceParams, reference_efficiency
 from .telemetry import FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_HEATER_ON, FLAG_LASER_ON, \
@@ -493,10 +494,6 @@ class SimulationEngine:
         self.lc = LcState()
         # analyzer pair rate per (pair, signal mV), filled on first use
         self._pair_rates: dict[tuple[int, int], float] = {}
-        self._benches = [
-            controller.OpticalBench(scenario.source, self.ctrl.calibration, pair=p)
-            for p in (controller.PAIR_1_4, controller.PAIR_2_3)
-        ]
 
     @cached_property
     def rng(self) -> np.random.Generator:
@@ -521,8 +518,7 @@ class SimulationEngine:
             )
         # a scan id is held for at least a full scan (commit) or, once
         # burned by an abort, a fault hold before the next scan starts
-        cfg = self.ctrl.config
-        min_scan_s = min(cfg.n_steps * (SETTLE_TIME_MS / 1000 + cfg.dwell_s),
+        min_scan_s = min(FLIGHT_SCAN.n_steps * (SETTLE_TIME_MS / 1000 + FLIGHT_SCAN.dwell_s),
                          controller.FAULT_HOLD_S)
         max_id = telemetry.RANGES["scan_id"][1]
         if duration_s > max_id * min_scan_s:
@@ -552,9 +548,9 @@ class SimulationEngine:
         key = (pair, mv)
         pair_rate = self._pair_rates.get(key)
         if pair_rate is None:
-            angle = angle_from_voltage(self.ctrl.calibration, mv / 1000.0)
+            angle = angle_from_voltage(CALIBRATION, mv / 1000.0)
             pair_rate = self._pair_rates[key] = controller.analyzer_pair_rate(
-                self._benches[pair], angle)
+                self.scenario.source, pair, angle)
         return pair_rate
 
     def _draws(self, laser_on: bool, heater_watts: float) -> tuple[float, float]:
@@ -774,9 +770,9 @@ class SimulationEngine:
         dips = self.scenario.laser_dips
         mode_history, settle_ms = self._mode_history, self._settle_ms
         scanning, storing = ctrl.mode is Mode.SCANNING, False
-        scan_id, pair, n_steps = ctrl.scan_id if scanning else 0, ctrl.pair, ctrl.config.n_steps
+        scan_id, pair, n_steps = ctrl.scan_id if scanning else 0, ctrl.pair, FLIGHT_SCAN.n_steps
         step, dwell, pending = ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command
-        cmd_step, dwell_ms = step if scanning else 0, round(ctrl.config.dwell_s * 1000)
+        cmd_step, voltages = step if scanning else 0, SCAN_VOLTAGES_MV
         hw, drawn_hw = ctrl.heater_watts, None
         # after a commit the idler LC holds the pair before's voltage until
         # the next step command
@@ -845,8 +841,8 @@ class SimulationEngine:
                 if scanning:
                     cmd_step = step
                     if pending:
-                        pending, dwell = False, dwell_ms
-                        sig_mv, settle = ctrl.voltages[step], SETTLE_TIME_MS
+                        pending, dwell = False, DWELL_MS
+                        sig_mv, settle = voltages[step], SETTLE_TIME_MS
                         pair_rate = None
                         self._command_ms = t_ms
                     elif settle == 0 and dwell > 0:
@@ -1029,7 +1025,7 @@ class SimulationEngine:
                 self._mode_history.append((t_ms, cmd.mode.value))
 
             if cmd.lc_signal_mv is not None:  # a step command writes both LCs
-                self.lc = command_voltage(cmd.lc_signal_mv, ctrl.idler_voltages[cmd.pair])
+                self.lc = command_voltage(cmd.lc_signal_mv, IDLER_VOLTAGES_MV[cmd.pair])
                 if cmd.step == 0:  # a new set: `_committed` holds the last one
                     self._scan_start_ms, self._settle_ms = t_ms, set()
                 self._command_ms = t_ms
@@ -1083,13 +1079,12 @@ class SimulationEngine:
         """
         if not self._committed:
             return []
-        ids, scans, _ = analysis.scan_data_from_records(
-            np.concatenate(self._scan_rows), self.ctrl.calibration, self.ctrl.config.dwell_s)
+        ids, scans, _ = analysis.scan_data_from_records(np.concatenate(self._scan_rows),
+                                                        FLIGHT_SCAN.dwell_s)
         metas = self._committed
         if ids != [meta[0] for meta in metas]:
             raise RuntimeError(f"committed scans {[meta[0] for meta in metas]} grouped as {ids}")
-        fits = analysis.fit_sinusoids(
-            scans.angles_rad, analysis.correct_accidentals(scans, physics.COINCIDENCE_WINDOW_S))
+        fits = analysis.fit_sinusoids(scans.angles_rad, analysis.correct_accidentals(scans))
         return [
             ScanSummary(
                 scan_id=scan_id, pair=pair, t_start_ms=start_ms, t_commit_ms=commit_ms,

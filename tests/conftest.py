@@ -46,7 +46,9 @@ class OperatingStretch:
     heater_toggled: bool
     pending: bool  # a step command is due
     dwell_ms: int
-    # a period it closed counted coincidences, as many as its idler singles
+    # a period it closed counted coincidences, as many as its signal
+    # singles; as many as its idler singles
+    coinc_at_signal_singles: bool
     coinc_at_idler_singles: bool
     band: tuple[float, float]  # the laser monitor's band at exit
 
@@ -95,7 +97,8 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
             k, end, reason, stabilizing, after_commit, entered_railed, railed,
             self.flash.cursor > written, ctrl.heater_watts != watts,
             ctrl.pending_command, ctrl.dwell_remaining_ms,
-            # a pending row's coincidences and idler singles
+            # a pending row's coincidences and its signal, then idler, singles
+            any(0 < row[7] == row[5] for row in closed),
             any(0 < row[7] == row[6] for row in closed), ctrl.monitor.band))
         return end
 

@@ -79,12 +79,29 @@ MUTANTS = [
     # a railed idler loop no longer flags its records
     Mutant("railed-flag-from-signal-loop-only", SCENARIOS,
            "if railed_1 or railed_2:", "if railed_1:", "idler-bias-rail"),
+    # a signal loop at its floor no longer reads railed
+    Mutant("floor-rail-unflagged", SCENARIOS,
+           "railed_1 = b1 <= rail_lo_1 or b1 >= rail_hi_1", "railed_1 = b1 >= rail_hi_1",
+           "bias-min-rail"),
+    # the idler loop takes a field of the signal loop's APD: the same APD
+    # in every other case, so only a pair that differs in every field
+    # tells them apart
+    Mutant("idler-loop-with-signal-tempco", SCENARIOS,
+           "bd2 = bd25_2 + tc_2 * above_25", "bd2 = bd25_2 + tc_1 * above_25",
+           "unlike-pair-loops"),
+    Mutant("idler-loop-with-signal-gain", SCENARIOS,
+           "(setpoint - gain_2 * (over", "(setpoint - gain_1 * (over", "unlike-pair-loops"),
+    Mutant("idler-efficiency-on-signal-curve", SCENARIOS,
+           "f2 = curve_2(", "f2 = curve_1(", "unlike-pair-loops"),
     # a hold that ends after exactly one temperature-only period drops its row
     Mutant("one-held-period-dropped", SCENARIOS,
            "        if held > 0:\n", "        if held > 1:\n", "one-held-period"),
-    # the coincidences are no longer clamped by the idler singles
+    # the coincidences are no longer clamped by the idler singles, or by
+    # the signal singles
     Mutant("coinc-clamp-without-idler", SCENARIOS,
            "min(c, n1, n2)", "min(c, n1)", "coinc-clamped-by-idler"),
+    Mutant("coinc-clamp-without-signal", SCENARIOS,
+           "min(c, n1, n2)", "min(c, n2)", "coinc-clamped-by-signal"),
     # the package extremes leave out the last step, the coldest of a package
     # that cools throughout
     Mutant("package-extremes-without-last-step", SCENARIOS,

@@ -28,9 +28,9 @@ import numpy as np
 
 from pairsat import physics, telemetry, thermal_power
 from pairsat.analysis import ScanData, correct_accidentals, fit_sinusoid
-from pairsat.controller import (PAIR_CHANNELS, FlightController, Mode, OpticalBench, Sensors,
-                                bench_rates)
-from pairsat.lc_optics import LcState, angle_from_voltage, command_voltage, step_settle
+from pairsat.controller import (FLIGHT_SCAN, IDLER_VOLTAGES_MV, PAIR_CHANNELS, FlightController,
+                                Mode, OpticalBench, Sensors, bench_rates)
+from pairsat.lc_optics import CALIBRATION, LcState, angle_from_voltage, command_voltage, step_settle
 from pairsat.scenarios import LASER_MW, LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, \
     package_step
 from pairsat.telemetry import (FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_FAULT_HOLD, FLAG_HEATER_ON,
@@ -45,7 +45,6 @@ def reference_run(scenario, prepare=None):
     summary, as `run_simulation` does."""
     rng = np.random.default_rng(scenario.seed)
     ctrl = FlightController()
-    calibration = ctrl.calibration
     if prepare is not None:
         prepare(ctrl)
     loops = ctrl.bias_loops
@@ -115,17 +114,17 @@ def reference_run(scenario, prepare=None):
             mode_history.append((t_ms, cmd.mode.value))
 
         if cmd.lc_signal_mv is not None:  # a step command writes both LCs
-            lc = command_voltage(cmd.lc_signal_mv, ctrl.idler_voltages[cmd.pair])
+            lc = command_voltage(cmd.lc_signal_mv, IDLER_VOLTAGES_MV[cmd.pair])
             if cmd.step == 0:
                 scan_start_ms, settle_ms = t_ms, set()
             command_ms = t_ms
         if cmd.abort_scan:
             aborted += 1
         if cmd.counting:
-            bench = OpticalBench(scenario.source, calibration, cmd.pair, tuple(
+            bench = OpticalBench(scenario.source, cmd.pair, tuple(
                 physics.efficiency_factor(loops[ch].params, loops[ch].bias, temp)
                 for ch in PAIR_CHANNELS[cmd.pair]))
-            rates = bench_rates(bench, angle_from_voltage(calibration, lc.signal_mv / 1000.0))
+            rates = bench_rates(bench, angle_from_voltage(CALIBRATION, lc.signal_mv / 1000.0))
             sample = physics.sample_counts(rates, TICK_S, rng)
             step_sums = steps.setdefault(cmd.scan_id, {}).setdefault(
                 cmd.step, [lc.signal_mv, 0, 0, 0])
@@ -167,13 +166,12 @@ def reference_run(scenario, prepare=None):
     scans = []
     for scan_id, pair, start_ms, commit_ms, altitude_m, settle in committed:
         signal_mv, singles_1, singles_2, coinc_raw = zip(
-            *(steps[scan_id][step] for step in range(ctrl.config.n_steps)))
+            *(steps[scan_id][step] for step in range(FLIGHT_SCAN.n_steps)))
         scan = ScanData(
-            angles_rad=np.array([angle_from_voltage(calibration, mv / 1000.0) for mv in signal_mv]),
-            dwell_s=ctrl.config.dwell_s, singles_1=np.array(singles_1),
+            angles_rad=np.array([angle_from_voltage(CALIBRATION, mv / 1000.0) for mv in signal_mv]),
+            dwell_s=FLIGHT_SCAN.dwell_s, singles_1=np.array(singles_1),
             singles_2=np.array(singles_2), coinc_raw=np.array(coinc_raw), pair=pair)
-        fit = fit_sinusoid(scan.angles_rad,
-                           correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S))
+        fit = fit_sinusoid(scan.angles_rad, correct_accidentals(scan))
         scans.append(ScanSummary(
             scan_id=scan_id, pair=pair, t_start_ms=start_ms, t_commit_ms=commit_ms,
             visibility=fit.visibility, phase_rad=fit.phase_rad,

@@ -34,7 +34,7 @@ def _fit_records(records, dwell_s=0.45):
         singles_2=np.array([r.counts.singles_2 for r in records]),
         coinc_raw=np.array([r.counts.coincidences_raw for r in records]),
     )
-    corrected = analysis.correct_accidentals(scan, physics.COINCIDENCE_WINDOW_S)
+    corrected = analysis.correct_accidentals(scan)
     return analysis.fit_sinusoid(scan.angles_rad, corrected)
 
 
@@ -48,7 +48,7 @@ def test_criterion_01_accidental_arithmetic():
         singles_2=np.full(7, 330000),
         coinc_raw=np.full(7, 4500),
     )
-    corrected = analysis.correct_accidentals(scan, 9e-9)
+    corrected = analysis.correct_accidentals(scan)
     assert corrected[0] == 4500.0 - 1069.2 == 3430.8
     assert abs(corrected[0] / 3600.0 - 1.0) < 0.10
     print("[01] accidental arithmetic: PASS")

@@ -20,7 +20,7 @@ from pairsat.analysis import (
     scan_data_from_records,
     visibility,
 )
-from pairsat.lc_optics import angle_from_voltage, default_calibration, voltage_for_angle
+from pairsat.lc_optics import CALIBRATION, angle_from_voltage, voltage_for_angle
 from pairsat.scenarios import make_scenario, run_simulation
 
 
@@ -49,7 +49,7 @@ def test_correct_accidentals_example():
         singles_2=np.full(7, 330000),
         coinc_raw=np.full(7, 4500),
     )
-    corrected = correct_accidentals(scan, 9e-9)
+    corrected = correct_accidentals(scan)
     assert corrected[0] == pytest.approx(3430.8)
 
 
@@ -62,13 +62,26 @@ def test_correct_accidentals_limits():
         singles_1=np.zeros(7, dtype=int), singles_2=np.zeros(7, dtype=int),
         coinc_raw=np.full(7, 100), **base,
     )
-    assert correct_accidentals(no_singles, 9e-9)[0] == pytest.approx(200.0)
+    assert correct_accidentals(no_singles)[0] == pytest.approx(200.0)
     # raw below the accidental estimate stays negative, not clamped
     faint = ScanData(
         singles_1=np.full(7, 400000), singles_2=np.full(7, 400000),
         coinc_raw=np.zeros(7, dtype=int), **base,
     )
-    assert correct_accidentals(faint, 9e-9)[0] < 0.0
+    assert correct_accidentals(faint)[0] < 0.0
+
+
+def test_dwell_must_be_finite_and_positive():
+    # NaN fails `dwell_s <= 0`, and an infinite dwell corrects every step to 0
+    angles = np.linspace(0.0, 6.0, 7)
+    counts = np.full(7, 100)
+    scan = ScanData(angles, 0.45, counts, counts, counts)
+    for dwell_s in [math.nan, math.inf, 0.0, -0.45]:
+        with pytest.raises(ValueError, match=f"got {dwell_s} s"):
+            ScanData(angles, dwell_s, counts, counts, counts)
+        scan.dwell_s = dwell_s
+        with pytest.raises(ValueError, match=f"got {dwell_s} s"):
+            correct_accidentals(scan)
 
 
 def test_scan_data_takes_a_batch():
@@ -76,9 +89,9 @@ def test_scan_data_takes_a_batch():
     rng = np.random.default_rng(5)
     angles = np.tile(np.linspace(0.0, 6.0, 7), (3, 1))
     s1, s2, c = rng.integers(0, 400000, (3, 3, 7))
-    corrected = correct_accidentals(ScanData(angles, 0.45, s1, s2, c, np.array([0, 1, 0])), 9e-9)
+    corrected = correct_accidentals(ScanData(angles, 0.45, s1, s2, c, np.array([0, 1, 0])))
     for row in range(3):
-        alone = correct_accidentals(ScanData(angles[row], 0.45, s1[row], s2[row], c[row]), 9e-9)
+        alone = correct_accidentals(ScanData(angles[row], 0.45, s1[row], s2[row], c[row]))
         assert corrected[row].tobytes() == alone.tobytes()
     # as many scans in each array, but not as many steps
     with pytest.raises(ValueError, match="equal shape"):
@@ -100,7 +113,7 @@ def test_correction_scale_invariance():
     a = ScanData(angles, 0.45, s1, s2, c)
     b = ScanData(angles, 0.45 * 3, s1 * 3, s2 * 3, c * 3)
     np.testing.assert_allclose(
-        correct_accidentals(a, 9e-9), correct_accidentals(b, 9e-9), rtol=1e-12
+        correct_accidentals(a), correct_accidentals(b), rtol=1e-12
     )
 
 
@@ -328,11 +341,10 @@ def make_flight_records(scan_id, pair, angles, counts, committed=True, per_step=
     """A scan's records in flight layout: each step's counts spread over
     `per_step` counting records (4 fit the flight's 0.45 s dwell), then the
     commit record."""
-    cal = default_calibration()
     recs = []
     t = scan_id * 100000
     for step, (theta, (s1, s2, c)) in enumerate(zip(angles, counts)):
-        mv = round(voltage_for_angle(cal, theta % (2 * math.pi)) * 1000)
+        mv = round(voltage_for_angle(CALIBRATION, theta % (2 * math.pi)) * 1000)
         for k in range(per_step):
             share = [x // per_step + (x % per_step if k == 0 else 0) for x in (s1, s2, c)]
             recs.append(telemetry.TelemetryRecord(
@@ -354,14 +366,13 @@ def test_scan_grouping_drops_uncommitted():
     counts = [(1000, 900, 50)] * 36
     recs = make_flight_records(1, 0, angles, counts, committed=True)
     recs += make_flight_records(2, 1, angles, counts, committed=False)
-    ids, scans, mismatched = scan_data_from_records(table_of(recs), default_calibration(), 0.45)
+    ids, scans, mismatched = scan_data_from_records(table_of(recs), 0.45)
     assert ids == [1]
     assert mismatched == 0
     assert scans.angles_rad.shape == (1, 36)
 
 
 def test_scan_grouping_sums_split_steps():
-    cal = default_calibration()
     recs = make_flight_records(
         3, 0, np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False),
         [(100, 90, 5)] * 36,
@@ -373,7 +384,7 @@ def test_scan_grouping_sums_split_steps():
         lc_signal_mv=dup.lc_signal_mv, singles_1=11, singles_2=9, coinc_raw=2,
         flags=telemetry.FLAG_PRESENT | telemetry.FLAG_COUNTING,
     ))
-    ids, scans, _ = scan_data_from_records(table_of(recs), cal, 0.45)
+    ids, scans, _ = scan_data_from_records(table_of(recs), 0.45)
     assert ids == [3]
     assert scans.singles_1[0, 0] == 111
     assert scans.coinc_raw[0, 0] == 7
@@ -389,12 +400,11 @@ def test_scan_grouping_checks_the_dwell():
     # one step of scan 6 is a record short
     short = make_flight_records(6, 1, angles, counts)
     recs += short[:40] + short[41:]
-    ids, _, mismatched = scan_data_from_records(table_of(recs), default_calibration(), 0.45)
+    ids, _, mismatched = scan_data_from_records(table_of(recs), 0.45)
     assert ids == [1, 2]
     assert mismatched == 4
     # the records fit other dwells: 1 record per step is a 0.125 s dwell
-    ids, _, mismatched = scan_data_from_records(table_of(recs), default_calibration(),
-                                                dwell_s=0.125)
+    ids, _, mismatched = scan_data_from_records(table_of(recs), dwell_s=0.125)
     assert ids == [5]
     assert mismatched == 5
 
@@ -539,8 +549,7 @@ def test_scan_grouping_drops_partial_scans(tmp_path):
     # calibration (a u16 field holds up to 65535 mV) cannot stop the analysis
     bad = [replace(r, lc_signal_mv=9000) if r.step == 30 else r
            for r in make_flight_records(4, 1, angles, counts)[25 * 4:]]
-    ids, _, mismatched = scan_data_from_records(table_of(whole + cut + gap + bad),
-                                                default_calibration(), 0.45)
+    ids, _, mismatched = scan_data_from_records(table_of(whole + cut + gap + bad), 0.45)
     assert ids == [1]
     assert mismatched == 0
 
@@ -680,9 +689,8 @@ def scan_records(draw):
 @given(scan_records())
 def test_table_grouping_matches_dict_reference(records):
     # 1 or 2 counting records per step fit a 0.125 s dwell
-    cal = default_calibration()
-    expected, expected_mismatched = dict_grouping(records, cal, dwell_s=0.125)
-    ids, got, mismatched = scan_data_from_records(table_of(records), cal, dwell_s=0.125)
+    expected, expected_mismatched = dict_grouping(records, CALIBRATION, dwell_s=0.125)
+    ids, got, mismatched = scan_data_from_records(table_of(records), dwell_s=0.125)
     assert ids == list(expected)
     assert mismatched == expected_mismatched
     # the batch holds the kept scans as rows, in the order of their ids

@@ -11,9 +11,11 @@ from pairsat import controller
 from pairsat.controller import (
     BIAS_SETPOINT,
     FAULT_HOLD_S,
+    IDLER_VOLTAGES_MV,
     PAIR_1_4,
     PAIR_2_3,
     PAIR_CHANNELS,
+    SCAN_VOLTAGES_MV,
     TICK_MS,
     ApdBiasLoop,
     Commands,
@@ -25,13 +27,12 @@ from pairsat.controller import (
     Sensors,
     apd_bias_step,
     bench_rates,
-    idler_voltage_mv,
     laser_stable,
     run_scan,
     scan_voltages,
     thermal_gate,
 )
-from pairsat.lc_optics import SETTLE_TIME_MS, angle_from_voltage, default_calibration
+from pairsat.lc_optics import CALIBRATION, SETTLE_TIME_MS, angle_from_voltage
 from pairsat.physics import ApdParams, SourceParams, avalanche_amplitude
 from pairsat.thermal_power import HEATER_CAP_IDLE_W, HEATER_CAP_OPERATING_W, heater_cap, total_power
 
@@ -333,9 +334,9 @@ def test_scan_voltages_cover_revolution():
     # steps are uniform in drive voltage; the angle axis inherits the
     # calibration nonlinearity, which is what makes the raw trace look
     # stretched before the angle-domain fit straightens it out
-    cfg = ScanConfig()
-    cal = default_calibration()
-    mvs = scan_voltages(cfg, cal)
+    cal = CALIBRATION
+    mvs = scan_voltages(ScanConfig())
+    assert list(SCAN_VOLTAGES_MV) == mvs
     assert len(mvs) == 36
     assert mvs[0] == round(cal.v_min * 1000)
     assert mvs[-1] == round(cal.v_max * 1000)
@@ -361,13 +362,11 @@ def test_scan_config_time_budget():
 
 
 def test_idler_voltage_pair_mapping():
-    cal = default_calibration()
-    mv14 = idler_voltage_mv(PAIR_1_4, cal)
-    mv23 = idler_voltage_mv(PAIR_2_3, cal)
+    mv14, mv23 = IDLER_VOLTAGES_MV[PAIR_1_4], IDLER_VOLTAGES_MV[PAIR_2_3]
     # the commanded idler settings, as the flash carries them
     assert (mv14, mv23) == (0, 2555)
-    a14 = angle_from_voltage(cal, mv14 / 1000.0)
-    a23 = angle_from_voltage(cal, mv23 / 1000.0)
+    a14 = angle_from_voltage(CALIBRATION, mv14 / 1000.0)
+    a23 = angle_from_voltage(CALIBRATION, mv23 / 1000.0)
     # alternate pair sits behind the other splitter port, a quarter turn away
     assert abs((a23 - a14) - math.pi / 2.0) < 1e-3
 
@@ -421,7 +420,7 @@ def test_run_scan_visibility_definition_check():
         singles_2=np.array([r.counts.singles_2 for r in records]),
         coinc_raw=np.array([r.counts.coincidences_raw for r in records]),
     )
-    fit = fit_sinusoid(angles, correct_accidentals(scan, 9e-9))
+    fit = fit_sinusoid(angles, correct_accidentals(scan))
     assert abs(fit.visibility - 0.95) < 0.04
 
 
@@ -505,11 +504,11 @@ def test_counting_waits_for_the_settled_flag():
         cmd = ctrl.tick(sensors_at(t, settled=False))
         assert not cmd.counting
         if cmd.lc_signal_mv is not None:
-            commands.append((cmd.lc_signal_mv, ctrl.idler_voltages[cmd.pair]))
+            commands.append((cmd.lc_signal_mv, IDLER_VOLTAGES_MV[cmd.pair]))
         t += TICK_MS
     assert ctrl.mode is Mode.SCANNING
     # the one step command wrote both LCs, and the first settled tick counts
-    assert commands == [(ctrl.voltages[0], ctrl.idler_voltages[PAIR_1_4])]
+    assert commands == [(SCAN_VOLTAGES_MV[0], IDLER_VOLTAGES_MV[PAIR_1_4])]
     assert ctrl.tick(sensors_at(t)).counting
 
 

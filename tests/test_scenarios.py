@@ -755,6 +755,37 @@ def _narrow_bias_max(ctrl, bias_max_v=120.5, breakdown_v=112.0, channel=0):
                                       breakdown_volts_at_25c=breakdown_v)
 
 
+def _low_breakdown(ctrl):
+    # channel 0 breaks down 12 V low: the bias its setpoint needs, near
+    # 110 V, lies under a 112 V floor, so its loop walks down from 115 V in
+    # the warm-up and rails at bias_min_v
+    loop = ctrl.bias_loops[0]
+    loop.params = dataclasses.replace(loop.params, bias_min_v=112.0,
+                                      breakdown_volts_at_25c=100.0)
+
+
+def _slow_turn_on(overvolts):
+    return 0.0 if overvolts <= 0 else 1.0 - math.exp(-overvolts / 5.0)
+
+
+def _unlike_idler_apd(ctrl):
+    # channel 3, the idler APD of channel 0's pair, differs from it in
+    # every field, so no field of one loop can stand in for the other's
+    ctrl.bias_loops[3].params = ApdParams(
+        breakdown_volts_at_25c=111.5, breakdown_tempco_v_per_c=0.65,
+        amplitude_gain_per_overvolt=0.12, efficiency_sat_curve=_slow_turn_on,
+        bias_min_v=101.0, bias_max_v=129.0)
+
+
+def _signal_starved():
+    """Lab 60 s, seed 1, with 1 000 signal singles per second: the
+    coincidences of a tick near the peak of the scan are clamped by its
+    signal singles."""
+    scenario = make_scenario("lab", duration_s=60.0, seed=1)
+    scenario.source = SourceParams(singles_rate_signal_hz=1000.0)
+    return scenario
+
+
 def _idler_starved():
     """Lab 60 s, seed 1, with 1 000 idler singles per second: below the
     pair rate near the peak of the scan, so the coincidences of a tick are
@@ -830,11 +861,18 @@ def _railed_dip():
     # some scan starts in the period of the commit before it
     (make_scenario("lab", seed=1), None, lambda s: not s.stabilizing and s.after_commit),
     (_idler_starved(), None, lambda s: not s.stabilizing and s.coinc_at_idler_singles),
+    (_signal_starved(), None, lambda s: not s.stabilizing and s.coinc_at_signal_singles),
+    # the signal loop rails at its floor in the warm-up and scans on it
+    (make_scenario("lab", duration_s=60.0, seed=1), _low_breakdown,
+     lambda s: not s.stabilizing and s.entered_railed and s.railed),
+    (make_scenario("lab", duration_s=60.0, seed=1), _unlike_idler_apd,
+     lambda s: s.reason == "storing"),
 ], ids=["dip-mid-dwell", "dip-under-threshold", "dip-in-warm-up", "ends-in-warm-up",
         "stabilizing-after-commit", "dip-on-step-command", "bias-rail", "idler-bias-rail",
         "railed-dip-on-entry", "leaves-rail",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
-        "ends-after-commit", "after-storing", "coinc-clamped-by-idler"])
+        "ends-after-commit", "after-storing", "coinc-clamped-by-idler",
+        "coinc-clamped-by-signal", "bias-min-rail", "unlike-pair-loops"])
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_run):
     run = _matches_reference(engine_run, scenario, prepare)
     assert any(case(s) for s in run.operating), run.operating

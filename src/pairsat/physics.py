@@ -12,8 +12,7 @@ durations in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,19 +66,32 @@ def overlap_factor(detector_dia_mm: float, beam_dia_mm: float) -> float:
     return min(1.0, (detector_dia_mm / beam_dia_mm) ** 2)
 
 
-@dataclass
+def _check_finite(params) -> None:
+    """Reject a parameter object any of whose fields is not a finite number,
+    naming the field: NaN passes every ordered comparison as False, so the
+    range checks alone would let it through. Both parameter classes are
+    frozen, so no field changes after the check."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+@dataclass(frozen=True)
 class SourceParams:
     """Ground-truth description of the pair source, hidden from the analyzer.
 
-    ``pair_rate_per_mw`` is the true generated-and-detected pair rate per mW
-    of pump power at the scan peak; ``true_visibility`` and
-    ``phase_offset_rad`` shape the coincidence sinusoid the analyzer is
-    later asked to recover.
+    Every field is a finite number. ``pump_power_mw`` is the pump laser's
+    nominal drive, which the laser monitor reads; ``pair_rate_per_mw`` is
+    the true generated-and-detected pair rate per mW of pump power at the
+    scan peak; ``true_visibility`` and ``phase_offset_rad`` shape the
+    coincidence sinusoid the analyzer is later asked to recover. The idler
+    wavelength is not a field: energy conservation fixes it from the pump
+    and signal wavelengths.
     """
 
     pump_wavelength_nm: float = 405.0
     signal_wavelength_nm: float = 760.0
-    idler_wavelength_nm: float = 867.0
     pump_power_mw: float = DEFAULT_PUMP_POWER_MW
     pair_rate_per_mw: float = DEFAULT_PEAK_PAIR_RATE_HZ / DEFAULT_PUMP_POWER_MW
     true_visibility: float = 0.95
@@ -88,15 +100,9 @@ class SourceParams:
     singles_rate_idler_hz: float = 330000.0
 
     def __post_init__(self) -> None:
-        resid = abs(
-            1.0 / self.pump_wavelength_nm
-            - 1.0 / self.signal_wavelength_nm
-            - 1.0 / self.idler_wavelength_nm
-        ) * self.pump_wavelength_nm
-        if resid >= 1e-3:
-            raise ValueError(
-                f"wavelengths violate energy conservation (relative residual {resid:.2e})"
-            )
+        _check_finite(self)
+        # raises unless 0 < pump < signal
+        idler_wavelength(self.pump_wavelength_nm, self.signal_wavelength_nm)
         if not 0.0 <= self.true_visibility <= 1.0:
             raise ValueError(f"true_visibility {self.true_visibility} outside [0, 1]")
         for name in (
@@ -107,6 +113,10 @@ class SourceParams:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+
+    @property
+    def idler_wavelength_nm(self) -> float:
+        return idler_wavelength(self.pump_wavelength_nm, self.signal_wavelength_nm)
 
     @property
     def peak_pair_rate_hz(self) -> float:
@@ -159,35 +169,39 @@ def sample_counts(
     return CountSample(s1, s2, min(c, s1, s2), dwell_s)
 
 
-def _default_efficiency_curve(overvolts: float) -> float:
-    # saturating turn-on; anything monotone with eff(0)=0 works here
-    if overvolts <= 0:
-        return 0.0
-    return 1.0 - math.exp(-overvolts / 4.0)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ApdParams:
-    """Avalanche photodiode model parameters.
+    """Avalanche photodiode model parameters, each a finite number.
 
     Breakdown voltage drifts linearly with temperature; the avalanche pulse
     amplitude is proportional to the overvoltage above breakdown. Detection
-    efficiency saturates with overvoltage, so holding the amplitude fixed
+    efficiency saturates with overvoltage (`detection_efficiency`, whose
+    turn-on scale is ``efficiency_scale_v``), so holding the amplitude fixed
     holds the efficiency fixed.
     """
 
     breakdown_volts_at_25c: float = 112.0
     breakdown_tempco_v_per_c: float = 0.7
     amplitude_gain_per_overvolt: float = 0.1
-    efficiency_sat_curve: Callable[[float], float] = field(
-        default=_default_efficiency_curve
-    )
+    efficiency_scale_v: float = 4.0
     bias_min_v: float = 100.0
     bias_max_v: float = 130.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
+        for name in ("amplitude_gain_per_overvolt", "efficiency_scale_v"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.bias_min_v >= self.bias_max_v:
             raise ValueError("bias_min_v must be below bias_max_v")
+
+
+def detection_efficiency(params: ApdParams, overvolts: float) -> float:
+    """Saturating turn-on of the detection efficiency with overvoltage:
+    0 at or below breakdown, 1 - exp(-overvolts / efficiency_scale_v) above."""
+    if overvolts <= 0:
+        return 0.0
+    return 1.0 - math.exp(-overvolts / params.efficiency_scale_v)
 
 
 def breakdown_voltage(params: ApdParams, temp_c: float) -> float:
@@ -205,20 +219,17 @@ def avalanche_amplitude(params: ApdParams, bias_v: float, temp_c: float) -> floa
 
 
 def reference_efficiency(params: ApdParams) -> float:
-    """The efficiency curve at `REFERENCE_OVERVOLTS`, which every efficiency
-    factor divides by; a curve not positive there raises."""
-    ref = params.efficiency_sat_curve(REFERENCE_OVERVOLTS)
-    if ref <= 0:
-        raise ValueError("efficiency curve must be positive at the reference point")
-    return ref
+    """`detection_efficiency` at `REFERENCE_OVERVOLTS`, which every
+    efficiency factor divides by; positive for every valid `ApdParams`."""
+    return detection_efficiency(params, REFERENCE_OVERVOLTS)
 
 
 def efficiency_factor(params: ApdParams, bias_v: float, temp_c: float) -> float:
-    """Detection-efficiency scale relative to the nominal operating point.
+    """Detection-efficiency scale relative to the nominal operating point:
+    `detection_efficiency` at the overvoltage over `reference_efficiency`.
 
     1.0 when the bias loop sits at its reference overvoltage; drops toward 0
     if the bias rails below breakdown plus reference.
     """
     over = max(0.0, bias_v - breakdown_voltage(params, temp_c))
-    ref = reference_efficiency(params)
-    return params.efficiency_sat_curve(over) / ref
+    return detection_efficiency(params, over) / reference_efficiency(params)

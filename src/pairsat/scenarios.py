@@ -69,7 +69,7 @@ from .controller import (BIAS_KI, BIAS_KP, BIAS_SETPOINT, DWELL_MS, EMPTY_BAND, 
                          FlightController, Mode, Sensors, band_certifies, laser_stable)
 from .lc_optics import CALIBRATION, SETTLE_TIME_MS, LcState, MonotoneCubic, angle_from_voltage, \
     command_voltage, step_settle
-from .physics import SourceParams, reference_efficiency
+from .physics import SourceParams, detection_efficiency, reference_efficiency
 from .telemetry import FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_HEATER_ON, FLAG_LASER_ON, \
     FlashImage
 from .thermal_power import (HEATER_CAP_OPERATING_W, HEATER_OFF_ABOVE_C, HEATER_ON_BELOW_C,
@@ -87,8 +87,8 @@ PERIOD_TICKS = math.lcm(TICK_MS, RECORD_PERIOD_MS) // TICK_MS
 NEXT_STARTS_PERIOD = tuple((j + 1) * TICK_MS % RECORD_PERIOD_MS < TICK_MS
                            for j in range(PERIOD_TICKS))
 
-# pump laser power, mW: nominal, and the relative standard deviation of its noise
-LASER_MW = 9.0
+# the relative standard deviation of the pump laser's power noise about its
+# nominal drive, `SourceParams.pump_power_mw`
 LASER_NOISE = 0.0003
 
 SEA_LEVEL_PRESSURE_MBAR = 1013.25
@@ -532,7 +532,7 @@ class SimulationEngine:
         src = self.scenario.source
         params = [loop.params for loop in self.ctrl.bias_loops]
         refs = [reference_efficiency(p) for p in params]
-        gain = max(p.efficiency_sat_curve(p.bias_max_v) / ref for p, ref in zip(params, refs))
+        gain = max(detection_efficiency(p, p.bias_max_v) / ref for p, ref in zip(params, refs))
         rate = (physics.true_pair_rate(src, src.phase_offset_rad / 2.0) * gain**2
                 + physics.accidental_rate(src.singles_rate_signal_hz * gain,
                                           src.singles_rate_idler_hz * gain,
@@ -741,15 +741,17 @@ class SimulationEngine:
         the operating heater rule (`heater_command`); both PI bias steps
         (`ApdBiasLoop.step`); on a counting tick the rates
         (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
-        the analyzer part from `_pair_rate`) and three Poisson draws
+        its saturating form written out on the scales and reference
+        efficiencies bound on entry, the analyzer part from `_pair_rate`)
+        and three Poisson draws
         (`physics.sample_counts`); the tick flags; the LC pair's settle
         timer (`step_settle`); the housing step (`housing_step`) against
         `ext_temp`, the series of `boundary_temps`; and the period close
         (`_close_period`). A LASER_STABILIZING tick is the same tick
         with the scan steps switched off; its commands carry scan id 0 and
-        step 0. The draw cache is looked up only when the heater toggles,
-        and the reference efficiencies are checked on entry. Neither a
-        not-ready window nor a railed bias loop stops the stretch.
+        step 0. The laser draws about the source's `pump_power_mw`. The draw
+        cache is looked up only when the heater toggles. Neither a not-ready
+        window nor a railed bias loop stops the stretch.
 
         It returns the first tick it did not advance: the end of the run,
         or a tick the controller decides, after its period check and with
@@ -779,6 +781,7 @@ class SimulationEngine:
         sig_mv, idler_mv, settle = self.lc.signal_mv, self.lc.idler_mv, self.lc.settle_remaining_ms
         pair_rate = None
         source = self.scenario.source
+        pump_mw, exp = source.pump_power_mw, math.exp
         singles_1, singles_2 = source.singles_rate_signal_hz, source.singles_rate_idler_hz
         window = physics.COINCIDENCE_WINDOW_S
         loops = ctrl.bias_loops
@@ -794,7 +797,7 @@ class SimulationEngine:
         lo_1, lo_2 = max(min_1, 0.0), max(min_2, 0.0)
         rail_lo_1, rail_hi_1 = min_1 + 1e-9, max_1 - 1e-9
         rail_lo_2, rail_hi_2 = min_2 + 1e-9, max_2 - 1e-9
-        curve_1, curve_2 = p1.efficiency_sat_curve, p2.efficiency_sat_curve
+        scale_1, scale_2 = p1.efficiency_scale_v, p2.efficiency_scale_v
         ref_1, ref_2 = reference_efficiency(p1), reference_efficiency(p2)
         setpoint = BIAS_SETPOINT
         b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
@@ -810,7 +813,7 @@ class SimulationEngine:
         try:
             while True:
                 t_ms = k * TICK_MS
-                laser_mw = LASER_MW * (1.0 + LASER_NOISE * normal())
+                laser_mw = pump_mw * (1.0 + LASER_NOISE * normal())
                 if dips:
                     for t0, dur, frac in dips:
                         if t0 <= k * TICK_S < t0 + dur:
@@ -899,9 +902,9 @@ class SimulationEngine:
                     if pair_rate is None:
                         pair_rate = self._pair_rate(pair, sig_mv)
                     over = b1 - bd1
-                    f1 = curve_1(over if over > 0.0 else 0.0) / ref_1
+                    f1 = (1.0 - exp(-over / scale_1)) / ref_1 if over > 0.0 else 0.0
                     over = b2 - bd2
-                    f2 = curve_2(over if over > 0.0 else 0.0) / ref_2
+                    f2 = (1.0 - exp(-over / scale_2)) / ref_2 if over > 0.0 else 0.0
                     rate_1, rate_2 = singles_1 * f1, singles_2 * f2
                     if rate_1 < 0 or rate_2 < 0:
                         raise ValueError("rates and window must be nonnegative")

@@ -337,11 +337,16 @@ def read_records(
     keep = ok_a.copy()
     keep[repaired] = True
     kept = np.flatnonzero(keep)
-    rows = a[kept]
-    rows[np.searchsorted(kept, repaired)] = b[repaired]
-    # byte rows in time order, ties in slot order, viewed as records once
-    order = np.argsort(rows[:, :4].view("<u4")[:, 0], kind="stable")
-    table = rows[order].view(RECORD_DTYPE).reshape(-1)
+    # each kept slot's time_ms from the sector it is taken from, then the
+    # slots in time order, ties in slot order
+    times = a.view("<u4")[kept, 0]
+    times[np.searchsorted(kept, repaired)] = b.view("<u4")[repaired, 0]
+    order = kept[np.argsort(times, kind="stable")]
+    # one gather in that order, the repaired rows from B, viewed as records once
+    rows = a.take(order, axis=0)
+    from_b = np.flatnonzero(~ok_a[order])
+    rows[from_b] = b.take(order[from_b], axis=0)
+    table = rows.view(RECORD_DTYPE).reshape(-1)
     if not as_table:
         return [TelemetryRecord(*row[:-1]) for row in table.tolist()]
     health = FlashHealth(

@@ -92,7 +92,7 @@ MUTANTS = [
     Mutant("idler-loop-with-signal-gain", SCENARIOS,
            "(setpoint - gain_2 * (over", "(setpoint - gain_1 * (over", "unlike-pair-loops"),
     Mutant("idler-efficiency-on-signal-curve", SCENARIOS,
-           "f2 = curve_2(", "f2 = curve_1(", "unlike-pair-loops"),
+           "/ scale_2)) / ref_2", "/ scale_1)) / ref_2", "unlike-pair-loops"),
     # a hold that ends after exactly one temperature-only period drops its row
     Mutant("one-held-period-dropped", SCENARIOS,
            "        if held > 0:\n", "        if held > 1:\n", "one-held-period"),

@@ -31,8 +31,7 @@ from pairsat.analysis import ScanData, correct_accidentals, fit_sinusoid
 from pairsat.controller import (FLIGHT_SCAN, IDLER_VOLTAGES_MV, PAIR_CHANNELS, FlightController,
                                 Mode, OpticalBench, Sensors, bench_rates)
 from pairsat.lc_optics import CALIBRATION, LcState, angle_from_voltage, command_voltage, step_settle
-from pairsat.scenarios import LASER_MW, LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, \
-    package_step
+from pairsat.scenarios import LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, package_step
 from pairsat.telemetry import (FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_FAULT_HOLD, FLAG_HEATER_ON,
                                FLAG_LASER_ON, FLAG_PRESENT, FLAG_SCAN_COMMIT, FLAG_WRAPPED,
                                RECORD_BYTES, RECORD_DTYPE, RECORD_PERIOD_MS, SECTOR_CAPACITY,
@@ -44,6 +43,7 @@ def reference_run(scenario, prepare=None):
     controller before the first tick. Returns the flash image and the run
     summary, as `run_simulation` does."""
     rng = np.random.default_rng(scenario.seed)
+    pump_mw = scenario.source.pump_power_mw
     ctrl = FlightController()
     if prepare is not None:
         prepare(ctrl)
@@ -104,7 +104,7 @@ def reference_run(scenario, prepare=None):
 
         laser_mw = 0.0
         if ctrl.laser_on:
-            laser_mw = LASER_MW * (1.0 + LASER_NOISE * float(rng.standard_normal()))
+            laser_mw = pump_mw * (1.0 + LASER_NOISE * float(rng.standard_normal()))
             for t0, duration, frac in scenario.laser_dips:
                 if t0 <= k * TICK_S < t0 + duration:
                     laser_mw *= 1.0 - frac

@@ -1,11 +1,11 @@
 """Rate formulas, Poisson sampling, and APD response."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pairsat import physics
 from pairsat.physics import (
     ApdParams,
     CountSample,
@@ -13,6 +13,7 @@ from pairsat.physics import (
     accidental_rate,
     avalanche_amplitude,
     breakdown_voltage,
+    detection_efficiency,
     efficiency_factor,
     idler_wavelength,
     overlap_factor,
@@ -42,11 +43,15 @@ def test_energy_conservation_of_defaults():
     lhs = 1.0 / src.pump_wavelength_nm
     rhs = 1.0 / src.signal_wavelength_nm + 1.0 / src.idler_wavelength_nm
     assert abs(lhs - rhs) * src.pump_wavelength_nm < 1e-3
+    # derived from the pump and signal, not held
+    assert src.idler_wavelength_nm == idler_wavelength(405.0, 760.0)
+    assert src.idler_wavelength_nm == pytest.approx(867.04, abs=0.005)
 
 
 def test_source_params_rejects_nonconserving_triple():
-    with pytest.raises(ValueError):
-        SourceParams(idler_wavelength_nm=900.0)
+    # a pump above the signal leaves no positive idler wavelength
+    with pytest.raises(ValueError, match="0 < pump < signal"):
+        SourceParams(pump_wavelength_nm=800.0)
     with pytest.raises(ValueError):
         SourceParams(true_visibility=1.2)
     with pytest.raises(ValueError):
@@ -128,6 +133,37 @@ def test_count_sample_validation():
         CountSample(singles_1=-1, singles_2=0, coincidences_raw=0, dwell_s=0.45)
 
 
+# every field of both parameter classes
+PARAM_FIELDS = [(cls, f.name) for cls in (SourceParams, ApdParams) for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", PARAM_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in PARAM_FIELDS])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(cls, name, value):
+    # NaN fails every ordered comparison, so only a finiteness check stops it
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
+
+
+def test_params_are_frozen():
+    # a field set after construction would skip the checks
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SourceParams().pump_power_mw = math.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ApdParams().efficiency_scale_v = math.nan
+
+
+@pytest.mark.parametrize("name, value", [
+    ("efficiency_scale_v", 0.0), ("efficiency_scale_v", -4.0),
+    ("efficiency_scale_v", math.inf), ("efficiency_scale_v", math.nan),
+    ("amplitude_gain_per_overvolt", 0.0), ("amplitude_gain_per_overvolt", -0.1),
+])
+def test_apd_params_reject_scale_or_gain_not_positive(name, value):
+    with pytest.raises(ValueError, match=name):
+        ApdParams(**{name: value})
+
+
 def test_breakdown_voltage_tempco():
     p = ApdParams()
     assert breakdown_voltage(p, 25.0) == 112.0
@@ -155,6 +191,11 @@ def test_efficiency_factor_saturates_and_normalizes():
     assert 0.0 < low < 1.0
     factors = [efficiency_factor(p, b, 25.0) for b in np.linspace(112.0, 130.0, 30)]
     assert all(b2 >= b1 for b1, b2 in zip(factors, factors[1:]))
+    # the turn-on is zero up to breakdown and saturates on the APD's scale
+    slow = ApdParams(efficiency_scale_v=5.0)
+    assert detection_efficiency(slow, 0.0) == detection_efficiency(slow, -3.0) == 0.0
+    assert detection_efficiency(slow, 5.0) == 1.0 - math.exp(-1.0)
+    assert efficiency_factor(slow, 122.0, 25.0) == 1.0
 
 
 def test_rng_stream_is_pinned():

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsat import controller, scenarios, telemetry, thermal_power
+from pairsat import scenarios, telemetry, thermal_power
 from pairsat.analysis import analyze_flash
 from pairsat.controller import Mode
-from pairsat.physics import REFERENCE_OVERVOLTS, ApdParams, SourceParams
+from pairsat.physics import ApdParams, SourceParams
 from pairsat.scenarios import (
     ATMOSPHERE_SCALE_HEIGHT_M,
     BALLOON_CEILING_M,
@@ -239,7 +239,8 @@ def _source_at_peak_counts(counts: float) -> SourceParams:
     """A source whose expected raw coincidences at the peak angle, with both
     detectors at the efficiency curve's top ratio, sum to `counts` over the
     three 50 ms ticks one 125 ms record can hold."""
-    ratio = (1.0 - math.exp(-130.0 / 4.0)) / (1.0 - math.exp(-10.0 / 4.0))
+    scale = ApdParams().efficiency_scale_v
+    ratio = (1.0 - math.exp(-130.0 / scale)) / (1.0 - math.exp(-10.0 / scale))
     src = SourceParams()
     accidental = src.singles_rate_signal_hz * src.singles_rate_idler_hz * ratio**2 * 9e-9
     true_peak = (counts / 0.15 - accidental) / ratio**2
@@ -258,16 +259,6 @@ def test_engine_rejects_source_over_coinc_raw_limit():
     scenario.source = _source_at_peak_counts(1.001 * (2**16 - 1))
     with pytest.raises(ValueError, match="coinc_raw"):
         SimulationEngine(scenario)
-
-
-def test_engine_rejects_zero_reference_efficiency(monkeypatch):
-    # every loop is checked before the record-field check divides by it
-    def curve(overvolts):
-        return max(0.0, overvolts - REFERENCE_OVERVOLTS)
-
-    monkeypatch.setattr(controller, "ApdParams", lambda: ApdParams(efficiency_sat_curve=curve))
-    with pytest.raises(ValueError, match="positive at the reference point"):
-        SimulationEngine(make_scenario("lab", duration_s=1.0))
 
 
 # a hand-filled pending block: (row, repeat count, housing temperature of
@@ -764,16 +755,12 @@ def _low_breakdown(ctrl):
                                       breakdown_volts_at_25c=100.0)
 
 
-def _slow_turn_on(overvolts):
-    return 0.0 if overvolts <= 0 else 1.0 - math.exp(-overvolts / 5.0)
-
-
 def _unlike_idler_apd(ctrl):
     # channel 3, the idler APD of channel 0's pair, differs from it in
     # every field, so no field of one loop can stand in for the other's
     ctrl.bias_loops[3].params = ApdParams(
         breakdown_volts_at_25c=111.5, breakdown_tempco_v_per_c=0.65,
-        amplitude_gain_per_overvolt=0.12, efficiency_sat_curve=_slow_turn_on,
+        amplitude_gain_per_overvolt=0.12, efficiency_scale_v=5.0,
         bias_min_v=101.0, bias_max_v=129.0)
 
 
@@ -889,9 +876,22 @@ def test_a_laser_step_longer_than_the_window_recentres_the_band(engine_run):
     scenario.laser_dips = [(20.25, 15.0, 0.03)]
     run = _matches_reference(engine_run, scenario)
     assert run.summary.aborted_scans == 0 and len(run.summary.scans) == 4
-    levels = [round((lo + hi) / 2 / scenarios.LASER_MW, 2) for lo, hi in
+    levels = [round((lo + hi) / 2 / scenario.source.pump_power_mw, 2) for lo, hi in
               (s.band for s in run.operating)]
     assert levels[:4] == [1.0, 0.97, 0.97, 1.0], run.operating
+
+
+def test_pump_drive_reaches_the_laser_reading(engine_run):
+    # the laser draws about the source's pump drive, here 6 mW, so every
+    # laser-on record reads it, within the 0.03 % noise
+    scenario = make_scenario("lab", duration_s=60.0, seed=1)
+    scenario.source = SourceParams(pump_power_mw=6.0)
+    run = _matches_reference(engine_run, scenario)
+    assert run.summary.scans
+    rows = telemetry.read_records(run.flash, as_table=True).rows
+    laser_on = rows["laser_power_10uw"][(rows["flags"] & telemetry.FLAG_LASER_ON) != 0]
+    assert len(laser_on) > 0
+    assert 599 <= laser_on.min() and laser_on.max() <= 601, (laser_on.min(), laser_on.max())
 
 
 @pytest.mark.parametrize("scenario, prepare", [
@@ -914,8 +914,8 @@ def test_per_tick_path_raises_on_a_counting_tick(monkeypatch):
     # tick back leaves the counting ticks to the per-tick path, which
     # refuses the first
     def sample_only(self, k, ext_temp):
-        self._last_laser_mw = scenarios.LASER_MW
-        self.ctrl.monitor.add_sample(k * TICK_MS / 1000.0, scenarios.LASER_MW)
+        self._last_laser_mw = self.scenario.source.pump_power_mw
+        self.ctrl.monitor.add_sample(k * TICK_MS / 1000.0, self._last_laser_mw)
         return k
 
     monkeypatch.setattr(SimulationEngine, "_operating_stretch", sample_only)

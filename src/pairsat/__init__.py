@@ -9,7 +9,7 @@ visibility fitting pipeline (analysis), and end-to-end mission scenarios
 """
 
 from .analysis import FitResult, ScanData, correct_accidentals, fit_sinusoid, visibility
-from .controller import FlightController, Mode, OpticalBench, ScanConfig, run_scan
+from .controller import FlightController, Mode, ScanConfig, run_scan
 from .physics import ApdParams, SourceParams, accidental_rate, overlap_factor
 from .scenarios import RunSummary, Scenario, make_scenario, run_simulation
 from .telemetry import FlashImage, TelemetryRecord, read_records
@@ -22,7 +22,6 @@ __all__ = [
     "FlashImage",
     "FlightController",
     "Mode",
-    "OpticalBench",
     "RunSummary",
     "ScanConfig",
     "ScanData",

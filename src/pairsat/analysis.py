@@ -80,6 +80,19 @@ class FitResult:
     converged: bool
 
 
+# the fit's columns of both per-scan summary CSVs: `analyze_flash`'s
+# summary.csv and the flight's `scenarios.summary_to_csv`
+FIT_COLUMNS = ("visibility", "phase_rad", "rms_residual", "converged")
+
+
+def fit_columns(fit: FitResult) -> list:
+    """The `FIT_COLUMNS` cells of a fit, or of a flight `ScanSummary`, which
+    carries the same four fields: the visibility and the phase to 6 places,
+    the residual to 3, and converged as 1 or 0."""
+    return [f"{fit.visibility:.6f}", f"{fit.phase_rad:.6f}", f"{fit.rms_residual:.3f}",
+            int(fit.converged)]
+
+
 def visibility(max_rate: float, min_rate: float) -> float:
     """Contrast (max - min)/(max + min)."""
     if max_rate + min_rate <= 0:
@@ -436,20 +449,16 @@ def analyze_flash(
     with open(os.path.join(out_dir, "scans.csv"), "wb") as fh:
         fh.write(b"scan_id,step,angle_rad,raw_rate_hz,corrected_rate_hz,fit_rate_hz\r\n"
                  + _scans_csv_rows(ids, angles, rates))
+    scan_fits = list(zip(ids, scans.pair.tolist(), fits))
     summary_rows = [
         {"scan_id": scan_id, "pair": pair, "visibility": fit.visibility,
          "phase_rad": fit.phase_rad, "rms_residual": fit.rms_residual, "converged": fit.converged}
-        for scan_id, pair, fit in zip(ids, scans.pair.tolist(), fits)
+        for scan_id, pair, fit in scan_fits
     ]
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["scan_id", "pair", "visibility", "phase_rad", "rms_residual", "converged"])
-        for row in summary_rows:
-            w.writerow([
-                row["scan_id"], row["pair"], f"{row['visibility']:.6f}",
-                f"{row['phase_rad']:.6f}", f"{row['rms_residual']:.3f}",
-                int(row["converged"]),
-            ])
+        w.writerow(["scan_id", "pair", *FIT_COLUMNS])
+        w.writerows([scan_id, pair, *fit_columns(fit)] for scan_id, pair, fit in scan_fits)
     counts = {**asdict(read.health), "partial_scans_dropped": partial,
               "dwell_mismatch_scans_dropped": mismatched}
     with open(os.path.join(out_dir, HEALTH_CSV), "w", newline="") as fh:

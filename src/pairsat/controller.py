@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import physics, thermal_power
 from .lc_optics import (CALIBRATION, EXTINCTION_RATIO, SETTLE_TIME_MS, angle_from_voltage,
                         polarization_mixing, voltage_for_angle)
-from .physics import ApdParams, CountSample, SourceParams
+from .physics import ApdParams, SourceParams
 
 TICK_S = 0.05
 TICK_MS = 50
@@ -307,24 +307,6 @@ IDLER_VOLTAGES_MV = tuple(
     for pair in (PAIR_1_4, PAIR_2_3))
 
 
-@dataclass
-class ScanRecord:
-    step: int
-    lc_voltage_mv: int
-    analyzer_angle_rad: float
-    counts: CountSample
-    pair: int
-
-
-@dataclass
-class OpticalBench:
-    """Device bundle seen by the scan routine."""
-
-    source: SourceParams = field(default_factory=SourceParams)
-    pair: int = PAIR_1_4
-    apd_factors: tuple[float, float] = (1.0, 1.0)
-
-
 def analyzer_pair_rate(source: SourceParams, pair: int, analyzer_angle_rad: float) -> float:
     """True-pair rate behind the analyzer at an angle, before detection.
 
@@ -339,36 +321,34 @@ def analyzer_pair_rate(source: SourceParams, pair: int, analyzer_angle_rad: floa
     return polarization_mixing(true_par, true_orth, EXTINCTION_RATIO)
 
 
-def bench_rates(bench: OpticalBench, analyzer_angle_rad: float) -> tuple[float, float, float]:
-    """Expected (singles_1, singles_2, coincidence) rates at an analyzer
-    angle, each detector scaled by its efficiency factor."""
-    f1, f2 = bench.apd_factors
-    s1 = bench.source.singles_rate_signal_hz * f1
-    s2 = bench.source.singles_rate_idler_hz * f2
-    coinc = (analyzer_pair_rate(bench.source, bench.pair, analyzer_angle_rad) * f1 * f2
+def bench_rates(source: SourceParams, pair: int, apd_factors: tuple[float, float],
+                analyzer_angle_rad: float) -> tuple[float, float, float]:
+    """Expected (singles_1, singles_2, coincidence) rates of `pair` at an
+    analyzer angle, each detector scaled by its efficiency factor in
+    `apd_factors` (signal arm, idler arm)."""
+    f1, f2 = apd_factors
+    s1 = source.singles_rate_signal_hz * f1
+    s2 = source.singles_rate_idler_hz * f2
+    coinc = (analyzer_pair_rate(source, pair, analyzer_angle_rad) * f1 * f2
              + physics.accidental_rate(s1, s2, physics.COINCIDENCE_WINDOW_S))
     return s1, s2, coinc
 
 
 def run_scan(
-    config: ScanConfig, devices: OpticalBench, rng: np.random.Generator
-) -> list[ScanRecord]:
-    """Execute one synchronous LC scan and return its per-step records.
+    config: ScanConfig, source: SourceParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Execute one synchronous LC scan of pair 1&4 at unit detector factors.
 
     Each step commands the next voltage, waits the full settling time, then
-    integrates counts for the dwell.
+    integrates counts for the dwell, drawing in step order. Returns the step
+    angles and an (n_steps, 3) int64 array of (singles_1, singles_2,
+    coincidences) counts: `ScanData(angles, config.dwell_s, *counts.T)`.
     """
-    records: list[ScanRecord] = []
-    elapsed = 0.0
-    for step, mv in enumerate(scan_voltages(config)):
-        elapsed += SETTLE_TIME_MS / 1000
-        angle = angle_from_voltage(CALIBRATION, mv / 1000.0)
-        rates = bench_rates(devices, angle)
-        counts = physics.sample_counts(rates, config.dwell_s, rng)
-        elapsed += config.dwell_s
-        records.append(ScanRecord(step, mv, angle, counts, devices.pair))
-    assert elapsed < 30.0
-    return records
+    angles = angle_from_voltage(CALIBRATION, np.array(scan_voltages(config)) / 1000.0)
+    counts = np.array([
+        physics.sample_counts(bench_rates(source, PAIR_1_4, (1.0, 1.0), angle), config.dwell_s, rng)
+        for angle in angles.tolist()], dtype=np.int64)
+    return angles, counts
 
 
 @dataclass(slots=True)

@@ -137,25 +137,9 @@ def true_pair_rate(src: SourceParams, analyzer_angle_rad: float) -> float:
     ) / 2.0
 
 
-@dataclass
-class CountSample:
-    """Counts integrated over one dwell interval."""
-
-    singles_1: int
-    singles_2: int
-    coincidences_raw: int
-    dwell_s: float
-
-    def __post_init__(self) -> None:
-        if min(self.singles_1, self.singles_2, self.coincidences_raw) < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.coincidences_raw > min(self.singles_1, self.singles_2):
-            raise ValueError("coincidences cannot exceed either singles count")
-
-
 def sample_counts(
     rates: tuple[float, float, float], dwell_s: float, rng: np.random.Generator
-) -> CountSample:
+) -> tuple[int, int, int]:
     """Draw one Poisson count triple (singles_1, singles_2, coincidences).
 
     Coincidences are clamped to min(singles): a pair event needs a click on
@@ -166,7 +150,7 @@ def sample_counts(
     s1 = int(rng.poisson(rates[0] * dwell_s))
     s2 = int(rng.poisson(rates[1] * dwell_s))
     c = int(rng.poisson(rates[2] * dwell_s))
-    return CountSample(s1, s2, min(c, s1, s2), dwell_s)
+    return s1, s2, min(c, s1, s2)
 
 
 @dataclass(frozen=True)
@@ -194,6 +178,11 @@ class ApdParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.bias_min_v >= self.bias_max_v:
             raise ValueError("bias_min_v must be below bias_max_v")
+        # every efficiency factor divides by it, and it is 0 for a scale so
+        # large (about 2e17 V) that exp(-overvolts / scale) rounds to 1
+        if detection_efficiency(self, REFERENCE_OVERVOLTS) == 0.0:
+            raise ValueError(f"efficiency_scale_v {self.efficiency_scale_v} leaves no "
+                             f"detection efficiency at {REFERENCE_OVERVOLTS} V over")
 
 
 def detection_efficiency(params: ApdParams, overvolts: float) -> float:
@@ -220,7 +209,8 @@ def avalanche_amplitude(params: ApdParams, bias_v: float, temp_c: float) -> floa
 
 def reference_efficiency(params: ApdParams) -> float:
     """`detection_efficiency` at `REFERENCE_OVERVOLTS`, which every
-    efficiency factor divides by; positive for every valid `ApdParams`."""
+    efficiency factor divides by; positive for every valid `ApdParams`,
+    which reject a scale that leaves it 0."""
     return detection_efficiency(params, REFERENCE_OVERVOLTS)
 
 

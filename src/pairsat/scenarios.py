@@ -742,7 +742,9 @@ class SimulationEngine:
         (`ApdBiasLoop.step`); on a counting tick the rates
         (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
         its saturating form written out on the scales and reference
-        efficiencies bound on entry, the analyzer part from `_pair_rate`)
+        efficiencies bound on entry, the analyzer part from `_pair_rate`;
+        the detected singles are >= 0 for every valid `SourceParams` and
+        `ApdParams`, so `accidental_rate`'s sign check is not repeated)
         and three Poisson draws
         (`physics.sample_counts`); the tick flags; the LC pair's settle
         timer (`step_settle`); the housing step (`housing_step`) against
@@ -906,8 +908,6 @@ class SimulationEngine:
                     over = b2 - bd2
                     f2 = (1.0 - exp(-over / scale_2)) / ref_2 if over > 0.0 else 0.0
                     rate_1, rate_2 = singles_1 * f1, singles_2 * f2
-                    if rate_1 < 0 or rate_2 < 0:
-                        raise ValueError("rates and window must be nonnegative")
                     rate_c = pair_rate * f1 * f2 + rate_1 * rate_2 * window
                     # a scalar draw is a Python int; `min` only where a
                     # singles count binds the coincidences
@@ -1109,13 +1109,7 @@ def run_simulation(scenario: Scenario) -> tuple[FlashImage, RunSummary]:
 def summary_to_csv(summary: RunSummary, path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([
-            "scan_id", "pair", "t_start_ms", "t_commit_ms", "visibility",
-            "phase_rad", "rms_residual", "converged", "altitude_m",
-        ])
-        for s in summary.scans:
-            w.writerow([
-                s.scan_id, s.pair, s.t_start_ms, s.t_commit_ms,
-                f"{s.visibility:.6f}", f"{s.phase_rad:.6f}",
-                f"{s.rms_residual:.3f}", int(s.converged), f"{s.altitude_m:.1f}",
-            ])
+        w.writerow(["scan_id", "pair", "t_start_ms", "t_commit_ms", *analysis.FIT_COLUMNS,
+                    "altitude_m"])
+        w.writerows([s.scan_id, s.pair, s.t_start_ms, s.t_commit_ms, *analysis.fit_columns(s),
+                     f"{s.altitude_m:.1f}"] for s in summary.scans)

@@ -6,9 +6,9 @@ It advances the flight controller one 50 ms tick at a time through
 - the LC pair through `command_voltage` and `step_settle`;
 - the bus draw and the housing heat uncached, through `total_power`,
   `internal_dissipation` and `housing_step`;
-- the counts of a counting tick through `bench_rates`, on an `OpticalBench`
-  whose detector factors are the `efficiency_factor` of the active bias
-  loops, and `sample_counts`;
+- the counts of a counting tick through `bench_rates`, at detector factors
+  that are the `efficiency_factor` of the active bias loops, and
+  `sample_counts`;
 - each 125 ms period as one `TelemetryRecord`, `encode`d and copied into
   its ring slot of both sectors;
 - each committed scan as one `fit_sinusoid`, the closed-form least-squares
@@ -29,7 +29,7 @@ import numpy as np
 from pairsat import physics, telemetry, thermal_power
 from pairsat.analysis import ScanData, correct_accidentals, fit_sinusoid
 from pairsat.controller import (FLIGHT_SCAN, IDLER_VOLTAGES_MV, PAIR_CHANNELS, FlightController,
-                                Mode, OpticalBench, Sensors, bench_rates)
+                                Mode, Sensors, bench_rates)
 from pairsat.lc_optics import CALIBRATION, LcState, angle_from_voltage, command_voltage, step_settle
 from pairsat.scenarios import LASER_NOISE, TICK_MS, TICK_S, RunSummary, ScanSummary, package_step
 from pairsat.telemetry import (FLAG_BIAS_RAILED, FLAG_COUNTING, FLAG_FAULT_HOLD, FLAG_HEATER_ON,
@@ -121,14 +121,13 @@ def reference_run(scenario, prepare=None):
         if cmd.abort_scan:
             aborted += 1
         if cmd.counting:
-            bench = OpticalBench(scenario.source, cmd.pair, tuple(
-                physics.efficiency_factor(loops[ch].params, loops[ch].bias, temp)
-                for ch in PAIR_CHANNELS[cmd.pair]))
-            rates = bench_rates(bench, angle_from_voltage(CALIBRATION, lc.signal_mv / 1000.0))
-            sample = physics.sample_counts(rates, TICK_S, rng)
+            factors = tuple(physics.efficiency_factor(loops[ch].params, loops[ch].bias, temp)
+                            for ch in PAIR_CHANNELS[cmd.pair])
+            rates = bench_rates(scenario.source, cmd.pair, factors,
+                                angle_from_voltage(CALIBRATION, lc.signal_mv / 1000.0))
             step_sums = steps.setdefault(cmd.scan_id, {}).setdefault(
                 cmd.step, [lc.signal_mv, 0, 0, 0])
-            for i, n in enumerate((sample.singles_1, sample.singles_2, sample.coincidences_raw)):
+            for i, n in enumerate(physics.sample_counts(rates, TICK_S, rng)):
                 counts[i] += n
                 step_sums[1 + i] += n
             flags |= FLAG_COUNTING

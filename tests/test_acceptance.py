@@ -15,27 +15,15 @@ import numpy as np
 import pytest
 
 from pairsat import analysis, physics, telemetry, thermal_power
-from pairsat.controller import OpticalBench, ScanConfig, run_scan
+from pairsat.controller import ScanConfig, run_scan
 from pairsat.physics import SourceParams
-from pairsat.scenarios import balloon_flight_times, make_scenario, run_simulation
+from pairsat.scenarios import balloon_flight_times, make_scenario, run_simulation, summary_to_csv
 
 
 @pytest.fixture(scope="module")
 def lab_pair(lab_480s_run):
     """The same 480 s bench session executed twice."""
     return lab_480s_run[:2], run_simulation(make_scenario("lab", seed=1))
-
-
-def _fit_records(records, dwell_s=0.45):
-    scan = analysis.ScanData(
-        angles_rad=np.array([r.analyzer_angle_rad for r in records]),
-        dwell_s=dwell_s,
-        singles_1=np.array([r.counts.singles_1 for r in records]),
-        singles_2=np.array([r.counts.singles_2 for r in records]),
-        coinc_raw=np.array([r.counts.coincidences_raw for r in records]),
-    )
-    corrected = analysis.correct_accidentals(scan)
-    return analysis.fit_sinusoid(scan.angles_rad, corrected)
 
 
 def test_criterion_01_accidental_arithmetic():
@@ -56,12 +44,12 @@ def test_criterion_01_accidental_arithmetic():
 
 def test_criterion_02_visibility_recovery():
     config = ScanConfig()
+    source = SourceParams(true_visibility=0.95)
     vals = []
     for seed in range(100):
-        bench = OpticalBench(source=SourceParams(true_visibility=0.95))
-        rng = np.random.default_rng(seed)
-        records = run_scan(config, bench, rng)
-        vals.append(_fit_records(records, config.dwell_s).visibility)
+        angles, counts = run_scan(config, source, np.random.default_rng(seed))
+        scan = analysis.ScanData(angles, config.dwell_s, *counts.T)
+        vals.append(analysis.fit_sinusoid(angles, analysis.correct_accidentals(scan)).visibility)
     mean = float(np.mean(vals))
     std = float(np.std(vals, ddof=1))
     assert 0.94 <= mean <= 0.96, mean
@@ -290,6 +278,17 @@ def test_golden_analysis_digest(leo_wrapped_run, tmp_path):
     for name in sorted(p.name for p in out.iterdir()):
         digest.update(name.encode() + (out / name).read_bytes())
     assert digest.hexdigest()[:16] == "7196652ef78950a8"
+
+
+def test_golden_flight_summary_digest(leo_wrapped_run, tmp_path):
+    """Pinned flight summary of the wrapped leo 7500 s, seed 3 run: the
+    first 16 hex digits of the SHA-256 of the CSV that `summary_to_csv`
+    writes, a header and 129 scans, the scan the ring cut among them."""
+    path = tmp_path / "flight.csv"
+    summary_to_csv(leo_wrapped_run.summary, str(path))
+    data = path.read_bytes()
+    assert data.count(b"\n") == 130
+    assert hashlib.sha256(data).hexdigest()[:16] == "ced9a55cdabe5a58"
 
 
 # what the controller alone decides: these record columns and every

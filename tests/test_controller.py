@@ -22,7 +22,6 @@ from pairsat.controller import (
     FlightController,
     LaserMonitor,
     Mode,
-    OpticalBench,
     ScanConfig,
     Sensors,
     apd_bias_step,
@@ -378,32 +377,28 @@ def test_pair_channels():
 
 def test_bench_rates_pair_phase_flip():
     src = SourceParams(phase_offset_rad=0.0)
-    b14 = OpticalBench(source=src, pair=PAIR_1_4)
-    b23 = OpticalBench(source=src, pair=PAIR_2_3)
-    _, _, c14 = bench_rates(b14, 0.0)
-    _, _, c23 = bench_rates(b23, 0.0)
+    _, _, c14 = bench_rates(src, PAIR_1_4, (1.0, 1.0), 0.0)
+    _, _, c23 = bench_rates(src, PAIR_2_3, (1.0, 1.0), 0.0)
     assert c14 > c23  # coincidence maximum for one pair is the other's minimum
-    _, _, c14q = bench_rates(b14, math.pi / 2.0)
+    _, _, c14q = bench_rates(src, PAIR_1_4, (1.0, 1.0), math.pi / 2.0)
     assert c23 == pytest.approx(c14q, rel=1e-12)
 
 
 def test_run_scan_records():
     rng = np.random.default_rng(2)
-    records = run_scan(ScanConfig(), OpticalBench(), rng)
-    assert len(records) == 36
-    assert [r.step for r in records] == list(range(36))
-    assert all(r.pair == PAIR_1_4 for r in records)
-    assert all(
-        r.counts.coincidences_raw <= min(r.counts.singles_1, r.counts.singles_2)
-        for r in records
-    )
+    angles, counts = run_scan(ScanConfig(), SourceParams(), rng)
+    assert angles.tolist() == [angle_from_voltage(CALIBRATION, mv / 1000.0)
+                               for mv in scan_voltages(ScanConfig())]
+    assert counts.shape == (36, 3) and counts.dtype == np.int64
+    assert (counts[:, 2] <= counts[:, :2].min(axis=1)).all()
 
 
 def test_run_scan_single_step():
     rng = np.random.default_rng(2)
-    records = run_scan(ScanConfig(n_steps=1), OpticalBench(), rng)
-    assert len(records) == 1
-    assert records[0].lc_voltage_mv == 0
+    angles, counts = run_scan(ScanConfig(n_steps=1), SourceParams(), rng)
+    assert scan_voltages(ScanConfig(n_steps=1)) == [0]
+    assert angles.tolist() == [angle_from_voltage(CALIBRATION, 0.0)]
+    assert counts.shape == (1, 3)
 
 
 def test_run_scan_visibility_definition_check():
@@ -411,16 +406,8 @@ def test_run_scan_visibility_definition_check():
     rng = np.random.default_rng(31)
     from pairsat.analysis import ScanData, correct_accidentals, fit_sinusoid
 
-    records = run_scan(ScanConfig(), OpticalBench(), rng)
-    angles = np.array([r.analyzer_angle_rad for r in records])
-    scan = ScanData(
-        angles_rad=angles,
-        dwell_s=0.45,
-        singles_1=np.array([r.counts.singles_1 for r in records]),
-        singles_2=np.array([r.counts.singles_2 for r in records]),
-        coinc_raw=np.array([r.counts.coincidences_raw for r in records]),
-    )
-    fit = fit_sinusoid(angles, correct_accidentals(scan))
+    angles, counts = run_scan(ScanConfig(), SourceParams(), rng)
+    fit = fit_sinusoid(angles, correct_accidentals(ScanData(angles, 0.45, *counts.T)))
     assert abs(fit.visibility - 0.95) < 0.04
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from pairsat.physics import (
     ApdParams,
-    CountSample,
     SourceParams,
     accidental_rate,
     avalanche_amplitude,
@@ -99,17 +98,14 @@ def test_true_pair_rate_peak_location():
 def test_sample_counts_determinism_and_mean():
     rates = (360000.0, 330000.0, 4414.0)
     a = sample_counts(rates, 0.45, np.random.default_rng(42))
-    b = sample_counts(rates, 0.45, np.random.default_rng(42))
-    assert (a.singles_1, a.singles_2, a.coincidences_raw) == (
-        b.singles_1, b.singles_2, b.coincidences_raw
-    )
+    assert a == sample_counts(rates, 0.45, np.random.default_rng(42))
+    assert all(type(n) is int for n in a)
 
     n = 10000
     rng = np.random.default_rng(7)
     sums = np.zeros(3)
     for _ in range(n):
-        s = sample_counts(rates, 0.45, rng)
-        sums += (s.singles_1, s.singles_2, s.coincidences_raw)
+        sums += sample_counts(rates, 0.45, rng)
     means = sums / n
     expect = np.array(rates) * 0.45
     for m, mu in zip(means, expect):
@@ -118,19 +114,11 @@ def test_sample_counts_determinism_and_mean():
 
 def test_sample_counts_zero_rates_and_ceiling():
     rng = np.random.default_rng(1)
-    z = sample_counts((0.0, 0.0, 0.0), 0.45, rng)
-    assert (z.singles_1, z.singles_2, z.coincidences_raw) == (0, 0, 0)
+    assert sample_counts((0.0, 0.0, 0.0), 0.45, rng) == (0, 0, 0)
     # coincidence rate far above singles still clamps to the smaller singles count
     for _ in range(200):
-        s = sample_counts((50.0, 40.0, 5000.0), 0.1, rng)
-        assert s.coincidences_raw <= min(s.singles_1, s.singles_2)
-
-
-def test_count_sample_validation():
-    with pytest.raises(ValueError):
-        CountSample(singles_1=10, singles_2=10, coincidences_raw=11, dwell_s=0.45)
-    with pytest.raises(ValueError):
-        CountSample(singles_1=-1, singles_2=0, coincidences_raw=0, dwell_s=0.45)
+        s1, s2, c = sample_counts((50.0, 40.0, 5000.0), 0.1, rng)
+        assert c == min(s1, s2)
 
 
 # every field of both parameter classes
@@ -162,6 +150,14 @@ def test_params_are_frozen():
 def test_apd_params_reject_scale_or_gain_not_positive(name, value):
     with pytest.raises(ValueError, match=name):
         ApdParams(**{name: value})
+
+
+def test_apd_params_reject_a_scale_with_no_reference_efficiency():
+    # exp(-10 V / scale) rounds to 1, and every efficiency factor would divide by 0
+    for scale in (1e18, 1e300):
+        with pytest.raises(ValueError, match="efficiency_scale_v"):
+            ApdParams(efficiency_scale_v=scale)
+    assert 0.0 < efficiency_factor(ApdParams(efficiency_scale_v=1e17), 122.0, 25.0)
 
 
 def test_breakdown_voltage_tempco():

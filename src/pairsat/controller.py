@@ -155,8 +155,11 @@ class LaserMonitor:
     counts whole milliseconds. The engine's operating stretch
     (`SimulationEngine._operating_stretch`) inlines `add_sample`, `ready`
     and the band test of `laser_stable` for every laser-on tick, and calls
-    `laser_stable` itself for a median; a change to these rules changes
-    that copy too.
+    `laser_stable` itself for a median. In SCANNING, while every kept power
+    lies in a band that certifies, it appends samples but puts the trim off
+    until the window is next read or the stretch ends; with times that
+    increase, one trim at the newest horizon keeps what a trim per sample
+    would. A change to these rules changes that copy too.
     """
 
     def __init__(self, window_s: float = STABILITY_WINDOW_S,
@@ -249,8 +252,10 @@ class ApdBiasLoop:
 
     The engine's operating stretch (`SimulationEngine._operating_stretch`)
     inlines `step`, with `avalanche_amplitude`, `apd_bias_step` and both
-    their range checks, for the two active loops; a change here changes
-    that copy too.
+    their range checks, for the two active loops. When they are twins, on
+    one `ApdParams` object with the same bias and integrator bit for bit,
+    it steps the signal loop alone and copies its state to the idler loop.
+    A change here changes that copy too.
     """
 
     def __init__(self, params: ApdParams):

@@ -17,22 +17,25 @@ decides. It repeats the arithmetic of a tick through the controller and the
 device models, in its order, on local variables: it draws the laser reading
 and inlines the laser monitor's window and band test (the median is taken
 only by `laser_stable`, while a power outside the band is in the window),
-the SCANNING branch of the controller, the heater rule, both bias loops, the
-counts and the LC pair's settle timer, and in LASER_STABILIZING runs the
-same tick with the scan steps switched off. It hands back a stable window
-before a scan, an unstable one during it and a commit. The per-tick path
-decides those ticks and every laser-off tick that the controller does not
-hold, each tick of a fault hold among them; it draws no random number and
-raises if a tick would count. `_advance` then runs the decided tick and
-every later tick that `FlightController.hold` admits: heating below the
-gate and waiting to cool above it. A held tick steps only the housing
-node: the hold iterates over the boundary series, beside a cycle of which
-ticks open a record period (`NEXT_STARTS_PERIOD`), so a held tick tests its
-temperature bound, and only a tick that opens a period tests whether the
-run has reached its end. The run's generator is built on the laser's first
-draw. The tests compare every run with a reference engine that steps each
-tick through the controller and the device models, with no cache, stretch,
-hold or block, and require the same flash and summary bit for bit.
+the SCANNING branch of the controller, the heater rule, both bias loops (one
+step for twin loops, whose state is equal), the counts and the LC pair's
+settle timer, and in LASER_STABILIZING runs the same tick with the scan
+steps switched off. In SCANNING it trims the monitor's window only while a
+power outside the band is in it, and on the way out. It hands back a
+stable window before a scan, an unstable one during it and a commit. The
+per-tick path decides those ticks and every laser-off tick that the
+controller does not hold, each tick of a fault hold among them; it draws no
+random number and raises if a tick would count. `_advance` then runs the
+decided tick and every later tick that `FlightController.hold` admits:
+heating below the gate and waiting to cool above it. A held tick steps only
+the housing node: the hold iterates over the boundary series, beside a
+cycle of which ticks open a record period (`NEXT_STARTS_PERIOD`), so a held
+tick tests its temperature bound, and only a tick that opens a period tests
+whether the run has reached its end. The run's generator is built on the
+laser's first draw. The tests compare every run with a reference engine
+that steps each tick through the controller and the device models, with no
+cache, stretch, hold or block, and require the same flash and summary bit
+for bit.
 
 The recorder is columnar. Each 125 ms period logs its raw values into a
 pending block of at most `PENDING_RECORDS` periods: its context (scan id,
@@ -59,7 +62,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, cycle, islice
+from itertools import chain, count, cycle, islice
 
 import numpy as np
 
@@ -81,6 +84,9 @@ RECORD_PERIOD_MS = telemetry.RECORD_PERIOD_MS
 # records held in the pending block before one batched flash write: 512 s
 # of telemetry
 PENDING_RECORDS = 4096
+# a logged row's values: the context (scan id, step, pair, two LC mV), three
+# counts, flags, laser power and two biases
+ROW_FIELDS = 12
 # ticks and periods line up again every PERIOD_TICKS ticks; entry j says
 # whether tick j + 1, mod PERIOD_TICKS, opens a record period
 PERIOD_TICKS = math.lcm(TICK_MS, RECORD_PERIOD_MS) // TICK_MS
@@ -469,6 +475,11 @@ class RunSummary:
         return [s.visibility for s in self.scans]
 
 
+def _same_float(a: float, b: float) -> bool:
+    """Are `a` and `b` the same float, bit for bit? 0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def _check_bias(bias: float, bias_min: float, bias_max: float) -> None:
     """The bias range checks of `physics.avalanche_amplitude` and then
     `controller.apd_bias_step`: raise the first one's error that `bias`
@@ -483,6 +494,12 @@ class SimulationEngine:
     """Deterministic 50 ms tick loop wiring controller, devices, and storage."""
 
     def __init__(self, scenario: Scenario):
+        # checked here, where every run passes, as a scenario's fields can be
+        # set after it is built: a NaN would reach each record as 0 C
+        for name in ("initial_housing_c", "initial_package_c"):
+            temp_c = getattr(scenario, name)
+            if temp_c is not None and not math.isfinite(temp_c):
+                raise ValueError(f"{name} must be finite, got {temp_c}")
         self.scenario = scenario
         self.ctrl = FlightController()
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
@@ -582,8 +599,8 @@ class SimulationEngine:
             ctx = (cmd.scan_id, cmd.step, cmd.pair, self.lc.signal_mv, self.lc.idler_mv)
         ch1, ch2 = controller.PAIR_CHANNELS[ctx[2]]
         loops = self.ctrl.bias_loops
-        self._rows.append((*ctx, self._s1, self._s2, self._coinc, self._flags,
-                           self._last_laser_mw, loops[ch1].bias, loops[ch2].bias))
+        self._rows.append(ctx + (self._s1, self._s2, self._coinc, self._flags,
+                                 self._last_laser_mw, loops[ch1].bias, loops[ch2].bias))
         self._repeats.append(1)
         self._temps.append(self.housing_temp_c)
         self._s1 = self._s2 = self._coinc = self._flags = 0
@@ -604,7 +621,9 @@ class SimulationEngine:
         if n == 0:
             return
         # ints and floats in one float64 array: every int field is below 2**53
-        raw = np.array(self._rows, dtype=np.float64)
+        rows = self._rows
+        raw = np.fromiter(chain.from_iterable(rows), np.float64, ROW_FIELDS * len(rows))
+        raw = raw.reshape(len(rows), ROW_FIELDS)
         # one row per logged row; time and temperature stay 0 until its records fill them
         wide = np.zeros((len(raw), len(telemetry.RECORD_DTYPE.names) - 1), dtype=np.int64)
         wide[:, 1:9] = raw[:, :8]  # scan id, step, pair, LC mV, counts
@@ -613,7 +632,8 @@ class SimulationEngine:
         wide[:, 13] = raw[:, 8].astype(np.int64) | telemetry.FLAG_PRESENT
         table = np.repeat(telemetry.table_from_rows(wide), self._repeats)
         # the per-record fields need no second check: `_check_record_fields`
-        # bounds the run's last time_ms, `centi_c` clamps the temperature,
+        # bounds the run's last time_ms, `centi_c` clamps every temperature
+        # but NaN, from a run whose start temperatures are finite (`__init__`),
         # and the wrap flag is one bit of the checked flags byte
         first = self.flash.cursor
         table["time_ms"] = np.arange(first, first + n) * RECORD_PERIOD_MS
@@ -739,7 +759,8 @@ class SimulationEngine:
         SCANNING the SCANNING branch of `FlightController.decide` (step
         command, settle wait or counting tick) and the engine's LC commands;
         the operating heater rule (`heater_command`); both PI bias steps
-        (`ApdBiasLoop.step`); on a counting tick the rates
+        (`ApdBiasLoop.step`), or one for twin loops (below); on a counting
+        tick the rates
         (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
         its saturating form written out on the scales and reference
         efficiencies bound on entry, the analyzer part from `_pair_rate`;
@@ -755,13 +776,38 @@ class SimulationEngine:
         cache is looked up only when the heater toggles. Neither a not-ready
         window nor a railed bias loop stops the stretch.
 
+        Twin loops, which share one `ApdParams` object and enter with a
+        bias and integrator that are the same float bit for bit (0.0 and
+        -0.0 are not), step alike on every tick, as both see one
+        temperature. So the signal loop steps alone and the idler loop
+        copies its bias, integrator and rail flag, and on a counting tick
+        its efficiency factor. `FlightController` builds every loop on one
+        `ApdParams` from 115 V, and a pair's loops step together, so each
+        stretch of a shipped run enters with twins; loops that differ in
+        either way step one by one.
+
+        In SCANNING the window is trimmed only while a power outside the
+        band is in it. Let `oldest` be the oldest kept time at the last
+        trim. While `outside_t < oldest`, every kept power lies in a band
+        that certifies: the empty band puts each sample's time in
+        `outside_t`, and trims only drop samples, so the oldest kept time
+        is at least `oldest`. Such a window reads stable once full, and in
+        SCANNING a stable window goes on, so the tick needs neither the
+        trim nor the fullness test. The horizon `t - window_s` never
+        decreases and the times increase, so one trim at the newest
+        horizon keeps the samples that the trims of every tick would have
+        kept. That trim is made where the window is next read: before
+        `laser_stable`, and on every exit. Between trims the window grows
+        by at most one scan's ticks, as the STORING tick ends the stretch.
+
         It returns the first tick it did not advance: the end of the run,
         or a tick the controller decides, after its period check and with
         its reading in the monitor and in `_last_laser_mw`. Those are a
         full window that reads stable in LASER_STABILIZING (the scan
         begins) or unstable in SCANNING (it aborts), and every STORING
         tick. Every local is written back on the way out, also when a draw
-        raises, the band test's `outside_t` among them.
+        raises, the band test's `outside_t` among them, and the window is
+        trimmed.
         """
         ctrl, poisson, normal = self.ctrl, self.rng.poisson, self.rng.standard_normal
         monitor = ctrl.monitor
@@ -771,6 +817,9 @@ class SimulationEngine:
         # sends every full window to `laser_stable`
         band_lo, band_hi = monitor.band if band_certifies(*monitor.band, threshold) else EMPTY_BAND
         out_t = monitor.outside_t
+        # the oldest kept time as last trimmed; in SCANNING the window is
+        # trimmed only while a power outside the band is in it
+        oldest = samples[0][0] if samples else -math.inf
         dips = self.scenario.laser_dips
         mode_history, settle_ms = self._mode_history, self._settle_ms
         scanning, storing = ctrl.mode is Mode.SCANNING, False
@@ -804,6 +853,8 @@ class SimulationEngine:
         setpoint = BIAS_SETPOINT
         b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
         railed_1, railed_2 = loop_1.railed, loop_2.railed
+        # twin loops step alike on every tick: one step serves both
+        twin = p1 is p2 and _same_float(b1, b2) and _same_float(i1, i2)
         conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
         temp = self.housing_temp_c
         h_min, h_max = self._housing_min, self._housing_max
@@ -824,23 +875,27 @@ class SimulationEngine:
                 samples.append((t_s, laser_mw))
                 if not band_lo <= laser_mw <= band_hi:
                     out_t = t_s
-                horizon = t_s - window_s
-                while samples and samples[0][0] < horizon:
-                    samples.popleft()
                 if storing:
                     return k
-                oldest = samples[0][0]
-                if t_s - oldest >= full_span and len(samples) >= 2:
-                    if out_t < oldest:  # every kept power in a band that certifies
-                        stable = True
-                    else:  # the exact median
-                        monitor.outside_t = out_t
-                        stable = laser_stable(monitor)
-                        band_lo, band_hi = (monitor.band if band_certifies(*monitor.band, threshold)
-                                            else EMPTY_BAND)
-                        out_t = monitor.outside_t
-                    if stable is not scanning:  # a scan begins, or aborts
-                        return k
+                # in SCANNING, while out_t < oldest, every full window reads
+                # stable and the scan goes on: the trim waits
+                if out_t >= oldest or not scanning:
+                    horizon = t_s - window_s
+                    while samples[0][0] < horizon:
+                        samples.popleft()
+                    oldest = samples[0][0]
+                    if t_s - oldest >= full_span and len(samples) >= 2:
+                        if out_t < oldest:  # every kept power in a band that certifies
+                            stable = True
+                        else:  # the exact median
+                            monitor.outside_t = out_t
+                            stable = laser_stable(monitor)
+                            band_lo, band_hi = (monitor.band
+                                                if band_certifies(*monitor.band, threshold)
+                                                else EMPTY_BAND)
+                            out_t = monitor.outside_t
+                        if stable is not scanning:  # a scan begins, or aborts
+                            return k
 
                 counting = False
                 if scanning:
@@ -885,28 +940,34 @@ class SimulationEngine:
                     b1, i1 = bias, trial
                 railed_1 = b1 <= rail_lo_1 or b1 >= rail_hi_1
 
-                bd2 = bd25_2 + tc_2 * above_25
-                if not lo_2 <= b2 <= max_2:
-                    _check_bias(b2, min_2, max_2)
-                over = b2 - bd2
-                err = (setpoint - gain_2 * (over if over > 0.0 else 0.0)) / setpoint
-                trial = i2 + err
-                bias = b2 + BIAS_KP * err + BIAS_KI * trial
-                if bias > max_2:
-                    b2, i2 = max_2, 0.0
-                elif bias < min_2:
-                    b2, i2 = min_2, 0.0
+                if twin:
+                    b2, i2, railed_2 = b1, i1, railed_1
                 else:
-                    b2, i2 = bias, trial
-                railed_2 = b2 <= rail_lo_2 or b2 >= rail_hi_2
+                    bd2 = bd25_2 + tc_2 * above_25
+                    if not lo_2 <= b2 <= max_2:
+                        _check_bias(b2, min_2, max_2)
+                    over = b2 - bd2
+                    err = (setpoint - gain_2 * (over if over > 0.0 else 0.0)) / setpoint
+                    trial = i2 + err
+                    bias = b2 + BIAS_KP * err + BIAS_KI * trial
+                    if bias > max_2:
+                        b2, i2 = max_2, 0.0
+                    elif bias < min_2:
+                        b2, i2 = min_2, 0.0
+                    else:
+                        b2, i2 = bias, trial
+                    railed_2 = b2 <= rail_lo_2 or b2 >= rail_hi_2
 
                 if counting:
                     if pair_rate is None:
                         pair_rate = self._pair_rate(pair, sig_mv)
                     over = b1 - bd1
                     f1 = (1.0 - exp(-over / scale_1)) / ref_1 if over > 0.0 else 0.0
-                    over = b2 - bd2
-                    f2 = (1.0 - exp(-over / scale_2)) / ref_2 if over > 0.0 else 0.0
+                    if twin:
+                        f2 = f1
+                    else:
+                        over = b2 - bd2
+                        f2 = (1.0 - exp(-over / scale_2)) / ref_2 if over > 0.0 else 0.0
                     rate_1, rate_2 = singles_1 * f1, singles_2 * f2
                     rate_c = pair_rate * f1 * f2 + rate_1 * rate_2 * window
                     # a scalar draw is a Python int; `min` only where a
@@ -947,10 +1008,11 @@ class SimulationEngine:
                 # a new period starts: `_close_period`
                 ctx = count_ctx or commit_ctx or (scan_id, cmd_step, pair, sig_mv, idler_mv)
                 if ctx[2] == pair:
-                    row_biases = b1, b2
+                    rows.append(ctx + (s1, s2, coinc, flags, laser_mw, b1, b2))
                 else:  # a commit record of the pair before
-                    row_biases = tuple(loops[ch].bias for ch in PAIR_CHANNELS[ctx[2]])
-                rows.append((*ctx, s1, s2, coinc, flags, laser_mw, *row_biases))
+                    ch1, ch2 = PAIR_CHANNELS[ctx[2]]
+                    rows.append(ctx + (s1, s2, coinc, flags, laser_mw,
+                                       loops[ch1].bias, loops[ch2].bias))
                 repeats.append(1)
                 temps.append(temp)
                 s1 = s2 = coinc = flags = 0
@@ -958,6 +1020,10 @@ class SimulationEngine:
                 if len(temps) == PENDING_RECORDS:
                     self._write_block()
         finally:
+            if samples:  # the trims put off, as `add_sample` makes them
+                horizon = samples[-1][0] - window_s
+                while samples[0][0] < horizon:
+                    samples.popleft()
             monitor.outside_t = out_t
             ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command = step, dwell, pending
             ctrl.heater_watts = hw

@@ -4,6 +4,7 @@ and the pinned scenarios, each simulated once per session through it; the
 lab dip scenario also once through the reference engine."""
 
 import dataclasses
+import struct
 from collections import Counter
 from typing import NamedTuple
 
@@ -51,6 +52,25 @@ class OperatingStretch:
     coinc_at_signal_singles: bool
     coinc_at_idler_singles: bool
     band: tuple[float, float]  # the laser monitor's band at exit
+    # the monitor's window held no sample more than a window older than
+    # its newest at exit, as `LaserMonitor.add_sample` leaves it
+    exit_trimmed: bool
+    # the active loops entered as twins: one `ApdParams` object, and a
+    # bias and integrator that are the same float bit for bit
+    entered_twins: bool
+
+
+def twins(loop_1, loop_2) -> bool:
+    """Do two bias loops share one `ApdParams` object and hold a bit-equal
+    bias and integrator (0.0 and -0.0 differ)?"""
+    def bits(loop):
+        return struct.pack("<2d", loop.bias, loop.integrator)
+    return loop_1.params is loop_2.params and bits(loop_1) == bits(loop_2)
+
+
+def window_trimmed(monitor) -> bool:
+    samples = monitor.samples
+    return not samples or samples[0][0] >= samples[-1][0] - monitor.window_s
 
 
 class LoggedRun(NamedTuple):
@@ -87,6 +107,7 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
         after_commit = self._commit_ctx is not None
         written, watts, rows = self.flash.cursor, ctrl.heater_watts, len(self._rows)
         entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
+        entered_twins = twins(*(ctrl.bias_loops[ch] for ch in ctrl.active_channels()))
         end = operating_stretch(self, k, ext_temp)
         # the periods it closed into the pending block, those before a block
         # write among them only if it wrote none
@@ -99,7 +120,8 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
             ctrl.pending_command, ctrl.dwell_remaining_ms,
             # a pending row's coincidences and its signal, then idler, singles
             any(0 < row[7] == row[5] for row in closed),
-            any(0 < row[7] == row[6] for row in closed), ctrl.monitor.band))
+            any(0 < row[7] == row[6] for row in closed), ctrl.monitor.band,
+            window_trimmed(ctrl.monitor), entered_twins))
         return end
 
     def counted_decide(self, sensors):

@@ -76,6 +76,23 @@ MUTANTS = [
     Mutant("band-too-wide-to-certify", CONTROLLER,
            "min(threshold, 1.0) / 8.0 * median", "min(threshold, 1.0) / 2.0 * median",
            "test_band_around_certifies"),
+    # the twin test looks at the parameters only: an idler loop that shares
+    # the signal loop's APD takes its state, whatever its own
+    Mutant("stretch-twin-ignores-state", SCENARIOS,
+           "twin = p1 is p2 and _same_float(b1, b2) and _same_float(i1, i2)", "twin = p1 is p2",
+           "twin-params-unlike-state"),
+    # a stretch that puts the window's trim off leaves it untrimmed: no
+    # tested run reads such a window before the next stretch trims it, so
+    # only the check of the exit state kills it
+    Mutant("stretch-skips-exit-trim", SCENARIOS,
+           "            if samples:  # the trims put off", "            if False:  # the trims put off",
+           "exit_trimmed"),
+    # the warm-up puts the trim off too, and with it the fullness test that
+    # begins a scan: a window whose powers all lie in the band never reads
+    # full, and no scan begins
+    Mutant("stretch-skips-window-while-stabilizing", SCENARIOS,
+           "if out_t >= oldest or not scanning:", "if out_t >= oldest:",
+           "stabilizing-after-commit"),
     # a railed idler loop no longer flags its records
     Mutant("railed-flag-from-signal-loop-only", SCENARIOS,
            "if railed_1 or railed_2:", "if railed_1:", "idler-bias-rail"),

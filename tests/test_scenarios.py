@@ -498,6 +498,17 @@ def test_pooled_visibility_is_unbiased():
     assert float(np.std(vals)) < 0.02
 
 
+@pytest.mark.parametrize("field", ["initial_housing_c", "initial_package_c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_engine_rejects_a_non_finite_start_temperature(field, value):
+    # a NaN housing used to run to the end with every record at 0 C, and
+    # +inf to turn the laser on at 50 ms
+    scenario = make_scenario("lab", duration_s=30.0, seed=1)
+    setattr(scenario, field, value)
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        SimulationEngine(scenario)
+
+
 def test_scenario_rejects_a_run_past_its_profile():
     # a run up to the last sample is accepted; one past it used to hold the
     # last sample silently
@@ -764,6 +775,10 @@ def _unlike_idler_apd(ctrl):
         bias_min_v=101.0, bias_max_v=129.0)
 
 
+def _idler_bias_apart(ctrl):
+    ctrl.bias_loops[3].bias = 118.0
+
+
 def _signal_starved():
     """Lab 60 s, seed 1, with 1 000 signal singles per second: the
     coincidences of a tick near the peak of the scan are clamped by its
@@ -854,12 +869,17 @@ def _railed_dip():
      lambda s: not s.stabilizing and s.entered_railed and s.railed),
     (make_scenario("lab", duration_s=60.0, seed=1), _unlike_idler_apd,
      lambda s: s.reason == "storing"),
+    # channel 3 shares channel 0's APD but enters 3 V higher: the pair's
+    # loops are not twins, and each steps on its own
+    (make_scenario("lab", duration_s=60.0, seed=1), _idler_bias_apart,
+     lambda s: s.stabilizing and not s.entered_twins),
 ], ids=["dip-mid-dwell", "dip-under-threshold", "dip-in-warm-up", "ends-in-warm-up",
         "stabilizing-after-commit", "dip-on-step-command", "bias-rail", "idler-bias-rail",
         "railed-dip-on-entry", "leaves-rail",
         "unequal-loops", "heater-toggle", "heater-toggle-package-node", "ends-mid-stretch",
         "ends-after-commit", "after-storing", "coinc-clamped-by-idler",
-        "coinc-clamped-by-signal", "bias-min-rail", "unlike-pair-loops"])
+        "coinc-clamped-by-signal", "bias-min-rail", "unlike-pair-loops",
+        "twin-params-unlike-state"])
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_run):
     run = _matches_reference(engine_run, scenario, prepare)
     assert any(case(s) for s in run.operating), run.operating
@@ -955,6 +975,20 @@ def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
     assert {s.reason for s in run.operating} >= {"stable", "storing"}
     if name != "lab":  # the heater toggles inside scans
         assert any(not s.stabilizing and s.heater_toggled for s in run.operating)
+
+
+@pytest.mark.parametrize("fixture, stretches", [
+    ("lab_480s_run", 36), ("leo_run", 96), ("leo_wrapped_run", 260), ("balloon_run", 622),
+    ("lab_dip_run", 8),
+])
+def test_pinned_stretches_enter_with_twin_loops_and_exit_trimmed(fixture, stretches, request):
+    # every stretch of a shipped run enters with the pair's two loops as
+    # twins, the traffic the one-loop step is for; and every stretch leaves
+    # the monitor's window trimmed, also after ticks that put the trim off
+    operating = request.getfixturevalue(fixture).operating
+    assert len(operating) == stretches
+    assert all(s.entered_twins for s in operating), operating
+    assert all(s.exit_trimmed for s in operating), operating
 
 
 @pytest.mark.parametrize("fixture, decisions", [

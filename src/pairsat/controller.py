@@ -251,11 +251,12 @@ class ApdBiasLoop:
     rail.
 
     The engine's operating stretch (`SimulationEngine._operating_stretch`)
-    inlines `step`, with `avalanche_amplitude`, `apd_bias_step` and both
-    their range checks, for the two active loops. When they are twins, on
-    one `ApdParams` object with the same bias and integrator bit for bit,
-    it steps the signal loop alone and copies its state to the idler loop.
-    A change here changes that copy too.
+    inlines `step`, with `avalanche_amplitude` and `apd_bias_step` but not
+    their range checks, which no bias it meets can fail, for the signal
+    loop. When the two active loops are twins, on one `ApdParams` object
+    with the same bias and integrator bit for bit, the idler loop copies
+    the signal loop's state; otherwise it calls `step`. A change here
+    changes that copy too.
     """
 
     def __init__(self, params: ApdParams):

@@ -155,7 +155,8 @@ def sample_counts(
 
 @dataclass(frozen=True)
 class ApdParams:
-    """Avalanche photodiode model parameters, each a finite number.
+    """Avalanche photodiode model parameters, each a finite number, with
+    supply rails 0 <= ``bias_min_v`` < ``bias_max_v``.
 
     Breakdown voltage drifts linearly with temperature; the avalanche pulse
     amplitude is proportional to the overvoltage above breakdown. Detection
@@ -176,6 +177,10 @@ class ApdParams:
         for name in ("amplitude_gain_per_overvolt", "efficiency_scale_v"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # `avalanche_amplitude` refuses a negative bias, which the rails
+        # could otherwise clamp a loop to
+        if self.bias_min_v < 0.0:
+            raise ValueError(f"bias_min_v must be nonnegative, got {self.bias_min_v}")
         if self.bias_min_v >= self.bias_max_v:
             raise ValueError("bias_min_v must be below bias_max_v")
         # every efficiency factor divides by it, and it is 0 for a scale so

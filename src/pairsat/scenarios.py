@@ -17,8 +17,9 @@ decides. It repeats the arithmetic of a tick through the controller and the
 device models, in its order, on local variables: it draws the laser reading
 and inlines the laser monitor's window and band test (the median is taken
 only by `laser_stable`, while a power outside the band is in the window),
-the SCANNING branch of the controller, the heater rule, both bias loops (one
-step for twin loops, whose state is equal), the counts and the LC pair's
+the SCANNING branch of the controller, the heater rule, the signal bias
+loop's step, which needs no range test (the idler loop copies it when the
+two are twins, and steps itself otherwise), the counts and the LC pair's
 settle timer, and in LASER_STABILIZING runs the same tick with the scan
 steps switched off. In SCANNING it trims the monitor's window only while a
 power outside the band is in it, and on the way out. It hands back a
@@ -480,26 +481,20 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def _check_bias(bias: float, bias_min: float, bias_max: float) -> None:
-    """The bias range checks of `physics.avalanche_amplitude` and then
-    `controller.apd_bias_step`: raise the first one's error that `bias`
-    fails."""
-    if not 0.0 <= bias <= bias_max:
-        raise ValueError(f"bias {bias} outside [0, {bias_max}]")
-    if bias < bias_min:
-        raise ValueError(f"bias {bias} outside [{bias_min}, {bias_max}]")
-
-
 class SimulationEngine:
     """Deterministic 50 ms tick loop wiring controller, devices, and storage."""
 
     def __init__(self, scenario: Scenario):
         # checked here, where every run passes, as a scenario's fields can be
-        # set after it is built: a NaN would reach each record as 0 C
+        # set after it is built: a NaN would fail only at the first block write
         for name in ("initial_housing_c", "initial_package_c"):
             temp_c = getattr(scenario, name)
             if temp_c is not None and not math.isfinite(temp_c):
                 raise ValueError(f"{name} must be finite, got {temp_c}")
+        # numpy refuses it only at the laser's first draw, and a run whose
+        # laser stays off never draws
+        if not isinstance(scenario.seed, (int, np.integer)) or scenario.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {scenario.seed!r}")
         self.scenario = scenario
         self.ctrl = FlightController()
         self.n_ticks = int(round(scenario.duration_s * 1000)) // TICK_MS
@@ -620,6 +615,13 @@ class SimulationEngine:
         n = len(self._temps)
         if n == 0:
             return
+        first = self.flash.cursor
+        temps = np.array(self._temps, dtype=np.float64)
+        bad = ~np.isfinite(temps)
+        if bad.any():  # air far out of range can drive the housing to inf or NaN
+            i = int(bad.argmax())
+            raise ValueError(f"housing temperature {temps[i]} C of the record at time_ms "
+                             f"{(first + i) * RECORD_PERIOD_MS} is not finite")
         # ints and floats in one float64 array: every int field is below 2**53
         rows = self._rows
         raw = np.fromiter(chain.from_iterable(rows), np.float64, ROW_FIELDS * len(rows))
@@ -632,12 +634,10 @@ class SimulationEngine:
         wide[:, 13] = raw[:, 8].astype(np.int64) | telemetry.FLAG_PRESENT
         table = np.repeat(telemetry.table_from_rows(wide), self._repeats)
         # the per-record fields need no second check: `_check_record_fields`
-        # bounds the run's last time_ms, `centi_c` clamps every temperature
-        # but NaN, from a run whose start temperatures are finite (`__init__`),
-        # and the wrap flag is one bit of the checked flags byte
-        first = self.flash.cursor
+        # bounds the run's last time_ms, `centi_c` clamps every finite
+        # temperature, and the wrap flag is one bit of the checked flags byte
         table["time_ms"] = np.arange(first, first + n) * RECORD_PERIOD_MS
-        table["temp_centi_c"] = telemetry.centi_c(np.array(self._temps, dtype=np.float64))
+        table["temp_centi_c"] = telemetry.centi_c(temps)
         table["flags"][max(0, telemetry.SECTOR_CAPACITY - first):] |= telemetry.FLAG_WRAPPED
         telemetry.write_redundant(self.flash, table)
         self._temps.clear()
@@ -758,17 +758,16 @@ class SimulationEngine:
         a call of `laser_stable`, whose median may re-centre the band; in
         SCANNING the SCANNING branch of `FlightController.decide` (step
         command, settle wait or counting tick) and the engine's LC commands;
-        the operating heater rule (`heater_command`); both PI bias steps
-        (`ApdBiasLoop.step`), or one for twin loops (below); on a counting
-        tick the rates
-        (`controller.bench_rates` at the loops' `physics.efficiency_factor`,
-        its saturating form written out on the scales and reference
-        efficiencies bound on entry, the analyzer part from `_pair_rate`;
-        the detected singles are >= 0 for every valid `SourceParams` and
-        `ApdParams`, so `accidental_rate`'s sign check is not repeated)
-        and three Poisson draws
-        (`physics.sample_counts`); the tick flags; the LC pair's settle
-        timer (`step_settle`); the housing step (`housing_step`) against
+        the operating heater rule (`heater_command`); the signal loop's PI
+        bias step (`ApdBiasLoop.step`), and the idler loop's (below); on a
+        counting tick the rates (`controller.bench_rates` at the loops'
+        `physics.efficiency_factor`, the signal loop's saturating form
+        written out on the scale and reference efficiency bound on entry,
+        the analyzer part from `_pair_rate`; the detected singles are >= 0
+        for every valid `SourceParams` and `ApdParams`, so
+        `accidental_rate`'s sign check is not repeated) and three Poisson
+        draws (`physics.sample_counts`); the tick flags; the LC pair's
+        settle timer (`step_settle`); the housing step (`housing_step`) against
         `ext_temp`, the series of `boundary_temps`; and the period close
         (`_close_period`). A LASER_STABILIZING tick is the same tick
         with the scan steps switched off; its commands carry scan id 0 and
@@ -779,12 +778,23 @@ class SimulationEngine:
         Twin loops, which share one `ApdParams` object and enter with a
         bias and integrator that are the same float bit for bit (0.0 and
         -0.0 are not), step alike on every tick, as both see one
-        temperature. So the signal loop steps alone and the idler loop
-        copies its bias, integrator and rail flag, and on a counting tick
-        its efficiency factor. `FlightController` builds every loop on one
-        `ApdParams` from 115 V, and a pair's loops step together, so each
-        stretch of a shipped run enters with twins; loops that differ in
-        either way step one by one.
+        temperature. So the idler loop copies the signal loop's bias,
+        integrator and rail flag, and on a counting tick its efficiency
+        factor. `FlightController` builds every loop on one `ApdParams`
+        from 115 V, and a pair's loops step together, so each stretch of a
+        shipped run enters with twins. An unlike idler loop steps through
+        `ApdBiasLoop.step` itself, and its factor is `efficiency_factor`.
+
+        The inline step needs no range test. `ApdParams` holds
+        0 <= `bias_min_v` < `bias_max_v`, so a bias in that range passes
+        both checks of `ApdBiasLoop.step`. Every bias the step meets lies
+        in it: the stretch follows a decided laser-on tick, on which
+        `FlightController.decide` stepped the same pair through the
+        checking `ApdBiasLoop.step`, and each step, that one and every
+        inline one, clamps its result to the range. No result is NaN: the
+        error is at most 1, as the amplitude is >= 0 (a NaN overvoltage
+        reads 0), and an error of -inf rails the bias and resets the
+        integrator.
 
         In SCANNING the window is trimmed only while a power outside the
         band is in it. Let `oldest` be the oldest kept time at the last
@@ -840,21 +850,14 @@ class SimulationEngine:
         p1, p2 = loop_1.params, loop_2.params
         bd25_1, tc_1, gain_1 = (p1.breakdown_volts_at_25c, p1.breakdown_tempco_v_per_c,
                                 p1.amplitude_gain_per_overvolt)
-        bd25_2, tc_2, gain_2 = (p2.breakdown_volts_at_25c, p2.breakdown_tempco_v_per_c,
-                                p2.amplitude_gain_per_overvolt)
-        min_1, max_1, min_2, max_2 = p1.bias_min_v, p1.bias_max_v, p2.bias_min_v, p2.bias_max_v
-        # a bias in [lo, max] passes both range checks of a step; any other
-        # goes to `_check_bias`, which raises the error they raise, if any
-        lo_1, lo_2 = max(min_1, 0.0), max(min_2, 0.0)
+        min_1, max_1 = p1.bias_min_v, p1.bias_max_v
         rail_lo_1, rail_hi_1 = min_1 + 1e-9, max_1 - 1e-9
-        rail_lo_2, rail_hi_2 = min_2 + 1e-9, max_2 - 1e-9
-        scale_1, scale_2 = p1.efficiency_scale_v, p2.efficiency_scale_v
-        ref_1, ref_2 = reference_efficiency(p1), reference_efficiency(p2)
+        scale_1, ref_1 = p1.efficiency_scale_v, reference_efficiency(p1)
         setpoint = BIAS_SETPOINT
-        b1, i1, b2, i2 = loop_1.bias, loop_1.integrator, loop_2.bias, loop_2.integrator
+        b1, i1, b2 = loop_1.bias, loop_1.integrator, loop_2.bias
         railed_1, railed_2 = loop_1.railed, loop_2.railed
         # twin loops step alike on every tick: one step serves both
-        twin = p1 is p2 and _same_float(b1, b2) and _same_float(i1, i2)
+        twin = p1 is p2 and _same_float(b1, b2) and _same_float(i1, loop_2.integrator)
         conductance, capacity = HOUSING_CONDUCTANCE_W_PER_C, HOUSING_HEAT_CAPACITY_J_PER_C
         temp = self.housing_temp_c
         h_min, h_max = self._housing_min, self._housing_max
@@ -924,10 +927,7 @@ class SimulationEngine:
                 else:
                     hw = HEATER_CAP_OPERATING_W if hw > 0.0 else 0.0
 
-                above_25 = temp - 25.0
-                bd1 = bd25_1 + tc_1 * above_25
-                if not lo_1 <= b1 <= max_1:
-                    _check_bias(b1, min_1, max_1)
+                bd1 = bd25_1 + tc_1 * (temp - 25.0)
                 over = b1 - bd1
                 err = (setpoint - gain_1 * (over if over > 0.0 else 0.0)) / setpoint
                 trial = i1 + err
@@ -941,33 +941,17 @@ class SimulationEngine:
                 railed_1 = b1 <= rail_lo_1 or b1 >= rail_hi_1
 
                 if twin:
-                    b2, i2, railed_2 = b1, i1, railed_1
+                    b2, railed_2 = b1, railed_1
                 else:
-                    bd2 = bd25_2 + tc_2 * above_25
-                    if not lo_2 <= b2 <= max_2:
-                        _check_bias(b2, min_2, max_2)
-                    over = b2 - bd2
-                    err = (setpoint - gain_2 * (over if over > 0.0 else 0.0)) / setpoint
-                    trial = i2 + err
-                    bias = b2 + BIAS_KP * err + BIAS_KI * trial
-                    if bias > max_2:
-                        b2, i2 = max_2, 0.0
-                    elif bias < min_2:
-                        b2, i2 = min_2, 0.0
-                    else:
-                        b2, i2 = bias, trial
-                    railed_2 = b2 <= rail_lo_2 or b2 >= rail_hi_2
+                    b2 = loop_2.step(temp)
+                    railed_2 = loop_2.railed
 
                 if counting:
                     if pair_rate is None:
                         pair_rate = self._pair_rate(pair, sig_mv)
                     over = b1 - bd1
                     f1 = (1.0 - exp(-over / scale_1)) / ref_1 if over > 0.0 else 0.0
-                    if twin:
-                        f2 = f1
-                    else:
-                        over = b2 - bd2
-                        f2 = (1.0 - exp(-over / scale_2)) / ref_2 if over > 0.0 else 0.0
+                    f2 = f1 if twin else physics.efficiency_factor(p2, b2, temp)
                     rate_1, rate_2 = singles_1 * f1, singles_2 * f2
                     rate_c = pair_rate * f1 * f2 + rate_1 * rate_2 * window
                     # a scalar draw is a Python int; `min` only where a
@@ -1028,7 +1012,8 @@ class SimulationEngine:
             ctrl.step_index, ctrl.dwell_remaining_ms, ctrl.pending_command = step, dwell, pending
             ctrl.heater_watts = hw
             loop_1.bias, loop_1.integrator, loop_1.railed = b1, i1, railed_1
-            loop_2.bias, loop_2.integrator, loop_2.railed = b2, i2, railed_2
+            if twin:  # an unlike idler loop stepped itself
+                loop_2.bias, loop_2.integrator, loop_2.railed = b2, i1, railed_2
             self.lc = LcState(sig_mv, idler_mv, settle)
             self._last_cmd = Commands(ctrl.mode, hw, scan_id=scan_id, step=cmd_step, pair=pair)
             self._s1, self._s2, self._coinc, self._flags = s1, s2, coinc, flags

@@ -58,6 +58,9 @@ class OperatingStretch:
     # the active loops entered as twins: one `ApdParams` object, and a
     # bias and integrator that are the same float bit for bit
     entered_twins: bool
+    # each active loop entered with a bias in its `ApdParams` range, which
+    # the stretch's bias step does not test
+    entered_in_range: bool
 
 
 def twins(loop_1, loop_2) -> bool:
@@ -66,6 +69,10 @@ def twins(loop_1, loop_2) -> bool:
     def bits(loop):
         return struct.pack("<2d", loop.bias, loop.integrator)
     return loop_1.params is loop_2.params and bits(loop_1) == bits(loop_2)
+
+
+def in_range(loop) -> bool:
+    return loop.params.bias_min_v <= loop.bias <= loop.params.bias_max_v
 
 
 def window_trimmed(monitor) -> bool:
@@ -107,7 +114,8 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
         after_commit = self._commit_ctx is not None
         written, watts, rows = self.flash.cursor, ctrl.heater_watts, len(self._rows)
         entered_railed = any(ctrl.bias_loops[ch].railed for ch in ctrl.active_channels())
-        entered_twins = twins(*(ctrl.bias_loops[ch] for ch in ctrl.active_channels()))
+        active = [ctrl.bias_loops[ch] for ch in ctrl.active_channels()]
+        entered_twins, entered_in_range = twins(*active), all(map(in_range, active))
         end = operating_stretch(self, k, ext_temp)
         # the periods it closed into the pending block, those before a block
         # write among them only if it wrote none
@@ -121,7 +129,7 @@ def run_logged(scenario, prepare=None) -> LoggedRun:
             # a pending row's coincidences and its signal, then idler, singles
             any(0 < row[7] == row[5] for row in closed),
             any(0 < row[7] == row[6] for row in closed), ctrl.monitor.band,
-            window_trimmed(ctrl.monitor), entered_twins))
+            window_trimmed(ctrl.monitor), entered_twins, entered_in_range))
         return end
 
     def counted_decide(self, sensors):

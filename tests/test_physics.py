@@ -146,6 +146,9 @@ def test_params_are_frozen():
     ("efficiency_scale_v", 0.0), ("efficiency_scale_v", -4.0),
     ("efficiency_scale_v", math.inf), ("efficiency_scale_v", math.nan),
     ("amplitude_gain_per_overvolt", 0.0), ("amplitude_gain_per_overvolt", -0.1),
+    # `avalanche_amplitude` refuses a negative bias, which a loop railed at
+    # such a floor would hold
+    ("bias_min_v", -1.0),
 ])
 def test_apd_params_reject_scale_or_gain_not_positive(name, value):
     with pytest.raises(ValueError, match=name):

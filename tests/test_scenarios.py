@@ -509,6 +509,23 @@ def test_engine_rejects_a_non_finite_start_temperature(field, value):
         SimulationEngine(scenario)
 
 
+def test_engine_rejects_a_housing_temperature_that_leaves_the_floats():
+    # air from +1e308 C to -1e308 C over 30 s drives the housing to NaN: the
+    # run used to write all 240 records at 0 C, with a housing low of -inf
+    profile = EnvironmentProfile(np.array([0.0, 30.0]), np.array([1e308, -1e308]),
+                                 np.zeros(2), np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match=r"housing temperature nan C .* time_ms 0 is not finite"):
+        run_simulation(Scenario("custom", profile, 30.0))
+
+
+@pytest.mark.parametrize("name, duration_s", [("leo", 3000.0), ("lab", 30.0)])
+def test_engine_rejects_a_negative_seed(name, duration_s):
+    # the cold leo run never draws, and used to write a full flash; the lab
+    # run failed at its first laser draw, without naming the seed
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        SimulationEngine(make_scenario(name, duration_s, -1))
+
+
 def test_scenario_rejects_a_run_past_its_profile():
     # a run up to the last sample is accepted; one past it used to hold the
     # last sample silently
@@ -883,6 +900,7 @@ def _railed_dip():
 def test_scan_stretch_cases_match_per_tick_path(scenario, prepare, case, engine_run):
     run = _matches_reference(engine_run, scenario, prepare)
     assert any(case(s) for s in run.operating), run.operating
+    assert all(s.entered_in_range for s in run.operating), run.operating
 
 
 def test_a_laser_step_longer_than_the_window_recentres_the_band(engine_run):
@@ -983,11 +1001,13 @@ def test_pinned_runs_match_per_tick_path(name, duration_s, seed, request):
 ])
 def test_pinned_stretches_enter_with_twin_loops_and_exit_trimmed(fixture, stretches, request):
     # every stretch of a shipped run enters with the pair's two loops as
-    # twins, the traffic the one-loop step is for; and every stretch leaves
-    # the monitor's window trimmed, also after ticks that put the trim off
+    # twins, the traffic the one-loop step is for, and inside their bias
+    # range, which the stretch's step does not test; and every stretch
+    # leaves the monitor's window trimmed, also after ticks that put the
+    # trim off
     operating = request.getfixturevalue(fixture).operating
     assert len(operating) == stretches
-    assert all(s.entered_twins for s in operating), operating
+    assert all(s.entered_twins and s.entered_in_range for s in operating), operating
     assert all(s.exit_trimmed for s in operating), operating
 
 
